@@ -5,7 +5,9 @@ builds a Report (see reports.py) and prints it as markdown (default), csv,
 or structured JSON.
 
 Exit status: 0 success, 2 parse errors (bad files, bad arguments), 3 domain
-errors (invalid parameter values), 4 cap violations.
+errors (invalid parameter values), 4 cap violations, 5 a failed internal
+self-check (the see-saw objective decreased, or a first-block ratio fell
+below 1).
 """
 
 from __future__ import annotations
@@ -60,6 +62,17 @@ _CLOSED_FORM_NOTE = (
     "closed form exceeds the enumerated bound; it is an upper envelope, not "
     "an equality, for this expression"
 )
+
+
+def _sweep_cap_note(found) -> Optional[str]:
+    """The seesaw-sweep-cap warning text, or None if every restart converged."""
+    capped = found.stop_reasons.count("max_sweeps")
+    if not capped:
+        return None
+    return (
+        f"{capped} of {len(found.stop_reasons)} see-saw restarts stopped at the "
+        "sweep cap before converging; the lower bound may not be the best reachable"
+    )
 
 
 def _threads_from(args) -> Optional[int]:
@@ -144,6 +157,9 @@ def cmd_bounds(args) -> Report:
         results["seesaw_lower"] = found.value
         results["seesaw_sweeps"] = len(found.sweep_values) - 1
         results["seesaw_restart_index"] = found.restart_index
+        note = _sweep_cap_note(found)
+        if note:
+            warnings.append(("seesaw-sweep-cap", note))
 
     return new_report(
         "bounds",
@@ -393,6 +409,9 @@ def cmd_examples(args) -> Report:
         found = seesaw_lower(
             expr, restarts=args.restarts, seed=args.seed, threads=threads
         )
+        note = _sweep_cap_note(found)
+        if note:
+            warnings.append(("seesaw-sweep-cap", f"{name}: {note}"))
         _, gammas = _block_rows(expr, outcome.value)
         composite = composite_ratio_upper(gammas)
         bound_rows.append(
@@ -582,6 +601,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RuntimeError as exc:  # after CapExceeded, which subclasses it
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return 0
 

@@ -7,7 +7,3 @@ class CapExceeded(RuntimeError):
 
 class ParseError(ValueError):
     """An expression or state document is malformed."""
-
-
-class PowerIterationError(RuntimeError):
-    """The eigensolver failed to converge within its iteration cap."""

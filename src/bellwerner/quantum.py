@@ -13,9 +13,11 @@ best A for a party/setting is available in closed form (sign decomposition of
 the effective 2x2 operator), so sweeps are exact coordinate ascent and the
 objective is nondecreasing by construction.
 
-The eigensolver is a shifted power iteration run on c I + H and c I - H with
-c = 1 + max absolute row sum, which makes both shifted matrices positive
-definite; the two dominant eigenvalues recover the extreme eigenvalues of H.
+Each sweep refreshes the state with a dense Hermitian eigensolve
+(np.linalg.eigh) of the current operator, at most 256 x 256 under the
+8-party cap; the extreme eigenpair of larger magnitude gives the objective.
+Every restart records why it stopped: "converged" when a sweep gains less
+than the tolerance, "max_sweeps" when it reaches the sweep cap.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .classical import closed_form_classical, lhv_bound
-from .errors import CapExceeded, PowerIterationError
+from .errors import CapExceeded
 from .expressions import ABSENT, BellExpression
 
 DEFAULT_MAX_PARTIES = 8
@@ -38,10 +40,6 @@ DEFAULT_TOL = 1e-9
 _MAX_SWEEPS = 500
 
 _I2 = np.eye(2, dtype=complex)
-
-# Fixed offset for the power-iteration start vector so repeated calls on the
-# same dimension use the same (generic) starting direction.
-_START_SEED = 0xB311
 
 
 def _sign(x: float) -> float:
@@ -124,11 +122,18 @@ class AnalyticUppers(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SeesawResult:
+    """The best restart's value, witness, state and sweep trace.
+
+    stop_reasons has one entry per restart, the classical warm start last:
+    "converged" or "max_sweeps".
+    """
+
     value: float
     witness: ObservableAssignment
-    state: Optional[np.ndarray]
+    state: np.ndarray
     sweep_values: tuple[float, ...]
     restart_index: int
+    stop_reasons: tuple[str, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,47 +223,20 @@ def _validate_hermitian(matrix: np.ndarray) -> np.ndarray:
     return h
 
 
-def _power_branch(
-    shifted: np.ndarray, start: np.ndarray, rtol: float, max_iterations: int
-) -> tuple[float, np.ndarray]:
-    """Dominant eigenpair of a positive definite matrix by power iteration."""
-    v = start
-    for _ in range(max_iterations):
-        w = shifted @ v
-        mu = float(np.vdot(v, w).real)
-        if float(np.linalg.norm(w - mu * v)) <= rtol * mu:
-            return mu, v
-        v = w / np.linalg.norm(w)
-    raise PowerIterationError(
-        f"power iteration did not reach relative residual {rtol} "
-        f"within {max_iterations} iterations"
-    )
+def _dominant_eig(h: np.ndarray) -> tuple[float, np.ndarray]:
+    """Signed eigenvalue of largest magnitude and its eigenvector.
+
+    A tie in magnitude goes to the largest eigenvalue.
+    """
+    w, v = np.linalg.eigh(_validate_hermitian(h))
+    if abs(w[-1]) >= abs(w[0]):
+        return float(w[-1]), v[:, -1]
+    return float(w[0]), v[:, 0]
 
 
-def _dominant_eig(
-    h: np.ndarray, *, rtol: float = 1e-10, max_iterations: int = 10000
-) -> tuple[float, np.ndarray]:
-    """Signed eigenvalue of largest magnitude and its eigenvector."""
-    h = _validate_hermitian(h)
-    n = h.shape[0]
-    c = 1.0 + float(np.abs(h).sum(axis=1).max())
-    rng = np.random.default_rng(_START_SEED + n)
-    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    start = start / np.linalg.norm(start)
-    mu_plus, v_plus = _power_branch(c * np.eye(n) + h, start, rtol, max_iterations)
-    mu_minus, v_minus = _power_branch(c * np.eye(n) - h, start, rtol, max_iterations)
-    top = mu_plus - c  # largest eigenvalue of h
-    bottom = c - mu_minus  # smallest eigenvalue of h
-    if abs(top) >= abs(bottom):
-        return top, v_plus
-    return bottom, v_minus
-
-
-def max_abs_eigenvalue(
-    matrix: np.ndarray, *, rtol: float = 1e-10, max_iterations: int = 10000
-) -> float:
-    """Spectral radius of a Hermitian matrix via shifted power iteration."""
-    value, _ = _dominant_eig(matrix, rtol=rtol, max_iterations=max_iterations)
+def max_abs_eigenvalue(matrix: np.ndarray) -> float:
+    """Spectral radius of a Hermitian matrix from a dense eigensolve."""
+    value, _ = _dominant_eig(matrix)
     return abs(value)
 
 
@@ -317,6 +295,14 @@ def _split_terms_by_party(expr: BellExpression):
     return terms_at
 
 
+class _Run(NamedTuple):
+    value: float
+    witness: ObservableAssignment
+    state: np.ndarray
+    sweep_values: tuple[float, ...]
+    stop_reason: str
+
+
 def _seesaw_run(
     expr: BellExpression,
     initial: ObservableAssignment,
@@ -324,12 +310,13 @@ def _seesaw_run(
     tol: float,
     max_sweeps: int = _MAX_SWEEPS,
     fixed_state: Optional[np.ndarray] = None,
-) -> tuple[float, ObservableAssignment, Optional[np.ndarray], tuple[float, ...]]:
+) -> _Run:
     """Coordinate-ascent sweeps from one starting assignment.
 
-    With fixed_state the objective is |<psi|B|psi>| for that state; otherwise
-    the state is refreshed each sweep to the extreme eigenvector of the
-    current operator and the objective is the spectral radius.
+    With fixed_state the objective is |<psi|B|psi>| for that state, which is
+    also the returned state; otherwise the state is refreshed each sweep to
+    the extreme eigenvector of the current operator and the objective is the
+    spectral radius.  Sweeps stop once one gains less than tol.
     """
     m = expr.parties
     obs = [[pair[0], pair[1]] for pair in initial.observables]
@@ -346,7 +333,7 @@ def _seesaw_run(
             raise ValueError(f"state must have dimension 2^{m}")
         rho = np.outer(psi, psi.conj())
         signed = float(np.vdot(psi, current_operator() @ psi).real)
-        state = None
+        state = psi
     else:
         signed, vec = _dominant_eig(current_operator())
         rho = np.outer(vec, vec.conj())
@@ -354,6 +341,7 @@ def _seesaw_run(
     value = abs(signed)
     sign = _sign(signed)
     sweep_values = [value]
+    stop_reason = "max_sweeps"
 
     for _ in range(max_sweeps):
         for j in range(m):
@@ -378,10 +366,11 @@ def _seesaw_run(
         improvement = new_value - value
         value = new_value
         if improvement < tol:
+            stop_reason = "converged"
             break
 
     witness = ObservableAssignment(tuple((pair[0], pair[1]) for pair in obs))
-    return value, witness, state, tuple(sweep_values)
+    return _Run(value, witness, state, tuple(sweep_values), stop_reason)
 
 
 def _random_assignment(parties: int, rng: np.random.Generator) -> ObservableAssignment:
@@ -419,6 +408,44 @@ def _run_tasks(tasks, threads: Optional[int]):
     return [fn() for fn in tasks]
 
 
+def _best_of_restarts(
+    expr: BellExpression,
+    restarts: int,
+    tol: float,
+    seed: int,
+    threads: Optional[int],
+    max_parties: int,
+    max_sweeps: int,
+    fixed_state: Optional[np.ndarray] = None,
+) -> SeesawResult:
+    """The restart loop shared by seesaw_lower and seesaw_fixed_state."""
+    if len(expr) == 0:
+        raise ValueError("zero expression has no quantum bound")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    _check_cap(expr.parties, max_parties)
+
+    starts = [
+        _random_assignment(expr.parties, np.random.default_rng([seed, r]))
+        for r in range(restarts)
+    ]
+    starts.append(_witness_assignment(expr))
+    sweep_from = partial(
+        _seesaw_run, expr, tol=tol, max_sweeps=max_sweeps, fixed_state=fixed_state
+    )
+    runs = _run_tasks([partial(sweep_from, start) for start in starts], threads)
+    # max() keeps the first of equal values, which is the lowest index
+    best = max(range(len(runs)), key=lambda idx: runs[idx].value)
+    return SeesawResult(
+        value=runs[best].value,
+        witness=runs[best].witness,
+        state=runs[best].state,
+        sweep_values=runs[best].sweep_values,
+        restart_index=best,
+        stop_reasons=tuple(run.stop_reason for run in runs),
+    )
+
+
 def seesaw_lower(
     expr: BellExpression,
     restarts: int = DEFAULT_RESTARTS,
@@ -433,39 +460,11 @@ def seesaw_lower(
 
     Restart r draws its starting axes from a substream keyed by (seed, r), so
     results do not depend on worker count or execution order; ties go to the
-    lowest restart index.  The warm start guarantees value >= classical bound.
+    lowest restart index.  The warm start runs last and guarantees
+    value >= classical bound.  The state is the extreme eigenvector of the
+    best restart's final operator.
     """
-    if len(expr) == 0:
-        raise ValueError("zero expression has no quantum bound")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    _check_cap(expr.parties, max_parties)
-
-    def make_task(assignment: ObservableAssignment):
-        def run():
-            return _seesaw_run(expr, assignment, tol=tol, max_sweeps=max_sweeps)
-
-        return run
-
-    tasks = []
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        tasks.append(make_task(_random_assignment(expr.parties, rng)))
-    tasks.append(make_task(_witness_assignment(expr)))
-
-    outcomes = _run_tasks(tasks, threads)
-    best = 0
-    for idx in range(1, len(outcomes)):
-        if outcomes[idx][0] > outcomes[best][0]:
-            best = idx
-    value, witness, state, sweeps = outcomes[best]
-    return SeesawResult(
-        value=value,
-        witness=witness,
-        state=state,
-        sweep_values=sweeps,
-        restart_index=best,
-    )
+    return _best_of_restarts(expr, restarts, tol, seed, threads, max_parties, max_sweeps)
 
 
 def seesaw_fixed_state(
@@ -484,40 +483,8 @@ def seesaw_fixed_state(
     Same restart discipline as seesaw_lower; the warm start pins the result at
     or above the classical bound for any state.
     """
-    if len(expr) == 0:
-        raise ValueError("zero expression has no quantum bound")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    _check_cap(expr.parties, max_parties)
-    psi = np.asarray(state, dtype=complex).reshape(-1)
-
-    def make_task(assignment: ObservableAssignment):
-        def run():
-            value, witness, _, sweeps = _seesaw_run(
-                expr, assignment, tol=tol, max_sweeps=max_sweeps, fixed_state=psi
-            )
-            return value, witness, None, sweeps
-
-        return run
-
-    tasks = []
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        tasks.append(make_task(_random_assignment(expr.parties, rng)))
-    tasks.append(make_task(_witness_assignment(expr)))
-
-    outcomes = _run_tasks(tasks, threads)
-    best = 0
-    for idx in range(1, len(outcomes)):
-        if outcomes[idx][0] > outcomes[best][0]:
-            best = idx
-    value, witness, _, sweeps = outcomes[best]
-    return SeesawResult(
-        value=value,
-        witness=witness,
-        state=psi,
-        sweep_values=sweeps,
-        restart_index=best,
+    return _best_of_restarts(
+        expr, restarts, tol, seed, threads, max_parties, max_sweeps, fixed_state=state
     )
 
 

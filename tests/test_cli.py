@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from bellwerner import builtin
+from bellwerner import cli
 from bellwerner.cli import main
 from bellwerner.fileio import save_expression, save_state
 from bellwerner.reports import parse_report
@@ -214,6 +216,30 @@ def test_examples_command(capsys):
     names = {w["name"] for w in rep.warnings}
     assert "closed-form-exceeds-enumeration" in names
     assert "loose-threshold-variant" in names
+
+
+def test_seesaw_sweep_cap_warning(capsys, monkeypatch, chsh_file):
+    rep = _structured(capsys, ["bounds", chsh_file, "--seesaw", "--restarts", "2"])
+    assert "seesaw-sweep-cap" not in {w["name"] for w in rep.warnings}
+    results = rep.results
+
+    monkeypatch.setattr(cli, "seesaw_lower", functools.partial(cli.seesaw_lower, max_sweeps=1))
+    rep = _structured(capsys, ["bounds", chsh_file, "--seesaw", "--restarts", "2"])
+    assert "seesaw-sweep-cap" in {w["name"] for w in rep.warnings}
+    assert rep.results.keys() == results.keys()
+    rep = _structured(capsys, ["examples", "--restarts", "1"])
+    assert "seesaw-sweep-cap" in {w["name"] for w in rep.warnings}
+
+
+def test_internal_fault_exit_code(capsys, monkeypatch, chsh_file):
+    def fault(*args, **kwargs):
+        raise RuntimeError("see-saw objective decreased; eigensolver or update fault")
+
+    monkeypatch.setattr(cli, "seesaw_lower", fault)
+    code, out, err = _run(capsys, ["bounds", chsh_file, "--seesaw"])
+    assert code == 5
+    assert out == ""
+    assert err == "error: see-saw objective decreased; eigensolver or update fault\n"
 
 
 def test_seed_reproducibility_across_threads(capsys):

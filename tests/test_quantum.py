@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from bellwerner import (
     ObservableAssignment,
-    PowerIterationError,
     QubitObservable,
     analytic_quantum_upper,
     bell_operator,
@@ -52,8 +52,6 @@ def test_eigensolver_validates_input():
         max_abs_eigenvalue(np.ones((2, 3)))
     with pytest.raises(ValueError):
         max_abs_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
-    with pytest.raises(PowerIterationError):
-        max_abs_eigenvalue(np.eye(4), max_iterations=0)
 
 
 def test_observable_validation():
@@ -177,6 +175,59 @@ def test_seesaw_validation():
         seesaw_lower(new_expression(2, []), restarts=1)
     with pytest.raises(ValueError):
         seesaw_lower(builtin("CHSH"), restarts=0)
+
+
+def _benchmark_full_correlation_expressions():
+    """The six full-correlation see-saw inputs of input set 0 of seesaw_mix.
+
+    One generator draws standard normal coefficients in the benchmark's
+    order: two dense expressions (all 3^m - 1 patterns) for each of
+    m = 2, 3, 4, then two full-correlation ones (all 2^m patterns) for each
+    of m = 3, 4, 5.  Only the full-correlation ones are kept; the shifted
+    power iteration once failed to converge on every one of them.
+    """
+    rng = np.random.default_rng([0, 0, 0])
+    cases = []
+    for alphabet, ms in (("_01", (2, 3, 4)), ("01", (3, 4, 5))):
+        for m in ms:
+            for k in range(2):
+                patterns = [
+                    "".join(p)
+                    for p in itertools.product(alphabet, repeat=m)
+                    if set(p) != {"_"}
+                ]
+                terms = [(p, float(rng.standard_normal())) for p in patterns]
+                if alphabet == "01":
+                    cases.append(pytest.param(new_expression(m, terms), id=f"fc{m}_{k}"))
+    return cases
+
+
+@pytest.mark.parametrize("expr", _benchmark_full_correlation_expressions())
+def test_seesaw_full_correlation_sandwich(expr):
+    res = seesaw_lower(expr, restarts=3)
+    assert res.value >= lhv_bound(expr).value - 1e-9
+    assert res.value <= math.sqrt(3.0) * closed_form_classical(expr) + 1e-9
+    w = np.linalg.eigvalsh(bell_operator(expr, res.witness))
+    assert max(abs(w[0]), abs(w[-1])) == pytest.approx(res.value, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "name, optimum",
+    [("CHSH", 2 * ROOT2), ("MERMIN(3)", 4.0), ("MERMIN(5)", 16.0), ("MERMIN(7)", 64.0)],
+)
+def test_seesaw_known_optima(name, optimum):
+    res = seesaw_lower(builtin(name), restarts=3)
+    assert res.value == pytest.approx(optimum, abs=1e-9)
+
+
+def test_seesaw_stop_reasons():
+    converged = seesaw_lower(builtin("CHSH"), restarts=3)
+    assert converged.stop_reasons == ("converged",) * 4
+    capped = seesaw_lower(builtin("MERMIN"), restarts=3, max_sweeps=1)
+    assert len(capped.stop_reasons) == 4
+    assert "max_sweeps" in capped.stop_reasons
+    assert set(capped.stop_reasons) <= {"converged", "max_sweeps"}
+    assert len(capped.sweep_values) <= 2
 
 
 def test_fixed_state_seesaw_on_maximally_entangled():
