@@ -23,10 +23,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapExceeded
+from .errors import check_cap
 from .expressions import ABSENT, BellExpression, block_sizes, canonical_patterns, is_homogeneous
 
 DEFAULT_MAX_PARTIES = 8
+_ENUMERATION = "parties to enumerate (4^m strategies)"
 
 
 @dataclass(frozen=True)
@@ -88,14 +89,6 @@ def _sign_table(parties: int) -> np.ndarray:
     return table
 
 
-def _check_cap(parties: int, max_parties: int) -> None:
-    if parties > max_parties:
-        raise CapExceeded(
-            f"exhaustive enumeration over 4^{parties} strategies exceeds the "
-            f"cap of {max_parties} parties; raise max_parties to override"
-        )
-
-
 def strategy_value(expr: BellExpression, strategy: DeterministicStrategy) -> float:
     """Sum over terms of coeff times the product of assigned outcomes."""
     if strategy.parties != expr.parties:
@@ -123,7 +116,7 @@ def lhv_bound(
     if len(expr) == 0:
         raise ValueError("zero expression has no classical bound")
     m = expr.parties
-    _check_cap(m, max_parties)
+    check_cap(_ENUMERATION, m, max_parties, "raise max_parties to override")
     table = _sign_table(m)
     values = np.zeros(4 ** m)
     for pattern, coeff in expr.terms():
@@ -176,7 +169,7 @@ def strategy_matrix(
     Entry [k, s] is the product of strategy k's outcomes over the parties
     present in slot s's pattern; every entry is +-1 (int8).
     """
-    _check_cap(parties, max_parties)
+    check_cap(_ENUMERATION, parties, max_parties, "raise max_parties to override")
     table = _sign_table(parties)
     patterns = canonical_patterns(parties)
     out = np.empty((4 ** parties, len(patterns)), dtype=np.int8)

@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import __version__
 from .classical import closed_form_classical, lhv_bound
-from .errors import CapExceeded, ParseError
+from .errors import CapExceeded, ParseError, check_cap
 from .expressions import BellExpression, block, builtin, is_homogeneous
 from .fileio import load_expression, load_state
 from .gamma import GammaScanConfig, gamma_scan
@@ -28,6 +28,7 @@ from .quantum import analytic_quantum_upper, composite_ratio_upper, seesaw_lower
 from .reports import Report, new_report, render
 from .werner import (
     GhzFamily,
+    _check_sampler_size,
     detect_visibility,
     ghz_separability_threshold,
     max_pair_product,
@@ -212,10 +213,12 @@ def _table_iii() -> tuple[dict, list]:
 
 
 def _table_ii(args, threads: Optional[int]) -> tuple[dict, list]:
-    if args.max_m > _TABLE_II_DEFAULT_MAX_M and not args.force:
-        raise CapExceeded(
-            f"the ratio scan above m = {_TABLE_II_DEFAULT_MAX_M} is expensive; "
-            "pass --force to run it"
+    if not args.force:
+        check_cap(
+            "table II max m (the ratio scan is expensive)",
+            args.max_m,
+            _TABLE_II_DEFAULT_MAX_M,
+            "pass --force to run it",
         )
     warnings = []
     rows = []
@@ -337,6 +340,7 @@ def cmd_werner(args) -> Report:
 
 def cmd_measure(args) -> Report:
     threads = _threads_from(args)
+    _check_sampler_size(args.m, args.samples)  # before the closed form overflows
     bound = measure_lower_bound(args.m, args.poly)
     est = measure_monte_carlo(args.m, args.poly, args.samples, args.seed, threads=threads)
     high = est.fraction + 3.0 * est.std_error

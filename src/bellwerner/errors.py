@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one size-cap check."""
 
 
 class CapExceeded(RuntimeError):
@@ -7,3 +7,14 @@ class CapExceeded(RuntimeError):
 
 class ParseError(ValueError):
     """An expression or state document is malformed."""
+
+
+def check_cap(quantity: str, requested: int, cap: int, remedy: str = "") -> None:
+    """Raise CapExceeded when requested > cap; call it before allocating.
+
+    Every cap in the package reports through here, so each message names the
+    quantity, the requested size and the cap, plus an optional remedy.
+    """
+    if requested > cap:
+        suffix = f"; {remedy}" if remedy else ""
+        raise CapExceeded(f"{quantity}: {requested} exceeds the cap of {cap}{suffix}")

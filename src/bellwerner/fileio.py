@@ -7,7 +7,9 @@ with patterns over {_, 0, 1}.  State documents: {"parties": m, "amplitudes":
 Structural problems (malformed JSON, missing or mistyped fields, bad
 patterns) raise ParseError with a field path; domain problems a well-formed
 document can still have (for states, a non-unit norm) keep their ValueError
-so callers can distinguish the two.
+so callers can distinguish the two.  A state document with more than
+STATE_MAX_PARTIES (16) parties raises CapExceeded before its 2^m amplitude
+vector is allocated.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import math
 from pathlib import Path
 from typing import Union
 
-from .errors import ParseError
+from .errors import ParseError, check_cap
 from .expressions import BellExpression, new_expression
-from .werner import PureFamily
+from .werner import STATE_MAX_PARTIES, PureFamily
 
 PathLike = Union[str, Path]
 
@@ -102,6 +104,7 @@ def save_expression(expr: BellExpression, path: PathLike) -> None:
 def state_from_document(doc) -> PureFamily:
     doc = _require_dict(doc, "state document")
     parties = _require_parties(doc, "state document")
+    check_cap("parties of a state vector", parties, STATE_MAX_PARTIES)
     entries = doc.get("amplitudes")
     if not isinstance(entries, list) or not entries:
         raise ParseError("state document: field 'amplitudes' must be a non-empty array")

@@ -11,22 +11,22 @@ max(|b + r|, |b - r|) >= |b| strategy by strategy.  The scan asserts this for
 each sample as a self-check.
 
 Determinism: sample k draws from the substream keyed by (seed, k); samples
-are partitioned into fixed-size chunks whatever the worker count; minima
-merge with ties going to the lowest sample index; witnesses are regenerated
-from their substream rather than stored.
+are partitioned into fixed-size chunks whatever the worker count; chunks
+merge in index order with ties going to the lowest sample index; witnesses
+are regenerated from their substream rather than stored.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
+from ._workers import ordered_map
 from .classical import DEFAULT_MAX_PARTIES, block_strategy_matrix, lhv_bound, strategy_matrix
-from .errors import CapExceeded
 from .expressions import BellExpression, block, block_sizes
 
 _BLOCK_EPS = 1e-9
@@ -92,17 +92,17 @@ def _sample_vector(seed: int, index: int, dim: int) -> np.ndarray:
 
 def _scan_chunk(
     config: GammaScanConfig,
-    start: int,
-    count: int,
     full: np.ndarray,
     blocks: list[np.ndarray],
     offsets: list[int],
+    start: int,
 ):
+    """Per-index minima and skip counts over samples start .. start + _CHUNK."""
     m = config.parties
     dim = full.shape[1]
     minima: list[Optional[tuple[float, int]]] = [None] * m
     skipped = [0] * m
-    for k in range(start, start + count):
+    for k in range(start, min(start + _CHUNK, config.samples)):
         x = _sample_vector(config.seed, k, dim)
         total = float(np.abs(full @ x).max())
         for i in range(m):
@@ -123,16 +123,15 @@ def _scan_chunk(
 
 
 def _merge(into, minima, skipped):
+    """Fold one chunk into the running minima and skip counts.
+
+    Chunks arrive in index order, so an equal value never replaces the
+    current entry and ties keep the lowest sample index.
+    """
     merged_minima, merged_skips = into
     for i, entry in enumerate(minima):
-        if entry is None:
-            continue
         current = merged_minima[i]
-        if (
-            current is None
-            or entry[0] < current[0]
-            or (entry[0] == current[0] and entry[1] < current[1])
-        ):
+        if entry is not None and (current is None or entry[0] < current[0]):
             merged_minima[i] = entry
     for i, n in enumerate(skipped):
         merged_skips[i] += n
@@ -149,11 +148,6 @@ def gamma_scan(
     every sample skipped reports gamma_min None rather than raising.
     """
     m = config.parties
-    if m > config.max_parties:
-        raise CapExceeded(
-            f"scan would enumerate 4^{m} strategies per sample, above the cap "
-            f"of {config.max_parties} parties"
-        )
     _, offsets = block_sizes(m)
     full = strategy_matrix(m, max_parties=config.max_parties).astype(np.float64)
     blocks = [
@@ -162,27 +156,10 @@ def gamma_scan(
     ]
     dim = full.shape[1]
 
-    chunks = []
-    start = 0
-    while start < config.samples:
-        count = min(_CHUNK, config.samples - start)
-        chunks.append((start, count))
-        start += count
-
-    def run(chunk):
-        s, n = chunk
-        return _scan_chunk(config, s, n, full, blocks, offsets)
-
+    scan = partial(_scan_chunk, config, full, blocks, offsets)
     state = ([None] * m, [0] * m)
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for minima, skipped in pool.map(run, chunks):
-                state = _merge(state, minima, skipped)
-    else:
-        for chunk in chunks:
-            minima, skipped = run(chunk)
-            state = _merge(state, minima, skipped)
-
+    for minima, skipped in ordered_map(scan, range(0, config.samples, _CHUNK), threads):
+        state = _merge(state, minima, skipped)
     minima, skipped = state
     estimates = []
     for i in range(m):

@@ -23,21 +23,22 @@ than the tolerance, "max_sweeps" when it reaches the sweep cap.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial, reduce
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ._workers import ordered_map
 from .classical import closed_form_classical, lhv_bound
-from .errors import CapExceeded
+from .errors import check_cap
 from .expressions import ABSENT, BellExpression
 
 DEFAULT_MAX_PARTIES = 8
 DEFAULT_RESTARTS = 20
 DEFAULT_TOL = 1e-9
 _MAX_SWEEPS = 500
+_OPERATOR = "parties for a 2^m x 2^m operator"
 
 _I2 = np.eye(2, dtype=complex)
 
@@ -162,20 +163,17 @@ def composite_ratio_upper(gammas: Sequence[float]) -> float:
     Infinite entries contribute zero; an empty list gives the homogeneous
     limit 1.
     """
+    return math.sqrt(3.0) * _sum_inverse_gammas(gammas) + 1.0
+
+
+def _sum_inverse_gammas(gammas: Sequence[float]) -> float:
+    """sum(1/gamma) over positive ratios, infinite ones contributing zero."""
     total = 0.0
     for g in gammas:
         if not g > 0.0:
             raise ValueError(f"ratios must be positive, got {g!r}")
         total += 0.0 if math.isinf(g) else 1.0 / g
-    return math.sqrt(3.0) * total + 1.0
-
-
-def _check_cap(parties: int, max_parties: int) -> None:
-    if parties > max_parties:
-        raise CapExceeded(
-            f"operator construction on 2^{parties} dimensions exceeds the cap "
-            f"of {max_parties} parties; raise max_parties to override"
-        )
+    return total
 
 
 def _operator_from_matrices(
@@ -208,7 +206,7 @@ def bell_operator(
         raise ValueError(
             f"assignment has {obs.parties} parties, expression has {expr.parties}"
         )
-    _check_cap(expr.parties, max_parties)
+    check_cap(_OPERATOR, expr.parties, max_parties, "raise max_parties to override")
     mats = [[pair[0].matrix(), pair[1].matrix()] for pair in obs.observables]
     return _operator_from_matrices(expr.terms(), mats, expr.parties)
 
@@ -401,13 +399,6 @@ def _witness_assignment(expr: BellExpression) -> ObservableAssignment:
     return ObservableAssignment(pairs)
 
 
-def _run_tasks(tasks, threads: Optional[int]):
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda fn: fn(), tasks))
-    return [fn() for fn in tasks]
-
-
 def _best_of_restarts(
     expr: BellExpression,
     restarts: int,
@@ -423,7 +414,7 @@ def _best_of_restarts(
         raise ValueError("zero expression has no quantum bound")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    _check_cap(expr.parties, max_parties)
+    check_cap(_OPERATOR, expr.parties, max_parties, "raise max_parties to override")
 
     starts = [
         _random_assignment(expr.parties, np.random.default_rng([seed, r]))
@@ -433,7 +424,7 @@ def _best_of_restarts(
     sweep_from = partial(
         _seesaw_run, expr, tol=tol, max_sweeps=max_sweeps, fixed_state=fixed_state
     )
-    runs = _run_tasks([partial(sweep_from, start) for start in starts], threads)
+    runs = ordered_map(sweep_from, starts, threads)
     # max() keeps the first of equal values, which is the lowest index
     best = max(range(len(runs)), key=lambda idx: runs[idx].value)
     return SeesawResult(

@@ -17,20 +17,29 @@ lookups are array reversals.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from ._workers import ordered_map
 from .classical import lhv_bound
-from .errors import CapExceeded
+from .errors import check_cap
 from .expressions import BellExpression
-from .quantum import DEFAULT_RESTARTS, DEFAULT_TOL, bell_operator, seesaw_fixed_state
+from .quantum import (
+    DEFAULT_RESTARTS,
+    DEFAULT_TOL,
+    _sum_inverse_gammas,
+    bell_operator,
+    seesaw_fixed_state,
+)
 
 _NORM_TOL = 1e-12
 _MC_CHUNK = 4096
+_MC_CHUNK_BYTES = 2 ** 28
 DETECT_MAX_PARTIES = 6
+STATE_MAX_PARTIES = 16
 
 
 class ThetaRange(NamedTuple):
@@ -71,6 +80,7 @@ def ghz_amplitudes(parties: int, theta: float) -> np.ndarray:
     """cos(theta)|0...0> + sin(theta)|1...1> as a 2^m amplitude vector."""
     if parties < 1:
         raise ValueError("parties must be at least 1")
+    check_cap("parties of a state vector", parties, STATE_MAX_PARTIES)
     vec = np.zeros(2 ** parties, dtype=complex)
     vec[0] = math.cos(theta)
     vec[-1] = math.sin(theta)
@@ -179,12 +189,7 @@ def undetectable_range_general(
     """
     if parties < 2:
         raise ValueError("parties must be at least 2")
-    total = 0.0
-    for g in gammas:
-        if not g > 0.0:
-            raise ValueError(f"ratios must be positive, got {g!r}")
-        total += 0.0 if math.isinf(g) else 1.0 / g
-    arg = 2.0 * math.sqrt(3.0) * total / (2 ** parties - 1)
+    arg = 2.0 * math.sqrt(3.0) * _sum_inverse_gammas(gammas) / (2 ** parties - 1)
     if arg >= 1.0:
         return None
     lower = 0.5 * math.asin(arg)
@@ -242,6 +247,10 @@ def separability_necessary_check(amplitudes, v: float) -> bool:
     p = _validated_probabilities(amplitudes)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {v!r}")
+    return _necessary_holds(p, v)
+
+
+def _necessary_holds(p: np.ndarray, v: float) -> bool:
     d = (1.0 - v) / p.shape[0] + v * p
     lhs = float(np.sqrt(d * d[::-1]).min())
     rhs = v * float(np.sqrt(p * p[::-1]).max())
@@ -256,19 +265,12 @@ def necessary_check_first_failure(amplitudes, *, tol: float = 1e-6) -> Optional[
     for GHZ states, where the crossing is the separability threshold).
     """
     p = _validated_probabilities(amplitudes)
-
-    def holds(v: float) -> bool:
-        d = (1.0 - v) / p.shape[0] + v * p
-        lhs = float(np.sqrt(d * d[::-1]).min())
-        rhs = v * float(np.sqrt(p * p[::-1]).max())
-        return lhs >= rhs
-
-    if holds(1.0):
+    if _necessary_holds(p, 1.0):
         return None
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if holds(mid):
+        if _necessary_holds(p, mid):
             lo = mid
         else:
             hi = mid
@@ -290,11 +292,7 @@ def undetectable_measure_condition(
         raise ValueError(f"expected {parties - 1} ratios, got {len(gammas)}")
     if not poly_value > math.sqrt(3.0):
         raise ValueError("poly_value must exceed sqrt(3)")
-    total = 0.0
-    for g in gammas:
-        if not g > 0.0:
-            raise ValueError(f"ratios must be positive, got {g!r}")
-        total += 0.0 if math.isinf(g) else 1.0 / g
+    total = _sum_inverse_gammas(gammas)
     threshold_strict = poly_value / math.sqrt(3.0) - 1.0
     threshold_loose = (poly_value - 1.0) / math.sqrt(3.0)
     strict = total < threshold_strict
@@ -324,7 +322,24 @@ def max_pair_product(amplitudes) -> float:
     return float((p * p[::-1]).max())
 
 
-def _mc_chunk_hits(parties: int, threshold: float, seed: int, chunk_index: int, count: int) -> int:
+def _check_sampler_size(parties: int, samples: int) -> None:
+    """Check the sample count and the chunk size before anything is drawn.
+
+    At least 100 samples; one chunk's (min(samples, 4096), 2^m) float64
+    array may take at most 256 MiB.
+    """
+    if samples < 100:
+        raise ValueError("at least 100 samples are required")
+    count = min(samples, _MC_CHUNK)
+    # the largest m whose chunk array fits in _MC_CHUNK_BYTES
+    limit = (_MC_CHUNK_BYTES // (8 * count)).bit_length() - 1
+    check_cap(f"parties for Monte Carlo chunks of {count} samples", parties, limit)
+
+
+def _mc_chunk_hits(
+    parties: int, threshold: float, seed: int, samples: int, chunk_index: int
+) -> int:
+    count = min(_MC_CHUNK, samples - chunk_index * _MC_CHUNK)
     rng = np.random.default_rng([seed, chunk_index])
     dim = 2 ** parties
     re = rng.standard_normal((count, dim))
@@ -355,31 +370,14 @@ def measure_monte_carlo(
 
     Sampling is chunked with substreams keyed by (seed, chunk index) and hit
     counts are integers, so the estimate is identical for any thread count.
+    One chunk's (min(samples, 4096), 2^m) float64 array is capped at 256 MiB.
     """
     if parties < 1:
         raise ValueError("parties must be at least 1")
-    if samples < 100:
-        raise ValueError("at least 100 samples are required")
+    _check_sampler_size(parties, samples)
     c = (poly_value + 1.0) / 2 ** parties
-    threshold = c * c
-    chunks = []
-    start = 0
-    index = 0
-    while start < samples:
-        count = min(_MC_CHUNK, samples - start)
-        chunks.append((index, count))
-        start += count
-        index += 1
-
-    def run(chunk):
-        idx, count = chunk
-        return _mc_chunk_hits(parties, threshold, seed, idx, count)
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(run, chunks))
-    else:
-        hits = sum(run(chunk) for chunk in chunks)
+    chunk_hits = partial(_mc_chunk_hits, parties, c * c, seed, samples)
+    hits = sum(ordered_map(chunk_hits, range(math.ceil(samples / _MC_CHUNK)), threads))
     fraction = hits / samples
     std_error = math.sqrt(fraction * (1.0 - fraction) / samples)
     return MonteCarloEstimate(fraction, std_error, hits, samples)
@@ -407,11 +405,12 @@ def detect_visibility(
         raise ValueError(
             f"family has {family.parties} parties, expression has {expr.parties}"
         )
-    if expr.parties > max_parties:
-        raise CapExceeded(
-            f"visibility detection caps at {max_parties} parties; "
-            "raise max_parties to override"
-        )
+    check_cap(
+        "parties for visibility detection",
+        expr.parties,
+        max_parties,
+        "raise max_parties to override",
+    )
     psi = family.state_vector()
     c1 = lhv_bound(expr).value
     result = seesaw_fixed_state(

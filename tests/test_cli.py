@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bellwerner import builtin
+from bellwerner import builtin, new_expression
 from bellwerner import cli
 from bellwerner.cli import main
 from bellwerner.fileio import save_expression, save_state
@@ -127,6 +127,32 @@ def test_tables_ii_cap(capsys):
     code, _, err = _run(capsys, ["tables", "II", "--max-m", "5"])
     assert code == 4
     assert "--force" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["werner", "pure", "--state", "STATE40"],
+        ["werner", "ghz", "--m", "40", "--theta", "0.6"],
+        ["measure", "--m", "40", "--poly", "3", "--samples", "100"],
+        ["measure", "--m", "1100", "--poly", "3"],
+        ["bounds", "EXPR9"],
+        ["gamma", "--m", "9", "--samples", "10"],
+    ],
+)
+def test_oversize_inputs_hit_a_cap(capsys, tmp_path, argv):
+    # the first four would allocate 2^40 amplitudes or more without their cap
+    files = {"STATE40": tmp_path / "state40.json", "EXPR9": tmp_path / "expr9.json"}
+    files["STATE40"].write_text(
+        json.dumps({"parties": 40, "amplitudes": [{"index": "0" * 40, "re": 1.0}]})
+    )
+    save_expression(new_expression(9, [("0" * 9, 1.0)]), files["EXPR9"])
+    argv = [str(files.get(arg, arg)) for arg in argv]
+    code, out, err = _run(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceeds the cap of" in err
 
 
 def test_tables_bad_selector(capsys):

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from bellwerner import ParseError, builtin, new_expression, term_index
+from bellwerner import CapExceeded, ParseError, builtin, new_expression, term_index
 from bellwerner.fileio import (
     expression_from_document,
     expression_to_document,
@@ -15,7 +17,7 @@ from bellwerner.fileio import (
     state_from_document,
     state_to_document,
 )
-from bellwerner.werner import PureFamily, ghz_amplitudes
+from bellwerner.werner import STATE_MAX_PARTIES, PureFamily, ghz_amplitudes
 
 
 def test_expression_roundtrip(tmp_path):
@@ -134,6 +136,50 @@ def test_state_document_complex_and_default_im():
 def test_state_document_rejects(doc):
     with pytest.raises(ParseError):
         state_from_document(doc)
+
+
+# half the draws stay within the 16-party state cap, half go up to 64
+_PARTIES = st.integers(1, STATE_MAX_PARTIES) | st.integers(STATE_MAX_PARTIES + 1, 64)
+
+
+def _documents(parties, list_field, key, alphabet, value_key):
+    """Documents declaring `parties` whose entries mostly have keys of that
+    length, with malformed keys and values mixed in."""
+    number = st.sampled_from([1.0, -1.0, 0.0]) | st.floats(width=32) | st.text(max_size=1)
+    entry = st.fixed_dictionaries(
+        {
+            key: st.text(alphabet, min_size=parties, max_size=parties)
+            | st.text(alphabet + "2", max_size=parties + 1),
+            value_key: number,
+        },
+        optional={"im": number},
+    )
+    return st.fixed_dictionaries(
+        {
+            "parties": st.just(parties),
+            list_field: st.lists(entry, max_size=3) | st.none(),
+        }
+    )
+
+
+@given(_PARTIES, st.data())
+def test_state_document_fuzz(parties, data):
+    doc = data.draw(_documents(parties, "amplitudes", "index", "01", "re"))
+    try:
+        family = state_from_document(doc)
+    except (ValueError, CapExceeded):  # ParseError is a ValueError
+        return
+    assert family.parties == doc["parties"] <= STATE_MAX_PARTIES
+
+
+@given(_PARTIES, st.data())
+def test_expression_document_fuzz(parties, data):
+    doc = data.draw(_documents(parties, "terms", "pattern", "_01", "coeff"))
+    try:
+        expr = expression_from_document(doc)
+    except (ValueError, CapExceeded):  # ParseError is a ValueError
+        return
+    assert expr.parties == doc["parties"]
 
 
 def test_state_norm_violation_is_domain_error():
