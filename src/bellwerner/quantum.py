@@ -18,23 +18,34 @@ Each sweep refreshes the state with a dense Hermitian eigensolve
 8-party cap; the extreme eigenpair of larger magnitude gives the objective.
 Every restart records why it stopped: "converged" when a sweep gains less
 than the tolerance, "max_sweeps" when it reaches the sweep cap.
+
+Cost model.  An expression is held once as a (3,)*m coefficient tensor C
+(slot 0 for "_", 1 for "0", 2 for "1") and each party's observables as a
+stack [I, A_0, A_1].  The Bell operator is C contracted with every stack,
+m tensordot calls and O(4^m) work whatever the number of terms.  The
+effective operators of party j, for both settings at once, come from one
+contraction that skips party j (O(4^m)) and two O(4^m) products with the
+state.  A sweep is thus O(m 4^m) in about m^2 NumPy calls plus one
+O(8^m) eigensolve, which dominates from about six parties on.  Diagonal
++-1 observables, such as the classical warm start, give a diagonal operator
+of strategy values, summed term by term in O(terms 2^m) like the classical
+bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ._workers import ordered_map
-from .classical import closed_form_classical, lhv_bound
+from .classical import DEFAULT_MAX_PARTIES, closed_form_classical, lhv_bound
 from .errors import check_cap
 from .expressions import ABSENT, BellExpression
 
-DEFAULT_MAX_PARTIES = 8
 DEFAULT_RESTARTS = 20
 DEFAULT_TOL = 1e-9
 _MAX_SWEEPS = 500
@@ -176,18 +187,75 @@ def _sum_inverse_gammas(gammas: Sequence[float]) -> float:
     return total
 
 
-def _operator_from_matrices(
-    terms, mats: list[list[np.ndarray]], parties: int
+_SLOT = str.maketrans("_01", "012")
+
+
+def _coefficient_tensor(expr: BellExpression) -> np.ndarray:
+    """The expression as a complex (3,)*m tensor: slot 0 is "_", 1 is "0", 2 is "1"."""
+    coeffs = np.zeros(3 ** expr.parties, dtype=complex)
+    for pattern, coeff in expr.terms():
+        coeffs[int(pattern.translate(_SLOT), 3)] = coeff
+    return coeffs.reshape((3,) * expr.parties)
+
+
+def _stack(pair: Sequence[QubitObservable]) -> np.ndarray:
+    """The (3, 2, 2) per-party stack [I, A_0, A_1], indexed like a tensor slot."""
+    return np.stack([_I2, pair[0].matrix(), pair[1].matrix()])
+
+
+def _contract(coeffs: np.ndarray, stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """sum over s of coeffs[s] * kron_k stacks[k][s_k], one tensordot per party.
+
+    The leading len(stacks) axes of coeffs are contracted, party 0 first, so
+    party 0 is the most significant qubit as in np.kron.  Any further axes
+    of coeffs stay as leading batch axes of the (..., out, in) result.
+    """
+    t = coeffs
+    for s in stacks:
+        t = np.tensordot(t, s, axes=(0, 0))
+    batch = t.ndim - 2 * len(stacks)
+    perm = [*range(batch), *range(batch, t.ndim, 2), *range(batch + 1, t.ndim, 2)]
+    dim = 2 ** len(stacks)
+    return t.transpose(perm).reshape(t.shape[:batch] + (dim, dim))
+
+
+def _classical_diagonal(expr: BellExpression, outcomes: np.ndarray) -> np.ndarray:
+    """The Bell operator's diagonal when every observable is diagonal with +-1 entries.
+
+    outcomes[k, x, bit] is party k's entry for setting x at that bit, so each
+    basis state is a deterministic strategy; its value is summed term by
+    term in the classical bound's own order, bit for bit.
+    """
+    m = expr.parties
+    bits = (np.arange(2 ** m) >> np.arange(m - 1, -1, -1)[:, None]) & 1
+    table = [outcomes[k][:, bits[k]] for k in range(m)]  # [k][x] per basis state
+    values = np.zeros(2 ** m)
+    for pattern, coeff in expr.terms():
+        col = 1.0
+        for k, ch in enumerate(pattern):
+            if ch != ABSENT:
+                col = col * table[k][int(ch)]
+        values += coeff * col
+    return values
+
+
+def _bell_matrix(
+    expr: BellExpression, coeffs: np.ndarray, stacks: Sequence[np.ndarray]
 ) -> np.ndarray:
-    dim = 2 ** parties
-    out = np.zeros((dim, dim), dtype=complex)
-    for pattern, coeff in terms:
-        factors = [
-            _I2 if ch == ABSENT else mats[j][0 if ch == "0" else 1]
-            for j, ch in enumerate(pattern)
-        ]
-        out += coeff * reduce(np.kron, factors)
-    return out
+    """The Bell operator for the per-party stacks, exactly Hermitian.
+
+    Observables that are all diagonal with +-1 entries commute, and the
+    operator is the diagonal of deterministic strategy values, summed as the
+    classical bound sums them: the see-saw's classical warm start then sits
+    at the classical bound exactly, not one rounding below it.  Otherwise
+    the contraction, symmetrised so that no BLAS summation order breaks
+    Hermiticity.
+    """
+    outcomes = np.array([s[1:, [0, 1], [0, 1]] for s in stacks])
+    if not any(s[1:, 0, 1].any() for s in stacks) and np.all(np.abs(outcomes) == 1.0):
+        return np.diag(_classical_diagonal(expr, outcomes.real)).astype(complex)
+    b = _contract(coeffs, stacks)
+    return (b + b.conj().T) / 2.0
 
 
 def bell_operator(
@@ -199,16 +267,16 @@ def bell_operator(
     """The 2^m x 2^m operator sum of coeff * tensor products of observables.
 
     Absent parties contribute identity factors.  The result is exactly
-    Hermitian: every factor carries conjugate-symmetric storage and kron
-    products and sums preserve it bit for bit.
+    Hermitian; for diagonal +-1 observables its diagonal holds the
+    strategy values exactly as the classical bound computes them.
     """
     if obs.parties != expr.parties:
         raise ValueError(
             f"assignment has {obs.parties} parties, expression has {expr.parties}"
         )
     check_cap(_OPERATOR, expr.parties, max_parties, "raise max_parties to override")
-    mats = [[pair[0].matrix(), pair[1].matrix()] for pair in obs.observables]
-    return _operator_from_matrices(expr.terms(), mats, expr.parties)
+    stacks = [_stack(pair) for pair in obs.observables]
+    return _bell_matrix(expr, _coefficient_tensor(expr), stacks)
 
 
 def _validate_hermitian(matrix: np.ndarray) -> np.ndarray:
@@ -238,30 +306,21 @@ def max_abs_eigenvalue(matrix: np.ndarray) -> float:
     return abs(value)
 
 
-def _effective_operator(
-    terms_at, mats: list[list[np.ndarray]], j: int, setting: int, rho: np.ndarray, parties: int
+def _effective_pair(
+    coeffs: np.ndarray, stacks: list[np.ndarray], j: int, psi: np.ndarray
 ) -> np.ndarray:
-    """2x2 operator F with Tr(A F) = the objective piece linear in A_{j,setting}.
+    """F_{j,0}, F_{j,1}: Tr(A F_{j,x}) is the part of <psi|B|psi> linear in A_{j,x}.
 
-    F is the partial trace over the other parties of D rho, where D sums the
-    relevant terms with an identity in slot j.
+    One contraction over every party but j gives D_{j,x}, the terms with party
+    j at setting x and an identity in slot j; then
+    F_{j,x}[p, q] = <psi_q|D_{j,x}|psi_p> with psi_p the state at slot j = p.
+    Neither depends on party j's own observables.
     """
-    selected = terms_at[j][setting]
-    dim = 2 ** parties
-    if not selected:
-        return np.zeros((2, 2), dtype=complex)
-    d = np.zeros((dim, dim), dtype=complex)
-    for pattern, coeff in selected:
-        factors = [
-            _I2 if (k == j or ch == ABSENT) else mats[k][0 if ch == "0" else 1]
-            for k, ch in enumerate(pattern)
-        ]
-        d += coeff * reduce(np.kron, factors)
-    dl = 2 ** j
-    dr = 2 ** (parties - 1 - j)
-    g = (d @ rho).reshape(dl, 2, dr, dl, 2, dr)
-    f = np.einsum("apbaqb->pq", g)
-    return (f + f.conj().T) / 2.0
+    m = coeffs.ndim
+    d = _contract(np.moveaxis(coeffs, j, -1)[..., 1:], stacks[:j] + stacks[j + 1:])
+    slices = np.moveaxis(psi.reshape((2,) * m), j, -1).reshape(-1, 2)
+    g = slices.conj().T @ d @ slices  # g[x, q, p] = F_{j,x}[p, q]
+    return (g.swapaxes(1, 2) + g.conj()) / 2.0
 
 
 def _optimal_observable(f: np.ndarray, previous: QubitObservable) -> QubitObservable:
@@ -281,16 +340,6 @@ def _optimal_observable(f: np.ndarray, previous: QubitObservable) -> QubitObserv
         return QubitObservable(previous.axis, lam, lam)
     axis = (fx / norm, fy / norm, fz / norm)
     return QubitObservable(axis, _sign(f0 + norm), _sign(f0 - norm))
-
-
-def _split_terms_by_party(expr: BellExpression):
-    """terms_at[j][x] = the (pattern, coeff) list with party j at setting x."""
-    terms_at = [[[], []] for _ in range(expr.parties)]
-    for pattern, coeff in expr.terms():
-        for j, ch in enumerate(pattern):
-            if ch != ABSENT:
-                terms_at[j][0 if ch == "0" else 1].append((pattern, coeff))
-    return terms_at
 
 
 class _Run(NamedTuple):
@@ -317,25 +366,18 @@ def _seesaw_run(
     spectral radius.  Sweeps stop once one gains less than tol.
     """
     m = expr.parties
+    coeffs = _coefficient_tensor(expr)
     obs = [[pair[0], pair[1]] for pair in initial.observables]
-    mats = [[o.matrix() for o in pair] for pair in obs]
-    terms_at = _split_terms_by_party(expr)
-    terms = expr.terms()
-
-    def current_operator() -> np.ndarray:
-        return _operator_from_matrices(terms, mats, m)
+    stacks = [_stack(pair) for pair in obs]
 
     if fixed_state is not None:
         psi = np.asarray(fixed_state, dtype=complex).reshape(-1)
         if psi.shape[0] != 2 ** m:
             raise ValueError(f"state must have dimension 2^{m}")
-        rho = np.outer(psi, psi.conj())
-        signed = float(np.vdot(psi, current_operator() @ psi).real)
+        signed = float(np.vdot(psi, _bell_matrix(expr, coeffs, stacks) @ psi).real)
         state = psi
     else:
-        signed, vec = _dominant_eig(current_operator())
-        rho = np.outer(vec, vec.conj())
-        state = vec
+        signed, state = _dominant_eig(_bell_matrix(expr, coeffs, stacks))
     value = abs(signed)
     sign = _sign(signed)
     sweep_values = [value]
@@ -343,17 +385,15 @@ def _seesaw_run(
 
     for _ in range(max_sweeps):
         for j in range(m):
+            f = sign * _effective_pair(coeffs, stacks, j, state)
             for setting in (0, 1):
-                f = sign * _effective_operator(terms_at, mats, j, setting, rho, m)
-                obs[j][setting] = _optimal_observable(f, obs[j][setting])
-                mats[j][setting] = obs[j][setting].matrix()
-        op = current_operator()
+                obs[j][setting] = _optimal_observable(f[setting], obs[j][setting])
+            stacks[j] = _stack(obs[j])
+        op = _bell_matrix(expr, coeffs, stacks)
         if fixed_state is not None:
             signed = float(np.vdot(psi, op @ psi).real)
         else:
-            signed, vec = _dominant_eig(op)
-            rho = np.outer(vec, vec.conj())
-            state = vec
+            signed, state = _dominant_eig(op)
         new_value = abs(signed)
         if new_value < value - 1e-9 * max(1.0, value):
             raise RuntimeError(

@@ -28,6 +28,8 @@ from .classical import lhv_bound
 from .errors import check_cap
 from .expressions import BellExpression
 from .quantum import (
+    _OPERATOR,
+    DEFAULT_MAX_PARTIES,
     DEFAULT_RESTARTS,
     DEFAULT_TOL,
     _sum_inverse_gammas,
@@ -38,7 +40,6 @@ from .quantum import (
 _NORM_TOL = 1e-12
 _MC_CHUNK = 4096
 _MC_CHUNK_BYTES = 2 ** 28
-DETECT_MAX_PARTIES = 6
 STATE_MAX_PARTIES = 16
 
 
@@ -135,9 +136,13 @@ WernerFamily = Union[GhzFamily, PureFamily]
 
 
 def werner_density(family: WernerFamily, v: float) -> np.ndarray:
-    """rho_v = (1 - v)/2^m * I + v |Psi><Psi| for v in [0, 1]."""
+    """rho_v = (1 - v)/2^m * I + v |Psi><Psi| for v in [0, 1].
+
+    The dense matrix is capped like every 2^m x 2^m operator (8 parties).
+    """
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {v!r}")
+    check_cap(_OPERATOR, family.parties, DEFAULT_MAX_PARTIES)
     psi = family.state_vector()
     dim = psi.shape[0]
     return (1.0 - v) / dim * np.eye(dim, dtype=complex) + v * np.outer(psi, psi.conj())
@@ -216,6 +221,11 @@ def separability_upper_bound(amplitudes) -> float:
     against all pairs j through
     f(i, j) = 4^m p_j p_jc - 4^m p_i p_ic + 2^m (p_i + p_ic) - 1
     and return min(1/sqrt(|f|)) over |f| > 1e-12, capped at 1.
+
+    Rounding is monotone, so the computed f(i, j) never decreases as p_j p_jc
+    grows: for each i the largest |f| sits at the smallest or the largest
+    product, and only those two j are evaluated, in the same operation order
+    as the full scan, so the result is identical to it bit for bit.
     """
     p = _validated_probabilities(amplitudes)
     n = p.shape[0]
@@ -226,15 +236,20 @@ def separability_upper_bound(amplitudes) -> float:
     if light.size == 0:  # pigeonhole says this cannot happen; guard anyway
         light = np.array([int(np.argmin(pair_sum))])
     products = p * pc
-    best = 1.0
     four_m = float(4 ** parties)
     two_m = float(2 ** parties)
-    for i in light:
-        f = four_m * products - four_m * products[i] + two_m * pair_sum[i] - 1.0
-        usable = np.abs(f) > 1e-12
-        if np.any(usable):
-            best = min(best, float(1.0 / math.sqrt(np.abs(f[usable]).max())))
-    return best
+    ends = products[[np.argmin(products), np.argmax(products)]]
+    f = (
+        four_m * ends
+        - (four_m * products[light])[:, None]
+        + (two_m * pair_sum[light])[:, None]
+        - 1.0
+    )
+    peak = np.abs(f).max(axis=1)
+    usable = peak > 1e-12
+    if not np.any(usable):
+        return 1.0
+    return min(1.0, float((1.0 / np.sqrt(peak[usable])).min()))
 
 
 def separability_necessary_check(amplitudes, v: float) -> bool:
@@ -344,9 +359,12 @@ def _mc_chunk_hits(
     dim = 2 ** parties
     re = rng.standard_normal((count, dim))
     im = rng.standard_normal((count, dim))
-    weights = re * re + im * im
-    total = weights.sum(axis=1)
-    pair = (weights[:, 0] + weights[:, -1]) / total
+    # the weights re^2 + im^2, in place so a chunk holds only these two arrays
+    np.square(re, out=re)
+    np.square(im, out=im)
+    re += im
+    total = re.sum(axis=1)
+    pair = (re[:, 0] + re[:, -1]) / total
     return int(np.count_nonzero(pair > threshold))
 
 
@@ -370,7 +388,8 @@ def measure_monte_carlo(
 
     Sampling is chunked with substreams keyed by (seed, chunk index) and hit
     counts are integers, so the estimate is identical for any thread count.
-    One chunk's (min(samples, 4096), 2^m) float64 array is capped at 256 MiB.
+    One chunk's (min(samples, 4096), 2^m) float64 array is capped at 256 MiB;
+    a chunk holds two of them (the real and imaginary parts).
     """
     if parties < 1:
         raise ValueError("parties must be at least 1")
@@ -391,7 +410,7 @@ def detect_visibility(
     restarts: int = DEFAULT_RESTARTS,
     bisection_tol: float = 1e-6,
     threads: Optional[int] = None,
-    max_parties: int = DETECT_MAX_PARTIES,
+    max_parties: int = DEFAULT_MAX_PARTIES,
 ) -> Optional[float]:
     """Empirical visibility at which the Werner family starts violating expr.
 
@@ -405,12 +424,7 @@ def detect_visibility(
         raise ValueError(
             f"family has {family.parties} parties, expression has {expr.parties}"
         )
-    check_cap(
-        "parties for visibility detection",
-        expr.parties,
-        max_parties,
-        "raise max_parties to override",
-    )
+    check_cap(_OPERATOR, expr.parties, max_parties, "raise max_parties to override")
     psi = family.state_vector()
     c1 = lhv_bound(expr).value
     result = seesaw_fixed_state(

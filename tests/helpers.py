@@ -1,6 +1,7 @@
 """Shared test utilities: seeded random expressions and independent bounds."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -65,3 +66,64 @@ def matrix_bound_ordered(expr):
     for k in np.nonzero(alpha)[0]:
         vals += alpha[k] * m[:, k]
     return float(np.abs(vals).max())
+
+
+def kron_bell_operator(expr, mats):
+    """sum of coeff * kron over parties, one np.kron chain per term.
+
+    mats[k][x] is party k's 2x2 observable for setting x; absent parties
+    get the identity.  The per-term reference for the contraction kernel.
+    """
+    dim = 2 ** expr.parties
+    out = np.zeros((dim, dim), dtype=complex)
+    for pattern, coeff in expr.terms():
+        factor = np.ones((1, 1), dtype=complex)
+        for k, ch in enumerate(pattern):
+            factor = np.kron(factor, np.eye(2) if ch == "_" else mats[k][int(ch)])
+        out += coeff * factor
+    return out
+
+
+def kron_effective_operator(expr, mats, j, setting, psi):
+    """Partial trace over every party but j of D |psi><psi|, by per-term kron.
+
+    D sums the terms with party j at `setting`, an identity in slot j.
+    """
+    m = expr.parties
+    dim = 2 ** m
+    d = np.zeros((dim, dim), dtype=complex)
+    for pattern, coeff in expr.terms():
+        if pattern[j] != str(setting):
+            continue
+        factor = np.ones((1, 1), dtype=complex)
+        for k, ch in enumerate(pattern):
+            absent = k == j or ch == "_"
+            factor = np.kron(factor, np.eye(2) if absent else mats[k][int(ch)])
+        d += coeff * factor
+    dl, dr = 2 ** j, 2 ** (m - 1 - j)
+    g = (d @ np.outer(psi, psi.conj())).reshape(dl, 2, dr, dl, 2, dr)
+    return np.einsum("apbaqb->pq", g)
+
+
+def separability_upper_bound_loop(amplitudes):
+    """The pair bound by a full scan of every light i against every j.
+
+    The reference for werner.separability_upper_bound, which evaluates only
+    the two extreme j and must agree bit for bit.
+    """
+    p = np.abs(np.asarray(amplitudes, dtype=complex).reshape(-1)) ** 2
+    parties = p.shape[0].bit_length() - 1
+    pair_sum = p + p[::-1]
+    light = np.flatnonzero(pair_sum <= 2.0 ** (1 - parties) + 1e-12)
+    if light.size == 0:
+        light = np.array([int(np.argmin(pair_sum))])
+    products = p * p[::-1]
+    best = 1.0
+    four_m = float(4 ** parties)
+    two_m = float(2 ** parties)
+    for i in light:
+        f = four_m * products - four_m * products[i] + two_m * pair_sum[i] - 1.0
+        usable = np.abs(f) > 1e-12
+        if np.any(usable):
+            best = min(best, float(1.0 / math.sqrt(np.abs(f[usable]).max())))
+    return best

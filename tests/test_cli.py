@@ -138,6 +138,7 @@ def test_tables_ii_cap(capsys):
         ["measure", "--m", "1100", "--poly", "3"],
         ["bounds", "EXPR9"],
         ["gamma", "--m", "9", "--samples", "10"],
+        ["werner", "ghz", "--m", "9", "--theta", "0.6", "--expr", "EXPR9"],
     ],
 )
 def test_oversize_inputs_hit_a_cap(capsys, tmp_path, argv):

@@ -10,6 +10,7 @@ from bellwerner import (
     analytic_quantum_upper,
     bell_operator,
     builtin,
+    canonical_patterns,
     closed_form_classical,
     composite_ratio_upper,
     lhv_bound,
@@ -18,8 +19,13 @@ from bellwerner import (
     quantum_bounds_report,
     seesaw_lower,
 )
-from bellwerner.quantum import seesaw_fixed_state
-from helpers import random_expression
+from bellwerner.quantum import (
+    _coefficient_tensor,
+    _effective_pair,
+    _stack,
+    seesaw_fixed_state,
+)
+from helpers import kron_bell_operator, kron_effective_operator, random_expression
 
 ROOT2 = math.sqrt(2.0)
 
@@ -112,6 +118,57 @@ def test_bell_operator_hermitian_exactly():
         assert np.array_equal(b, b.conj().T)
 
 
+def _kernel_cases(rng):
+    """Dense, full-correlation and sparse expressions, one with a party absent."""
+    for m in range(1, 6):
+        yield random_expression(rng, m, max_terms=3 ** m)
+        yield random_expression(rng, m, max_terms=2 ** m, homogeneous=True)
+        yield random_expression(rng, m)
+        if m > 1:
+            gone = int(rng.integers(m))
+            pats = [p for p in canonical_patterns(m) if p[gone] == "_"]
+            picks = rng.choice(len(pats), size=min(5, len(pats)), replace=False)
+            yield new_expression(m, [(pats[i], float(rng.normal())) for i in picks])
+
+
+def test_contraction_matches_kron_reference():
+    rng = np.random.default_rng(36)
+    for expr in _kernel_cases(rng):
+        m = expr.parties
+        pairs = []
+        for _ in range(m):
+            pair = []
+            for _ in range(2):
+                axis = rng.standard_normal(3)
+                axis /= np.linalg.norm(axis)
+                eig_plus, eig_minus = rng.uniform(-1.0, 1.0, 2)
+                pair.append(QubitObservable(tuple(axis), eig_plus, eig_minus))
+            pairs.append(tuple(pair))
+        mats = [[o.matrix() for o in pair] for pair in pairs]
+        psi = rng.standard_normal(2 ** m) + 1j * rng.standard_normal(2 ** m)
+        psi /= np.linalg.norm(psi)
+
+        b = bell_operator(expr, ObservableAssignment(tuple(pairs)))
+        assert np.abs(b - kron_bell_operator(expr, mats)).max() <= 1e-12
+
+        # diagonal +-1 observables: equal to the per-term sum bit for bit
+        signs = rng.choice([-1.0, 1.0], size=(m, 2, 3))
+        diagonal = [
+            tuple(QubitObservable((0.0, 0.0, z), p, q) for z, p, q in row) for row in signs
+        ]
+        exact = bell_operator(expr, ObservableAssignment(tuple(diagonal)))
+        diagonal_mats = [[o.matrix() for o in pair] for pair in diagonal]
+        assert np.array_equal(exact, kron_bell_operator(expr, diagonal_mats))
+
+        coeffs = _coefficient_tensor(expr)
+        stacks = [_stack(pair) for pair in pairs]
+        for j in range(m):
+            f = _effective_pair(coeffs, stacks, j, psi)
+            for setting in (0, 1):
+                ref = kron_effective_operator(expr, mats, j, setting, psi)
+                assert np.abs(f[setting] - ref).max() <= 1e-12
+
+
 def test_bell_operator_party_mismatch():
     with pytest.raises(ValueError):
         bell_operator(builtin("MERMIN"), _chsh_optimal_assignment())
@@ -139,6 +196,15 @@ def test_seesaw_sweeps_monotone():
         for a, b in zip(values, values[1:]):
             assert b >= a - 1e-9 * max(1.0, abs(a))
         assert res.value == values[-1]
+
+
+def test_seesaw_never_below_classical_bound():
+    # the warm start sweeps through diagonal observables, whose operator must
+    # hold the classical values exactly, not to rounding
+    rng = np.random.default_rng(7)
+    for t in range(40):
+        expr = random_expression(rng, int(rng.integers(1, 5)), max_terms=81)
+        assert seesaw_lower(expr, restarts=1, seed=t).value >= lhv_bound(expr).value
 
 
 def test_seesaw_sandwich_homogeneous():

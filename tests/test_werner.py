@@ -24,6 +24,8 @@ from bellwerner import (
     werner_density,
 )
 
+from helpers import separability_upper_bound_loop
+
 ROOT2 = math.sqrt(2.0)
 ROOT3 = math.sqrt(3.0)
 
@@ -136,6 +138,18 @@ def test_pair_bound_dominates_exact_threshold():
             upper = separability_upper_bound(ghz_amplitudes(m, theta))
             exact = ghz_separability_threshold(m, theta)
             assert upper >= exact - 1e-12
+
+
+def test_pair_bound_matches_full_scan_exactly():
+    rng = np.random.default_rng(41)
+    for m in range(2, 13):
+        for theta in (0.01, 0.3, math.pi / 4, 1.2):
+            amps = ghz_amplitudes(m, theta)
+            assert separability_upper_bound(amps) == separability_upper_bound_loop(amps)
+        for _ in range(3):
+            amps = rng.standard_normal(2 ** m) + 1j * rng.standard_normal(2 ** m)
+            amps /= np.linalg.norm(amps)
+            assert separability_upper_bound(amps) == separability_upper_bound_loop(amps)
 
 
 def test_pair_bound_validation():
@@ -299,6 +313,13 @@ def test_werner_density_properties():
         werner_density(fam, 1.5)
 
 
+def test_werner_density_cap():
+    from bellwerner import CapExceeded
+
+    with pytest.raises(CapExceeded):
+        werner_density(GhzFamily(16, 0.6), 0.5)
+
+
 def test_max_pair_product():
     assert max_pair_product(ghz_amplitudes(2, math.pi / 4)) == pytest.approx(
         0.25, abs=1e-15
@@ -328,10 +349,16 @@ def test_detect_visibility_near_product_state():
     assert found is None or found > 0.9
 
 
+def test_detect_visibility_seven_parties():
+    expr = builtin("MERMIN(7)")
+    found = detect_visibility(expr, GhzFamily(7, math.pi / 4), 0, restarts=1)
+    assert found == pytest.approx(lhv_bound(expr).value / 64.0, abs=1e-5)
+
+
 def test_detect_visibility_party_cap():
     from bellwerner import CapExceeded
 
     with pytest.raises(CapExceeded):
         detect_visibility(
-            builtin("MERMIN(7)"), GhzFamily(7, math.pi / 4), 0, restarts=1
+            builtin("MERMIN(9)"), GhzFamily(9, math.pi / 4), 0, restarts=1
         )
