@@ -9,10 +9,22 @@ Strategies are encoded as 2m-bit integers: bit (2j + x) holds party
 j's outcome under setting x (0-based j, bit 0 -> +1, bit 1 -> -1), so
 enumeration order and witness tie-breaks are reproducible.
 
-Floating-point accumulation is term-ordered (canonical slot order) for
-every strategy; the same order is used by the scalar evaluator, the
-vectorized enumeration, and the strategy matrix, so the three agree bit
-for bit.
+A strategy's value is defined as the term-ordered sum: start from 0 and
+add coeff * (product of outcomes) term by term in canonical slot order.
+The scalar evaluator and the strategy matrix (column by column) sum in
+that order, and `lhv_bound` reports the maximum of exactly these sums.
+
+Cost model.  Including the constant slot, the 4^m x 3^m strategy matrix is
+the Kronecker product over parties of the 4 x 3 matrix
+W[b0 + 2 b1] = [1, (-1)^b0, (-1)^b1], so all 4^m values of a (3,)*m
+coefficient tensor come from m products with W, O(m 4^m) work whatever
+the number of terms T (`_strategy_values`, which also takes a batch of
+tensors).  That transform adds in another order, so `lhv_bound` uses it
+only to shortlist the strategies within a rounding bound of the maximum
+and re-evaluates those term by term, O(T) each, in blocks of 2^15
+(term, strategy) pairs.  A dense random expression shortlists one or two
+strategies; the worst case is a shortlist of all 4^m, as for MERMIN(7),
+whose 16384 strategies all tie, and costs O(T 4^m) like a full scan.
 """
 
 from __future__ import annotations
@@ -24,10 +36,37 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import check_cap
-from .expressions import ABSENT, BellExpression, block_sizes, canonical_patterns, is_homogeneous
+from .expressions import (
+    ABSENT,
+    BellExpression,
+    block_sizes,
+    canonical_patterns,
+    coefficient_tensor,
+    is_homogeneous,
+    term_slots,
+)
 
 DEFAULT_MAX_PARTIES = 8
 _ENUMERATION = "parties to enumerate (4^m strategies)"
+
+# Row b0 + 2 b1: one party's factor under the slots "_", "0", "1" when it
+# answers (-1)^b0 to setting 0 and (-1)^b1 to setting 1.
+_PARTY_SIGNS = np.array(
+    [[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, -1.0]]
+)
+_EXACT_BLOCK = 1 << 15
+
+
+def _sign_lookup(bits: int) -> np.ndarray:
+    """(-1)^popcount(x) for every bits-wide x: sign(x + 2^b) = -sign(x)."""
+    table = np.ones(1)
+    for _ in range(bits):
+        table = np.concatenate([table, -table])
+    return table
+
+
+# the sign of a term at a strategy, 16 bits at a time
+_PARITY_SIGN = _sign_lookup(16)
 
 
 @dataclass(frozen=True)
@@ -105,6 +144,55 @@ def strategy_value(expr: BellExpression, strategy: DeterministicStrategy) -> flo
     return total
 
 
+def _check_enumeration(parties: int, max_parties: int) -> None:
+    check_cap(_ENUMERATION, parties, max_parties, "raise max_parties to override")
+
+
+def _strategy_values(coeffs: np.ndarray, parties: int) -> np.ndarray:
+    """Values of all 4^m strategies for (..., 3, ..., 3) coefficient tensors.
+
+    The last `parties` axes are contracted with W by m np.matmul calls,
+    party m-1 first, so the (..., 4^m) result has party j as base-4 digit
+    j: the encoding order.  Leading axes are a batch, kept as the last
+    axis of every product, so a batch widens the products instead of
+    adding to their number.  Each value passes through at most 2m roundings
+    (a three-term sum with +-1 weights per party).  The result is a view of
+    a (4^m, ...) array.
+    """
+    batch = coeffs.shape[: coeffs.ndim - parties]
+    t = coeffs.transpose([*range(coeffs.ndim - 1, len(batch) - 1, -1), *range(len(batch))])
+    for done in range(parties):
+        t = np.matmul(_PARTY_SIGNS, t.reshape(4**done, 3, -1))
+    return np.moveaxis(t.reshape((4**parties,) + batch), 0, -1)
+
+
+def _ordered_values(slots: np.ndarray, coeffs: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Term-ordered values at the strategy encodings `codes`, bit for bit.
+
+    slots and coeffs are those of `term_slots`.  The sign of term t at
+    strategy k is (-1)^popcount(k & mask_t), where slot 1 ("0") of party j
+    reads bit 2j and slot 2 ("1") bit 2j + 1: the slot, shifted by 2j.  A
+    block of strategies becomes a (terms, strategies) array of signed
+    coefficients, summed down axis 0 by np.add.reduce: along an axis that
+    is not the fast one NumPy adds row after row, in term order (pairwise
+    summation is used only along the fast axis).  A block therefore never
+    holds a single strategy, which would make axis 0 the fast one.
+    """
+    masks = (slots << (2 * np.arange(slots.shape[1]))).sum(axis=1)
+    step = max(2, _EXACT_BLOCK // coeffs.size)
+    padded = np.append(codes, codes[-1:]) if codes.size % step == 1 else codes
+    high_bits = int(masks.max()).bit_length()
+    out = np.empty(padded.size)
+    for lo in range(0, padded.size, step):
+        bits = masks[:, None] & padded[None, lo : lo + step]
+        signed = np.take(_PARITY_SIGN, bits, mode="wrap")  # the low 16 bits
+        for shift in range(16, high_bits, 16):
+            signed *= np.take(_PARITY_SIGN, bits >> shift, mode="wrap")
+        signed *= coeffs[:, None]
+        out[lo : lo + step] = np.add.reduce(signed, axis=0)
+    return out[: codes.size]
+
+
 def lhv_bound(
     expr: BellExpression, *, max_parties: int = DEFAULT_MAX_PARTIES
 ) -> ClassicalBoundResult:
@@ -112,26 +200,36 @@ def lhv_bound(
 
     Ties are broken by the smallest strategy encoding.  The returned value
     equals |strategy_value(expr, witness)| bit for bit.
+
+    The transform (`_strategy_values`) gives fast_k; only strategies with
+    |fast_k| >= max |fast| - 2 delta are re-evaluated term by term, where
+    delta = (T + 2m + 2) 2^-52 S for T terms and S = sum |c|.  Why that
+    suffices: with u = 2^-53 and gamma_n = n u / (1 - n u), the term-ordered
+    value v_k differs from the exact e_k by at most gamma_{T-1} S (T - 1
+    roundings of partial sums bounded by S) and fast_k by at most
+    gamma_{2m} S (2m roundings per value), so |v_k - fast_k| <= delta'
+    with delta' = (gamma_{T-1} + gamma_{2m}) S < (T + 2m) 2u S.  If k* maximises
+    |v|, then |fast_k*| >= |v_k*| - delta' >= |v_k| - delta' >= |fast_k| - 2 delta'
+    for every k, so k* is shortlisted; the extra 2 in delta's factor
+    (4u S and more) absorbs the roundings of S, of max - 2 delta and the
+    1 / (1 - n u).  Every strategy that ties k* is shortlisted too, so the
+    lowest encoding among the exact maxima wins as in a full scan.
     """
     if len(expr) == 0:
         raise ValueError("zero expression has no classical bound")
     m = expr.parties
-    check_cap(_ENUMERATION, m, max_parties, "raise max_parties to override")
-    table = _sign_table(m)
-    values = np.zeros(4 ** m)
-    for pattern, coeff in expr.terms():
-        col: np.ndarray | None = None
-        for j, ch in enumerate(pattern):
-            if ch == ABSENT:
-                continue
-            arr = table[j, 0 if ch == "0" else 1]
-            col = arr if col is None else col * arr
-        values += coeff * col
-    k = int(np.argmax(np.abs(values)))
-    signed = float(values[k])
+    _check_enumeration(m, max_parties)
+    slots, coeffs = term_slots(expr)
+    fast = np.abs(_strategy_values(coefficient_tensor(expr), m))
+    delta = (len(coeffs) + 2 * m + 2) * 2.0**-52 * float(np.abs(coeffs).sum())
+    # negated so that a NaN bound keeps every strategy
+    shortlist = np.flatnonzero(~(fast < fast.max() - 2.0 * delta))
+    values = _ordered_values(slots, coeffs, shortlist)
+    best = int(np.argmax(np.abs(values)))
+    signed = float(values[best])
     return ClassicalBoundResult(
         value=abs(signed),
-        witness=DeterministicStrategy.from_encoding(m, k),
+        witness=DeterministicStrategy.from_encoding(m, int(shortlist[best])),
         achieved_sign=1 if signed >= 0.0 else -1,
     )
 
@@ -169,7 +267,7 @@ def strategy_matrix(
     Entry [k, s] is the product of strategy k's outcomes over the parties
     present in slot s's pattern; every entry is +-1 (int8).
     """
-    check_cap(_ENUMERATION, parties, max_parties, "raise max_parties to override")
+    _check_enumeration(parties, max_parties)
     table = _sign_table(parties)
     patterns = canonical_patterns(parties)
     out = np.empty((4 ** parties, len(patterns)), dtype=np.int8)

@@ -13,6 +13,14 @@ l_j = 2 * 3^(m-j) slots and occupies the contiguous index range
 [L_{j-1}, L_j) with L_0 = 0 and L_j = l_1 + ... + l_j.  Inside a block,
 patterns sort by the leading party's setting ("0" before "1") and then
 lexicographically over the remaining parties with "_" < "0" < "1".
+
+Tensor layout.  An expression is also a (3,)*m coefficient tensor: party
+j's symbol is axis j's index, 0 for "_", 1 for "0" and 2 for "1", and the
+constant slot (all zeros) is zero.  Read as a base-3 number with party 1
+most significant, a pattern's slot orders the blocks backwards: block j
+fills [3^(m-j), 3^(m-j+1)) in canonical order, so the flattened tensor is
+the constant slot followed by blocks m, m-1, ..., 1 (`term_slots`,
+`coefficient_tensor`, `canonical_tensor`).
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ ABSENT = "_"
 
 _ALPHABET = frozenset("_01")
 _TAIL_RANK = {"_": 0, "0": 1, "1": 2}
+_SLOT = str.maketrans("_01", "012")
 
 
 def validate_pattern(pattern: str, parties: int) -> None:
@@ -80,6 +89,16 @@ def canonical_patterns(parties: int) -> list[str]:
     return out
 
 
+def _canonical_key(item: tuple[str, float]) -> tuple[int, str]:
+    """Sort key of a (pattern, coeff) pair in canonical slot order.
+
+    The leading "_" count is the block; within a block the translated
+    pattern compares as the base-3 slot, which is the canonical order.
+    """
+    pattern = item[0]
+    return len(pattern) - len(pattern.lstrip(ABSENT)), pattern.translate(_SLOT)
+
+
 class BellExpression:
     """Immutable real coefficient map over canonical term patterns.
 
@@ -92,9 +111,7 @@ class BellExpression:
     def __init__(self, parties: int, coeffs: Mapping[str, float]):
         self._parties = parties
         self._coeffs = dict(coeffs)
-        self._ordered = tuple(
-            sorted(self._coeffs.items(), key=lambda kv: term_index(kv[0], parties))
-        )
+        self._ordered = tuple(sorted(self._coeffs.items(), key=_canonical_key))
 
     @property
     def parties(self) -> int:
@@ -145,6 +162,40 @@ def new_expression(parties: int, terms: Iterable[tuple[str, float]]) -> BellExpr
         acc[pattern] = acc.get(pattern, 0.0) + c
     coeffs = {p: c for p, c in acc.items() if c != 0.0}
     return BellExpression(parties, coeffs)
+
+
+def term_slots(expr: BellExpression) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor slots and coefficients of the terms, in term order.
+
+    Row t of the (terms, m) integer array is term t's index into the (3,)*m
+    coefficient tensor: per party 0 for "_", 1 for "0", 2 for "1".
+    """
+    terms = expr.terms()
+    text = "".join(p for p, _ in terms).translate(_SLOT).encode("ascii")
+    digits = np.frombuffer(text, dtype=np.uint8).reshape(len(terms), expr.parties)
+    return digits.astype(np.intp) - ord("0"), np.array([c for _, c in terms], dtype=float)
+
+
+def coefficient_tensor(expr: BellExpression, dtype=float) -> np.ndarray:
+    """The expression as a (3,)*m tensor indexed by `term_slots`."""
+    slots, coeffs = term_slots(expr)
+    out = np.zeros((3,) * expr.parties, dtype=dtype)
+    out[tuple(slots.T)] = coeffs
+    return out
+
+
+def canonical_tensor(vectors: np.ndarray, parties: int) -> np.ndarray:
+    """Canonical vectors (..., 3^m - 1) as (..., 3, ..., 3) coefficient tensors.
+
+    The constant slot is zero and the blocks go in reverse order (see the
+    module docstring), so this is one concatenation of slices.
+    """
+    vectors = np.asarray(vectors, dtype=float)
+    _, offsets = block_sizes(parties)
+    batch = vectors.shape[:-1]
+    pieces = [vectors[..., offsets[j] : offsets[j + 1]] for j in reversed(range(parties))]
+    flat = np.concatenate([np.zeros(batch + (1,)), *pieces], axis=-1)
+    return flat.reshape(batch + (3,) * parties)
 
 
 def from_vector(parties: int, vector: np.ndarray) -> BellExpression:

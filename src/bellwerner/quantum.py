@@ -42,9 +42,9 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from ._workers import ordered_map
-from .classical import DEFAULT_MAX_PARTIES, closed_form_classical, lhv_bound
+from .classical import DEFAULT_MAX_PARTIES, _ordered_values, closed_form_classical, lhv_bound
 from .errors import check_cap
-from .expressions import ABSENT, BellExpression
+from .expressions import BellExpression, coefficient_tensor, term_slots
 
 DEFAULT_RESTARTS = 20
 DEFAULT_TOL = 1e-9
@@ -187,15 +187,9 @@ def _sum_inverse_gammas(gammas: Sequence[float]) -> float:
     return total
 
 
-_SLOT = str.maketrans("_01", "012")
-
-
 def _coefficient_tensor(expr: BellExpression) -> np.ndarray:
     """The expression as a complex (3,)*m tensor: slot 0 is "_", 1 is "0", 2 is "1"."""
-    coeffs = np.zeros(3 ** expr.parties, dtype=complex)
-    for pattern, coeff in expr.terms():
-        coeffs[int(pattern.translate(_SLOT), 3)] = coeff
-    return coeffs.reshape((3,) * expr.parties)
+    return coefficient_tensor(expr, complex)
 
 
 def _stack(pair: Sequence[QubitObservable]) -> np.ndarray:
@@ -223,20 +217,16 @@ def _classical_diagonal(expr: BellExpression, outcomes: np.ndarray) -> np.ndarra
     """The Bell operator's diagonal when every observable is diagonal with +-1 entries.
 
     outcomes[k, x, bit] is party k's entry for setting x at that bit, so each
-    basis state is a deterministic strategy; its value is summed term by
-    term in the classical bound's own order, bit for bit.
+    basis state is a deterministic strategy; its value is the classical
+    bound's term-ordered sum, bit for bit.
     """
     m = expr.parties
     bits = (np.arange(2 ** m) >> np.arange(m - 1, -1, -1)[:, None]) & 1
-    table = [outcomes[k][:, bits[k]] for k in range(m)]  # [k][x] per basis state
-    values = np.zeros(2 ** m)
-    for pattern, coeff in expr.terms():
-        col = 1.0
-        for k, ch in enumerate(pattern):
-            if ch != ABSENT:
-                col = col * table[k][int(ch)]
-        values += coeff * col
-    return values
+    codes = np.zeros(2 ** m, dtype=np.int64)
+    for k in range(m):
+        for x in range(2):
+            codes |= (outcomes[k, x, bits[k]] < 0).astype(np.int64) << (2 * k + x)
+    return _ordered_values(*term_slots(expr), codes)
 
 
 def _bell_matrix(

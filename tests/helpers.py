@@ -5,7 +5,14 @@ import math
 
 import numpy as np
 
-from bellwerner import canonical_patterns, new_expression, strategy_matrix
+from bellwerner import (
+    block_sizes,
+    block_strategy_matrix,
+    canonical_patterns,
+    new_expression,
+    strategy_matrix,
+)
+from bellwerner.gamma import _BLOCK_EPS, _sample_vector
 
 
 def random_expression(rng, parties, *, max_terms=6, homogeneous=False, integer=False):
@@ -127,3 +134,51 @@ def separability_upper_bound_loop(amplitudes):
         if np.any(usable):
             best = min(best, float(1.0 / math.sqrt(np.abs(f[usable]).max())))
     return best
+
+
+def lhv_bound_loop(expr):
+    """(value, witness encoding, sign) by the full term-ordered 4^m loop.
+
+    The dense enumeration `lhv_bound` replaced: every strategy's value summed
+    term by term in canonical order, argmax of |value| with ties to the
+    lowest encoding.  The shortlisted kernel must agree bit for bit.
+    """
+    m = expr.parties
+    codes = np.arange(4**m, dtype=np.int64)
+    values = np.zeros(4**m)
+    for pattern, coeff in expr.terms():
+        col = np.ones(4**m, dtype=np.int8)
+        for j, ch in enumerate(pattern):
+            if ch != "_":
+                bits = (codes >> (2 * j + int(ch))) & 1
+                col = col * (1 - 2 * bits).astype(np.int8)
+        values += coeff * col
+    k = int(np.argmax(np.abs(values)))
+    signed = float(values[k])
+    return abs(signed), k, 1 if signed >= 0.0 else -1
+
+
+def scan_chunk_dense(config, start, chunk):
+    """Per-index (ratio, sample) minima and skip counts, one sample at a time.
+
+    The dense per-sample scan `gamma_scan` replaced: max |M x| through the
+    float strategy matrix and each block's reduced matrix.
+    """
+    m = config.parties
+    _, offsets = block_sizes(m)
+    full = strategy_matrix(m).astype(np.float64)
+    blocks = [block_strategy_matrix(m, i + 1).astype(np.float64) for i in range(m)]
+    minima = [None] * m
+    skipped = [0] * m
+    for k in range(start, min(start + chunk, config.samples)):
+        x = _sample_vector(config.seed, k, full.shape[1])
+        total = float(np.abs(full @ x).max())
+        for i in range(m):
+            block_value = float(np.abs(blocks[i] @ x[offsets[i] : offsets[i + 1]]).max())
+            if block_value < _BLOCK_EPS:
+                skipped[i] += 1
+                continue
+            ratio = total / block_value
+            if minima[i] is None or ratio < minima[i][0]:
+                minima[i] = (ratio, k)
+    return minima, skipped

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from bellwerner import (
     CapExceeded,
+    canonical_patterns,
     DeterministicStrategy,
     block_strategy_matrix,
     block_sizes,
@@ -15,8 +16,11 @@ from bellwerner import (
     strategy_matrix,
     strategy_value,
 )
+from bellwerner.classical import _strategy_values
+from bellwerner.expressions import canonical_tensor
 from helpers import (
     brute_force_bound,
+    lhv_bound_loop,
     matrix_bound_blas,
     matrix_bound_ordered,
     random_expression,
@@ -194,3 +198,83 @@ def test_party_cap():
     with pytest.raises(CapExceeded):
         strategy_matrix(9)
     assert lhv_bound(expr, max_parties=9).value == 1.0
+
+
+def _dense_expression(rng, m, *, integer=False, homogeneous=False):
+    patterns = canonical_patterns(m)
+    if homogeneous:
+        patterns = [p for p in patterns if "_" not in p]
+    if integer:
+        coeffs = rng.integers(-3, 4, size=len(patterns)).astype(float)
+    else:
+        coeffs = rng.normal(size=len(patterns))
+    return new_expression(m, zip(patterns, coeffs))
+
+
+def _symmetric_expression(rng, m):
+    """Float coefficients that depend only on a pattern's symbol counts.
+
+    Permuting the parties maps strategies onto strategies of equal exact
+    value, but the term-ordered sums round differently: near-ties at the
+    last bits, which the shortlist must keep.
+    """
+    weights = {}
+    terms = []
+    for pattern in canonical_patterns(m):
+        key = "".join(sorted(pattern))
+        if key not in weights:
+            weights[key] = float(rng.normal())
+        terms.append((pattern, weights[key]))
+    return new_expression(m, terms)
+
+
+def _bound_triple(expr, **kwargs):
+    res = lhv_bound(expr, **kwargs)
+    return res.value, res.witness.encoding, res.achieved_sign
+
+
+def test_lhv_bound_matches_full_loop_exactly():
+    # value, witness and sign of the shortlist-then-exact kernel equal the
+    # full term-ordered 4^m loop bit for bit, ties included
+    rng = np.random.default_rng(31)
+    for m in range(1, 8):
+        cases = [
+            _dense_expression(rng, m, integer=True),  # many exact ties
+            _dense_expression(rng, m),
+            _dense_expression(rng, m, homogeneous=True),  # 2^m-fold sign ties
+            _dense_expression(rng, m, homogeneous=True, integer=True),
+            _symmetric_expression(rng, m),
+            _symmetric_expression(rng, m),
+            random_expression(rng, m, max_terms=5),
+            random_expression(rng, m, max_terms=5, integer=True),
+        ]
+        for expr in cases:
+            assert _bound_triple(expr) == lhv_bound_loop(expr)
+    for name in ("CH", "CHSH", "SASA", "MERMIN", "MERMIN(5)", "MERMIN(7)"):
+        expr = builtin(name)
+        assert _bound_triple(expr) == lhv_bound_loop(expr)
+    nine = random_expression(rng, 9, max_terms=40)
+    assert _bound_triple(nine, max_parties=9) == lhv_bound_loop(nine)
+
+
+def test_lhv_bound_ties_go_to_the_lowest_encoding():
+    # every one of the 4^7 strategies of MERMIN(7) reaches |value| = 8
+    res = lhv_bound(builtin("MERMIN(7)"))
+    assert (res.value, res.witness.encoding, res.achieved_sign) == (8.0, 0, -1)
+    # a single term ties at every strategy; encoding 0 gives the coefficient
+    expr = new_expression(3, [("1_0", -2.5)])
+    assert _bound_triple(expr) == (2.5, 0, -1)
+
+
+def test_strategy_values_are_the_strategy_matrix_product():
+    rng = np.random.default_rng(32)
+    for m in range(1, 6):
+        vectors = rng.normal(size=(3, 2, 3**m - 1))
+        values = _strategy_values(canonical_tensor(vectors, m), m)
+        assert values.shape == (3, 2, 4**m)
+        reference = vectors @ strategy_matrix(m).T.astype(float)
+        assert np.abs(values - reference).max() <= 1e-12
+    expr = random_expression(rng, 4, integer=True)
+    single = _strategy_values(canonical_tensor(expr.to_vector(), 4), 4)
+    exact = [strategy_value(expr, DeterministicStrategy.from_encoding(4, k)) for k in range(256)]
+    assert np.array_equal(single, exact)  # integer sums are exact in any order

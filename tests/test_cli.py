@@ -230,6 +230,15 @@ def test_gamma_command(capsys):
     assert 1.0 - 1e-12 <= rows[0][1] <= 1.05
 
 
+def test_gamma_eight_parties(capsys):
+    # eight parties are under the enumeration cap; the scan must not need a
+    # dense 4^8 x 3^8 matrix (3.2 GiB as float64) to run
+    rep = _structured(capsys, ["gamma", "--m", "8", "--samples", "2"])
+    rows = rep.results["tables"][0]["rows"]
+    assert [row[0] for row in rows] == list(range(1, 9))
+    assert all(row[3] == 0 for row in rows)
+
+
 def test_examples_command(capsys):
     rep = _structured(capsys, ["examples", "--restarts", "2"])
     tables = {t["title"]: t for t in rep.results["tables"]}

@@ -15,6 +15,7 @@ from bellwerner import (
     new_expression,
     term_index,
 )
+from bellwerner.expressions import canonical_tensor, coefficient_tensor, term_slots
 from helpers import random_expression
 
 
@@ -160,3 +161,30 @@ def test_equality_and_repr():
     assert a == b and a != new_expression(2, [("00", 2.0)])
     assert "BellExpression" in repr(a)
     assert isinstance(a, BellExpression)
+
+
+def test_canonical_sort_matches_term_index():
+    rng = np.random.default_rng(11)
+    for m in range(1, 7):
+        patterns = canonical_patterns(m)
+        chosen = rng.choice(len(patterns), size=min(len(patterns), 60), replace=False)
+        expr = new_expression(m, [(patterns[i], 1.0 + i) for i in chosen])
+        ordered = [p for p, _ in expr.terms()]
+        assert ordered == sorted(ordered, key=lambda p: term_index(p, m))
+
+
+def test_tensor_layout():
+    rng = np.random.default_rng(12)
+    for m in range(1, 5):
+        expr = random_expression(rng, m, max_terms=12)
+        slots, coeffs = term_slots(expr)
+        assert slots.shape == (len(expr), m)
+        for row, (pattern, coeff) in zip(slots, expr.terms()):
+            assert "".join("_01"[k] for k in row) == pattern
+        assert list(coeffs) == [c for _, c in expr.terms()]
+        tensor = coefficient_tensor(expr)
+        assert tensor.shape == (3,) * m
+        assert np.array_equal(canonical_tensor(expr.to_vector(), m), tensor)
+        assert tensor.flat[0] == 0.0
+        for pattern, coeff in expr.terms():
+            assert tensor[tuple("_01".index(ch) for ch in pattern)] == coeff

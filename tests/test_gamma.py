@@ -14,7 +14,9 @@ from bellwerner import (
     strategy_matrix,
     block_strategy_matrix,
 )
-from helpers import random_expression
+import bellwerner.gamma as gamma_module
+from bellwerner.gamma import _CHUNK, _scan_chunk
+from helpers import random_expression, scan_chunk_dense
 
 
 def test_gamma_for_ch_exact():
@@ -128,3 +130,28 @@ def test_scan_seed_sensitivity():
     assert any(
         x.gamma_min != y.gamma_min for x, y in zip(a.estimates, b.estimates)
     )
+
+
+def test_scan_chunk_matches_dense_reference():
+    # the batched transform against the per-sample dense matvec it replaced
+    for m in (2, 3, 4, 5):
+        config = GammaScanConfig(parties=m, samples=2 * _CHUNK + 40, seed=m)
+        _, offsets = block_sizes(m)
+        for start in range(0, config.samples, _CHUNK):
+            minima, skipped = _scan_chunk(config, offsets, start)
+            ref_minima, ref_skipped = scan_chunk_dense(config, start, _CHUNK)
+            assert skipped == ref_skipped
+            for got, ref in zip(minima, ref_minima):
+                assert got[1] == ref[1]
+                assert got[0] == pytest.approx(ref[0], rel=1e-12, abs=0.0)
+
+
+def test_scan_sub_batches_do_not_change_results(monkeypatch):
+    config = GammaScanConfig(parties=4, samples=300, seed=6)
+    whole = gamma_scan(config)
+    # three rows of 4^4 values per sub-batch instead of the whole chunk
+    monkeypatch.setattr(gamma_module, "_VALUE_BYTES", 3 * 8 * 4**4)
+    split = gamma_scan(config)
+    for a, b in zip(whole.estimates, split.estimates):
+        assert (a.witness_sample, a.skipped) == (b.witness_sample, b.skipped)
+        assert a.gamma_min == pytest.approx(b.gamma_min, rel=1e-12, abs=0.0)
