@@ -11,15 +11,12 @@ from .errors import CapExceeded, ParseError
 from .expressions import (
     ABSENT,
     BellExpression,
-    BlockView,
     block,
     block_sizes,
     builtin,
     canonical_patterns,
-    from_vector,
     is_homogeneous,
     new_expression,
-    term_index,
 )
 from .classical import (
     ClassicalBoundResult,
@@ -28,7 +25,6 @@ from .classical import (
     closed_form_classical,
     lhv_bound,
     strategy_matrix,
-    strategy_value,
 )
 from .quantum import (
     ObservableAssignment,
@@ -38,7 +34,6 @@ from .quantum import (
     analytic_quantum_upper,
     bell_operator,
     composite_ratio_upper,
-    max_abs_eigenvalue,
     quantum_bounds_report,
     seesaw_lower,
 )
@@ -61,13 +56,11 @@ from .werner import (
     undetectable_range_general,
     undetectable_range_homogeneous,
     visibility_lower_bound,
-    werner_density,
 )
 from .gamma import (
     GammaIndexEstimate,
     GammaScanConfig,
     GammaScanResult,
-    gamma_for,
     gamma_scan,
 )
 
@@ -76,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ABSENT",
     "BellExpression",
-    "BlockView",
     "CapExceeded",
     "ClassicalBoundResult",
     "DeterministicStrategy",
@@ -103,14 +95,11 @@ __all__ = [
     "closed_form_classical",
     "composite_ratio_upper",
     "detect_visibility",
-    "from_vector",
-    "gamma_for",
     "gamma_scan",
     "ghz_amplitudes",
     "ghz_separability_threshold",
     "is_homogeneous",
     "lhv_bound",
-    "max_abs_eigenvalue",
     "max_pair_product",
     "measure_lower_bound",
     "measure_monte_carlo",
@@ -121,11 +110,8 @@ __all__ = [
     "separability_necessary_check",
     "separability_upper_bound",
     "strategy_matrix",
-    "strategy_value",
-    "term_index",
     "undetectable_measure_condition",
     "undetectable_range_general",
     "undetectable_range_homogeneous",
     "visibility_lower_bound",
-    "werner_density",
 ]

@@ -11,8 +11,7 @@ enumeration order and witness tie-breaks are reproducible.
 
 A strategy's value is defined as the term-ordered sum: start from 0 and
 add coeff * (product of outcomes) term by term in canonical slot order.
-The scalar evaluator and the strategy matrix (column by column) sum in
-that order, and `lhv_bound` reports the maximum of exactly these sums.
+`lhv_bound` reports the maximum of exactly these sums.
 
 Cost model.  Including the constant slot, the 4^m x 3^m strategy matrix is
 the Kronecker product over parties of the 4 x 3 matrix
@@ -29,7 +28,6 @@ whose 16384 strategies all tie, and costs O(T 4^m) like a full scan.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -128,22 +126,6 @@ def _sign_table(parties: int) -> np.ndarray:
     return table
 
 
-def strategy_value(expr: BellExpression, strategy: DeterministicStrategy) -> float:
-    """Sum over terms of coeff times the product of assigned outcomes."""
-    if strategy.parties != expr.parties:
-        raise ValueError(
-            f"strategy has {strategy.parties} parties, expression has {expr.parties}"
-        )
-    total = 0.0
-    for pattern, coeff in expr.terms():
-        prod = 1
-        for j, ch in enumerate(pattern):
-            if ch != ABSENT:
-                prod *= strategy.assignments[j][0 if ch == "0" else 1]
-        total += coeff * prod
-    return total
-
-
 def _check_enumeration(parties: int, max_parties: int) -> None:
     check_cap(_ENUMERATION, parties, max_parties, "raise max_parties to override")
 
@@ -199,7 +181,7 @@ def lhv_bound(
     """Exact classical bound with a deterministic witness strategy.
 
     Ties are broken by the smallest strategy encoding.  The returned value
-    equals |strategy_value(expr, witness)| bit for bit.
+    equals the absolute term-ordered sum at the witness bit for bit.
 
     The transform (`_strategy_values`) gives fast_k; only strategies with
     |fast_k| >= max |fast| - 2 delta are re-evaluated term by term, where
@@ -247,15 +229,14 @@ def closed_form_classical(expr: BellExpression) -> float:
         raise ValueError("zero expression has no classical bound")
     if not is_homogeneous(expr):
         raise ValueError("closed form requires a homogeneous (full-correlation) expression")
-    coeffs = expr.coeffs
-    odd = 0.0
-    even = 0.0
-    for prefix in itertools.product("01", repeat=expr.parties - 1):
-        p = "".join(prefix)
-        a0 = coeffs.get(p + "0", 0.0)
-        a1 = coeffs.get(p + "1", 0.0)
-        odd += abs(a0 + a1)
-        even += abs(a0 - a1)
+    # the (1|2)^m slice of the coefficient tensor: row p holds a_{p0}, a_{p1}
+    slots, coeffs = term_slots(expr)
+    pairs = np.zeros((2,) * expr.parties)
+    pairs[tuple(slots.T - 1)] = coeffs
+    a0, a1 = pairs.reshape(-1, 2).T
+    # accumulate adds prefix after prefix, as the sums are defined (np.sum is pairwise)
+    odd = float(np.add.accumulate(np.abs(a0 + a1))[-1])
+    even = float(np.add.accumulate(np.abs(a0 - a1))[-1])
     return max(odd, even)
 
 

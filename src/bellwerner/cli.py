@@ -94,16 +94,20 @@ def _threads_from(args) -> Optional[int]:
 
 
 def _block_rows(expr: BellExpression, total: float):
-    """Per-block classical values and ratios; empty blocks get gamma = inf."""
+    """Per-block classical values and ratios; empty blocks get gamma = inf.
+
+    Block i is an expression over parties i..m, so its bound enumerates
+    4^(m+1-i) strategies; the absent leading parties cannot change it.
+    """
     rows = []
     gammas = []
     for i in range(1, expr.parties + 1):
-        reduced = block(expr, i).reduced()
-        if len(reduced) == 0:
+        part = block(expr, i)
+        if len(part) == 0:
             rows.append([i, 0.0, math.inf])
             gammas.append(math.inf)
         else:
-            value = lhv_bound(reduced).value
+            value = lhv_bound(part).value
             gamma = total / value
             rows.append([i, value, gamma])
             gammas.append(gamma)

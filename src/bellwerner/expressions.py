@@ -7,49 +7,88 @@ means the party is absent from the term (identity slot), "0" and "1"
 select the party's first or second measurement setting.  The all-"_"
 pattern (a constant) is excluded, leaving 3^m - 1 admissible patterns.
 
-Canonical slot order is block-major.  Block j collects the patterns
-whose first non-"_" symbol sits at party j (1-based); it has
-l_j = 2 * 3^(m-j) slots and occupies the contiguous index range
-[L_{j-1}, L_j) with L_0 = 0 and L_j = l_1 + ... + l_j.  Inside a block,
-patterns sort by the leading party's setting ("0" before "1") and then
-lexicographically over the remaining parties with "_" < "0" < "1".
+Storage.  An expression holds two arrays in canonical term order, built
+once by `new_expression`: the slots, a (terms, m) integer array whose
+column j is party j's symbol as 0 for "_", 1 for "0" and 2 for "1", and
+the nonzero coefficients (`term_slots`).  Patterns exist only for I/O and
+display: `terms()`, `coeffs` and `repr` spell them out on demand.
 
-Tensor layout.  An expression is also a (3,)*m coefficient tensor: party
-j's symbol is axis j's index, 0 for "_", 1 for "0" and 2 for "1", and the
-constant slot (all zeros) is zero.  Read as a base-3 number with party 1
-most significant, a pattern's slot orders the blocks backwards: block j
-fills [3^(m-j), 3^(m-j+1)) in canonical order, so the flattened tensor is
-the constant slot followed by blocks m, m-1, ..., 1 (`term_slots`,
-`coefficient_tensor`, `canonical_tensor`).
+Canonical order is block-major.  Block j collects the terms whose first
+non-"_" symbol sits at party j (1-based).  Inside a block, terms sort by
+their slots read as a base-3 number with party 1 most significant: by the
+leading party's setting ("0" before "1") and then lexicographically over
+the remaining parties with "_" < "0" < "1".  A block is therefore a
+contiguous row range, and `block` returns it by slicing.  Over all 3^m - 1
+patterns (`canonical_patterns`), block j has l_j = 2 * 3^(m-j) slots and
+occupies the index range [L_{j-1}, L_j) with L_0 = 0 and
+L_j = l_1 + ... + l_j (`block_sizes`); a canonical vector lists the
+coefficients of all patterns in that order.
+
+Tensor layout.  An expression is also a (3,)*m coefficient tensor indexed
+by the slots, whose constant slot (all zeros) is zero.  Read as a base-3
+number with party 1 most significant, a pattern's slot orders the blocks
+backwards: block j fills [3^(m-j), 3^(m-j+1)) in canonical order, so the
+flattened tensor is the constant slot followed by blocks m, m-1, ..., 1
+(`coefficient_tensor`, `canonical_tensor`).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
 
 ABSENT = "_"
 
-_ALPHABET = frozenset("_01")
-_TAIL_RANK = {"_": 0, "0": 1, "1": 2}
-_SLOT = str.maketrans("_01", "012")
+# slot of each character code below 128: "_" 0, "0" 1, "1" 2, any other 3
+_SLOT_OF = np.full(128, 3, dtype=np.intp)
+_SLOT_OF[[ord(ABSENT), ord("0"), ord("1")]] = [0, 1, 2]
+_SYMBOLS = np.frombuffer(b"_01", dtype=np.uint8)
 
 
-def validate_pattern(pattern: str, parties: int) -> None:
-    """Raise ValueError unless pattern is a valid length-`parties` term."""
+def _pattern_problem(pattern, parties: int) -> str:
+    """Why pattern is not a valid length-`parties` term, or "" if it is."""
     if not isinstance(pattern, str):
-        raise ValueError(f"pattern must be a string, got {type(pattern).__name__}")
+        return f"pattern must be a string, got {type(pattern).__name__}"
     if len(pattern) != parties:
-        raise ValueError(f"pattern {pattern!r} does not have length {parties}")
-    if not set(pattern) <= _ALPHABET:
-        bad = sorted(set(pattern) - _ALPHABET)
-        raise ValueError(f"pattern {pattern!r} contains invalid symbols {bad}")
+        return f"pattern {pattern!r} does not have length {parties}"
+    bad = sorted(set(pattern) - set("_01"))
+    if bad:
+        return f"pattern {pattern!r} contains invalid symbols {bad}"
     if pattern.count(ABSENT) == parties:
-        raise ValueError("all-absent pattern (constant term) is not allowed")
+        return "all-absent pattern (constant term) is not allowed"
+    return ""
+
+
+def _pattern_slots(patterns: list, parties: int) -> np.ndarray:
+    """(terms, m) slots of the patterns, checked all at once.
+
+    Raises ValueError naming the first invalid entry as terms[i].
+    """
+    count = len(patterns)
+    try:
+        encoded = "".join(patterns).encode("utf-32-le", "surrogatepass")
+        codes = np.frombuffer(encoded, dtype="<u4")
+    except TypeError:  # a pattern is not a string
+        pass
+    else:
+        slots = _SLOT_OF[np.minimum(codes, len(_SLOT_OF) - 1)]
+        lengths = np.fromiter(map(len, patterns), dtype=np.intp, count=count)
+        owner = np.repeat(np.arange(count), lengths)
+        invalid = np.bincount(owner, slots == 3, count) > 0
+        present = np.bincount(owner, slots != 0, count)
+        if not ((lengths != parties) | invalid | (present == 0)).any():
+            return slots.reshape(count, parties)
+    first = next(i for i, p in enumerate(patterns) if _pattern_problem(p, parties))
+    raise ValueError(f"terms[{first}]: {_pattern_problem(patterns[first], parties)}")
+
+
+def _spell(slots: np.ndarray) -> list[str]:
+    """The pattern strings of slot rows."""
+    width = slots.shape[1]
+    text = _SYMBOLS[slots].tobytes().decode("ascii")
+    return [text[i : i + width] for i in range(0, len(text), width)]
 
 
 def block_sizes(parties: int) -> tuple[list[int], list[int]]:
@@ -61,19 +100,6 @@ def block_sizes(parties: int) -> tuple[list[int], list[int]]:
     for n in lengths:
         offsets.append(offsets[-1] + n)
     return lengths, offsets
-
-
-def term_index(pattern: str, parties: int) -> int:
-    """Canonical slot of a pattern, a bijection onto [0, 3^m - 1)."""
-    validate_pattern(pattern, parties)
-    lead = next(k for k, ch in enumerate(pattern) if ch != ABSENT)
-    _, offsets = block_sizes(parties)
-    idx = offsets[lead]
-    if pattern[lead] == "1":
-        idx += 3 ** (parties - lead - 1)
-    for k in range(lead + 1, parties):
-        idx += _TAIL_RANK[pattern[k]] * 3 ** (parties - k - 1)
-    return idx
 
 
 def canonical_patterns(parties: int) -> list[str]:
@@ -89,29 +115,22 @@ def canonical_patterns(parties: int) -> list[str]:
     return out
 
 
-def _canonical_key(item: tuple[str, float]) -> tuple[int, str]:
-    """Sort key of a (pattern, coeff) pair in canonical slot order.
-
-    The leading "_" count is the block; within a block the translated
-    pattern compares as the base-3 slot, which is the canonical order.
-    """
-    pattern = item[0]
-    return len(pattern) - len(pattern.lstrip(ABSENT)), pattern.translate(_SLOT)
-
-
 class BellExpression:
-    """Immutable real coefficient map over canonical term patterns.
+    """Immutable expression held as canonical term arrays (see the module docstring).
 
-    Zero coefficients are never stored, so two expressions are equal
-    exactly when their canonical vectors match entry for entry.
+    The constructor trusts its arrays: rows distinct and in canonical
+    order, coefficients nonzero.  `new_expression` and `block` build them,
+    so two expressions are equal exactly when their arrays match.
     """
 
-    __slots__ = ("_parties", "_coeffs", "_ordered")
+    __slots__ = ("_parties", "_slots", "_coeffs")
 
-    def __init__(self, parties: int, coeffs: Mapping[str, float]):
+    def __init__(self, parties: int, slots: np.ndarray, coeffs: np.ndarray):
+        slots.flags.writeable = False
+        coeffs.flags.writeable = False
         self._parties = parties
-        self._coeffs = dict(coeffs)
-        self._ordered = tuple(sorted(self._coeffs.items(), key=_canonical_key))
+        self._slots = slots
+        self._coeffs = coeffs
 
     @property
     def parties(self) -> int:
@@ -119,21 +138,12 @@ class BellExpression:
 
     @property
     def coeffs(self) -> Mapping[str, float]:
-        return MappingProxyType(self._coeffs)
-
-    @property
-    def dimension(self) -> int:
-        return 3 ** self._parties - 1
+        """Pattern -> coefficient, spelled out on demand."""
+        return dict(self.terms())
 
     def terms(self) -> tuple[tuple[str, float], ...]:
         """(pattern, coefficient) pairs in canonical slot order."""
-        return self._ordered
-
-    def to_vector(self) -> np.ndarray:
-        vec = np.zeros(self.dimension)
-        for pattern, coeff in self._ordered:
-            vec[term_index(pattern, self._parties)] = coeff
-        return vec
+        return tuple(zip(_spell(self._slots), self._coeffs.tolist()))
 
     def __len__(self) -> int:
         return len(self._coeffs)
@@ -141,39 +151,67 @@ class BellExpression:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BellExpression):
             return NotImplemented
-        return self._parties == other._parties and self._coeffs == other._coeffs
+        return (
+            self._parties == other._parties
+            and np.array_equal(self._slots, other._slots)
+            and np.array_equal(self._coeffs, other._coeffs)
+        )
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{p}:{c:g}" for p, c in self._ordered[:4])
-        more = "" if len(self._ordered) <= 4 else f", ... ({len(self._ordered)} terms)"
+        shown = ", ".join(
+            f"{p}:{c:g}" for p, c in zip(_spell(self._slots[:4]), self._coeffs[:4].tolist())
+        )
+        more = "" if len(self) <= 4 else f", ... ({len(self)} terms)"
         return f"BellExpression(parties={self._parties}, {{{shown}{more}}})"
 
 
+def _from_lists(parties: int, patterns: list, coeffs: list) -> BellExpression:
+    """The expression of parallel pattern and coefficient lists (see new_expression).
+
+    Rows sort by block (the first present party), then by slot party by
+    party, which is the canonical order.  Each coefficient is added onto
+    its row's zero in input order, so a merged duplicate is the same sum
+    as accumulating the entries one by one.
+    """
+    slots = _pattern_slots(patterns, parties)
+    values = np.fromiter(map(float, coeffs), dtype=float, count=len(patterns))
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = int(finite.argmin())
+        raise ValueError(f"terms[{first}]: coefficient for {patterns[first]!r} is not finite")
+    # lexsort's last key is the primary one: block, then party 1, 2, ..., m
+    # (one base-3 key per row would overflow int64 past 39 parties)
+    lead = np.argmax(slots != 0, axis=1)
+    order = np.lexsort((*slots.T[::-1], lead))
+    ordered = slots[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    sums = np.zeros(int(starts.sum()))
+    np.add.at(sums, group, values)
+    keep = sums != 0.0
+    return BellExpression(parties, ordered[starts][keep], sums[keep])
+
+
 def new_expression(parties: int, terms: Iterable[tuple[str, float]]) -> BellExpression:
-    """Build an expression, merging duplicate patterns and dropping zero sums."""
+    """Build an expression, merging duplicate patterns and dropping zero sums.
+
+    A ValueError for a bad pattern or coefficient names its entry as terms[i].
+    """
     if not isinstance(parties, int) or parties < 1:
         raise ValueError("parties must be a positive integer")
-    acc: dict[str, float] = {}
-    for pattern, coeff in terms:
-        validate_pattern(pattern, parties)
-        c = float(coeff)
-        if not math.isfinite(c):
-            raise ValueError(f"coefficient for {pattern!r} is not finite")
-        acc[pattern] = acc.get(pattern, 0.0) + c
-    coeffs = {p: c for p, c in acc.items() if c != 0.0}
-    return BellExpression(parties, coeffs)
+    pairs = list(terms)
+    return _from_lists(parties, [p for p, _ in pairs], [c for _, c in pairs])
 
 
 def term_slots(expr: BellExpression) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor slots and coefficients of the terms, in term order.
+    """The expression's read-only slot and coefficient arrays, in term order.
 
     Row t of the (terms, m) integer array is term t's index into the (3,)*m
     coefficient tensor: per party 0 for "_", 1 for "0", 2 for "1".
     """
-    terms = expr.terms()
-    text = "".join(p for p, _ in terms).translate(_SLOT).encode("ascii")
-    digits = np.frombuffer(text, dtype=np.uint8).reshape(len(terms), expr.parties)
-    return digits.astype(np.intp) - ord("0"), np.array([c for _, c in terms], dtype=float)
+    return expr._slots, expr._coeffs
 
 
 def coefficient_tensor(expr: BellExpression, dtype=float) -> np.ndarray:
@@ -198,89 +236,23 @@ def canonical_tensor(vectors: np.ndarray, parties: int) -> np.ndarray:
     return flat.reshape(batch + (3,) * parties)
 
 
-def from_vector(parties: int, vector: np.ndarray) -> BellExpression:
-    """Inverse of to_vector: nonzero slots become stored terms."""
-    vec = np.asarray(vector, dtype=float)
-    dim = 3 ** parties - 1
-    if vec.shape != (dim,):
-        raise ValueError(f"vector must have shape ({dim},), got {vec.shape}")
-    patterns = canonical_patterns(parties)
-    coeffs = {patterns[i]: float(vec[i]) for i in np.nonzero(vec)[0]}
-    return BellExpression(parties, coeffs)
+def block(expr: BellExpression, j: int) -> BellExpression:
+    """Block j as an expression over parties j..m; it may have no terms.
 
-
-class BlockView:
-    """The terms of an expression whose first present party is `first_party`."""
-
-    __slots__ = ("_parent", "_first_party", "_coeffs")
-
-    def __init__(self, parent: BellExpression, first_party: int):
-        m = parent.parties
-        if not 1 <= first_party <= m:
-            raise ValueError(f"block index must be in [1, {m}], got {first_party}")
-        self._parent = parent
-        self._first_party = first_party
-        lead = first_party - 1
-        self._coeffs = {
-            p: c
-            for p, c in parent.coeffs.items()
-            if p[:lead] == ABSENT * lead and p[lead] != ABSENT
-        }
-
-    @property
-    def parent(self) -> BellExpression:
-        return self._parent
-
-    @property
-    def first_party(self) -> int:
-        return self._first_party
-
-    @property
-    def coeffs(self) -> Mapping[str, float]:
-        return MappingProxyType(self._coeffs)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._coeffs
-
-    @property
-    def slot_range(self) -> tuple[int, int]:
-        _, offsets = block_sizes(self._parent.parties)
-        return offsets[self._first_party - 1], offsets[self._first_party]
-
-    def to_vector(self) -> np.ndarray:
-        """Full-length canonical vector, zero outside this block's slot range."""
-        m = self._parent.parties
-        vec = np.zeros(3 ** m - 1)
-        for pattern, coeff in self._coeffs.items():
-            vec[term_index(pattern, m)] = coeff
-        return vec
-
-    def reduced(self) -> BellExpression:
-        """Same terms as an expression over parties first_party..m only.
-
-        Valid because every pattern in block j is absent on parties < j,
-        so slicing off the leading "_" run keeps patterns well formed.
-        """
-        lead = self._first_party - 1
-        m = self._parent.parties - lead
-        return new_expression(m, [(p[lead:], c) for p, c in self._coeffs.items()])
-
-    def __repr__(self) -> str:
-        return (
-            f"BlockView(first_party={self._first_party}, "
-            f"terms={len(self._coeffs)}, parties={self._parent.parties})"
-        )
-
-
-def block(expr: BellExpression, j: int) -> BlockView:
-    """Block j of the expression; empty blocks are permitted and flagged."""
-    return BlockView(expr, j)
+    The block's rows are contiguous and absent on parties before j, so the
+    slice without those columns is already a valid canonical expression.
+    """
+    m = expr.parties
+    if not 1 <= j <= m:
+        raise ValueError(f"block index must be in [1, {m}], got {j}")
+    slots, coeffs = term_slots(expr)
+    lo, hi = np.searchsorted(np.argmax(slots != 0, axis=1), [j - 1, j])
+    return BellExpression(m - j + 1, slots[lo:hi, j - 1 :], coeffs[lo:hi])
 
 
 def is_homogeneous(expr: BellExpression) -> bool:
     """True iff every term involves all parties (no ABSENT symbols)."""
-    return all(ABSENT not in p for p in expr.coeffs)
+    return bool((term_slots(expr)[0] != 0).all())
 
 
 def _mermin_terms(parties: int) -> list[tuple[str, float]]:

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import ParseError, check_cap
-from .expressions import BellExpression, new_expression
+from .expressions import BellExpression, _from_lists
 from .werner import STATE_MAX_PARTIES, PureFamily
 
 PathLike = Union[str, Path]
@@ -57,7 +57,8 @@ def expression_from_document(doc) -> BellExpression:
     terms = doc.get("terms")
     if not isinstance(terms, list) or not terms:
         raise ParseError("expression document: field 'terms' must be a non-empty array")
-    pairs = []
+    patterns = []
+    coeffs = []
     for idx, entry in enumerate(terms):
         where = f"terms[{idx}]"
         if not isinstance(entry, dict):
@@ -65,12 +66,12 @@ def expression_from_document(doc) -> BellExpression:
         pattern = entry.get("pattern")
         if not isinstance(pattern, str):
             raise ParseError(f"{where}: field 'pattern' must be a string")
-        coeff = _require_number(entry, "coeff", where)
-        pairs.append((pattern, coeff))
+        patterns.append(pattern)
+        coeffs.append(_require_number(entry, "coeff", where))
     try:
-        return new_expression(parties, pairs)
-    except ValueError as exc:
-        raise ParseError(f"expression document: {exc}") from exc
+        return _from_lists(parties, patterns, coeffs)
+    except ValueError as exc:  # a bad pattern, named as terms[i]
+        raise ParseError(str(exc)) from exc
 
 
 def expression_to_document(expr: BellExpression) -> dict:

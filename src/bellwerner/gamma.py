@@ -29,7 +29,6 @@ remains per sample is its own generator, about 26 us to construct.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -37,8 +36,8 @@ from typing import Optional
 import numpy as np
 
 from ._workers import ordered_map
-from .classical import DEFAULT_MAX_PARTIES, _check_enumeration, _strategy_values, lhv_bound
-from .expressions import BellExpression, block, block_sizes, canonical_tensor
+from .classical import DEFAULT_MAX_PARTIES, _check_enumeration, _strategy_values
+from .expressions import block_sizes, canonical_tensor
 
 _BLOCK_EPS = 1e-9
 _CHUNK = 256
@@ -77,20 +76,6 @@ class GammaScanResult:
     samples: int
     seed: int
     estimates: tuple[GammaIndexEstimate, ...]
-
-
-def gamma_for(expr: BellExpression, i: int) -> float:
-    """lhv_bound(expr) / lhv_bound(block i), infinite for an empty block.
-
-    The block bound is evaluated on the reduced expression over parties
-    i..m, which enumerates 4^(m+1-i) strategies instead of 4^m; absent
-    leading parties cannot change the bound.
-    """
-    view = block(expr, i)
-    total = lhv_bound(expr).value
-    if view.is_empty:
-        return math.inf
-    return total / lhv_bound(view.reduced()).value
 
 
 def _sample_vector(seed: int, index: int, dim: int) -> np.ndarray:

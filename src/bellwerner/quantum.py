@@ -290,12 +290,6 @@ def _dominant_eig(h: np.ndarray) -> tuple[float, np.ndarray]:
     return float(w[0]), v[:, 0]
 
 
-def max_abs_eigenvalue(matrix: np.ndarray) -> float:
-    """Spectral radius of a Hermitian matrix from a dense eigensolve."""
-    value, _ = _dominant_eig(matrix)
-    return abs(value)
-
-
 def _effective_pair(
     coeffs: np.ndarray, stacks: list[np.ndarray], j: int, psi: np.ndarray
 ) -> np.ndarray:

@@ -135,19 +135,6 @@ class PureFamily:
 WernerFamily = Union[GhzFamily, PureFamily]
 
 
-def werner_density(family: WernerFamily, v: float) -> np.ndarray:
-    """rho_v = (1 - v)/2^m * I + v |Psi><Psi| for v in [0, 1].
-
-    The dense matrix is capped like every 2^m x 2^m operator (8 parties).
-    """
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {v!r}")
-    check_cap(_OPERATOR, family.parties, DEFAULT_MAX_PARTIES)
-    psi = family.state_vector()
-    dim = psi.shape[0]
-    return (1.0 - v) / dim * np.eye(dim, dtype=complex) + v * np.outer(psi, psi.conj())
-
-
 def visibility_lower_bound(parties: int, c1: float, c2: float) -> float:
     """Least visibility that any detecting expression can certify.
 

@@ -6,13 +6,183 @@ import math
 import numpy as np
 
 from bellwerner import (
+    block,
     block_sizes,
     block_strategy_matrix,
     canonical_patterns,
+    lhv_bound,
     new_expression,
     strategy_matrix,
 )
+from bellwerner.errors import check_cap
 from bellwerner.gamma import _BLOCK_EPS, _sample_vector
+from bellwerner.quantum import _OPERATOR, DEFAULT_MAX_PARTIES, _dominant_eig
+
+_SLOT = str.maketrans("_01", "012")
+_TAIL_RANK = {"_": 0, "0": 1, "1": 2}
+
+
+def validate_pattern(pattern, parties):
+    """Raise ValueError unless pattern is a valid length-`parties` term.
+
+    The per-pattern check that the package's vectorised one replaced.
+    """
+    if not isinstance(pattern, str):
+        raise ValueError(f"pattern must be a string, got {type(pattern).__name__}")
+    if len(pattern) != parties:
+        raise ValueError(f"pattern {pattern!r} does not have length {parties}")
+    if not set(pattern) <= set("_01"):
+        raise ValueError(f"pattern {pattern!r} contains invalid symbols")
+    if pattern.count("_") == parties:
+        raise ValueError("all-absent pattern (constant term) is not allowed")
+
+
+def canonical_key(item):
+    """Sort key of a (pattern, coeff) pair in canonical slot order.
+
+    The leading "_" count is the block; within a block the translated
+    pattern compares as the base-3 slot, which is the canonical order.
+    """
+    pattern = item[0]
+    return len(pattern) - len(pattern.lstrip("_")), pattern.translate(_SLOT)
+
+
+def reference_terms(parties, terms):
+    """Canonical (pattern, coeff) pairs by the dict-based constructor.
+
+    The construction the term arrays replaced: validate each entry, add
+    duplicates in input order as acc.get(p, 0.0) + c, drop zero sums and
+    sort by canonical_key.
+    """
+    if not isinstance(parties, int) or parties < 1:
+        raise ValueError("parties must be a positive integer")
+    acc = {}
+    for pattern, coeff in terms:
+        validate_pattern(pattern, parties)
+        c = float(coeff)
+        if not math.isfinite(c):
+            raise ValueError(f"coefficient for {pattern!r} is not finite")
+        acc[pattern] = acc.get(pattern, 0.0) + c
+    return tuple(sorted(((p, c) for p, c in acc.items() if c != 0.0), key=canonical_key))
+
+
+class BlockView:
+    """The terms of `parent` whose first present party is `first_party`.
+
+    The per-block scan of the pattern dict that block slices replaced;
+    reduced() strips the leading "_" run and rebuilds through
+    reference_terms.
+    """
+
+    def __init__(self, parent, first_party):
+        if not 1 <= first_party <= parent.parties:
+            raise ValueError(f"block index must be in [1, {parent.parties}]")
+        self.parties = parent.parties
+        self.first_party = first_party
+        lead = first_party - 1
+        self.coeffs = {
+            p: c
+            for p, c in parent.coeffs.items()
+            if p[:lead] == "_" * lead and p[lead] != "_"
+        }
+
+    def reduced(self):
+        lead = self.first_party - 1
+        return reference_terms(
+            self.parties - lead, [(p[lead:], c) for p, c in self.coeffs.items()]
+        )
+
+
+def term_index(pattern, parties):
+    """Canonical slot of a pattern, a bijection onto [0, 3^m - 1)."""
+    validate_pattern(pattern, parties)
+    lead = next(k for k, ch in enumerate(pattern) if ch != "_")
+    _, offsets = block_sizes(parties)
+    idx = offsets[lead]
+    if pattern[lead] == "1":
+        idx += 3 ** (parties - lead - 1)
+    for k in range(lead + 1, parties):
+        idx += _TAIL_RANK[pattern[k]] * 3 ** (parties - k - 1)
+    return idx
+
+
+def to_vector(expr):
+    """The expression's canonical vector of length 3^m - 1."""
+    vec = np.zeros(3**expr.parties - 1)
+    for pattern, coeff in expr.terms():
+        vec[term_index(pattern, expr.parties)] = coeff
+    return vec
+
+
+def from_vector(parties, vector):
+    """Inverse of to_vector: nonzero slots become terms."""
+    vec = np.asarray(vector, dtype=float)
+    dim = 3**parties - 1
+    if vec.shape != (dim,):
+        raise ValueError(f"vector must have shape ({dim},), got {vec.shape}")
+    patterns = canonical_patterns(parties)
+    return new_expression(parties, [(patterns[i], float(vec[i])) for i in np.nonzero(vec)[0]])
+
+
+def strategy_value(expr, strategy):
+    """Sum over terms of coeff times the product of assigned outcomes."""
+    if strategy.parties != expr.parties:
+        raise ValueError(
+            f"strategy has {strategy.parties} parties, expression has {expr.parties}"
+        )
+    total = 0.0
+    for pattern, coeff in expr.terms():
+        prod = 1
+        for j, ch in enumerate(pattern):
+            if ch != "_":
+                prod *= strategy.assignments[j][0 if ch == "0" else 1]
+        total += coeff * prod
+    return total
+
+
+def closed_form_loop(expr):
+    """max(sum |a_p0 + a_p1|, sum |a_p0 - a_p1|) by a loop over prefix strings.
+
+    The loop `closed_form_classical` replaced; it must agree bit for bit.
+    """
+    coeffs = expr.coeffs
+    odd = 0.0
+    even = 0.0
+    for prefix in itertools.product("01", repeat=expr.parties - 1):
+        p = "".join(prefix)
+        a0 = coeffs.get(p + "0", 0.0)
+        a1 = coeffs.get(p + "1", 0.0)
+        odd += abs(a0 + a1)
+        even += abs(a0 - a1)
+    return max(odd, even)
+
+
+def gamma_for(expr, i):
+    """lhv_bound(expr) / lhv_bound(block i), infinite for an empty block."""
+    part = block(expr, i)
+    total = lhv_bound(expr).value
+    if len(part) == 0:
+        return math.inf
+    return total / lhv_bound(part).value
+
+
+def max_abs_eigenvalue(matrix):
+    """Spectral radius of a Hermitian matrix from a dense eigensolve."""
+    value, _ = _dominant_eig(matrix)
+    return abs(value)
+
+
+def werner_density(family, v):
+    """rho_v = (1 - v)/2^m * I + v |Psi><Psi| for v in [0, 1].
+
+    The dense matrix is capped like every 2^m x 2^m operator (8 parties).
+    """
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"mixing weight must lie in [0, 1], got {v!r}")
+    check_cap(_OPERATOR, family.parties, DEFAULT_MAX_PARTIES)
+    psi = family.state_vector()
+    dim = psi.shape[0]
+    return (1.0 - v) / dim * np.eye(dim, dtype=complex) + v * np.outer(psi, psi.conj())
 
 
 def random_expression(rng, parties, *, max_terms=6, homogeneous=False, integer=False):
@@ -58,7 +228,7 @@ def brute_force_bound(expr):
 def matrix_bound_blas(expr):
     """max |M alpha| through the library matmul."""
     m = strategy_matrix(expr.parties).astype(float)
-    return float(np.abs(m @ expr.to_vector()).max())
+    return float(np.abs(m @ to_vector(expr)).max())
 
 
 def matrix_bound_ordered(expr):
@@ -68,7 +238,7 @@ def matrix_bound_ordered(expr):
     expected bit for bit, not merely to rounding.
     """
     m = strategy_matrix(expr.parties)
-    alpha = expr.to_vector()
+    alpha = to_vector(expr)
     vals = np.zeros(m.shape[0])
     for k in np.nonzero(alpha)[0]:
         vals += alpha[k] * m[:, k]

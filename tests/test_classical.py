@@ -14,16 +14,18 @@ from bellwerner import (
     lhv_bound,
     new_expression,
     strategy_matrix,
-    strategy_value,
 )
 from bellwerner.classical import _strategy_values
 from bellwerner.expressions import canonical_tensor
 from helpers import (
     brute_force_bound,
+    closed_form_loop,
     lhv_bound_loop,
     matrix_bound_blas,
     matrix_bound_ordered,
     random_expression,
+    strategy_value,
+    to_vector,
 )
 
 
@@ -124,6 +126,16 @@ def test_closed_form_is_upper_envelope():
         m = int(rng.integers(1, 4))
         expr = random_expression(rng, m, homogeneous=True)
         assert lhv_bound(expr).value <= closed_form_classical(expr) + 1e-12
+
+
+def test_closed_form_matches_string_loop_exactly():
+    rng = np.random.default_rng(28)
+    exprs = [builtin("CHSH")] + [builtin(f"MERMIN({m})") for m in (3, 5, 7)]
+    for m in range(1, 8):
+        exprs.append(_dense_expression(rng, m, homogeneous=True))
+        exprs.append(random_expression(rng, m, max_terms=2 ** (m - 1), homogeneous=True))
+    for expr in exprs:
+        assert closed_form_classical(expr) == closed_form_loop(expr)
 
 
 @given(st.integers(min_value=1, max_value=6), st.data())
@@ -275,6 +287,6 @@ def test_strategy_values_are_the_strategy_matrix_product():
         reference = vectors @ strategy_matrix(m).T.astype(float)
         assert np.abs(values - reference).max() <= 1e-12
     expr = random_expression(rng, 4, integer=True)
-    single = _strategy_values(canonical_tensor(expr.to_vector(), 4), 4)
+    single = _strategy_values(canonical_tensor(to_vector(expr), 4), 4)
     exact = [strategy_value(expr, DeterministicStrategy.from_encoding(4, k)) for k in range(256)]
     assert np.array_equal(single, exact)  # integer sums are exact in any order

@@ -80,6 +80,24 @@ def test_bounds_bad_json(capsys, tmp_path):
     assert "line" in err
 
 
+@pytest.mark.parametrize(
+    "pattern, problem",
+    [
+        ("01", "does not have length 3"),
+        ("0x1", "contains invalid symbols"),
+        ("___", "all-absent pattern"),
+        (7, "field 'pattern' must be a string"),
+    ],
+)
+def test_bounds_bad_pattern_names_its_entry(capsys, tmp_path, pattern, problem):
+    path = tmp_path / "bad.json"
+    terms = [{"pattern": "010", "coeff": 1.0}, {"pattern": pattern, "coeff": 1.0}]
+    path.write_text(json.dumps({"parties": 3, "terms": terms}))
+    code, out, err = _run(capsys, ["bounds", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: terms[1]: ") and problem in err
+
+
 def test_bounds_empty_terms(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"parties": 2, "terms": []}))

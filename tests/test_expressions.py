@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bellwerner import (
@@ -10,13 +10,19 @@ from bellwerner import (
     block_sizes,
     builtin,
     canonical_patterns,
-    from_vector,
     is_homogeneous,
     new_expression,
-    term_index,
 )
 from bellwerner.expressions import canonical_tensor, coefficient_tensor, term_slots
-from helpers import random_expression
+from helpers import (
+    BlockView,
+    from_vector,
+    random_expression,
+    reference_terms,
+    term_index,
+    to_vector,
+    validate_pattern,
+)
 
 
 def test_dimension_counts():
@@ -93,37 +99,109 @@ def test_vector_roundtrip():
     for _ in range(30):
         m = int(rng.integers(1, 5))
         e = random_expression(rng, m)
-        back = from_vector(m, e.to_vector())
+        back = from_vector(m, to_vector(e))
         assert back == e
     with pytest.raises(ValueError):
         from_vector(2, np.zeros(5))
 
 
-def test_block_views_partition_terms():
+def test_block_slices_partition_terms():
     rng = np.random.default_rng(5)
     for _ in range(20):
         m = int(rng.integers(2, 5))
         e = random_expression(rng, m, max_terms=10)
-        seen = 0
-        full = e.to_vector()
+        slots, coeffs = term_slots(e)
+        lengths, offsets = block_sizes(m)
+        full = to_vector(e)
+        lo = 0
         for j in range(1, m + 1):
-            view = block(e, j)
-            lo, hi = view.slot_range
-            vec = view.to_vector()
-            assert not vec[:lo].any() and not vec[hi:].any()
-            seen += len(view.reduced())
-        assert seen == len(e)
-        total = sum(block(e, j).to_vector() for j in range(1, m + 1))
-        assert np.array_equal(total, full)
+            part = block(e, j)
+            part_slots, part_coeffs = term_slots(part)
+            hi = lo + len(part)
+            # the next row range: absent before party j, present at party j
+            assert not slots[lo:hi, : j - 1].any() and slots[lo:hi, j - 1].all()
+            assert np.array_equal(slots[lo:hi, j - 1 :], part_slots)
+            assert np.array_equal(coeffs[lo:hi], part_coeffs)
+            # and block j's range of the canonical vector
+            vec = to_vector(part)
+            assert np.array_equal(vec[: lengths[j - 1]], full[offsets[j - 1] : offsets[j]])
+            assert not vec[lengths[j - 1] :].any()
+            lo = hi
+        assert lo == len(e)
 
 
 def test_block_reduction_strips_leading_absent():
-    e = new_expression(4, [("__1_", 1.0), ("__01", 2.0)])
-    reduced = block(e, 3).reduced()
+    e = new_expression(4, [("__1_", 1.0), ("__01", 2.0), ("0___", 3.0)])
+    reduced = block(e, 3)
     assert reduced.parties == 2
     assert reduced.coeffs == {"1_": 1.0, "01": 2.0}
-    with pytest.raises(ValueError):
-        block(e, 5)
+    assert reduced == new_expression(2, [("1_", 1.0), ("01", 2.0)])
+    assert block(e, 1) == new_expression(4, [("0___", 3.0)])
+    assert len(block(e, 2)) == 0 and block(e, 2).parties == 3
+    for j in (0, 5):
+        with pytest.raises(ValueError):
+            block(e, j)
+
+
+# coefficients that collide: duplicates cancel, -0.0 and tiny ones underflow
+_COEFFS = st.sampled_from([1.0, -1.0, 0.5, 3.0, 0.0, -0.0, 1e-310, 0.1, 0.2]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def _term_lists(draw):
+    """(m, terms): picks with repeats from a pool of patterns, sometimes one invalid."""
+    m = draw(st.integers(1, 8))
+    pattern = st.text("_01", min_size=m, max_size=m).filter(lambda p: p != "_" * m)
+    pool = draw(st.lists(pattern, min_size=1, max_size=8))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=16))
+    if draw(st.integers(0, 3)) == 0:
+        base = draw(st.sampled_from(pool))
+        k = draw(st.integers(0, m - 1))
+        symbol = draw(st.sampled_from("x2\u00df"))
+        bad = [base[:k] + symbol + base[k + 1 :], base[:k], base + "0", "_" * m, None]
+        picks.insert(draw(st.integers(0, len(picks))), draw(st.sampled_from(bad)))
+    return m, [(p, draw(_COEFFS)) for p in picks]
+
+
+def _valid(pattern, parties):
+    try:
+        validate_pattern(pattern, parties)
+    except ValueError:
+        return False
+    return True
+
+
+@given(_term_lists())
+@example((3, [("010", 1.0), ("01", 1.0)]))
+@example((2, [("00", 1.0), ("000", 1.0), ("11", 2.0)]))
+@example((3, [("010", 1.0), ("0x1", 1.0), ("01", 1.0)]))
+@example((2, [("1_", 1.0), ("0\u00df", 1.0)]))
+@example((1, [("\ud800", 1.0)]))
+@example((3, [("010", 1.0), ("___", 1.0)]))
+@example((2, [("00", 1.0), (None, 1.0)]))
+def test_array_construction_matches_reference(case):
+    m, terms = case
+    try:
+        expected = reference_terms(m, terms)
+    except ValueError:
+        with pytest.raises(ValueError) as err:
+            new_expression(m, terms)
+        first = next(i for i, (p, _) in enumerate(terms) if not _valid(p, m))
+        assert str(err.value).startswith(f"terms[{first}]: ")
+        return
+    e = new_expression(m, terms)
+    assert e.terms() == expected
+    assert [c.hex() for _, c in e.terms()] == [c.hex() for _, c in expected]
+    assert e.coeffs == dict(expected)
+    flipped = new_expression(m, terms[::-1])
+    assert (e == flipped) == (dict(reference_terms(m, terms[::-1])) == dict(expected))
+    assert e == new_expression(m, expected[::-1])
+    for j in range(1, m + 1):
+        part = block(e, j)
+        assert part.parties == m - j + 1
+        assert part.terms() == BlockView(e, j).reduced()
 
 
 def test_homogeneity_flags():
@@ -184,7 +262,7 @@ def test_tensor_layout():
         assert list(coeffs) == [c for _, c in expr.terms()]
         tensor = coefficient_tensor(expr)
         assert tensor.shape == (3,) * m
-        assert np.array_equal(canonical_tensor(expr.to_vector(), m), tensor)
+        assert np.array_equal(canonical_tensor(to_vector(expr), m), tensor)
         assert tensor.flat[0] == 0.0
         for pattern, coeff in expr.terms():
             assert tensor[tuple("_01".index(ch) for ch in pattern)] == coeff

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bellwerner import CapExceeded, ParseError, builtin, new_expression, term_index
+from bellwerner import CapExceeded, ParseError, builtin, new_expression
 from bellwerner.fileio import (
     expression_from_document,
     expression_to_document,
@@ -18,6 +18,7 @@ from bellwerner.fileio import (
     state_to_document,
 )
 from bellwerner.werner import STATE_MAX_PARTIES, PureFamily, ghz_amplitudes
+from helpers import term_index
 
 
 def test_expression_roundtrip(tmp_path):

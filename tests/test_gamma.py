@@ -8,7 +8,6 @@ from bellwerner import (
     GammaScanConfig,
     block_sizes,
     builtin,
-    gamma_for,
     gamma_scan,
     new_expression,
     strategy_matrix,
@@ -16,7 +15,7 @@ from bellwerner import (
 )
 import bellwerner.gamma as gamma_module
 from bellwerner.gamma import _CHUNK, _scan_chunk
-from helpers import random_expression, scan_chunk_dense
+from helpers import gamma_for, random_expression, scan_chunk_dense
 
 
 def test_gamma_for_ch_exact():

@@ -14,7 +14,6 @@ from bellwerner import (
     closed_form_classical,
     composite_ratio_upper,
     lhv_bound,
-    max_abs_eigenvalue,
     new_expression,
     quantum_bounds_report,
     seesaw_lower,
@@ -25,7 +24,12 @@ from bellwerner.quantum import (
     _stack,
     seesaw_fixed_state,
 )
-from helpers import kron_bell_operator, kron_effective_operator, random_expression
+from helpers import (
+    kron_bell_operator,
+    kron_effective_operator,
+    max_abs_eigenvalue,
+    random_expression,
+)
 
 ROOT2 = math.sqrt(2.0)
 

@@ -21,10 +21,9 @@ from bellwerner import (
     undetectable_range_general,
     undetectable_range_homogeneous,
     visibility_lower_bound,
-    werner_density,
 )
 
-from helpers import separability_upper_bound_loop
+from helpers import separability_upper_bound_loop, werner_density
 
 ROOT2 = math.sqrt(2.0)
 ROOT3 = math.sqrt(3.0)
