@@ -505,9 +505,20 @@ def cmd_examples(args) -> Report:
     )
 
 
+def _seed(text: str) -> int:
+    """A --seed value; the (seed, k) substreams take non-negative integers only."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _add_common(p, *, seed=True, threads=True) -> None:
     if seed:
-        p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+        p.add_argument("--seed", type=_seed, default=0, help="base RNG seed (non-negative)")
     if threads:
         p.add_argument(
             "--threads",

@@ -19,6 +19,8 @@ import math
 from pathlib import Path
 from typing import Union
 
+import numpy as np
+
 from .errors import ParseError, check_cap
 from .expressions import BellExpression, _from_lists
 from .werner import STATE_MAX_PARTIES, PureFamily
@@ -45,18 +47,37 @@ def _require_number(entry: dict, key: str, where: str) -> float:
     value = entry.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: field {key!r} must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ParseError(f"{where}: field {key!r} must be finite")
     return value
 
 
-def expression_from_document(doc) -> BellExpression:
-    doc = _require_dict(doc, "expression document")
-    parties = _require_parties(doc, "expression document")
-    terms = doc.get("terms")
-    if not isinstance(terms, list) or not terms:
-        raise ParseError("expression document: field 'terms' must be a non-empty array")
+def _term_lists(terms: list):
+    """(patterns, coefficients) of the terms array checked as a whole, else None.
+
+    None means some entry is not a dict with a str pattern and a finite int
+    or float coefficient (or merely of a subclass of those types), and the
+    caller walks the entries to name it.
+    """
+    if any(type(entry) is not dict for entry in terms):
+        return None
+    patterns = [entry.get("pattern") for entry in terms]
+    coeffs = [entry.get("coeff") for entry in terms]
+    if not {type(p) for p in patterns} <= {str} or not {type(c) for c in coeffs} <= {int, float}:
+        return None
+    try:
+        finite = np.isfinite(np.array(coeffs, dtype=float)).all()
+    except OverflowError:  # an int beyond the float range
+        return None
+    return (patterns, coeffs) if finite else None
+
+
+def _walk_terms(terms: list) -> tuple[list, list]:
+    """The entry-by-entry checks, raising ParseError at the first bad entry."""
     patterns = []
     coeffs = []
     for idx, entry in enumerate(terms):
@@ -68,6 +89,16 @@ def expression_from_document(doc) -> BellExpression:
             raise ParseError(f"{where}: field 'pattern' must be a string")
         patterns.append(pattern)
         coeffs.append(_require_number(entry, "coeff", where))
+    return patterns, coeffs
+
+
+def expression_from_document(doc) -> BellExpression:
+    doc = _require_dict(doc, "expression document")
+    parties = _require_parties(doc, "expression document")
+    terms = doc.get("terms")
+    if not isinstance(terms, list) or not terms:
+        raise ParseError("expression document: field 'terms' must be a non-empty array")
+    patterns, coeffs = _term_lists(terms) or _walk_terms(terms)
     try:
         return _from_lists(parties, patterns, coeffs)
     except ValueError as exc:  # a bad pattern, named as terms[i]

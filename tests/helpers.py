@@ -14,11 +14,14 @@ from bellwerner import (
     new_expression,
     strategy_matrix,
 )
-from bellwerner.errors import check_cap
-from bellwerner.gamma import _BLOCK_EPS, _sample_vector
+from bellwerner.errors import ParseError, check_cap
+from bellwerner.expressions import _from_lists
+from bellwerner.fileio import _require_dict, _require_parties
+from bellwerner.gamma import _BLOCK_EPS
 from bellwerner.quantum import _OPERATOR, DEFAULT_MAX_PARTIES, _dominant_eig
 from bellwerner.werner import _MC_CHUNK
 
+_MIN_NORM = 1e-12  # sample_vector redraws below this norm
 _SLOT = str.maketrans("_01", "012")
 _TAIL_RANK = {"_": 0, "0": 1, "1": 2}
 
@@ -329,6 +332,21 @@ def lhv_bound_loop(expr):
     return abs(signed), k, 1 if signed >= 0.0 else -1
 
 
+def sample_vector(seed, index, dim):
+    """Sample `index` of the gamma scan through its own default_rng([seed, index]).
+
+    The per-sample generator the chunk-wide state derivation replaced: draw
+    standard normals until the norm is at least _MIN_NORM, then divide by it.
+    The scan's rows must equal this bit for bit.
+    """
+    rng = np.random.default_rng([seed, index])
+    while True:
+        x = rng.standard_normal(dim)
+        norm = float(np.linalg.norm(x))
+        if norm >= _MIN_NORM:
+            return x / norm
+
+
 def scan_chunk_dense(config, start, chunk):
     """Per-index (ratio, sample) minima and skip counts, one sample at a time.
 
@@ -342,7 +360,7 @@ def scan_chunk_dense(config, start, chunk):
     minima = [None] * m
     skipped = [0] * m
     for k in range(start, min(start + chunk, config.samples)):
-        x = _sample_vector(config.seed, k, full.shape[1])
+        x = sample_vector(config.seed, k, full.shape[1])
         total = float(np.abs(full @ x).max())
         for i in range(m):
             block_value = float(np.abs(blocks[i] @ x[offsets[i] : offsets[i + 1]]).max())
@@ -388,3 +406,38 @@ def exact_pair_fraction(parties, poly_value):
     if t >= 1.0:
         return 0.0
     return (1.0 - t) ** (d - 2) * (1.0 + (d - 2) * t)
+
+
+def expression_from_document_loop(doc):
+    """expression_from_document by its per-entry loop over `terms`.
+
+    The loader the whole-array check replaced: each entry must be a dict
+    with a str pattern and a finite, non-bool int or float coefficient, and
+    the first bad entry is named as terms[i].  Messages must match.
+    """
+    doc = _require_dict(doc, "expression document")
+    parties = _require_parties(doc, "expression document")
+    terms = doc.get("terms")
+    if not isinstance(terms, list) or not terms:
+        raise ParseError("expression document: field 'terms' must be a non-empty array")
+    patterns = []
+    coeffs = []
+    for idx, entry in enumerate(terms):
+        where = f"terms[{idx}]"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{where}: must be an object")
+        pattern = entry.get("pattern")
+        if not isinstance(pattern, str):
+            raise ParseError(f"{where}: field 'pattern' must be a string")
+        patterns.append(pattern)
+        value = entry.get("coeff")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParseError(f"{where}: field 'coeff' must be a number")
+        value = float(value)
+        if not math.isfinite(value):
+            raise ParseError(f"{where}: field 'coeff' must be finite")
+        coeffs.append(value)
+    try:
+        return _from_lists(parties, patterns, coeffs)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc

@@ -372,3 +372,25 @@ def test_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "expr.json", "--seesaw"],
+        ["tables", "II"],
+        ["werner", "ghz", "--m", "2", "--theta", "0.5"],
+        ["werner", "pure", "--state", "state.json"],
+        ["measure", "--m", "3", "--poly", "3"],
+        ["gamma", "--m", "2"],
+        ["examples"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_negative_seed_is_an_input_error(capsys, argv):
+    # rejected while parsing, before any file is read or stream drawn
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: must be a non-negative integer, got '-3'" in err

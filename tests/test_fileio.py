@@ -18,7 +18,7 @@ from bellwerner.fileio import (
     state_to_document,
 )
 from bellwerner.werner import STATE_MAX_PARTIES, PureFamily, ghz_amplitudes
-from helpers import term_index
+from helpers import expression_from_document_loop, term_index
 
 
 def test_expression_roundtrip(tmp_path):
@@ -77,6 +77,85 @@ def test_expression_parse_error_nonfinite():
         )
 
 
+_BAD_ENTRIES = [
+    ["00", 1.0],
+    None,
+    "00",
+    {"coeff": 1.0},
+    {"pattern": 7, "coeff": 1.0},
+    {"pattern": None, "coeff": 1.0},
+    {"pattern": "00"},
+    {"pattern": "00", "coeff": "1"},
+    {"pattern": "00", "coeff": True},
+    {"pattern": "00", "coeff": None},
+    {"pattern": "00", "coeff": math.nan},
+    {"pattern": "00", "coeff": -math.inf},
+    {"pattern": "02", "coeff": 1.0},
+    {"pattern": "0", "coeff": 1.0},
+    {"pattern": "000", "coeff": 1.0},
+    {"pattern": "__", "coeff": 1.0},
+]
+
+
+def _valid_terms(rng, count):
+    patterns = ["_0", "_1", "0_", "1_", "00", "01", "10", "11"]
+    terms = []
+    for _ in range(count):
+        pattern = patterns[int(rng.integers(len(patterns)))]
+        coeff = int(rng.integers(-3, 4)) if rng.random() < 0.3 else float(rng.normal())
+        terms.append({"pattern": pattern, "coeff": coeff})
+    return terms
+
+
+def _outcome(load, doc):
+    try:
+        expr = load(doc)
+    except ParseError as exc:
+        return "error", str(exc)
+    return "ok", expr.terms()
+
+
+def test_expression_document_matches_entry_loop():
+    # a bad entry at several indices, alone or ahead of a second bad entry,
+    # against the per-entry loop the whole-array check replaced
+    rng = np.random.default_rng(71)
+    for bad in _BAD_ENTRIES:
+        for index in (0, 1, 17, 39):
+            for second in (None, {"pattern": "0", "coeff": math.inf}):
+                terms = _valid_terms(rng, 40)
+                terms[index] = bad
+                if second is not None and index < 39:
+                    terms[39] = second
+                doc = {"parties": 2, "terms": terms}
+                got = _outcome(expression_from_document, doc)
+                assert got[0] == "error"
+                assert got == _outcome(expression_from_document_loop, doc)
+
+
+def test_expression_document_valid_matches_entry_loop():
+    rng = np.random.default_rng(72)
+    extra = [2**64 + 1, -(2**80), 2**63, np.float64(0.25), 0, -0.0]
+    for count in (1, 5, 200):
+        terms = _valid_terms(rng, count)
+        for value in extra:
+            terms.append({"pattern": "11", "coeff": value})
+            doc = {"parties": 2, "terms": terms}
+            got = expression_from_document(doc)
+            ref = expression_from_document_loop(doc)
+            assert [(p, float(c).hex()) for p, c in got.terms()] == [
+                (p, float(c).hex()) for p, c in ref.terms()
+            ]
+
+
+def test_expression_document_int_beyond_float_range():
+    # float() of such an int overflows; it is reported like an infinity
+    for value in (10**400, -(2**1024)):
+        terms = [{"pattern": "0", "coeff": 1.0}, {"pattern": "1", "coeff": value}]
+        doc = {"parties": 1, "terms": terms}
+        with pytest.raises(ParseError, match=r"terms\[1\]: field 'coeff' must be finite"):
+            expression_from_document(doc)
+
+
 def test_load_expression_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -125,6 +204,7 @@ def test_state_document_complex_and_default_im():
         {"parties": 2, "amplitudes": [{"index": "02", "re": 1.0}]},
         {"parties": 2, "amplitudes": [{"index": 3, "re": 1.0}]},
         {"parties": 2, "amplitudes": [{"index": "00", "re": "big"}]},
+        {"parties": 2, "amplitudes": [{"index": "00", "re": 1.0, "im": 10**400}]},
         {
             "parties": 2,
             "amplitudes": [

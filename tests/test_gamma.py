@@ -14,8 +14,8 @@ from bellwerner import (
     block_strategy_matrix,
 )
 import bellwerner.gamma as gamma_module
-from bellwerner.gamma import _CHUNK, _scan_chunk
-from helpers import gamma_for, random_expression, scan_chunk_dense
+from bellwerner.gamma import _CHUNK, _scan_chunk, _substream_states
+from helpers import gamma_for, random_expression, sample_vector, scan_chunk_dense
 
 
 def test_gamma_for_ch_exact():
@@ -154,3 +154,73 @@ def test_scan_sub_batches_do_not_change_results(monkeypatch):
     for a, b in zip(whole.estimates, split.estimates):
         assert (a.witness_sample, a.skipped) == (b.witness_sample, b.skipped)
         assert a.gamma_min == pytest.approx(b.gamma_min, rel=1e-12, abs=0.0)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**70 + 3, 2**100 + 1])
+def test_substream_states_match_numpy(seed):
+    # seeds of one to four uint32 words, indices of one word and of two
+    indices = np.concatenate([np.arange(4096), [2**32 - 1, 2**32, 2**40 + 3]])
+    got = _substream_states(seed, indices)
+    for k, pair in zip(indices.tolist(), got):
+        state = np.random.default_rng([seed, k]).bit_generator.state["state"]
+        assert pair == (state["state"], state["inc"]), k
+
+
+def test_negative_seed_is_rejected():
+    # as default_rng rejects it: the state derivation raises before any draw
+    with pytest.raises(ValueError, match="non-negative"):
+        gamma_scan(GammaScanConfig(parties=2, samples=10, seed=-3))
+
+
+def _chunk_rows(monkeypatch, config, start):
+    """The sample rows `_scan_chunk` hands to the transform, in order."""
+    seen = []
+    bounds = gamma_module._bounds
+
+    def spy(x, m, offsets):
+        seen.append(x.copy())
+        return bounds(x, m, offsets)
+
+    monkeypatch.setattr(gamma_module, "_bounds", spy)
+    _, offsets = block_sizes(config.parties)
+    _scan_chunk(config, offsets, start)
+    return np.concatenate(seen)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_scan_chunk_rows_match_per_sample_reference(monkeypatch, m):
+    dim = 3**m - 1
+    for seed in (0, 11, 2**33 + 1):
+        config = GammaScanConfig(parties=m, samples=_CHUNK + 40, seed=seed)
+        for start in (0, _CHUNK):
+            rows = _chunk_rows(monkeypatch, config, start)
+            stop = min(start + _CHUNK, config.samples)
+            ref = [sample_vector(seed, k, dim) for k in range(start, stop)]
+            assert np.array_equal(_bits(rows), _bits(ref))
+
+
+def test_scan_rows_follow_the_redraw_rule(monkeypatch):
+    # with one coefficient and a threshold of 1, about two draws in three are
+    # redrawn from the same substream; rows must still match the reference
+    import helpers
+
+    monkeypatch.setattr(gamma_module, "_MIN_NORM", 1.0)
+    monkeypatch.setattr(helpers, "_MIN_NORM", 1.0)
+    indices = np.arange(300)
+    rows = gamma_module._sample_rows(9, indices, 1)
+    assert np.array_equal(_bits(rows), _bits([helpers.sample_vector(9, k, 1) for k in indices]))
+    assert np.all(np.abs(rows) == 1.0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_scan_witnesses_are_their_sample_rows(m):
+    for seed in (3, 2**32 + 9):
+        res = gamma_scan(GammaScanConfig(parties=m, samples=300, seed=seed))
+        for est in res.estimates:
+            assert est.witness_sample is not None
+            ref = sample_vector(seed, est.witness_sample, 3**m - 1)
+            assert np.array_equal(_bits(est.witness_coefficients), _bits(ref))
