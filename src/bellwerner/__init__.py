@@ -29,12 +29,10 @@ from .classical import (
 from .quantum import (
     ObservableAssignment,
     QubitObservable,
-    QuantumBoundsReport,
     SeesawResult,
     analytic_quantum_upper,
     bell_operator,
     composite_ratio_upper,
-    quantum_bounds_report,
     seesaw_lower,
 )
 from .werner import (
@@ -81,7 +79,6 @@ __all__ = [
     "ObservableAssignment",
     "ParseError",
     "PureFamily",
-    "QuantumBoundsReport",
     "QubitObservable",
     "SeesawResult",
     "ThetaRange",
@@ -105,7 +102,6 @@ __all__ = [
     "measure_monte_carlo",
     "necessary_check_first_failure",
     "new_expression",
-    "quantum_bounds_report",
     "seesaw_lower",
     "separability_necessary_check",
     "separability_upper_bound",

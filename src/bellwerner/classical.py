@@ -44,7 +44,7 @@ from .expressions import (
     term_slots,
 )
 
-DEFAULT_MAX_PARTIES = 8
+MAX_PARTIES = 8
 _ENUMERATION = "parties to enumerate (4^m strategies)"
 
 # Row b0 + 2 b1: one party's factor under the slots "_", "0", "1" when it
@@ -126,8 +126,8 @@ def _sign_table(parties: int) -> np.ndarray:
     return table
 
 
-def _check_enumeration(parties: int, max_parties: int) -> None:
-    check_cap(_ENUMERATION, parties, max_parties, "raise max_parties to override")
+def _check_enumeration(parties: int) -> None:
+    check_cap(_ENUMERATION, parties, MAX_PARTIES)
 
 
 def _strategy_values(coeffs: np.ndarray, parties: int) -> np.ndarray:
@@ -175,9 +175,7 @@ def _ordered_values(slots: np.ndarray, coeffs: np.ndarray, codes: np.ndarray) ->
     return out[: codes.size]
 
 
-def lhv_bound(
-    expr: BellExpression, *, max_parties: int = DEFAULT_MAX_PARTIES
-) -> ClassicalBoundResult:
+def lhv_bound(expr: BellExpression) -> ClassicalBoundResult:
     """Exact classical bound with a deterministic witness strategy.
 
     Ties are broken by the smallest strategy encoding.  The returned value
@@ -205,7 +203,7 @@ def lhv_bound(
     if len(expr) == 0:
         raise ValueError("zero expression has no classical bound")
     m = expr.parties
-    _check_enumeration(m, max_parties)
+    _check_enumeration(m)
     slots, coeffs = term_slots(expr)
     fast = _strategy_values(coefficient_tensor(expr), m)
     scale = float(np.abs(coeffs).sum())
@@ -252,15 +250,13 @@ def closed_form_classical(expr: BellExpression) -> float:
     return max(odd, even)
 
 
-def strategy_matrix(
-    parties: int, *, max_parties: int = DEFAULT_MAX_PARTIES
-) -> np.ndarray:
+def strategy_matrix(parties: int) -> np.ndarray:
     """The 4^m x (3^m - 1) matrix of strategy values per canonical slot.
 
     Entry [k, s] is the product of strategy k's outcomes over the parties
     present in slot s's pattern; every entry is +-1 (int8).
     """
-    _check_enumeration(parties, max_parties)
+    _check_enumeration(parties)
     table = _sign_table(parties)
     patterns = canonical_patterns(parties)
     out = np.empty((4 ** parties, len(patterns)), dtype=np.int8)
@@ -273,9 +269,7 @@ def strategy_matrix(
     return out
 
 
-def block_strategy_matrix(
-    parties: int, first_party: int, *, max_parties: int = DEFAULT_MAX_PARTIES
-) -> np.ndarray:
+def block_strategy_matrix(parties: int, first_party: int) -> np.ndarray:
     """Strategy matrix of block j reduced to parties j..m.
 
     Block j's patterns ignore parties before j, so the full matrix's rows
@@ -286,5 +280,5 @@ def block_strategy_matrix(
         raise ValueError(f"block index must be in [1, {parties}]")
     reduced_parties = parties - first_party + 1
     lengths, _ = block_sizes(parties)
-    full = strategy_matrix(reduced_parties, max_parties=max_parties)
+    full = strategy_matrix(reduced_parties)
     return full[:, : lengths[first_party - 1]]

@@ -4,17 +4,20 @@ Subcommands: bounds, tables, werner, measure, gamma, examples.  Each run
 builds a Report (see reports.py) and prints it as markdown (default), csv,
 or structured JSON.
 
-Exit status: 0 success, 2 parse errors (bad files, bad arguments), 3 domain
-errors (invalid parameter values), 4 cap violations, 5 a failed internal
-self-check (the see-saw objective decreased, or a first-block ratio fell
-below 1).
+Exit status: 0 success, 2 parse errors (bad files, bad arguments, a
+negative seed or a non-positive count), 3 domain errors (invalid parameter
+values), 4 cap violations, 5 a failed internal self-check (the see-saw
+objective decreased, or a first-block ratio fell below 1).
+
+The solvers run at fixed settings that no option changes: the see-saw stops
+a restart once a sweep gains less than 1e-9 or after 500 sweeps (the
+`seesaw-sweep-cap` warning), and visibilities are bisected to 1e-6.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from typing import Optional
 
@@ -80,23 +83,6 @@ def _sweep_cap_note(found) -> Optional[str]:
     )
 
 
-def _threads_from(args) -> Optional[int]:
-    if getattr(args, "threads", None) is not None:
-        if args.threads < 1:
-            raise ValueError("--threads must be a positive integer")
-        return args.threads
-    raw = os.environ.get("BELLWERNER_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"BELLWERNER_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError("BELLWERNER_THREADS must be a positive integer")
-    return value
-
-
 def _block_rows(expr: BellExpression, total: float):
     """Per-block classical values and ratios; empty blocks get gamma = inf.
 
@@ -119,7 +105,6 @@ def _block_rows(expr: BellExpression, total: float):
 
 
 def cmd_bounds(args) -> Report:
-    threads = _threads_from(args)
     expr = load_expression(args.expr_file)
     outcome = lhv_bound(expr)
     warnings = []
@@ -161,7 +146,7 @@ def cmd_bounds(args) -> Report:
             expr,
             restarts=args.restarts,
             seed=args.seed,
-            threads=threads,
+            threads=args.threads,
         )
         results["seesaw_lower"] = found.value
         results["seesaw_sweeps"] = len(found.sweep_values) - 1
@@ -220,7 +205,7 @@ def _table_iii() -> tuple[dict, list]:
     return {"tables": [table]}, []
 
 
-def _table_ii(args, threads: Optional[int]) -> tuple[dict, list]:
+def _table_ii(args) -> tuple[dict, list]:
     if not args.force:
         check_cap(
             "table II max m (the ratio scan is expensive)",
@@ -233,7 +218,7 @@ def _table_ii(args, threads: Optional[int]) -> tuple[dict, list]:
     for m in range(2, args.max_m + 1):
         n = args.samples if m <= 4 else max(1, args.samples // 10)
         scanned = gamma_scan(
-            GammaScanConfig(parties=m, samples=n, seed=args.seed), threads=threads
+            GammaScanConfig(parties=m, samples=n, seed=args.seed), threads=args.threads
         )
         row = [m, n]
         skipped = 0
@@ -262,12 +247,11 @@ def _table_ii(args, threads: Optional[int]) -> tuple[dict, list]:
 
 
 def cmd_tables(args) -> Report:
-    threads = _threads_from(args)
     which = args.which.upper()
     if which == "I":
         results, warnings = _table_i()
     elif which == "II":
-        results, warnings = _table_ii(args, threads)
+        results, warnings = _table_ii(args)
     else:
         results, warnings = _table_iii()
     return new_report(
@@ -284,14 +268,14 @@ def cmd_tables(args) -> Report:
     )
 
 
-def _detection_block(expr_file, family, args, threads: Optional[int]) -> dict:
+def _detection_block(expr_file, family, args) -> dict:
     expr = load_expression(expr_file)
     outcome = lhv_bound(expr)
     out = {
         "expr_file": str(expr_file),
         "classical_bound": outcome.value,
         "detect_visibility": detect_visibility(
-            expr, family, args.seed, restarts=args.restarts, threads=threads
+            expr, family, args.seed, restarts=args.restarts, threads=args.threads
         ),
     }
     if is_homogeneous(expr):
@@ -304,7 +288,6 @@ def _detection_block(expr_file, family, args, threads: Optional[int]) -> dict:
 
 
 def cmd_werner(args) -> Report:
-    threads = _threads_from(args)
     warnings = []
     if args.family == "ghz":
         family = GhzFamily(args.m, args.theta)
@@ -332,7 +315,7 @@ def cmd_werner(args) -> Report:
         }
         inputs = {"family": "pure", "state_file": str(args.state)}
     if args.expr:
-        detection = _detection_block(args.expr, family, args, threads)
+        detection = _detection_block(args.expr, family, args)
         vlb = detection.get("visibility_lower_bound")
         if vlb is not None and "separability_threshold" in results:
             # a gap between the two certifies Werner states no expression
@@ -347,10 +330,9 @@ def cmd_werner(args) -> Report:
 
 
 def cmd_measure(args) -> Report:
-    threads = _threads_from(args)
     _check_sampler_size(args.m, args.samples)  # before the closed form overflows
     bound = measure_lower_bound(args.m, args.poly)
-    est = measure_monte_carlo(args.m, args.poly, args.samples, args.seed, threads=threads)
+    est = measure_monte_carlo(args.m, args.poly, args.samples, args.seed, threads=args.threads)
     high = est.fraction + 3.0 * est.std_error
     results = {
         "lower_bound": bound,
@@ -374,10 +356,9 @@ def cmd_measure(args) -> Report:
 
 
 def cmd_gamma(args) -> Report:
-    threads = _threads_from(args)
     scanned = gamma_scan(
         GammaScanConfig(parties=args.m, samples=args.samples, seed=args.seed),
-        threads=threads,
+        threads=args.threads,
     )
     rows = []
     for est in scanned.estimates:
@@ -409,7 +390,6 @@ def cmd_gamma(args) -> Report:
 
 
 def cmd_examples(args) -> Report:
-    threads = _threads_from(args)
     warnings = []
     bound_rows = []
     ratio_rows = []
@@ -422,7 +402,7 @@ def cmd_examples(args) -> Report:
         cf = closed_form_classical(expr) if homogeneous else None
         upper = analytic_quantum_upper(expr).general if homogeneous else None
         found = seesaw_lower(
-            expr, restarts=args.restarts, seed=args.seed, threads=threads
+            expr, restarts=args.restarts, seed=args.seed, threads=args.threads
         )
         note = _sweep_cap_note(found)
         if note:
@@ -505,28 +485,37 @@ def cmd_examples(args) -> Report:
     )
 
 
-def _seed(text: str) -> int:
-    """A --seed value; the (seed, k) substreams take non-negative integers only."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers >= low (0 or 1), rejected at parse time (exit 2)."""
+    kind = "non-negative" if low == 0 else "positive"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        return value
+
+    return parse
 
 
-def _add_common(p, *, seed=True, threads=True) -> None:
-    if seed:
-        p.add_argument("--seed", type=_seed, default=0, help="base RNG seed (non-negative)")
-    if threads:
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker cap (default: BELLWERNER_THREADS, else every usable "
-            "core for measure and serial elsewhere)",
-        )
+_NON_NEGATIVE = _int_at_least(0)
+_POSITIVE = _int_at_least(1)
+
+
+def _add_common(p, *, restarts=False) -> None:
+    if restarts:
+        p.add_argument("--restarts", type=_POSITIVE, default=20, help="see-saw restarts")
+    # the (seed, k) substreams take non-negative integers only
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=0, help="base RNG seed (non-negative)")
+    p.add_argument(
+        "--threads",
+        type=_POSITIVE,
+        default=None,
+        help="worker cap (default: every usable core for measure, serial elsewhere)",
+    )
     p.add_argument(
         "--format",
         choices=("markdown", "csv", "structured"),
@@ -554,15 +543,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="require the full-correlation closed form (error if inapplicable)",
     )
     p.add_argument("--seesaw", action="store_true", help="run the see-saw lower bound")
-    p.add_argument("--restarts", type=int, default=20, help="see-saw restarts")
-    _add_common(p)
+    _add_common(p, restarts=True)
     p.set_defaults(handler=cmd_bounds)
 
     p = sub.add_parser("tables", help="reproduce the summary tables")
     p.add_argument(
         "which", type=str.upper, choices=("I", "II", "III"), help="table selector"
     )
-    p.add_argument("--samples", type=int, default=10000, help="samples per m (table II)")
+    p.add_argument("--samples", type=_POSITIVE, default=10000, help="samples per m (table II)")
     p.add_argument(
         "--max-m",
         type=int,
@@ -582,32 +570,29 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--m", type=int, required=True, help="party count")
     g.add_argument("--theta", type=float, required=True, help="angle in (0, pi/2)")
     g.add_argument("--expr", default=None, help="optional expression file to test against")
-    g.add_argument("--restarts", type=int, default=20, help="see-saw restarts")
-    _add_common(g)
+    _add_common(g, restarts=True)
     g.set_defaults(handler=cmd_werner)
     q = fam.add_parser("pure", help="arbitrary pure state from a state file")
     q.add_argument("--state", required=True, help="state JSON file")
     q.add_argument("--expr", default=None, help="optional expression file to test against")
-    q.add_argument("--restarts", type=int, default=20, help="see-saw restarts")
-    _add_common(q)
+    _add_common(q, restarts=True)
     q.set_defaults(handler=cmd_werner)
 
     p = sub.add_parser("measure", help="sampled share of states past the pair-weight mark")
     p.add_argument("--m", type=int, required=True, help="party count")
     p.add_argument("--poly", type=float, required=True, help="expression value at the target")
-    p.add_argument("--samples", type=int, default=100000, help="Monte Carlo samples")
+    p.add_argument("--samples", type=_POSITIVE, default=100000, help="Monte Carlo samples")
     _add_common(p)
     p.set_defaults(handler=cmd_measure)
 
     p = sub.add_parser("gamma", help="sampled block-ratio minima over random vectors")
     p.add_argument("--m", type=int, required=True, help="party count")
-    p.add_argument("--samples", type=int, default=10000, help="random vectors to draw")
+    p.add_argument("--samples", type=_POSITIVE, default=10000, help="random vectors to draw")
     _add_common(p)
     p.set_defaults(handler=cmd_gamma)
 
     p = sub.add_parser("examples", help="run the built-in expressions end to end")
-    p.add_argument("--restarts", type=int, default=20, help="see-saw restarts")
-    _add_common(p)
+    _add_common(p, restarts=True)
     p.set_defaults(handler=cmd_examples)
 
     return parser

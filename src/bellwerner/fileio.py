@@ -114,19 +114,23 @@ def expression_to_document(expr: BellExpression) -> dict:
     }
 
 
-def load_expression(path: PathLike) -> BellExpression:
+def _read_json(path: PathLike, kind: str):
+    """The decoded JSON document of a `kind` ("expression" or "state") file."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ParseError(f"cannot read expression file {path}: {exc}") from exc
+        raise ParseError(f"cannot read {kind} file {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
-            f"expression file {path}: invalid JSON at line {exc.lineno}, "
+            f"{kind} file {path}: invalid JSON at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}"
         ) from exc
-    return expression_from_document(doc)
+
+
+def load_expression(path: PathLike) -> BellExpression:
+    return expression_from_document(_read_json(path, "expression"))
 
 
 def save_expression(expr: BellExpression, path: PathLike) -> None:
@@ -177,18 +181,7 @@ def state_to_document(family: PureFamily) -> dict:
 
 
 def load_state(path: PathLike) -> PureFamily:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read state file {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"state file {path}: invalid JSON at line {exc.lineno}, "
-            f"column {exc.colno}: {exc.msg}"
-        ) from exc
-    return state_from_document(doc)
+    return state_from_document(_read_json(path, "state"))
 
 
 def save_state(family: PureFamily, path: PathLike) -> None:

@@ -49,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from ._workers import ordered_map
-from .classical import DEFAULT_MAX_PARTIES, _check_enumeration, _strategy_values
+from .classical import _check_enumeration, _strategy_values
 from .expressions import block_sizes, canonical_tensor
 
 _BLOCK_EPS = 1e-9
@@ -73,7 +73,6 @@ class GammaScanConfig:
     parties: int
     samples: int
     seed: int = 0
-    max_parties: int = DEFAULT_MAX_PARTIES
 
     def __post_init__(self):
         if self.parties < 2:
@@ -279,7 +278,7 @@ def gamma_scan(
     every sample skipped reports gamma_min None rather than raising.
     """
     m = config.parties
-    _check_enumeration(m, config.max_parties)
+    _check_enumeration(m)
     _, offsets = block_sizes(m)
     dim = offsets[-1]
 

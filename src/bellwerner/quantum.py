@@ -17,7 +17,8 @@ Each sweep refreshes the state with a dense Hermitian eigensolve
 (np.linalg.eigh) of the current operator, at most 256 x 256 under the
 8-party cap; the extreme eigenpair of larger magnitude gives the objective.
 Every restart records why it stopped: "converged" when a sweep gains less
-than the tolerance, "max_sweeps" when it reaches the sweep cap.
+than the fixed tolerance 1e-9 (_TOL), "max_sweeps" when it reaches the fixed
+cap of 500 sweeps (_MAX_SWEEPS).
 
 Cost model.  An expression is held once as a (3,)*m coefficient tensor C
 (slot 0 for "_", 1 for "0", 2 for "1") and each party's observables as a
@@ -42,12 +43,12 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from ._workers import ordered_map
-from .classical import DEFAULT_MAX_PARTIES, _ordered_values, closed_form_classical, lhv_bound
+from .classical import MAX_PARTIES, _ordered_values, closed_form_classical, lhv_bound
 from .errors import check_cap
 from .expressions import BellExpression, coefficient_tensor, term_slots
 
 DEFAULT_RESTARTS = 20
-DEFAULT_TOL = 1e-9
+_TOL = 1e-9
 _MAX_SWEEPS = 500
 _OPERATOR = "parties for a 2^m x 2^m operator"
 
@@ -148,16 +149,6 @@ class SeesawResult:
     stop_reasons: tuple[str, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class QuantumBoundsReport:
-    classical_bound: float
-    closed_form: Optional[float]
-    analytic_upper: Optional[float]
-    anticommuting_upper: Optional[float]
-    composite_upper: Optional[float]
-    seesaw: SeesawResult
-
-
 def analytic_quantum_upper(expr: BellExpression) -> AnalyticUppers:
     """(sqrt(3), sqrt(5/2)) multiples of the closed-form classical value.
 
@@ -248,12 +239,7 @@ def _bell_matrix(
     return (b + b.conj().T) / 2.0
 
 
-def bell_operator(
-    expr: BellExpression,
-    obs: ObservableAssignment,
-    *,
-    max_parties: int = DEFAULT_MAX_PARTIES,
-) -> np.ndarray:
+def bell_operator(expr: BellExpression, obs: ObservableAssignment) -> np.ndarray:
     """The 2^m x 2^m operator sum of coeff * tensor products of observables.
 
     Absent parties contribute identity factors.  The result is exactly
@@ -264,7 +250,7 @@ def bell_operator(
         raise ValueError(
             f"assignment has {obs.parties} parties, expression has {expr.parties}"
         )
-    check_cap(_OPERATOR, expr.parties, max_parties, "raise max_parties to override")
+    check_cap(_OPERATOR, expr.parties, MAX_PARTIES)
     stacks = [_stack(pair) for pair in obs.observables]
     return _bell_matrix(expr, _coefficient_tensor(expr), stacks)
 
@@ -337,9 +323,6 @@ class _Run(NamedTuple):
 def _seesaw_run(
     expr: BellExpression,
     initial: ObservableAssignment,
-    *,
-    tol: float,
-    max_sweeps: int = _MAX_SWEEPS,
     fixed_state: Optional[np.ndarray] = None,
 ) -> _Run:
     """Coordinate-ascent sweeps from one starting assignment.
@@ -347,7 +330,8 @@ def _seesaw_run(
     With fixed_state the objective is |<psi|B|psi>| for that state, which is
     also the returned state; otherwise the state is refreshed each sweep to
     the extreme eigenvector of the current operator and the objective is the
-    spectral radius.  Sweeps stop once one gains less than tol.
+    spectral radius.  Sweeps stop once one gains less than _TOL, or after
+    _MAX_SWEEPS of them; both are read at call time.
     """
     m = expr.parties
     coeffs = _coefficient_tensor(expr)
@@ -367,7 +351,7 @@ def _seesaw_run(
     sweep_values = [value]
     stop_reason = "max_sweeps"
 
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         for j in range(m):
             f = sign * _effective_pair(coeffs, stacks, j, state)
             for setting in (0, 1):
@@ -387,7 +371,7 @@ def _seesaw_run(
         sweep_values.append(new_value)
         improvement = new_value - value
         value = new_value
-        if improvement < tol:
+        if improvement < _TOL:
             stop_reason = "converged"
             break
 
@@ -426,11 +410,8 @@ def _witness_assignment(expr: BellExpression) -> ObservableAssignment:
 def _best_of_restarts(
     expr: BellExpression,
     restarts: int,
-    tol: float,
     seed: int,
     threads: Optional[int],
-    max_parties: int,
-    max_sweeps: int,
     fixed_state: Optional[np.ndarray] = None,
 ) -> SeesawResult:
     """The restart loop shared by seesaw_lower and seesaw_fixed_state."""
@@ -438,16 +419,14 @@ def _best_of_restarts(
         raise ValueError("zero expression has no quantum bound")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    check_cap(_OPERATOR, expr.parties, max_parties, "raise max_parties to override")
+    check_cap(_OPERATOR, expr.parties, MAX_PARTIES)
 
     starts = [
         _random_assignment(expr.parties, np.random.default_rng([seed, r]))
         for r in range(restarts)
     ]
     starts.append(_witness_assignment(expr))
-    sweep_from = partial(
-        _seesaw_run, expr, tol=tol, max_sweeps=max_sweeps, fixed_state=fixed_state
-    )
+    sweep_from = partial(_seesaw_run, expr, fixed_state=fixed_state)
     runs = ordered_map(sweep_from, starts, threads)
     # max() keeps the first of equal values, which is the lowest index
     best = max(range(len(runs)), key=lambda idx: runs[idx].value)
@@ -464,12 +443,9 @@ def _best_of_restarts(
 def seesaw_lower(
     expr: BellExpression,
     restarts: int = DEFAULT_RESTARTS,
-    tol: float = DEFAULT_TOL,
     seed: int = 0,
     *,
     threads: Optional[int] = None,
-    max_parties: int = DEFAULT_MAX_PARTIES,
-    max_sweeps: int = _MAX_SWEEPS,
 ) -> SeesawResult:
     """Best see-saw value over seeded random restarts plus a classical warm start.
 
@@ -479,63 +455,20 @@ def seesaw_lower(
     value >= classical bound.  The state is the extreme eigenvector of the
     best restart's final operator.
     """
-    return _best_of_restarts(expr, restarts, tol, seed, threads, max_parties, max_sweeps)
+    return _best_of_restarts(expr, restarts, seed, threads)
 
 
 def seesaw_fixed_state(
     expr: BellExpression,
     state: np.ndarray,
     restarts: int = DEFAULT_RESTARTS,
-    tol: float = DEFAULT_TOL,
     seed: int = 0,
     *,
     threads: Optional[int] = None,
-    max_parties: int = DEFAULT_MAX_PARTIES,
-    max_sweeps: int = _MAX_SWEEPS,
 ) -> SeesawResult:
     """Best |<psi|B|psi>| over assignments for a fixed pure state.
 
     Same restart discipline as seesaw_lower; the warm start pins the result at
     or above the classical bound for any state.
     """
-    return _best_of_restarts(
-        expr, restarts, tol, seed, threads, max_parties, max_sweeps, fixed_state=state
-    )
-
-
-def quantum_bounds_report(
-    expr: BellExpression,
-    *,
-    restarts: int = DEFAULT_RESTARTS,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-    gammas: Optional[Sequence[float]] = None,
-    threads: Optional[int] = None,
-    max_parties: int = DEFAULT_MAX_PARTIES,
-) -> QuantumBoundsReport:
-    """Bundle the classical bound, analytic uppers, and the see-saw lower."""
-    classical = lhv_bound(expr, max_parties=max_parties)
-    closed = analytic = anticommuting = None
-    try:
-        closed = closed_form_classical(expr)
-    except ValueError:
-        pass
-    if closed is not None:
-        analytic, anticommuting = analytic_quantum_upper(expr)
-    composite = composite_ratio_upper(gammas) if gammas is not None else None
-    seesaw = seesaw_lower(
-        expr,
-        restarts=restarts,
-        tol=tol,
-        seed=seed,
-        threads=threads,
-        max_parties=max_parties,
-    )
-    return QuantumBoundsReport(
-        classical_bound=classical.value,
-        closed_form=closed,
-        analytic_upper=analytic,
-        anticommuting_upper=anticommuting,
-        composite_upper=composite,
-        seesaw=seesaw,
-    )
+    return _best_of_restarts(expr, restarts, seed, threads, fixed_state=state)

@@ -24,19 +24,18 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from ._workers import ordered_map, usable_cores
-from .classical import lhv_bound
+from .classical import MAX_PARTIES, lhv_bound
 from .errors import check_cap
 from .expressions import BellExpression
 from .quantum import (
     _OPERATOR,
-    DEFAULT_MAX_PARTIES,
     DEFAULT_RESTARTS,
-    DEFAULT_TOL,
     _sum_inverse_gammas,
     bell_operator,
     seesaw_fixed_state,
 )
 
+_BISECTION_TOL = 1e-6
 _NORM_TOL = 1e-12
 _MC_CHUNK = 4096
 _MC_CHUNK_BYTES = 2 ** 28
@@ -260,7 +259,22 @@ def _necessary_holds(p: np.ndarray, v: float) -> bool:
     return lhs >= rhs
 
 
-def necessary_check_first_failure(amplitudes, *, tol: float = 1e-6) -> Optional[float]:
+def _first_true(predicate) -> float:
+    """Bisect [0, 1] to _BISECTION_TOL for where a monotone predicate turns true.
+
+    predicate(1.0) must hold; returns the upper end of the final bracket.
+    """
+    lo, hi = 0.0, 1.0
+    while hi - lo > _BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if predicate(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def necessary_check_first_failure(amplitudes) -> Optional[float]:
     """Smallest v at which the necessary check starts failing, by bisection.
 
     None when the check holds all the way to v = 1.  Assumes a single
@@ -270,14 +284,7 @@ def necessary_check_first_failure(amplitudes, *, tol: float = 1e-6) -> Optional[
     p = _validated_probabilities(amplitudes)
     if _necessary_holds(p, 1.0):
         return None
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _necessary_holds(p, mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return _first_true(lambda v: not _necessary_holds(p, v))
 
 
 def undetectable_measure_condition(
@@ -475,9 +482,7 @@ def detect_visibility(
     seed: int = 0,
     *,
     restarts: int = DEFAULT_RESTARTS,
-    bisection_tol: float = 1e-6,
     threads: Optional[int] = None,
-    max_parties: int = DEFAULT_MAX_PARTIES,
 ) -> Optional[float]:
     """Empirical visibility at which the Werner family starts violating expr.
 
@@ -491,12 +496,10 @@ def detect_visibility(
         raise ValueError(
             f"family has {family.parties} parties, expression has {expr.parties}"
         )
-    check_cap(_OPERATOR, expr.parties, max_parties, "raise max_parties to override")
+    check_cap(_OPERATOR, expr.parties, MAX_PARTIES)
     psi = family.state_vector()
     c1 = lhv_bound(expr).value
-    result = seesaw_fixed_state(
-        expr, psi, restarts=restarts, tol=DEFAULT_TOL, seed=seed, threads=threads
-    )
+    result = seesaw_fixed_state(expr, psi, restarts=restarts, seed=seed, threads=threads)
     operator = bell_operator(expr, result.witness)
     mixed_value = float(np.trace(operator).real) / psi.shape[0]
     pure_value = float(np.vdot(psi, operator @ psi).real)
@@ -506,11 +509,4 @@ def detect_visibility(
 
     if not violates(1.0):
         return None
-    lo, hi = 0.0, 1.0
-    while hi - lo > bisection_tol:
-        mid = 0.5 * (lo + hi)
-        if violates(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _first_true(violates)

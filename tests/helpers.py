@@ -18,7 +18,8 @@ from bellwerner.errors import ParseError, check_cap
 from bellwerner.expressions import _from_lists
 from bellwerner.fileio import _require_dict, _require_parties
 from bellwerner.gamma import _BLOCK_EPS
-from bellwerner.quantum import _OPERATOR, DEFAULT_MAX_PARTIES, _dominant_eig
+from bellwerner.classical import MAX_PARTIES
+from bellwerner.quantum import _OPERATOR, _dominant_eig
 from bellwerner.werner import _MC_CHUNK
 
 _MIN_NORM = 1e-12  # sample_vector redraws below this norm
@@ -183,7 +184,7 @@ def werner_density(family, v):
     """
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {v!r}")
-    check_cap(_OPERATOR, family.parties, DEFAULT_MAX_PARTIES)
+    check_cap(_OPERATOR, family.parties, MAX_PARTIES)
     psi = family.state_vector()
     dim = psi.shape[0]
     return (1.0 - v) / dim * np.eye(dim, dtype=complex) + v * np.outer(psi, psi.conj())

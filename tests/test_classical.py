@@ -7,17 +7,26 @@ from bellwerner import (
     CapExceeded,
     canonical_patterns,
     DeterministicStrategy,
+    GammaScanConfig,
+    GhzFamily,
+    ObservableAssignment,
+    QubitObservable,
+    bell_operator,
     block_strategy_matrix,
     block_sizes,
     builtin,
     closed_form_classical,
+    detect_visibility,
+    gamma_scan,
     lhv_bound,
     new_expression,
+    seesaw_lower,
     strategy_matrix,
 )
 from bellwerner import classical
 from bellwerner.classical import _strategy_values
 from bellwerner.expressions import canonical_tensor
+from bellwerner.quantum import seesaw_fixed_state
 from helpers import (
     brute_force_bound,
     closed_form_loop,
@@ -210,7 +219,41 @@ def test_party_cap():
         lhv_bound(expr)
     with pytest.raises(CapExceeded):
         strategy_matrix(9)
-    assert lhv_bound(expr, max_parties=9).value == 1.0
+
+
+_NINE = new_expression(9, [("0" * 9, 1.0)])
+_NINE_OBSERVABLES = ObservableAssignment(
+    ((QubitObservable.projective((0.0, 0.0, 1.0)),) * 2,) * 9
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lhv_bound(_NINE),
+        lambda: strategy_matrix(9),
+        lambda: bell_operator(_NINE, _NINE_OBSERVABLES),
+        lambda: seesaw_lower(_NINE, restarts=1),
+        lambda: seesaw_fixed_state(_NINE, np.eye(2**9)[0], restarts=1),
+        lambda: detect_visibility(_NINE, GhzFamily(9, 0.5)),
+        lambda: gamma_scan(GammaScanConfig(parties=9, samples=1)),
+    ],
+    ids=[
+        "lhv_bound",
+        "strategy_matrix",
+        "bell_operator",
+        "seesaw_lower",
+        "seesaw_fixed_state",
+        "detect_visibility",
+        "gamma_scan",
+    ],
+)
+def test_one_party_cap_for_every_entry_point(call):
+    with pytest.raises(CapExceeded) as exc:
+        call()
+    message = str(exc.value)
+    assert "9 exceeds the cap of 8" in message
+    assert "max_parties" not in message
 
 
 def _dense_expression(rng, m, *, integer=False, homogeneous=False):
@@ -241,12 +284,12 @@ def _symmetric_expression(rng, m):
     return new_expression(m, terms)
 
 
-def _bound_triple(expr, **kwargs):
-    res = lhv_bound(expr, **kwargs)
+def _bound_triple(expr):
+    res = lhv_bound(expr)
     return res.value, res.witness.encoding, res.achieved_sign
 
 
-def test_lhv_bound_matches_full_loop_exactly():
+def test_lhv_bound_matches_full_loop_exactly(monkeypatch):
     # value, witness and sign of the shortlist-then-exact kernel equal the
     # full term-ordered 4^m loop bit for bit, ties included
     rng = np.random.default_rng(31)
@@ -267,7 +310,8 @@ def test_lhv_bound_matches_full_loop_exactly():
         expr = builtin(name)
         assert _bound_triple(expr) == lhv_bound_loop(expr)
     nine = random_expression(rng, 9, max_terms=40)
-    assert _bound_triple(nine, max_parties=9) == lhv_bound_loop(nine)
+    monkeypatch.setattr(classical, "MAX_PARTIES", 9)
+    assert _bound_triple(nine) == lhv_bound_loop(nine)
 
 
 def test_lhv_bound_integer_coefficients_skip_the_term_order(monkeypatch):

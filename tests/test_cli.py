@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 
@@ -6,7 +5,7 @@ import numpy as np
 import pytest
 
 from bellwerner import builtin, new_expression
-from bellwerner import cli
+from bellwerner import cli, quantum
 from bellwerner.cli import main
 from bellwerner.fileio import save_expression, save_state
 from bellwerner.reports import parse_report
@@ -137,8 +136,10 @@ def test_tables_ii_small(capsys):
 
 
 def test_tables_ii_zero_samples(capsys):
-    code, _, err = _run(capsys, ["tables", "II", "--samples", "0"])
-    assert code == 3
+    # a non-positive count is rejected while parsing
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "II", "--samples", "0"])
+    assert exc.value.code == 2
 
 
 def test_tables_ii_cap(capsys):
@@ -288,7 +289,7 @@ def test_seesaw_sweep_cap_warning(capsys, monkeypatch, chsh_file):
     assert "seesaw-sweep-cap" not in {w["name"] for w in rep.warnings}
     results = rep.results
 
-    monkeypatch.setattr(cli, "seesaw_lower", functools.partial(cli.seesaw_lower, max_sweeps=1))
+    monkeypatch.setattr(quantum, "_MAX_SWEEPS", 1)
     rep = _structured(capsys, ["bounds", chsh_file, "--seesaw", "--restarts", "2"])
     assert "seesaw-sweep-cap" in {w["name"] for w in rep.warnings}
     assert rep.results.keys() == results.keys()
@@ -332,16 +333,6 @@ def test_gamma_reproducibility(capsys):
     assert run(1) == run(3)
 
 
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("BELLWERNER_THREADS", "2")
-    code, out, _ = _run(capsys, ["gamma", "--m", "2", "--samples", "200"])
-    assert code == 0
-    monkeypatch.setenv("BELLWERNER_THREADS", "banana")
-    code, _, err = _run(capsys, ["gamma", "--m", "2", "--samples", "200"])
-    assert code == 3
-    assert "BELLWERNER_THREADS" in err
-
-
 def test_markdown_is_default_format(capsys, ch_file):
     code, out, _ = _run(capsys, ["bounds", ch_file])
     assert code == 0
@@ -374,23 +365,32 @@ def test_unknown_subcommand(capsys):
     assert exc.value.code == 2
 
 
+_EVERY_COMMAND = [
+    ["bounds", "expr.json", "--seesaw"],
+    ["tables", "II"],
+    ["werner", "ghz", "--m", "2", "--theta", "0.5"],
+    ["werner", "pure", "--state", "state.json"],
+    ["measure", "--m", "3", "--poly", "3"],
+    ["gamma", "--m", "2"],
+    ["examples"],
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["bounds", "expr.json", "--seesaw"],
-        ["tables", "II"],
-        ["werner", "ghz", "--m", "2", "--theta", "0.5"],
-        ["werner", "pure", "--state", "state.json"],
-        ["measure", "--m", "3", "--poly", "3"],
-        ["gamma", "--m", "2"],
-        ["examples"],
+    "argv, flag, value",
+    [pytest.param(argv, "--seed", "-3", id=" ".join(argv[:2])) for argv in _EVERY_COMMAND]
+    + [
+        pytest.param(["gamma", "--m", "2", "--samples", "10"], "--threads", "-5", id="threads"),
+        pytest.param(["measure", "--m", "3", "--poly", "3"], "--threads", "0", id="threads 0"),
+        pytest.param(["gamma", "--m", "2"], "--samples", "-5", id="samples"),
+        pytest.param(["bounds", "expr.json", "--seesaw"], "--restarts", "-1", id="restarts"),
     ],
-    ids=lambda argv: " ".join(argv[:2]),
 )
-def test_negative_seed_is_an_input_error(capsys, argv):
+def test_negative_seed_is_an_input_error(capsys, argv, flag, value):
     # rejected while parsing, before any file is read or stream drawn
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--seed", "-3"])
+        main(argv + [flag, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "argument --seed: must be a non-negative integer, got '-3'" in err
+    kind = "non-negative" if flag == "--seed" else "positive"
+    assert f"argument {flag}: must be a {kind} integer, got '{value}'" in err

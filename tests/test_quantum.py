@@ -15,9 +15,9 @@ from bellwerner import (
     composite_ratio_upper,
     lhv_bound,
     new_expression,
-    quantum_bounds_report,
     seesaw_lower,
 )
+from bellwerner import quantum
 from bellwerner.quantum import (
     _coefficient_tensor,
     _effective_pair,
@@ -290,10 +290,11 @@ def test_seesaw_known_optima(name, optimum):
     assert res.value == pytest.approx(optimum, abs=1e-9)
 
 
-def test_seesaw_stop_reasons():
+def test_seesaw_stop_reasons(monkeypatch):
     converged = seesaw_lower(builtin("CHSH"), restarts=3)
     assert converged.stop_reasons == ("converged",) * 4
-    capped = seesaw_lower(builtin("MERMIN"), restarts=3, max_sweeps=1)
+    monkeypatch.setattr(quantum, "_MAX_SWEEPS", 1)
+    capped = seesaw_lower(builtin("MERMIN"), restarts=3)
     assert len(capped.stop_reasons) == 4
     assert "max_sweeps" in capped.stop_reasons
     assert set(capped.stop_reasons) <= {"converged", "max_sweeps"}
@@ -334,19 +335,3 @@ def test_analytic_uppers():
     assert uppers.anticommuting < uppers.general
     with pytest.raises(ValueError):
         analytic_quantum_upper(builtin("CH"))
-
-
-def test_quantum_bounds_report_bundle():
-    rep = quantum_bounds_report(builtin("CHSH"), restarts=5, seed=0)
-    assert rep.classical_bound == 2.0
-    assert rep.closed_form == 2.0
-    assert rep.analytic_upper == pytest.approx(2 * math.sqrt(3.0))
-    assert rep.composite_upper is None
-    assert rep.seesaw.value == pytest.approx(2 * ROOT2, abs=1e-3)
-
-    rep_ch = quantum_bounds_report(
-        builtin("CH"), restarts=3, seed=0, gammas=[4 / 3, 4.0]
-    )
-    assert rep_ch.closed_form is None
-    assert rep_ch.analytic_upper is None
-    assert rep_ch.composite_upper == pytest.approx(1.0 + math.sqrt(3.0))
