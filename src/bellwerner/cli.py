@@ -10,8 +10,9 @@ values), 4 cap violations, 5 a failed internal self-check (the see-saw
 objective decreased, or a first-block ratio fell below 1).
 
 The solvers run at fixed settings that no option changes: the see-saw stops
-a restart once a sweep gains less than 1e-9 or after 500 sweeps (the
-`seesaw-sweep-cap` warning), and visibilities are bisected to 1e-6.
+a restart once a sweep gains less than 1e-9 ("converged", or "stalled" when
+the gains shrink too slowly) or after 500 sweeps (the `seesaw-sweep-cap`
+warning), and visibilities are bisected to 1e-6.
 """
 
 from __future__ import annotations

@@ -16,21 +16,25 @@ objective is nondecreasing by construction.
 Each sweep refreshes the state with a dense Hermitian eigensolve
 (np.linalg.eigh) of the current operator, at most 256 x 256 under the
 8-party cap; the extreme eigenpair of larger magnitude gives the objective.
-Every restart records why it stopped: "converged" when a sweep gains less
-than the fixed tolerance 1e-9 (_TOL), "max_sweeps" when it reaches the fixed
-cap of 500 sweeps (_MAX_SWEEPS).
+Every restart records why it stopped: "max_sweeps" when it reaches the fixed
+cap of 500 sweeps (_MAX_SWEEPS); once a sweep gains less than the fixed
+tolerance 1e-9 (_TOL), "stalled" when the last two gains shrink too slowly
+for the remaining geometric tail to stay under _TOL, else "converged".
 
 Cost model.  An expression is held once as a (3,)*m coefficient tensor C
 (slot 0 for "_", 1 for "0", 2 for "1") and each party's observables as a
 stack [I, A_0, A_1].  The Bell operator is C contracted with every stack,
-m tensordot calls and O(4^m) work whatever the number of terms.  The
-effective operators of party j, for both settings at once, come from one
-contraction that skips party j (O(4^m)) and two O(4^m) products with the
-state.  A sweep is thus O(m 4^m) in about m^2 NumPy calls plus one
-O(8^m) eigensolve, which dominates from about six parties on.  Diagonal
-+-1 observables, such as the classical warm start, give a diagonal operator
-of strategy values, summed term by term in O(terms 2^m) like the classical
-bound.
+one (size/3, 3) x (3, 4) matmul of the partial result per party, O(4^m)
+work whatever the number of terms.  Party j's effective operators, for
+both settings at once, come from one contraction that skips party j, from
+a layout of C with slot j last built once per restart, and two O(4^m)
+products with the state.  Inside a restart observables are plain (axis,
+eig_plus, eig_minus) numbers and stacks use QubitObservable.matrix()'s
+arithmetic; QubitObservable objects are built for the witness only.  A
+sweep is thus O(m 4^m) in about m^2 NumPy calls plus one O(8^m) eigensolve,
+which dominates from about six parties on.  Diagonal +-1 observables, such
+as the classical warm start, give a diagonal operator of strategy values,
+summed term by term in O(terms 2^m) like the classical bound.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ _TOL = 1e-9
 _MAX_SWEEPS = 500
 _OPERATOR = "parties for a 2^m x 2^m operator"
 
-_I2 = np.eye(2, dtype=complex)
+_IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
 
 
 def _sign(x: float) -> float:
@@ -96,16 +100,15 @@ class QubitObservable:
         return cls((0.0, 0.0, 1.0), value, value)
 
     def matrix(self) -> np.ndarray:
-        nx, ny, nz = self.axis
-        a0 = (self.eig_plus + self.eig_minus) / 2.0
-        h = (self.eig_plus - self.eig_minus) / 2.0
-        return np.array(
-            [
-                [a0 + h * nz, h * (nx - 1j * ny)],
-                [h * (nx + 1j * ny), a0 - h * nz],
-            ],
-            dtype=complex,
-        )
+        return np.array(_entries(self.axis, self.eig_plus, self.eig_minus), dtype=complex)
+
+
+def _entries(axis, eig_plus: float, eig_minus: float) -> list:
+    """The 2x2 entries of ((l+ + l-)/2) I + ((l+ - l-)/2) n.sigma, as Python numbers."""
+    nx, ny, nz = axis
+    a0 = (eig_plus + eig_minus) / 2.0
+    h = (eig_plus - eig_minus) / 2.0
+    return [[a0 + h * nz, h * (nx - 1j * ny)], [h * (nx + 1j * ny), a0 - h * nz]]
 
 
 @dataclass(frozen=True)
@@ -138,7 +141,7 @@ class SeesawResult:
     """The best restart's value, witness, state and sweep trace.
 
     stop_reasons has one entry per restart, the classical warm start last:
-    "converged" or "max_sweeps".
+    "converged", "stalled" or "max_sweeps", as the module docstring defines them.
     """
 
     value: float
@@ -183,13 +186,13 @@ def _coefficient_tensor(expr: BellExpression) -> np.ndarray:
     return coefficient_tensor(expr, complex)
 
 
-def _stack(pair: Sequence[QubitObservable]) -> np.ndarray:
-    """The (3, 2, 2) per-party stack [I, A_0, A_1], indexed like a tensor slot."""
-    return np.stack([_I2, pair[0].matrix(), pair[1].matrix()])
+def _stack(pair: Sequence[tuple]) -> np.ndarray:
+    """The (3, 2, 2) stack [I, A_0, A_1] of a party's two (axis, eig_plus, eig_minus)."""
+    return np.array([_IDENTITY, _entries(*pair[0]), _entries(*pair[1])], dtype=complex)
 
 
 def _contract(coeffs: np.ndarray, stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """sum over s of coeffs[s] * kron_k stacks[k][s_k], one tensordot per party.
+    """sum over s of coeffs[s] * kron_k stacks[k][s_k], one matmul per party.
 
     The leading len(stacks) axes of coeffs are contracted, party 0 first, so
     party 0 is the most significant qubit as in np.kron.  Any further axes
@@ -197,7 +200,8 @@ def _contract(coeffs: np.ndarray, stacks: Sequence[np.ndarray]) -> np.ndarray:
     """
     t = coeffs
     for s in stacks:
-        t = np.tensordot(t, s, axes=(0, 0))
+        t = t.reshape(3, -1).T @ s.reshape(3, 4)
+    t = t.reshape(coeffs.shape[len(stacks):] + (2, 2) * len(stacks))
     batch = t.ndim - 2 * len(stacks)
     perm = [*range(batch), *range(batch, t.ndim, 2), *range(batch + 1, t.ndim, 2)]
     dim = 2 ** len(stacks)
@@ -232,9 +236,10 @@ def _bell_matrix(
     the contraction, symmetrised so that no BLAS summation order breaks
     Hermiticity.
     """
-    outcomes = np.array([s[1:, [0, 1], [0, 1]] for s in stacks])
-    if not any(s[1:, 0, 1].any() for s in stacks) and np.all(np.abs(outcomes) == 1.0):
-        return np.diag(_classical_diagonal(expr, outcomes.real)).astype(complex)
+    if not any(s[1:, 0, 1].any() for s in stacks):
+        outcomes = np.array([s[1:, [0, 1], [0, 1]] for s in stacks])
+        if np.all(np.abs(outcomes) == 1.0):
+            return np.diag(_classical_diagonal(expr, outcomes.real)).astype(complex)
     b = _contract(coeffs, stacks)
     return (b + b.conj().T) / 2.0
 
@@ -251,8 +256,8 @@ def bell_operator(expr: BellExpression, obs: ObservableAssignment) -> np.ndarray
             f"assignment has {obs.parties} parties, expression has {expr.parties}"
         )
     check_cap(_OPERATOR, expr.parties, MAX_PARTIES)
-    stacks = [_stack(pair) for pair in obs.observables]
-    return _bell_matrix(expr, _coefficient_tensor(expr), stacks)
+    pairs = [[(o.axis, o.eig_plus, o.eig_minus) for o in pair] for pair in obs.observables]
+    return _bell_matrix(expr, _coefficient_tensor(expr), [_stack(pair) for pair in pairs])
 
 
 def _validate_hermitian(matrix: np.ndarray) -> np.ndarray:
@@ -277,39 +282,48 @@ def _dominant_eig(h: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _effective_pair(
-    coeffs: np.ndarray, stacks: list[np.ndarray], j: int, psi: np.ndarray
+    layout: np.ndarray, stacks: list[np.ndarray], j: int, psi: np.ndarray
 ) -> np.ndarray:
     """F_{j,0}, F_{j,1}: Tr(A F_{j,x}) is the part of <psi|B|psi> linear in A_{j,x}.
 
-    One contraction over every party but j gives D_{j,x}, the terms with party
-    j at setting x and an identity in slot j; then
+    layout is the coefficient tensor with slot j moved last and its "_"
+    entry dropped.  One contraction over every party but j gives D_{j,x}, the
+    terms with party j at setting x and an identity in slot j; then
     F_{j,x}[p, q] = <psi_q|D_{j,x}|psi_p> with psi_p the state at slot j = p.
     Neither depends on party j's own observables.
     """
-    m = coeffs.ndim
-    d = _contract(np.moveaxis(coeffs, j, -1)[..., 1:], stacks[:j] + stacks[j + 1:])
-    slices = np.moveaxis(psi.reshape((2,) * m), j, -1).reshape(-1, 2)
+    d = _contract(layout, stacks[:j] + stacks[j + 1:])
+    slices = psi.reshape(2 ** j, 2, -1).swapaxes(1, 2).reshape(-1, 2)
     g = slices.conj().T @ d @ slices  # g[x, q, p] = F_{j,x}[p, q]
     return (g.swapaxes(1, 2) + g.conj()) / 2.0
 
 
-def _optimal_observable(f: np.ndarray, previous: QubitObservable) -> QubitObservable:
-    """Maximize Tr(A F) over the norm-at-most-one observable class.
+def _optimal_observable(f: list, axis: tuple) -> tuple:
+    """(axis, eig_plus, eig_minus) maximizing Tr(A F) over norm-at-most-one observables.
 
-    Decompose F = f0 I + fvec.sigma; the maximizer aligns the axis with fvec
-    and picks each eigenvalue as the sign of f0 +- |fvec|.  A vanishing fvec
-    leaves the axis free; keep the previous one.
+    F is a 2x2 nested list.  Decompose F = f0 I + fvec.sigma; the maximizer
+    aligns the axis with fvec and picks each eigenvalue as the sign of
+    f0 +- |fvec|.  A vanishing fvec leaves the axis free; keep the given one.
     """
-    f0 = (f[0, 0].real + f[1, 1].real) / 2.0
-    fx = f[1, 0].real
-    fy = f[1, 0].imag
-    fz = (f[0, 0].real - f[1, 1].real) / 2.0
+    (f00, _), (f10, f11) = f
+    f0 = (f00.real + f11.real) / 2.0
+    fx, fy, fz = f10.real, f10.imag, (f00.real - f11.real) / 2.0
     norm = math.sqrt(fx * fx + fy * fy + fz * fz)
     if norm < 1e-14:
-        lam = _sign(f0)
-        return QubitObservable(previous.axis, lam, lam)
-    axis = (fx / norm, fy / norm, fz / norm)
-    return QubitObservable(axis, _sign(f0 + norm), _sign(f0 - norm))
+        return axis, _sign(f0), _sign(f0)
+    if not math.isfinite(norm):
+        raise ValueError("see-saw update is not finite")
+    return (fx / norm, fy / norm, fz / norm), _sign(f0 + norm), _sign(f0 - norm)
+
+
+def _stop_label(values: list[float]) -> str:
+    """Stop label: "stalled" if the last two gains are positive and, with r =
+    last / previous, r >= 1 or last * r / (1 - r) > _TOL; else "converged"."""
+    if len(values) < 3 or not values[-1] > values[-2] > values[-3]:
+        return "converged"
+    last = values[-1] - values[-2]
+    r = last / (values[-2] - values[-3])
+    return "stalled" if r >= 1.0 or last * r / (1.0 - r) > _TOL else "converged"
 
 
 class _Run(NamedTuple):
@@ -335,15 +349,15 @@ def _seesaw_run(
     """
     m = expr.parties
     coeffs = _coefficient_tensor(expr)
-    obs = [[pair[0], pair[1]] for pair in initial.observables]
+    layouts = [np.ascontiguousarray(np.moveaxis(coeffs, j, -1)[..., 1:]) for j in range(m)]
+    obs = [[(o.axis, o.eig_plus, o.eig_minus) for o in pair] for pair in initial.observables]
     stacks = [_stack(pair) for pair in obs]
 
     if fixed_state is not None:
-        psi = np.asarray(fixed_state, dtype=complex).reshape(-1)
-        if psi.shape[0] != 2 ** m:
+        state = np.asarray(fixed_state, dtype=complex).reshape(-1)
+        if state.shape[0] != 2 ** m:
             raise ValueError(f"state must have dimension 2^{m}")
-        signed = float(np.vdot(psi, _bell_matrix(expr, coeffs, stacks) @ psi).real)
-        state = psi
+        signed = float(np.vdot(state, _bell_matrix(expr, coeffs, stacks) @ state).real)
     else:
         signed, state = _dominant_eig(_bell_matrix(expr, coeffs, stacks))
     value = abs(signed)
@@ -353,13 +367,12 @@ def _seesaw_run(
 
     for _ in range(_MAX_SWEEPS):
         for j in range(m):
-            f = sign * _effective_pair(coeffs, stacks, j, state)
-            for setting in (0, 1):
-                obs[j][setting] = _optimal_observable(f[setting], obs[j][setting])
+            f = (sign * _effective_pair(layouts[j], stacks, j, state)).tolist()
+            obs[j] = [_optimal_observable(f[x], obs[j][x][0]) for x in (0, 1)]
             stacks[j] = _stack(obs[j])
         op = _bell_matrix(expr, coeffs, stacks)
         if fixed_state is not None:
-            signed = float(np.vdot(psi, op @ psi).real)
+            signed = float(np.vdot(state, op @ state).real)
         else:
             signed, state = _dominant_eig(op)
         new_value = abs(signed)
@@ -372,11 +385,11 @@ def _seesaw_run(
         improvement = new_value - value
         value = new_value
         if improvement < _TOL:
-            stop_reason = "converged"
+            stop_reason = _stop_label(sweep_values)
             break
 
-    witness = ObservableAssignment(tuple((pair[0], pair[1]) for pair in obs))
-    return _Run(value, witness, state, tuple(sweep_values), stop_reason)
+    witness = tuple(tuple(QubitObservable(*o) for o in pair) for pair in obs)
+    return _Run(value, ObservableAssignment(witness), state, tuple(sweep_values), stop_reason)
 
 
 def _random_assignment(parties: int, rng: np.random.Generator) -> ObservableAssignment:

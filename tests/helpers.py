@@ -6,12 +6,15 @@ import math
 import numpy as np
 
 from bellwerner import (
+    ObservableAssignment,
+    QubitObservable,
     block,
     block_sizes,
     block_strategy_matrix,
     canonical_patterns,
     lhv_bound,
     new_expression,
+    quantum,
     strategy_matrix,
 )
 from bellwerner.errors import ParseError, check_cap
@@ -285,6 +288,159 @@ def kron_effective_operator(expr, mats, j, setting, psi):
     dl, dr = 2 ** j, 2 ** (m - 1 - j)
     g = (d @ np.outer(psi, psi.conj())).reshape(dl, 2, dr, dl, 2, dr)
     return np.einsum("apbaqb->pq", g)
+
+
+def stack_reference(pair):
+    """The (3, 2, 2) stack [I, A_0, A_1] of a pair of QubitObservables."""
+    return np.stack([np.eye(2, dtype=complex), pair[0].matrix(), pair[1].matrix()])
+
+
+def contract_tensordot(coeffs, stacks):
+    """The see-saw contraction with one np.tensordot per party, as it first was."""
+    t = coeffs
+    for s in stacks:
+        t = np.tensordot(t, s, axes=(0, 0))
+    batch = t.ndim - 2 * len(stacks)
+    perm = [*range(batch), *range(batch, t.ndim, 2), *range(batch + 1, t.ndim, 2)]
+    dim = 2 ** len(stacks)
+    return t.transpose(perm).reshape(t.shape[:batch] + (dim, dim))
+
+
+def bell_matrix_reference(expr, coeffs, stacks):
+    """quantum._bell_matrix with the contraction by np.tensordot."""
+    outcomes = np.array([s[1:, [0, 1], [0, 1]] for s in stacks])
+    if not any(s[1:, 0, 1].any() for s in stacks) and np.all(np.abs(outcomes) == 1.0):
+        return np.diag(quantum._classical_diagonal(expr, outcomes.real)).astype(complex)
+    b = contract_tensordot(coeffs, stacks)
+    return (b + b.conj().T) / 2.0
+
+
+def effective_pair_reference(coeffs, stacks, j, psi):
+    """F_{j,0}, F_{j,1} from the whole tensor, its layout rebuilt on every call."""
+    m = coeffs.ndim
+    d = contract_tensordot(np.moveaxis(coeffs, j, -1)[..., 1:], stacks[:j] + stacks[j + 1:])
+    slices = np.moveaxis(psi.reshape((2,) * m), j, -1).reshape(-1, 2)
+    g = slices.conj().T @ d @ slices
+    return (g.swapaxes(1, 2) + g.conj()) / 2.0
+
+
+def optimal_observable_reference(f, previous):
+    """The closed-form best observable for F, as a validated QubitObservable."""
+    f0 = (f[0, 0].real + f[1, 1].real) / 2.0
+    fx = f[1, 0].real
+    fy = f[1, 0].imag
+    fz = (f[0, 0].real - f[1, 1].real) / 2.0
+    norm = math.sqrt(fx * fx + fy * fy + fz * fz)
+    if norm < 1e-14:
+        lam = quantum._sign(f0)
+        return QubitObservable(previous.axis, lam, lam)
+    axis = (fx / norm, fy / norm, fz / norm)
+    return QubitObservable(axis, quantum._sign(f0 + norm), quantum._sign(f0 - norm))
+
+
+def stop_label_reference(values):
+    """The label of a restart that stopped on a gain below the tolerance.
+
+    Stalled: the last two gains are positive and their ratio r is at least 1,
+    or the geometric tail last * r / (1 - r) exceeds the tolerance.
+    """
+    gains = [b - a for a, b in zip(values, values[1:])][-2:]
+    if len(gains) < 2 or not (gains[0] > 0 and gains[1] > 0):
+        return "converged"
+    r = gains[1] / gains[0]
+    stalled = r >= 1.0 or gains[1] * r / (1.0 - r) > quantum._TOL
+    return "stalled" if stalled else "converged"
+
+
+def seesaw_run_reference(expr, initial, fixed_state=None):
+    """One see-saw restart as the sweep first ran it.
+
+    Contraction by np.tensordot, each party's coefficient layout rebuilt in
+    every sweep, and a QubitObservable built for every update; the stop
+    label follows stop_label_reference.  Returns a quantum._Run.
+    """
+    m = expr.parties
+    coeffs = quantum._coefficient_tensor(expr)
+    obs = [[pair[0], pair[1]] for pair in initial.observables]
+    stacks = [stack_reference(pair) for pair in obs]
+    if fixed_state is not None:
+        psi = np.asarray(fixed_state, dtype=complex).reshape(-1)
+        signed = float(np.vdot(psi, bell_matrix_reference(expr, coeffs, stacks) @ psi).real)
+        state = psi
+    else:
+        signed, state = _dominant_eig(bell_matrix_reference(expr, coeffs, stacks))
+    value = abs(signed)
+    sign = quantum._sign(signed)
+    sweep_values = [value]
+    stop_reason = "max_sweeps"
+    for _ in range(quantum._MAX_SWEEPS):
+        for j in range(m):
+            f = sign * effective_pair_reference(coeffs, stacks, j, state)
+            for setting in (0, 1):
+                obs[j][setting] = optimal_observable_reference(f[setting], obs[j][setting])
+            stacks[j] = stack_reference(obs[j])
+        op = bell_matrix_reference(expr, coeffs, stacks)
+        if fixed_state is not None:
+            signed = float(np.vdot(psi, op @ psi).real)
+        else:
+            signed, state = _dominant_eig(op)
+        new_value = abs(signed)
+        if new_value < value - 1e-9 * max(1.0, value):
+            raise RuntimeError("see-saw objective decreased; eigensolver or update fault")
+        sign = quantum._sign(signed)
+        sweep_values.append(new_value)
+        improvement = new_value - value
+        value = new_value
+        if improvement < quantum._TOL:
+            stop_reason = stop_label_reference(sweep_values)
+            break
+    witness = ObservableAssignment(tuple((pair[0], pair[1]) for pair in obs))
+    return quantum._Run(value, witness, state, tuple(sweep_values), stop_reason)
+
+
+def equatorial_lower(expr):
+    """max over angles of |sum_s beta_s exp(i sum_k phi_{k, s_k})|, by gradient ascent.
+
+    For a full-correlation expression this is the value of the GHZ state
+    with equatorial observables cos(phi) X + sin(phi) Y (Werner and Wolf,
+    Zukowski and Brukner), which any quantum lower bound must reach.  64
+    random angle sets climb |Z|^2 at once for 300 steps, each step the
+    longest of 2s, s, s/2, ... (s the last one taken) that gains at least
+    half the first-order prediction (Armijo).
+    """
+    starts, steps = 64, 300
+    m = expr.parties
+    beta = quantum._coefficient_tensor(expr)[(slice(1, 3),) * m].reshape(-1)
+    bits = (np.arange(2 ** m) >> np.arange(m - 1, -1, -1)[:, None]) & 1  # bits[k, s]
+    chosen = bits[None, :, :] == np.arange(2)[:, None, None]  # chosen[x, k, s]
+
+    def terms_at(phi):
+        theta = np.take_along_axis(phi, np.broadcast_to(bits, phi.shape[:1] + bits.shape), 2)
+        return beta * np.exp(1j * theta.sum(axis=1))  # (starts, 2^m)
+
+    phi = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, (starts, m, 2))
+    terms = terms_at(phi)
+    value = np.abs(terms.sum(axis=1)) ** 2
+    step = np.ones(starts)
+    for _ in range(steps):
+        partial = np.einsum("xks,ns->nkx", chosen, terms)  # sum over s with s_k = x
+        grad = 2.0 * (np.conj(terms.sum(axis=1))[:, None, None] * 1j * partial).real
+        slope = (grad ** 2).sum(axis=(1, 2))
+        step = step * 2.0
+        pending = slope > 0.0
+        for _ in range(60):
+            trial = phi + step[:, None, None] * grad
+            trial_terms = terms_at(trial)
+            trial_value = np.abs(trial_terms.sum(axis=1)) ** 2
+            take = pending & (trial_value >= value + 0.5 * step * slope)
+            phi = np.where(take[:, None, None], trial, phi)
+            terms = np.where(take[:, None], trial_terms, terms)
+            value = np.where(take, trial_value, value)
+            pending &= ~take
+            if not pending.any():
+                break
+            step = np.where(pending, step / 2.0, step)
+    return float(np.sqrt(value.max()))
 
 
 def separability_upper_bound_loop(amplitudes):

@@ -18,17 +18,16 @@ from bellwerner import (
     seesaw_lower,
 )
 from bellwerner import quantum
-from bellwerner.quantum import (
-    _coefficient_tensor,
-    _effective_pair,
-    _stack,
-    seesaw_fixed_state,
-)
+from bellwerner.quantum import _coefficient_tensor, seesaw_fixed_state
+from helpers import effective_pair_reference as _effective_pair
+from helpers import stack_reference as _stack
 from helpers import (
+    equatorial_lower,
     kron_bell_operator,
     kron_effective_operator,
     max_abs_eigenvalue,
     random_expression,
+    seesaw_run_reference,
 )
 
 ROOT2 = math.sqrt(2.0)
@@ -293,12 +292,94 @@ def test_seesaw_known_optima(name, optimum):
 def test_seesaw_stop_reasons(monkeypatch):
     converged = seesaw_lower(builtin("CHSH"), restarts=3)
     assert converged.stop_reasons == ("converged",) * 4
+    for name in ("MERMIN(3)", "MERMIN(5)"):
+        assert set(seesaw_lower(builtin(name), restarts=20).stop_reasons) == {"converged"}
+    # CH creeps about 1e-9 per sweep towards its optimum on most restarts
+    creeping = seesaw_lower(builtin("CH"), restarts=20, seed=0).stop_reasons
+    assert creeping.count("stalled") == 12 and creeping.count("converged") == 9
     monkeypatch.setattr(quantum, "_MAX_SWEEPS", 1)
     capped = seesaw_lower(builtin("MERMIN"), restarts=3)
     assert len(capped.stop_reasons) == 4
     assert "max_sweeps" in capped.stop_reasons
     assert set(capped.stop_reasons) <= {"converged", "max_sweeps"}
     assert len(capped.sweep_values) <= 2
+
+
+@pytest.mark.parametrize(
+    "values, label",
+    [
+        ([1.0], "converged"),
+        ([1.0, 1.0], "converged"),
+        ([1.0, 1.5, 1.5 + 5e-10], "converged"),  # tail 5e-10 * 1e-9 / (1 - 1e-9)
+        ([1.0, 1.0 + 1e-9, 1.0 + 1e-9 + 9e-10], "stalled"),  # r = 0.9, tail 8.1e-9
+        ([1.0, 1.0 + 2e-10, 1.0 + 5e-10], "stalled"),  # r >= 1
+        ([1.0, 1.0, 1.0 + 5e-10], "converged"),  # one positive gain
+        ([1.0, 1.0 + 5e-10, 1.0 + 5e-10], "converged"),  # last gain zero
+    ],
+)
+def test_stop_label(values, label):
+    assert quantum._stop_label(values) == label
+
+
+def _reference_cases():
+    rng = np.random.default_rng(38)
+    for name in ("CHSH", "CH", "MERMIN(3)", "MERMIN(5)", "MERMIN(7)"):
+        yield builtin(name)
+    for m in range(1, 7):
+        yield random_expression(rng, m, max_terms=3 ** m)
+        yield random_expression(rng, m, max_terms=2 ** m, homogeneous=True)
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["lower", "fixed_state"])
+def test_seesaw_run_matches_reference(fixed):
+    rng = np.random.default_rng(39)
+    for expr in _reference_cases():
+        m = expr.parties
+        psi = None
+        if fixed:
+            psi = rng.standard_normal(2 ** m) + 1j * rng.standard_normal(2 ** m)
+            psi /= np.linalg.norm(psi)
+        starts = [
+            quantum._random_assignment(m, np.random.default_rng([int(rng.integers(100)), 0])),
+            quantum._witness_assignment(expr),
+        ]
+        for start in starts:
+            got = quantum._seesaw_run(expr, start, fixed_state=psi)
+            ref = seesaw_run_reference(expr, start, fixed_state=psi)
+            assert got.value == ref.value
+            assert got.sweep_values == ref.sweep_values
+            assert np.array_equal(got.state, ref.state)
+            assert got.witness == ref.witness  # axes and eigenvalues, float by float
+            assert got.stop_reason == ref.stop_reason
+
+
+def test_nonfinite_update_raises_in_its_sweep(monkeypatch):
+    calls = []
+    effective_pair = quantum._effective_pair
+
+    def poisoned(*args):
+        calls.append(None)
+        f = effective_pair(*args)
+        return f * np.nan if len(calls) == 5 else f
+
+    monkeypatch.setattr(quantum, "_effective_pair", poisoned)
+    with pytest.raises(ValueError, match="not finite"):
+        seesaw_lower(builtin("MERMIN(3)"), restarts=1)
+    assert len(calls) == 5  # the sweep stopped at the update that went non-finite
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [builtin("CHSH"), builtin("MERMIN(3)"), builtin("MERMIN(5)")]
+    + [
+        random_expression(np.random.default_rng([40, m, i]), m, max_terms=2 ** m,
+                          homogeneous=True)
+        for m in (2, 3, 4)
+        for i in range(2)
+    ],
+)
+def test_seesaw_reaches_ghz_equatorial_value(expr):
+    assert seesaw_lower(expr, 20, 0).value >= equatorial_lower(expr) - 1e-9
 
 
 def test_fixed_state_seesaw_on_maximally_entangled():
