@@ -11,8 +11,10 @@ objective decreased, or a first-block ratio fell below 1).
 
 The solvers run at fixed settings that no option changes: the see-saw stops
 a restart once a sweep gains less than 1e-9 ("converged", or "stalled" when
-the gains shrink too slowly) or after 500 sweeps (the `seesaw-sweep-cap`
-warning), and visibilities are bisected to 1e-6.
+the gains shrink too slowly), once its gains show it cannot beat the
+classical bound ("bounded") or after 500 sweeps (the `seesaw-sweep-cap`
+warning), and visibilities are bisected to 1e-6.  Only the scans (tables,
+gamma, measure) take --threads; the see-saw runs its restarts as stacks.
 """
 
 from __future__ import annotations
@@ -143,12 +145,7 @@ def cmd_bounds(args) -> Report:
             warnings.append(("closed-form-exceeds-enumeration", _CLOSED_FORM_NOTE))
 
     if args.seesaw:
-        found = seesaw_lower(
-            expr,
-            restarts=args.restarts,
-            seed=args.seed,
-            threads=args.threads,
-        )
+        found = seesaw_lower(expr, restarts=args.restarts, seed=args.seed)
         results["seesaw_lower"] = found.value
         results["seesaw_sweeps"] = len(found.sweep_values) - 1
         results["seesaw_restart_index"] = found.restart_index
@@ -275,9 +272,7 @@ def _detection_block(expr_file, family, args) -> dict:
     out = {
         "expr_file": str(expr_file),
         "classical_bound": outcome.value,
-        "detect_visibility": detect_visibility(
-            expr, family, args.seed, restarts=args.restarts, threads=args.threads
-        ),
+        "detect_visibility": detect_visibility(expr, family, args.seed, restarts=args.restarts),
     }
     if is_homogeneous(expr):
         upper = analytic_quantum_upper(expr).general
@@ -402,9 +397,7 @@ def cmd_examples(args) -> Report:
         homogeneous = is_homogeneous(expr)
         cf = closed_form_classical(expr) if homogeneous else None
         upper = analytic_quantum_upper(expr).general if homogeneous else None
-        found = seesaw_lower(
-            expr, restarts=args.restarts, seed=args.seed, threads=args.threads
-        )
+        found = seesaw_lower(expr, restarts=args.restarts, seed=args.seed)
         note = _sweep_cap_note(found)
         if note:
             warnings.append(("seesaw-sweep-cap", f"{name}: {note}"))
@@ -507,16 +500,17 @@ _POSITIVE = _int_at_least(1)
 
 
 def _add_common(p, *, restarts=False) -> None:
-    if restarts:
+    if restarts:  # a see-saw command; the others are scans with a worker cap
         p.add_argument("--restarts", type=_POSITIVE, default=20, help="see-saw restarts")
+    else:
+        p.add_argument(
+            "--threads",
+            type=_POSITIVE,
+            default=None,
+            help="worker cap (default: every usable core for measure, serial elsewhere)",
+        )
     # the (seed, k) substreams take non-negative integers only
     p.add_argument("--seed", type=_NON_NEGATIVE, default=0, help="base RNG seed (non-negative)")
-    p.add_argument(
-        "--threads",
-        type=_POSITIVE,
-        default=None,
-        help="worker cap (default: every usable core for measure, serial elsewhere)",
-    )
     p.add_argument(
         "--format",
         choices=("markdown", "csv", "structured"),

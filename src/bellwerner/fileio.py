@@ -5,8 +5,8 @@ with patterns over {_, 0, 1}.  State documents: {"parties": m, "amplitudes":
 [{"index": "<m bits>", "re": x, "im": y}]}; omitted indices are zero.
 
 Structural problems (malformed JSON, missing or mistyped fields, bad
-patterns) raise ParseError with a field path; domain problems a well-formed
-document can still have (for states, a non-unit norm) keep their ValueError
+patterns, a sum of |coeff| beyond the float range) raise ParseError; domain
+problems a well-formed document can still have (for states, a non-unit norm) keep their ValueError
 so callers can distinguish the two.  A state document with more than
 STATE_MAX_PARTIES (16) parties raises CapExceeded before its 2^m amplitude
 vector is allocated.
@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ParseError, check_cap
-from .expressions import BellExpression, _from_lists
+from .expressions import BellExpression, _from_lists, term_slots
 from .werner import STATE_MAX_PARTIES, PureFamily
 
 PathLike = Union[str, Path]
@@ -99,10 +99,15 @@ def expression_from_document(doc) -> BellExpression:
     if not isinstance(terms, list) or not terms:
         raise ParseError("expression document: field 'terms' must be a non-empty array")
     patterns, coeffs = _term_lists(terms) or _walk_terms(terms)
-    try:
-        return _from_lists(parties, patterns, coeffs)
-    except ValueError as exc:  # a bad pattern, named as terms[i]
-        raise ParseError(str(exc)) from exc
+    with np.errstate(over="ignore"):  # an overflowing sum is reported below
+        try:
+            expr = _from_lists(parties, patterns, coeffs)
+        except ValueError as exc:  # a bad pattern, named as terms[i]
+            raise ParseError(str(exc)) from exc
+        total = float(np.abs(term_slots(expr)[1]).sum())
+    if not math.isfinite(total):  # the bounds' rounding margins scale with it
+        raise ParseError("expression document: the sum of |coeff| overflows the float range")
+    return expr
 
 
 def expression_to_document(expr: BellExpression) -> dict:

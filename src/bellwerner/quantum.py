@@ -16,37 +16,42 @@ objective is nondecreasing by construction.
 Each sweep refreshes the state with a dense Hermitian eigensolve
 (np.linalg.eigh) of the current operator, at most 256 x 256 under the
 8-party cap; the extreme eigenpair of larger magnitude gives the objective.
-Every restart records why it stopped: "max_sweeps" when it reaches the fixed
-cap of 500 sweeps (_MAX_SWEEPS); once a sweep gains less than the fixed
-tolerance 1e-9 (_TOL), "stalled" when the last two gains shrink too slowly
-for the remaining geometric tail to stay under _TOL, else "converged".
+An operator that is not finite and Hermitian raises ValueError.  A restart
+stops as "converged" or "stalled" once a sweep gains less than 1e-9 (_TOL):
+stalled when the last two gains shrink too slowly for the geometric tail
+to stay under _TOL.  It stops as "bounded" (_bounded) once its gains show
+it cannot beat the classical bound c1, known before any restart runs, and
+as "max_sweeps" at the fixed cap of 500 sweeps (_MAX_SWEEPS).
 
 Cost model.  An expression is held once as a (3,)*m coefficient tensor C
-(slot 0 for "_", 1 for "0", 2 for "1") and each party's observables as a
-stack [I, A_0, A_1].  The Bell operator is C contracted with every stack,
-one (size/3, 3) x (3, 4) matmul of the partial result per party, O(4^m)
-work whatever the number of terms.  Party j's effective operators, for
-both settings at once, come from one contraction that skips party j, from
-a layout of C with slot j last built once per restart, and two O(4^m)
-products with the state.  Inside a restart observables are plain (axis,
-eig_plus, eig_minus) numbers and stacks use QubitObservable.matrix()'s
-arithmetic; QubitObservable objects are built for the witness only.  A
-sweep is thus O(m 4^m) in about m^2 NumPy calls plus one O(8^m) eigensolve,
-which dominates from about six parties on.  Diagonal +-1 observables, such
-as the classical warm start, give a diagonal operator of strategy values,
-summed term by term in O(terms 2^m) like the classical bound.
+(slot 0 for "_", 1 for "0", 2 for "1"), and each party's observables as a
+stack [I, A_0, A_1] per restart.  The R restarts of a group advance as
+stacks: C contracted with every party's stacks, one stacked (size/3, 3) x
+(3, 4) matmul per party, gives all R operators in O(R 4^m) whatever the
+number of terms, and one np.linalg.eigh solves them.  Party j's effective
+operators come from one contraction that skips party j, from a layout of
+C with slot j last built once per call, and two products with the states.
+A sweep is thus about m^2 NumPy calls for all R restarts plus R O(8^m)
+eigensolves, which dominate from about six parties on.  Stacked matmul and
+eigh give each restart the floats it would get alone; a restart leaves the
+stack when it stops.  Observables are plain (axis, eig_plus, eig_minus)
+numbers; QubitObservable objects are built for the witness only.  Diagonal
++-1 observables, such as the classical warm start, give a diagonal operator
+of strategy values, summed term by term like the classical bound.  A group
+takes as many restarts as fit in _GROUP_BYTES (64 MiB) at eight complex
+2^m x 2^m matrices each: all 21 default restarts up to seven parties, 8 at
+the cap.  Starts are drawn one group at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._workers import ordered_map
 from .classical import MAX_PARTIES, _ordered_values, closed_form_classical, lhv_bound
 from .errors import check_cap
 from .expressions import BellExpression, coefficient_tensor, term_slots
@@ -54,6 +59,9 @@ from .expressions import BellExpression, coefficient_tensor, term_slots
 DEFAULT_RESTARTS = 20
 _TOL = 1e-9
 _MAX_SWEEPS = 500
+_BOUNDED_AFTER = 10  # sweeps a restart runs before the "bounded" stop may end it
+_GROUP_BYTES = 2 ** 26  # working memory of one group of restarts: 64 MiB
+_RESTART_MATRICES = 8  # complex 2^m x 2^m matrices a restart holds at its peak
 _OPERATOR = "parties for a 2^m x 2^m operator"
 
 _IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
@@ -140,8 +148,10 @@ class AnalyticUppers(NamedTuple):
 class SeesawResult:
     """The best restart's value, witness, state and sweep trace.
 
-    stop_reasons has one entry per restart, the classical warm start last:
-    "converged", "stalled" or "max_sweeps", as the module docstring defines them.
+    stop_reasons and sweeps have one entry per restart, the classical warm
+    start last: why it stopped ("converged", "stalled", "bounded" or
+    "max_sweeps", as the module docstring defines them) and how many sweeps
+    it ran.
     """
 
     value: float
@@ -150,6 +160,7 @@ class SeesawResult:
     sweep_values: tuple[float, ...]
     restart_index: int
     stop_reasons: tuple[str, ...]
+    sweeps: tuple[int, ...]
 
 
 def analytic_quantum_upper(expr: BellExpression) -> AnalyticUppers:
@@ -186,22 +197,31 @@ def _coefficient_tensor(expr: BellExpression) -> np.ndarray:
     return coefficient_tensor(expr, complex)
 
 
-def _stack(pair: Sequence[tuple]) -> np.ndarray:
-    """The (3, 2, 2) stack [I, A_0, A_1] of a party's two (axis, eig_plus, eig_minus)."""
-    return np.array([_IDENTITY, _entries(*pair[0]), _entries(*pair[1])], dtype=complex)
+def _triples(obs: ObservableAssignment) -> list:
+    """Per party, the (axis, eig_plus, eig_minus) of both observables."""
+    return [[(o.axis, o.eig_plus, o.eig_minus) for o in pair] for pair in obs.observables]
+
+
+def _stacks(pairs: Sequence[Sequence[tuple]]) -> np.ndarray:
+    """The (R, 3, 2, 2) stacks [I, A_0, A_1] of R pairs of (axis, eig_plus, eig_minus)."""
+    return np.array(
+        [[_IDENTITY, _entries(*pair[0]), _entries(*pair[1])] for pair in pairs], dtype=complex
+    )
 
 
 def _contract(coeffs: np.ndarray, stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """sum over s of coeffs[s] * kron_k stacks[k][s_k], one matmul per party.
+    """Per restart, sum over s of coeffs[s] * kron_k stacks[k][s_k]; one matmul per party.
 
-    The leading len(stacks) axes of coeffs are contracted, party 0 first, so
+    stacks[k] holds party k's (R, 3, 2, 2) stacks for R restarts.  The
+    leading len(stacks) axes of coeffs are contracted, party 0 first, so
     party 0 is the most significant qubit as in np.kron.  Any further axes
-    of coeffs stay as leading batch axes of the (..., out, in) result.
+    of coeffs stay as batch axes after the restart axis of the
+    (R, ..., out, in) result; with no stacks that restart axis has size 1.
     """
-    t = coeffs
+    t = coeffs[np.newaxis]
     for s in stacks:
-        t = t.reshape(3, -1).T @ s.reshape(3, 4)
-    t = t.reshape(coeffs.shape[len(stacks):] + (2, 2) * len(stacks))
+        t = t.reshape(len(t), 3, -1).swapaxes(1, 2) @ s.reshape(-1, 3, 4)
+    t = t.reshape(t.shape[:1] + coeffs.shape[len(stacks):] + (2, 2) * len(stacks))
     batch = t.ndim - 2 * len(stacks)
     perm = [*range(batch), *range(batch, t.ndim, 2), *range(batch + 1, t.ndim, 2)]
     dim = 2 ** len(stacks)
@@ -224,24 +244,25 @@ def _classical_diagonal(expr: BellExpression, outcomes: np.ndarray) -> np.ndarra
     return _ordered_values(*term_slots(expr), codes)
 
 
-def _bell_matrix(
-    expr: BellExpression, coeffs: np.ndarray, stacks: Sequence[np.ndarray]
-) -> np.ndarray:
-    """The Bell operator for the per-party stacks, exactly Hermitian.
+def _bell_matrix(expr: BellExpression, coeffs: np.ndarray, stacks: Sequence) -> np.ndarray:
+    """The (R, 2^m, 2^m) Bell operators of the per-party stacks, each exactly Hermitian.
 
-    Observables that are all diagonal with +-1 entries commute, and the
-    operator is the diagonal of deterministic strategy values, summed as the
-    classical bound sums them: the see-saw's classical warm start then sits
-    at the classical bound exactly, not one rounding below it.  Otherwise
-    the contraction, symmetrised so that no BLAS summation order breaks
-    Hermiticity.
+    A restart whose observables are all diagonal with +-1 entries has
+    commuting observables, and its operator is the diagonal of
+    deterministic strategy values, summed as the classical bound sums them:
+    the see-saw's classical warm start then sits at the classical bound
+    exactly, not one rounding below it.  Otherwise the contraction,
+    symmetrised so that no BLAS summation order breaks Hermiticity.
     """
-    if not any(s[1:, 0, 1].any() for s in stacks):
-        outcomes = np.array([s[1:, [0, 1], [0, 1]] for s in stacks])
-        if np.all(np.abs(outcomes) == 1.0):
-            return np.diag(_classical_diagonal(expr, outcomes.real)).astype(complex)
     b = _contract(coeffs, stacks)
-    return (b + b.conj().T) / 2.0
+    b += b.conj().swapaxes(-1, -2)
+    b /= 2.0
+    flat = np.stack(stacks, axis=1).reshape(len(b), len(stacks), 3, 4)
+    outcomes = flat[:, :, 1:, [0, 3]]  # outcomes[r, k, x, bit]
+    diagonal = ~flat[:, :, 1:, 1].any(axis=(1, 2)) & (np.abs(outcomes) == 1.0).all(axis=(1, 2, 3))
+    for r in np.flatnonzero(diagonal):
+        b[r] = np.diag(_classical_diagonal(expr, outcomes[r].real))
+    return b
 
 
 def bell_operator(expr: BellExpression, obs: ObservableAssignment) -> np.ndarray:
@@ -256,46 +277,51 @@ def bell_operator(expr: BellExpression, obs: ObservableAssignment) -> np.ndarray
             f"assignment has {obs.parties} parties, expression has {expr.parties}"
         )
     check_cap(_OPERATOR, expr.parties, MAX_PARTIES)
-    pairs = [[(o.axis, o.eig_plus, o.eig_minus) for o in pair] for pair in obs.observables]
-    return _bell_matrix(expr, _coefficient_tensor(expr), [_stack(pair) for pair in pairs])
+    stacks = [_stacks([pair]) for pair in _triples(obs)]
+    return _bell_matrix(expr, _coefficient_tensor(expr), stacks)[0]
 
 
 def _validate_hermitian(matrix: np.ndarray) -> np.ndarray:
+    """The matrix, or stack of matrices, as complex; ValueError unless each is
+    square, finite and Hermitian to 1e-12 of its largest entry (at least 1)."""
     h = np.asarray(matrix, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    scale = max(1.0, float(np.abs(h).max()) if h.size else 1.0)
-    if float(np.abs(h - h.conj().T).max()) > 1e-12 * scale:
+    largest = np.abs(h).max(axis=(-2, -1), initial=0.0)  # NaN or inf if any entry is
+    if not np.isfinite(largest).all():
+        raise ValueError("matrix has non-finite entries")
+    adjoint = h.conj().swapaxes(-1, -2)
+    skew = np.abs(np.subtract(h, adjoint, out=adjoint)).max(axis=(-2, -1), initial=0.0)
+    if (skew > 1e-12 * np.maximum(1.0, largest)).any():
         raise ValueError("matrix is not Hermitian")
     return h
 
 
-def _dominant_eig(h: np.ndarray) -> tuple[float, np.ndarray]:
-    """Signed eigenvalue of largest magnitude and its eigenvector.
+def _dominant_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed eigenvalues of largest magnitude and their eigenvectors.
 
-    A tie in magnitude goes to the largest eigenvalue.
+    One np.linalg.eigh serves a single matrix or a (R, n, n) stack; a tie in
+    magnitude goes to the largest eigenvalue.
     """
     w, v = np.linalg.eigh(_validate_hermitian(h))
-    if abs(w[-1]) >= abs(w[0]):
-        return float(w[-1]), v[:, -1]
-    return float(w[0]), v[:, 0]
+    top = np.abs(w[..., -1]) >= np.abs(w[..., 0])
+    return np.where(top, w[..., -1], w[..., 0]), np.where(top[..., None], v[..., -1], v[..., 0])
 
 
-def _effective_pair(
-    layout: np.ndarray, stacks: list[np.ndarray], j: int, psi: np.ndarray
-) -> np.ndarray:
-    """F_{j,0}, F_{j,1}: Tr(A F_{j,x}) is the part of <psi|B|psi> linear in A_{j,x}.
+def _effective_pair(layout: np.ndarray, stacks: list, j: int, states: np.ndarray) -> np.ndarray:
+    """(R, 2, 2, 2) F_{j,x}: Tr(A F_{j,x}) is the part of <psi|B|psi> linear in A_{j,x}.
 
     layout is the coefficient tensor with slot j moved last and its "_"
-    entry dropped.  One contraction over every party but j gives D_{j,x}, the
-    terms with party j at setting x and an identity in slot j; then
-    F_{j,x}[p, q] = <psi_q|D_{j,x}|psi_p> with psi_p the state at slot j = p.
-    Neither depends on party j's own observables.
+    entry dropped; states holds one state per restart.  One contraction over
+    every party but j gives D_{j,x}, the terms with party j at setting x and
+    an identity in slot j; then F_{j,x}[p, q] = <psi_q|D_{j,x}|psi_p> with
+    psi_p the state at slot j = p.  Neither depends on party j's own
+    observables.
     """
     d = _contract(layout, stacks[:j] + stacks[j + 1:])
-    slices = psi.reshape(2 ** j, 2, -1).swapaxes(1, 2).reshape(-1, 2)
-    g = slices.conj().T @ d @ slices  # g[x, q, p] = F_{j,x}[p, q]
-    return (g.swapaxes(1, 2) + g.conj()) / 2.0
+    slices = states.reshape(len(states), 2 ** j, 2, -1).swapaxes(2, 3).reshape(len(states), -1, 2)
+    g = slices.conj().swapaxes(1, 2)[:, None] @ d @ slices[:, None]  # g[r, x, q, p] = F[p, q]
+    return (g.swapaxes(-1, -2) + g.conj()) / 2.0
 
 
 def _optimal_observable(f: list, axis: tuple) -> tuple:
@@ -326,6 +352,17 @@ def _stop_label(values: list[float]) -> str:
     return "stalled" if r >= 1.0 or last * r / (1.0 - r) > _TOL else "converged"
 
 
+def _bounded(values: list[float], c1: float) -> bool:
+    """Stop as "bounded": after _BOUNDED_AFTER sweeps or more, the last three
+    gains are positive, their ratios r0 then r agree to within 0.1 r0 with
+    r < 1, and the geometric limit v + last * r / (1 - r) is <= c1 + _TOL."""
+    if len(values) <= _BOUNDED_AFTER or not values[-1] > values[-2] > values[-3] > values[-4]:
+        return False
+    last, middle = values[-1] - values[-2], values[-2] - values[-3]
+    r0, r = middle / (values[-3] - values[-4]), last / middle
+    return r < 1.0 and abs(r - r0) <= 0.1 * r0 and values[-1] + last * r / (1.0 - r) <= c1 + _TOL
+
+
 class _Run(NamedTuple):
     value: float
     witness: ObservableAssignment
@@ -334,62 +371,83 @@ class _Run(NamedTuple):
     stop_reason: str
 
 
-def _seesaw_run(
-    expr: BellExpression,
-    initial: ObservableAssignment,
-    fixed_state: Optional[np.ndarray] = None,
-) -> _Run:
-    """Coordinate-ascent sweeps from one starting assignment.
+def _objective(expr, coeffs, stacks, psi) -> tuple[list, np.ndarray]:
+    """Each restart's signed objective and state: the extreme eigenpair, or <psi|B|psi>."""
+    ops = _bell_matrix(expr, coeffs, stacks)
+    if psi is None:
+        signed, states = _dominant_eig(ops)
+        return signed.tolist(), states
+    applied = _validate_hermitian(ops) @ psi
+    return [float(np.vdot(psi, row).real) for row in applied], np.broadcast_to(psi, applied.shape)
+
+
+def _seesaw_runs(
+    expr: BellExpression, starts: Iterable, c1: float, fixed_state: Optional[np.ndarray] = None
+) -> Iterator[tuple[int, _Run]]:
+    """(index, run) for every starting assignment, in the order restarts stop.
 
     With fixed_state the objective is |<psi|B|psi>| for that state, which is
     also the returned state; otherwise the state is refreshed each sweep to
     the extreme eigenvector of the current operator and the objective is the
-    spectral radius.  Sweeps stop once one gains less than _TOL, or after
-    _MAX_SWEEPS of them; both are read at call time.
+    spectral radius.  c1 is the classical bound that "bounded" compares
+    with; _MAX_SWEEPS and _GROUP_BYTES are read at call time.
     """
     m = expr.parties
+    psi = None if fixed_state is None else np.asarray(fixed_state, dtype=complex).reshape(-1)
+    if psi is not None and psi.shape[0] != 2 ** m:
+        raise ValueError(f"state must have dimension 2^{m}")
     coeffs = _coefficient_tensor(expr)
     layouts = [np.ascontiguousarray(np.moveaxis(coeffs, j, -1)[..., 1:]) for j in range(m)]
-    obs = [[(o.axis, o.eig_plus, o.eig_minus) for o in pair] for pair in initial.observables]
-    stacks = [_stack(pair) for pair in obs]
+    size = max(1, _GROUP_BYTES // (_RESTART_MATRICES * 16 * 4 ** m))
+    starts, offset = iter(starts), 0
+    while group := [_triples(start) for start in itertools.islice(starts, size)]:
+        yield from _advance(expr, coeffs, layouts, group, offset, c1, psi)
+        offset += len(group)
 
-    if fixed_state is not None:
-        state = np.asarray(fixed_state, dtype=complex).reshape(-1)
-        if state.shape[0] != 2 ** m:
-            raise ValueError(f"state must have dimension 2^{m}")
-        signed = float(np.vdot(state, _bell_matrix(expr, coeffs, stacks) @ state).real)
-    else:
-        signed, state = _dominant_eig(_bell_matrix(expr, coeffs, stacks))
-    value = abs(signed)
-    sign = _sign(signed)
-    sweep_values = [value]
-    stop_reason = "max_sweeps"
+
+def _advance(expr, coeffs, layouts, obs, offset, c1, psi) -> Iterator[tuple[int, _Run]]:
+    """Sweeps of one group, obs[r] being restart offset + r's observables, as stacks."""
+    m = expr.parties
+    active = list(range(len(obs)))
+    stacks = [_stacks([pairs[j] for pairs in obs]) for j in range(m)]
+    signed, states = _objective(expr, coeffs, stacks, psi)
+    values = [[abs(s)] for s in signed]
+
+    def stopped(i: int, reason: str) -> tuple[int, _Run]:
+        witness = tuple(tuple(QubitObservable(*o) for o in pair) for pair in obs[active[i]])
+        state = states[i] if psi is None else psi
+        return offset + active[i], _Run(
+            values[i][-1], ObservableAssignment(witness), state, tuple(values[i]), reason
+        )
 
     for _ in range(_MAX_SWEEPS):
+        sign = np.array([_sign(s) for s in signed])[:, None, None, None]
         for j in range(m):
-            f = (sign * _effective_pair(layouts[j], stacks, j, state)).tolist()
-            obs[j] = [_optimal_observable(f[x], obs[j][x][0]) for x in (0, 1)]
-            stacks[j] = _stack(obs[j])
-        op = _bell_matrix(expr, coeffs, stacks)
-        if fixed_state is not None:
-            signed = float(np.vdot(state, op @ state).real)
-        else:
-            signed, state = _dominant_eig(op)
-        new_value = abs(signed)
-        if new_value < value - 1e-9 * max(1.0, value):
-            raise RuntimeError(
-                "see-saw objective decreased; eigensolver or update fault"
-            )
-        sign = _sign(signed)
-        sweep_values.append(new_value)
-        improvement = new_value - value
-        value = new_value
-        if improvement < _TOL:
-            stop_reason = _stop_label(sweep_values)
-            break
-
-    witness = tuple(tuple(QubitObservable(*o) for o in pair) for pair in obs)
-    return _Run(value, ObservableAssignment(witness), state, tuple(sweep_values), stop_reason)
+            f = (sign * _effective_pair(layouts[j], stacks, j, states)).tolist()
+            for i, r in enumerate(active):
+                obs[r][j] = [_optimal_observable(f[i][x], obs[r][j][x][0]) for x in (0, 1)]
+            stacks[j] = _stacks([obs[r][j] for r in active])
+        signed, states = _objective(expr, coeffs, stacks, psi)
+        keep = []
+        for i, s in enumerate(signed):
+            value = values[i][-1]
+            values[i].append(abs(s))
+            if abs(s) < value - 1e-9 * max(1.0, value):
+                raise RuntimeError("see-saw objective decreased; eigensolver or update fault")
+            if abs(s) - value < _TOL:
+                yield stopped(i, _stop_label(values[i]))
+            elif _bounded(values[i], c1):
+                yield stopped(i, "bounded")
+            else:
+                keep.append(i)
+        if not keep:
+            return
+        if len(keep) < len(active):  # the stopped restarts leave the stack
+            stacks, states = [s[keep] for s in stacks], states[keep]
+            signed, values = [signed[i] for i in keep], [values[i] for i in keep]
+            active = [active[i] for i in keep]
+    for i in range(len(active)):
+        yield stopped(i, "max_sweeps")
 
 
 def _random_assignment(parties: int, rng: np.random.Generator) -> ObservableAssignment:
@@ -406,26 +464,19 @@ def _random_assignment(parties: int, rng: np.random.Generator) -> ObservableAssi
     return ObservableAssignment(tuple(pairs))
 
 
-def _witness_assignment(expr: BellExpression) -> ObservableAssignment:
-    """Commuting warm start: the best deterministic strategy as identity multiples.
-
-    Its operator is (strategy value) times identity, so the first sweep already
-    attains the classical bound and ascent can only improve on it.
-    """
-    strategy = lhv_bound(expr).witness
+def _witness_assignment(expr: BellExpression) -> tuple[ObservableAssignment, float]:
+    """The commuting warm start, the best deterministic strategy as identity
+    multiples, whose operator is c1 times identity, and the classical bound c1."""
+    outcome = lhv_bound(expr)
     pairs = tuple(
         (QubitObservable.constant(float(a0)), QubitObservable.constant(float(a1)))
-        for a0, a1 in strategy.assignments
+        for a0, a1 in outcome.witness.assignments
     )
-    return ObservableAssignment(pairs)
+    return ObservableAssignment(pairs), outcome.value
 
 
 def _best_of_restarts(
-    expr: BellExpression,
-    restarts: int,
-    seed: int,
-    threads: Optional[int],
-    fixed_state: Optional[np.ndarray] = None,
+    expr: BellExpression, restarts: int, seed: int, fixed_state: Optional[np.ndarray] = None
 ) -> SeesawResult:
     """The restart loop shared by seesaw_lower and seesaw_fixed_state."""
     if len(expr) == 0:
@@ -434,54 +485,40 @@ def _best_of_restarts(
         raise ValueError("restarts must be at least 1")
     check_cap(_OPERATOR, expr.parties, MAX_PARTIES)
 
-    starts = [
-        _random_assignment(expr.parties, np.random.default_rng([seed, r]))
-        for r in range(restarts)
-    ]
-    starts.append(_witness_assignment(expr))
-    sweep_from = partial(_seesaw_run, expr, fixed_state=fixed_state)
-    runs = ordered_map(sweep_from, starts, threads)
-    # max() keeps the first of equal values, which is the lowest index
-    best = max(range(len(runs)), key=lambda idx: runs[idx].value)
-    return SeesawResult(
-        value=runs[best].value,
-        witness=runs[best].witness,
-        state=runs[best].state,
-        sweep_values=runs[best].sweep_values,
-        restart_index=best,
-        stop_reasons=tuple(run.stop_reason for run in runs),
-    )
+    warm, c1 = _witness_assignment(expr)
+    randoms = (_random_assignment(expr.parties, np.random.default_rng([seed, r]))
+               for r in range(restarts))
+    ends, best = {}, None
+    for idx, run in _seesaw_runs(expr, itertools.chain(randoms, [warm]), c1, fixed_state):
+        ends[idx] = run.stop_reason, len(run.sweep_values) - 1
+        # ties go to the lowest index, whatever order the restarts stop in
+        if best is None or (run.value, -idx) > (best[1].value, -best[0]):
+            best = idx, run
+    reasons, sweeps = zip(*(ends[idx] for idx in range(restarts + 1)))
+    idx, run = best
+    return SeesawResult(run.value, run.witness, run.state, run.sweep_values, idx, reasons, sweeps)
 
 
 def seesaw_lower(
-    expr: BellExpression,
-    restarts: int = DEFAULT_RESTARTS,
-    seed: int = 0,
-    *,
-    threads: Optional[int] = None,
+    expr: BellExpression, restarts: int = DEFAULT_RESTARTS, seed: int = 0
 ) -> SeesawResult:
     """Best see-saw value over seeded random restarts plus a classical warm start.
 
     Restart r draws its starting axes from a substream keyed by (seed, r), so
-    results do not depend on worker count or execution order; ties go to the
-    lowest restart index.  The warm start runs last and guarantees
+    results do not depend on how restarts are grouped; ties go to the lowest
+    restart index.  The warm start runs last and guarantees
     value >= classical bound.  The state is the extreme eigenvector of the
     best restart's final operator.
     """
-    return _best_of_restarts(expr, restarts, seed, threads)
+    return _best_of_restarts(expr, restarts, seed)
 
 
 def seesaw_fixed_state(
-    expr: BellExpression,
-    state: np.ndarray,
-    restarts: int = DEFAULT_RESTARTS,
-    seed: int = 0,
-    *,
-    threads: Optional[int] = None,
+    expr: BellExpression, state: np.ndarray, restarts: int = DEFAULT_RESTARTS, seed: int = 0
 ) -> SeesawResult:
     """Best |<psi|B|psi>| over assignments for a fixed pure state.
 
     Same restart discipline as seesaw_lower; the warm start pins the result at
     or above the classical bound for any state.
     """
-    return _best_of_restarts(expr, restarts, seed, threads, fixed_state=state)
+    return _best_of_restarts(expr, restarts, seed, fixed_state=state)

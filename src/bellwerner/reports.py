@@ -3,7 +3,8 @@
 A Report is a plain-data record of one CLI invocation: command name, package
 version, seed, UTC timestamp, an echo of the inputs, a results mapping, and
 a list of named warnings.  Everything stored is JSON-plain (str, int, float,
-bool, None, list, dict), so serialize/parse round-trips exactly.
+bool, None, list, dict), so a serialized report round-trips through JSON
+exactly.
 
 Floats are rounded to 12 significant digits when the report is built, not at
 render time, so every output format and the machine-readable form agree.
@@ -24,7 +25,6 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from . import __version__
-from .errors import ParseError
 
 
 def clean_value(value):
@@ -97,31 +97,6 @@ def serialize_report(report: Report) -> str:
         "warnings": report.warnings,
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def parse_report(text: str) -> Report:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid report JSON: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("report must be a JSON object")
-    missing = {"command", "version", "seed", "timestamp", "inputs", "results", "warnings"} - set(doc)
-    if missing:
-        raise ParseError(f"report is missing fields: {sorted(missing)}")
-    if not isinstance(doc["inputs"], dict) or not isinstance(doc["results"], dict):
-        raise ParseError("report fields 'inputs' and 'results' must be objects")
-    if not isinstance(doc["warnings"], list):
-        raise ParseError("report field 'warnings' must be an array")
-    return Report(
-        command=str(doc["command"]),
-        version=str(doc["version"]),
-        seed=doc["seed"],
-        timestamp=str(doc["timestamp"]),
-        inputs=doc["inputs"],
-        results=doc["results"],
-        warnings=doc["warnings"],
-    )
 
 
 def _fmt(value) -> str:

@@ -482,7 +482,6 @@ def detect_visibility(
     seed: int = 0,
     *,
     restarts: int = DEFAULT_RESTARTS,
-    threads: Optional[int] = None,
 ) -> Optional[float]:
     """Empirical visibility at which the Werner family starts violating expr.
 
@@ -499,7 +498,7 @@ def detect_visibility(
     check_cap(_OPERATOR, expr.parties, MAX_PARTIES)
     psi = family.state_vector()
     c1 = lhv_bound(expr).value
-    result = seesaw_fixed_state(expr, psi, restarts=restarts, seed=seed, threads=threads)
+    result = seesaw_fixed_state(expr, psi, restarts=restarts, seed=seed)
     operator = bell_operator(expr, result.witness)
     mixed_value = float(np.trace(operator).real) / psi.shape[0]
     pure_value = float(np.vdot(psi, operator @ psi).real)

@@ -1,6 +1,7 @@
 """Shared test utilities: seeded random expressions and independent bounds."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from bellwerner.fileio import _require_dict, _require_parties
 from bellwerner.gamma import _BLOCK_EPS
 from bellwerner.classical import MAX_PARTIES
 from bellwerner.quantum import _OPERATOR, _dominant_eig
+from bellwerner.reports import Report
 from bellwerner.werner import _MC_CHUNK
 
 _MIN_NORM = 1e-12  # sample_vector redraws below this norm
@@ -177,7 +179,7 @@ def gamma_for(expr, i):
 def max_abs_eigenvalue(matrix):
     """Spectral radius of a Hermitian matrix from a dense eigensolve."""
     value, _ = _dominant_eig(matrix)
-    return abs(value)
+    return abs(float(value))
 
 
 def werner_density(family, v):
@@ -352,12 +354,40 @@ def stop_label_reference(values):
     return "stalled" if stalled else "converged"
 
 
-def seesaw_run_reference(expr, initial, fixed_state=None):
-    """One see-saw restart as the sweep first ran it.
+def bounded_reference(values, c1):
+    """Whether a restart that gained at least the tolerance cannot beat c1.
+
+    After 10 sweeps or more, the last three gains g1, g2, g3 are positive,
+    the ratios r0 = g2 / g1 and r = g3 / g2 agree within 10% of r0 with
+    r < 1, and the geometric limit v + g3 * r / (1 - r) is at most c1 + tol.
+    """
+    gains = [b - a for a, b in zip(values, values[1:])]
+    if len(gains) < 10 or not all(g > 0 for g in gains[-3:]):
+        return False
+    g1, g2, g3 = gains[-3:]
+    r0, r = g2 / g1, g3 / g2
+    if not (r < 1.0 and abs(r - r0) <= 0.1 * r0):
+        return False
+    return values[-1] + g3 * r / (1.0 - r) <= c1 + quantum._TOL
+
+
+def dominant_eig_reference(h):
+    """The signed eigenvalue of largest magnitude of one matrix, ties to the largest."""
+    w, v = np.linalg.eigh(h)
+    if abs(w[-1]) >= abs(w[0]):
+        return float(w[-1]), v[:, -1]
+    return float(w[0]), v[:, 0]
+
+
+def seesaw_run_reference(expr, initial, c1, fixed_state=None):
+    """One see-saw restart as the sweep first ran it, alone.
 
     Contraction by np.tensordot, each party's coefficient layout rebuilt in
-    every sweep, and a QubitObservable built for every update; the stop
-    label follows stop_label_reference.  Returns a quantum._Run.
+    every sweep, one eigensolve per matrix and a QubitObservable built for
+    every update; after a sweep that gains less than the tolerance the label
+    follows stop_label_reference, and otherwise the restart stops as
+    "bounded" once bounded_reference holds for the classical bound c1.
+    Returns a quantum._Run.
     """
     m = expr.parties
     coeffs = quantum._coefficient_tensor(expr)
@@ -368,7 +398,7 @@ def seesaw_run_reference(expr, initial, fixed_state=None):
         signed = float(np.vdot(psi, bell_matrix_reference(expr, coeffs, stacks) @ psi).real)
         state = psi
     else:
-        signed, state = _dominant_eig(bell_matrix_reference(expr, coeffs, stacks))
+        signed, state = dominant_eig_reference(bell_matrix_reference(expr, coeffs, stacks))
     value = abs(signed)
     sign = quantum._sign(signed)
     sweep_values = [value]
@@ -383,7 +413,7 @@ def seesaw_run_reference(expr, initial, fixed_state=None):
         if fixed_state is not None:
             signed = float(np.vdot(psi, op @ psi).real)
         else:
-            signed, state = _dominant_eig(op)
+            signed, state = dominant_eig_reference(op)
         new_value = abs(signed)
         if new_value < value - 1e-9 * max(1.0, value):
             raise RuntimeError("see-saw objective decreased; eigensolver or update fault")
@@ -393,6 +423,9 @@ def seesaw_run_reference(expr, initial, fixed_state=None):
         value = new_value
         if improvement < quantum._TOL:
             stop_reason = stop_label_reference(sweep_values)
+            break
+        if bounded_reference(sweep_values, c1):
+            stop_reason = "bounded"
             break
     witness = ObservableAssignment(tuple((pair[0], pair[1]) for pair in obs))
     return quantum._Run(value, witness, state, tuple(sweep_values), stop_reason)
@@ -598,3 +631,29 @@ def expression_from_document_loop(doc):
         return _from_lists(parties, patterns, coeffs)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def parse_report(text):
+    """The Report of a structured (JSON) rendering; ParseError if malformed."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid report JSON: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("report must be a JSON object")
+    missing = {"command", "version", "seed", "timestamp", "inputs", "results", "warnings"} - set(doc)
+    if missing:
+        raise ParseError(f"report is missing fields: {sorted(missing)}")
+    if not isinstance(doc["inputs"], dict) or not isinstance(doc["results"], dict):
+        raise ParseError("report fields 'inputs' and 'results' must be objects")
+    if not isinstance(doc["warnings"], list):
+        raise ParseError("report field 'warnings' must be an array")
+    return Report(
+        command=str(doc["command"]),
+        version=str(doc["version"]),
+        seed=doc["seed"],
+        timestamp=str(doc["timestamp"]),
+        inputs=doc["inputs"],
+        results=doc["results"],
+        warnings=doc["warnings"],
+    )

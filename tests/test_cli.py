@@ -1,15 +1,17 @@
+import inspect
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from bellwerner import builtin, new_expression
-from bellwerner import cli, quantum
+from bellwerner import cli, quantum, werner
 from bellwerner.cli import main
 from bellwerner.fileio import save_expression, save_state
-from bellwerner.reports import parse_report
 from bellwerner.werner import PureFamily, ghz_amplitudes
+from helpers import parse_report
 
 
 @pytest.fixture
@@ -308,6 +310,58 @@ def test_internal_fault_exit_code(capsys, monkeypatch, chsh_file):
     assert err == "error: see-saw objective decreased; eigensolver or update fault\n"
 
 
+@pytest.fixture
+def overflow_file(tmp_path):
+    path = tmp_path / "overflow.json"
+    terms = [{"pattern": p, "coeff": 1e308} for p in ("00", "11")]
+    path.write_text(json.dumps({"parties": 2, "terms": terms}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds", "FILE"], ["bounds", "FILE", "--seesaw"],
+     ["werner", "ghz", "--m", "2", "--theta", "0.6", "--expr", "FILE"]],
+    ids=["bounds", "bounds seesaw", "werner ghz"],
+)
+def test_overflowing_coefficient_sum_is_an_input_error(capsys, overflow_file, argv):
+    argv = [overflow_file if a == "FILE" else a for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == "" and caught == []
+    assert err == (
+        "error: expression document: the sum of |coeff| "
+        "overflows the float range\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds", "FILE", "--seesaw"],
+     ["werner", "ghz", "--m", "2", "--theta", "0.6", "--expr", "FILE"]],
+    ids=["bounds seesaw", "werner ghz"],
+)
+def test_nonfinite_operator_in_a_sweep_is_an_error(capsys, monkeypatch, chsh_file, argv):
+    calls = []
+    bell_matrix = quantum._bell_matrix
+
+    def poisoned(*args):
+        calls.append(None)
+        ops = bell_matrix(*args)
+        if len(calls) == 3:  # the second sweep
+            ops[-1, 0, 0] = np.nan
+        return ops
+
+    monkeypatch.setattr(quantum, "_bell_matrix", poisoned)
+    argv = [chsh_file if a == "FILE" else a for a in argv]
+    code, out, err = _run(capsys, argv + ["--restarts", "2"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: matrix has non-finite entries\n"
+
+
 def test_seed_reproducibility_across_threads(capsys):
     def run(threads):
         rep = _structured(
@@ -374,6 +428,21 @@ _EVERY_COMMAND = [
     ["gamma", "--m", "2"],
     ["examples"],
 ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [a for a in _EVERY_COMMAND if a[0] in ("bounds", "werner", "examples")],
+    ids=lambda a: " ".join(a[:2]),
+)
+def test_seesaw_commands_take_no_thread_count(capsys, argv):
+    # the see-saw runs its restarts as stacks, with no worker pool to size
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    for fn in (quantum.seesaw_lower, quantum.seesaw_fixed_state, werner.detect_visibility):
+        assert "threads" not in inspect.signature(fn).parameters
 
 
 @pytest.mark.parametrize(

@@ -77,6 +77,16 @@ def test_expression_parse_error_nonfinite():
         )
 
 
+@pytest.mark.parametrize("patterns", [("00", "11"), ("00", "00")], ids=["distinct", "merged"])
+def test_expression_coefficient_sum_must_be_finite(patterns):
+    # each coefficient is finite, but their sum of magnitudes is not
+    doc = {"parties": 2, "terms": [{"pattern": p, "coeff": 1e308} for p in patterns]}
+    with pytest.raises(ParseError, match=r"sum of \|coeff\|"):
+        expression_from_document(doc)
+    half = {"parties": 2, "terms": [{"pattern": p, "coeff": 5e307} for p in patterns]}
+    assert len(expression_from_document(half)) == len(set(patterns))
+
+
 _BAD_ENTRIES = [
     ["00", 1.0],
     None,

@@ -22,6 +22,7 @@ from bellwerner.quantum import _coefficient_tensor, seesaw_fixed_state
 from helpers import effective_pair_reference as _effective_pair
 from helpers import stack_reference as _stack
 from helpers import (
+    bounded_reference,
     equatorial_lower,
     kron_bell_operator,
     kron_effective_operator,
@@ -61,6 +62,32 @@ def test_eigensolver_validates_input():
         max_abs_eigenvalue(np.ones((2, 3)))
     with pytest.raises(ValueError):
         max_abs_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_eigensolver_rejects_nonfinite_entries(bad):
+    one = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        quantum._dominant_eig(one)
+    stack = np.array([np.eye(2), one, np.eye(2)])  # one bad matrix in a stack
+    with pytest.raises(ValueError, match="non-finite"):
+        quantum._dominant_eig(stack)
+    with pytest.raises(ValueError, match="non-finite"):
+        quantum._validate_hermitian(stack)
+
+
+def test_eigensolver_stack_matches_single_calls():
+    rng = np.random.default_rng(30)
+    for n in (2, 4, 16, 128):
+        stack = np.array([_random_hermitian(rng, n) for _ in range(5)])
+        values, vectors = quantum._dominant_eig(stack)
+        for h, value, vector in zip(stack, values, vectors):
+            single_value, single_vector = quantum._dominant_eig(h)
+            assert value == single_value
+            assert np.array_equal(vector, single_vector)
+    skewed = np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        quantum._dominant_eig(skewed)
 
 
 def test_observable_validation():
@@ -232,11 +259,12 @@ def test_seesaw_scaling_equivariance():
 
 def test_seesaw_thread_determinism():
     expr = builtin("MERMIN")
-    serial = seesaw_lower(expr, restarts=6, seed=11, threads=1)
-    pooled = seesaw_lower(expr, restarts=6, seed=11, threads=3)
-    assert serial.value == pooled.value
-    assert serial.restart_index == pooled.restart_index
-    assert serial.sweep_values == pooled.sweep_values
+    first = seesaw_lower(expr, restarts=6, seed=11)
+    rerun = seesaw_lower(expr, restarts=6, seed=11)
+    assert first.value == rerun.value
+    assert first.restart_index == rerun.restart_index
+    assert first.sweep_values == rerun.sweep_values
+    assert np.array_equal(first.state, rerun.state)
 
 
 def test_seesaw_validation():
@@ -292,11 +320,16 @@ def test_seesaw_known_optima(name, optimum):
 def test_seesaw_stop_reasons(monkeypatch):
     converged = seesaw_lower(builtin("CHSH"), restarts=3)
     assert converged.stop_reasons == ("converged",) * 4
+    assert len(converged.sweeps) == 4
+    assert converged.sweeps[converged.restart_index] == len(converged.sweep_values) - 1
     for name in ("MERMIN(3)", "MERMIN(5)"):
         assert set(seesaw_lower(builtin(name), restarts=20).stop_reasons) == {"converged"}
-    # CH creeps about 1e-9 per sweep towards its optimum on most restarts
-    creeping = seesaw_lower(builtin("CH"), restarts=20, seed=0).stop_reasons
-    assert creeping.count("stalled") == 12 and creeping.count("converged") == 9
+    # CH creeps about 1e-9 per sweep towards its classical bound on most
+    # restarts; the geometric limit shows early that they cannot beat it
+    creeping = seesaw_lower(builtin("CH"), restarts=20, seed=0)
+    assert creeping.stop_reasons.count("bounded") == 12
+    assert creeping.stop_reasons.count("converged") == 9
+    assert sum(creeping.sweeps) <= 200
     monkeypatch.setattr(quantum, "_MAX_SWEEPS", 1)
     capped = seesaw_lower(builtin("MERMIN"), restarts=3)
     assert len(capped.stop_reasons) == 4
@@ -321,6 +354,47 @@ def test_stop_label(values, label):
     assert quantum._stop_label(values) == label
 
 
+_CREEP = [0.5] * 7  # six sweeps that gained nothing, then a tail of four values
+_TAIL = [0.75, 0.875, 0.9375, 0.96875]  # gains 1/8, 1/16, 1/32: r = 0.5, limit 1.0
+
+
+def _limit_at_c1_plus_tol(values):
+    """A c1 with c1 + _TOL equal, float for float, to the geometric limit of values."""
+    last, middle = values[-1] - values[-2], values[-2] - values[-3]
+    r = last / middle
+    limit = values[-1] + last * r / (1.0 - r)
+    c1 = limit - quantum._TOL
+    while c1 + quantum._TOL > limit:
+        c1 = np.nextafter(c1, -math.inf)
+    while c1 + quantum._TOL < limit:
+        c1 = np.nextafter(c1, math.inf)
+    assert c1 + quantum._TOL == limit
+    return float(c1)
+
+
+@pytest.mark.parametrize(
+    "values, c1, bounded",
+    [
+        (_CREEP + _TAIL, 1.0, True),  # 10 sweeps, limit exactly 1.0
+        (_CREEP[1:] + _TAIL, 1.0, False),  # 9 sweeps
+        (_CREEP + _TAIL, 1.0 - 2e-9, False),  # limit above c1 + _TOL
+        (_CREEP + _TAIL, None, True),  # limit exactly at c1 + _TOL
+        (_CREEP + _TAIL[:3] + [0.9375 + 0.54 / 16], 2.0, True),  # r = 0.54, r0 = 0.5
+        (_CREEP + _TAIL[:3] + [0.9375 + 0.56 / 16], 2.0, False),  # 12% apart
+        (_CREEP + _TAIL[:3] + [0.9375 + 0.455 / 16], 2.0, True),  # 9% below r0
+        (_CREEP + _TAIL[:3] + [0.9375 + 0.44 / 16], 2.0, False),  # 12% below r0
+        (_CREEP + [0.5, 0.625, 0.75, 0.875], 5.0, False),  # r = 1
+        (_CREEP + [0.5, 0.53125, 0.59375, 0.71875], 5.0, False),  # r = 2
+        (_CREEP + [0.75, 0.875, 0.875, 0.9], 5.0, False),  # a zero gain
+    ],
+)
+def test_bounded_stop(values, c1, bounded):
+    if c1 is None:
+        c1 = _limit_at_c1_plus_tol(values)
+    assert quantum._bounded(values, c1) == bounded
+    assert bounded_reference(values, c1) == bounded
+
+
 def _reference_cases():
     rng = np.random.default_rng(38)
     for name in ("CHSH", "CH", "MERMIN(3)", "MERMIN(5)", "MERMIN(7)"):
@@ -331,7 +405,7 @@ def _reference_cases():
 
 
 @pytest.mark.parametrize("fixed", [False, True], ids=["lower", "fixed_state"])
-def test_seesaw_run_matches_reference(fixed):
+def test_seesaw_run_matches_reference(fixed, monkeypatch):
     rng = np.random.default_rng(39)
     for expr in _reference_cases():
         m = expr.parties
@@ -339,18 +413,49 @@ def test_seesaw_run_matches_reference(fixed):
         if fixed:
             psi = rng.standard_normal(2 ** m) + 1j * rng.standard_normal(2 ** m)
             psi /= np.linalg.norm(psi)
+        warm, c1 = quantum._witness_assignment(expr)
         starts = [
             quantum._random_assignment(m, np.random.default_rng([int(rng.integers(100)), 0])),
-            quantum._witness_assignment(expr),
+            warm,
         ]
-        for start in starts:
-            got = quantum._seesaw_run(expr, start, fixed_state=psi)
-            ref = seesaw_run_reference(expr, start, fixed_state=psi)
-            assert got.value == ref.value
-            assert got.sweep_values == ref.sweep_values
-            assert np.array_equal(got.state, ref.state)
-            assert got.witness == ref.witness  # axes and eigenvalues, float by float
-            assert got.stop_reason == ref.stop_reason
+        refs = [seesaw_run_reference(expr, start, c1, fixed_state=psi) for start in starts]
+        # one stack of both restarts, then one group per restart
+        for budget in (quantum._GROUP_BYTES, quantum._RESTART_MATRICES * 16 * 4 ** m):
+            monkeypatch.setattr(quantum, "_GROUP_BYTES", budget)
+            runs = dict(quantum._seesaw_runs(expr, iter(starts), c1, fixed_state=psi))
+            assert sorted(runs) == [0, 1]
+            for idx, ref in enumerate(refs):
+                got = runs[idx]
+                assert got.value == ref.value
+                assert got.sweep_values == ref.sweep_values
+                assert np.array_equal(got.state, ref.state)
+                assert got.witness == ref.witness  # axes and eigenvalues, float by float
+                assert got.stop_reason == ref.stop_reason
+
+
+def test_restarts_are_drawn_one_group_at_a_time(monkeypatch):
+    expr, m = builtin("CH"), 2
+    starts = [quantum._random_assignment(m, np.random.default_rng([0, r])) for r in range(5)]
+    whole = dict(quantum._seesaw_runs(expr, starts, 4.0))
+    monkeypatch.setattr(quantum, "_GROUP_BYTES", 2 * quantum._RESTART_MATRICES * 16 * 4 ** m)
+    drawn = []
+
+    def draw():
+        for r, start in enumerate(starts):
+            drawn.append(r)
+            yield start
+
+    runs = quantum._seesaw_runs(expr, draw(), 4.0)
+    first = next(runs)
+    assert first[0] in (0, 1) and drawn == [0, 1]  # the second group is not drawn yet
+    grouped = dict([first, *runs])
+    assert drawn == list(range(5)) and sorted(grouped) == list(range(5))
+    for idx, run in whole.items():  # groups of two, two and one: the same runs
+        assert grouped[idx].value == run.value
+        assert grouped[idx].sweep_values == run.sweep_values
+        assert np.array_equal(grouped[idx].state, run.state)
+        assert grouped[idx].witness == run.witness
+        assert grouped[idx].stop_reason == run.stop_reason
 
 
 def test_nonfinite_update_raises_in_its_sweep(monkeypatch):

@@ -9,12 +9,12 @@ from bellwerner.reports import (
     Report,
     clean_value,
     new_report,
-    parse_report,
     render,
     render_csv,
     render_markdown,
     serialize_report,
 )
+from helpers import parse_report
 
 
 def test_clean_value_significant_digits():
