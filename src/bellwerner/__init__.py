@@ -48,7 +48,6 @@ from .werner import (
     measure_lower_bound,
     measure_monte_carlo,
     necessary_check_first_failure,
-    separability_necessary_check,
     separability_upper_bound,
     undetectable_measure_condition,
     undetectable_range_general,
@@ -103,7 +102,6 @@ __all__ = [
     "necessary_check_first_failure",
     "new_expression",
     "seesaw_lower",
-    "separability_necessary_check",
     "separability_upper_bound",
     "strategy_matrix",
     "undetectable_measure_condition",

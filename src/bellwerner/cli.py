@@ -22,15 +22,22 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 from . import __version__
-from .classical import closed_form_classical, lhv_bound
+from .classical import ClassicalBoundResult, closed_form_classical, lhv_bound
 from .errors import CapExceeded, ParseError, check_cap
 from .expressions import BellExpression, block, builtin, is_homogeneous
 from .fileio import load_expression, load_state
 from .gamma import GammaScanConfig, gamma_scan
-from .quantum import analytic_quantum_upper, composite_ratio_upper, seesaw_lower
+from .quantum import (
+    AnalyticUppers,
+    SeesawResult,
+    analytic_quantum_upper,
+    composite_ratio_upper,
+    seesaw_lower,
+)
 from .reports import Report, new_report, render
 from .werner import (
     GhzFamily,
@@ -75,43 +82,60 @@ _CLOSED_FORM_NOTE = (
 )
 
 
-def _sweep_cap_note(found) -> Optional[str]:
-    """The seesaw-sweep-cap warning text, or None if every restart converged."""
-    capped = found.stop_reasons.count("max_sweeps")
-    if not capped:
-        return None
-    return (
-        f"{capped} of {len(found.stop_reasons)} see-saw restarts stopped at the "
-        "sweep cap before converging; the lower bound may not be the best reachable"
-    )
+class _Analysis(NamedTuple):
+    """One expression's analysis, which `bounds` and `examples` lay out."""
+
+    outcome: ClassicalBoundResult
+    block_values: list  # block i's classical bound; 0.0 for an empty block
+    gammas: list  # total / block value; inf for an empty block
+    composite: float
+    closed_form: Optional[float]  # this and uppers only for full correlation
+    uppers: Optional[AnalyticUppers]
+    seesaw: Optional[SeesawResult]  # only when restarts were given
+    warnings: list  # (name, message) pairs
 
 
-def _block_rows(expr: BellExpression, total: float):
-    """Per-block classical values and ratios; empty blocks get gamma = inf.
+def _analyse(expr: BellExpression, *, seed, closed_form=False, restarts=None) -> _Analysis:
+    """The classical bound, block ratios, composite ratio and see-saw of expr.
 
     Block i is an expression over parties i..m, so its bound enumerates
     4^(m+1-i) strategies; the absent leading parties cannot change it.
+    The see-saw runs only when restarts is given.  closed_form=True makes a
+    partial-correlation expression a ValueError, raised before any see-saw.
     """
-    rows = []
-    gammas = []
+    outcome = lhv_bound(expr)
+    values = []
     for i in range(1, expr.parties + 1):
         part = block(expr, i)
-        if len(part) == 0:
-            rows.append([i, 0.0, math.inf])
-            gammas.append(math.inf)
-        else:
-            value = lhv_bound(part).value
-            gamma = total / value
-            rows.append([i, value, gamma])
-            gammas.append(gamma)
-    return rows, gammas
+        values.append(lhv_bound(part).value if len(part) else 0.0)
+    gammas = [outcome.value / v if v else math.inf for v in values]
+    composite = composite_ratio_upper(gammas)
+    warnings = []
+    cf = uppers = found = None
+    if is_homogeneous(expr):
+        cf = closed_form_classical(expr)
+        uppers = analytic_quantum_upper(expr)
+        if cf > outcome.value + 1e-9:
+            warnings.append(("closed-form-exceeds-enumeration", _CLOSED_FORM_NOTE))
+    elif closed_form:
+        raise ValueError("--closed-form requires a full-correlation expression")
+    if restarts is not None:
+        found = seesaw_lower(expr, restarts=restarts, seed=seed)
+        capped = found.stop_reasons.count("max_sweeps")
+        if capped:
+            note = (
+                f"{capped} of {len(found.stop_reasons)} see-saw restarts stopped at the "
+                "sweep cap before converging; the lower bound may not be the best reachable"
+            )
+            warnings.append(("seesaw-sweep-cap", note))
+    return _Analysis(outcome, values, gammas, composite, cf, uppers, found, warnings)
 
 
 def cmd_bounds(args) -> Report:
     expr = load_expression(args.expr_file)
-    outcome = lhv_bound(expr)
-    warnings = []
-
+    restarts = args.restarts if args.seesaw else None
+    a = _analyse(expr, closed_form=args.closed_form, restarts=restarts, seed=args.seed)
+    outcome = a.outcome
     results = {
         "parties": expr.parties,
         "terms": len(expr),
@@ -119,39 +143,24 @@ def cmd_bounds(args) -> Report:
         "witness_encoding": outcome.witness.encoding,
         "witness_assignments": [list(pair) for pair in outcome.witness.assignments],
         "achieved_sign": outcome.achieved_sign,
+        "composite_ratio_upper": a.composite,
+        "tables": [
+            {
+                "title": "Blocks",
+                "columns": ["i", "block_lhv", "gamma_i"],
+                "rows": [[i, *row] for i, row in enumerate(zip(a.block_values, a.gammas), 1)],
+            }
+        ],
+        "homogeneous": a.uppers is not None,
     }
-
-    block_rows, gammas = _block_rows(expr, outcome.value)
-    results["composite_ratio_upper"] = composite_ratio_upper(gammas)
-    results["tables"] = [
-        {
-            "title": "Blocks",
-            "columns": ["i", "block_lhv", "gamma_i"],
-            "rows": block_rows,
-        }
-    ]
-
-    homogeneous = is_homogeneous(expr)
-    results["homogeneous"] = homogeneous
-    if args.closed_form and not homogeneous:
-        raise ValueError("--closed-form requires a full-correlation expression")
-    if homogeneous:
-        cf = closed_form_classical(expr)
-        uppers = analytic_quantum_upper(expr)
-        results["closed_form"] = cf
-        results["analytic_upper"] = uppers.general
-        results["anticommuting_upper"] = uppers.anticommuting
-        if cf > outcome.value + 1e-9:
-            warnings.append(("closed-form-exceeds-enumeration", _CLOSED_FORM_NOTE))
-
-    if args.seesaw:
-        found = seesaw_lower(expr, restarts=args.restarts, seed=args.seed)
-        results["seesaw_lower"] = found.value
-        results["seesaw_sweeps"] = len(found.sweep_values) - 1
-        results["seesaw_restart_index"] = found.restart_index
-        note = _sweep_cap_note(found)
-        if note:
-            warnings.append(("seesaw-sweep-cap", note))
+    if a.uppers is not None:
+        results["closed_form"] = a.closed_form
+        results["analytic_upper"] = a.uppers.general
+        results["anticommuting_upper"] = a.uppers.anticommuting
+    if a.seesaw is not None:
+        results["seesaw_lower"] = a.seesaw.value
+        results["seesaw_sweeps"] = len(a.seesaw.sweep_values) - 1
+        results["seesaw_restart_index"] = a.seesaw.restart_index
 
     return new_report(
         "bounds",
@@ -163,7 +172,7 @@ def cmd_bounds(args) -> Report:
             "restarts": args.restarts,
         },
         results=results,
-        warnings=warnings,
+        warnings=a.warnings,
     )
 
 
@@ -393,36 +402,24 @@ def cmd_examples(args) -> Report:
     for name in _EXAMPLE_NAMES:
         expr = builtin(name)
         m = expr.parties
-        outcome = lhv_bound(expr)
-        homogeneous = is_homogeneous(expr)
-        cf = closed_form_classical(expr) if homogeneous else None
-        upper = analytic_quantum_upper(expr).general if homogeneous else None
-        found = seesaw_lower(expr, restarts=args.restarts, seed=args.seed)
-        note = _sweep_cap_note(found)
-        if note:
-            warnings.append(("seesaw-sweep-cap", f"{name}: {note}"))
-        _, gammas = _block_rows(expr, outcome.value)
-        composite = composite_ratio_upper(gammas)
+        a = _analyse(expr, restarts=args.restarts, seed=args.seed)
+        warnings.extend((kind, f"{name}: {note}") for kind, note in a.warnings)
         bound_rows.append(
             [
                 name,
                 m,
-                outcome.value,
-                "-" if cf is None else cf,
-                found.value,
-                "-" if upper is None else upper,
-                composite,
+                a.outcome.value,
+                "-" if a.closed_form is None else a.closed_form,
+                a.seesaw.value,
+                "-" if a.uppers is None else a.uppers.general,
+                a.composite,
             ]
         )
-        if cf is not None and cf > outcome.value + 1e-9:
-            warnings.append(
-                ("closed-form-exceeds-enumeration", f"{name}: {_CLOSED_FORM_NOTE}")
-            )
-        for i, g in enumerate(gammas, start=1):
+        for i, g in enumerate(a.gammas, start=1):
             ratio_rows.append([name, i, g])
 
-        condition = undetectable_measure_condition(m, gammas[: m - 1], composite)
-        window = undetectable_range_general(m, gammas[: m - 1])
+        condition = undetectable_measure_condition(m, a.gammas[: m - 1], a.composite)
+        window = undetectable_range_general(m, a.gammas[: m - 1])
         verdict_rows.append(
             [
                 name,
@@ -519,6 +516,7 @@ def _add_common(p, *, restarts=False) -> None:
     )
 
 
+@lru_cache(maxsize=None)  # built at the first main call, then shared by the later ones
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellwerner",
@@ -539,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seesaw", action="store_true", help="run the see-saw lower bound")
     _add_common(p, restarts=True)
-    p.set_defaults(handler=cmd_bounds)
 
     p = sub.add_parser("tables", help="reproduce the summary tables")
     p.add_argument(
@@ -557,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--force", action="store_true", help="allow table II above the default cap"
     )
     _add_common(p)
-    p.set_defaults(handler=cmd_tables)
 
     p = sub.add_parser("werner", help="Werner-state detectability analysis")
     fam = p.add_subparsers(dest="family", required=True)
@@ -566,38 +562,33 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--theta", type=float, required=True, help="angle in (0, pi/2)")
     g.add_argument("--expr", default=None, help="optional expression file to test against")
     _add_common(g, restarts=True)
-    g.set_defaults(handler=cmd_werner)
     q = fam.add_parser("pure", help="arbitrary pure state from a state file")
     q.add_argument("--state", required=True, help="state JSON file")
     q.add_argument("--expr", default=None, help="optional expression file to test against")
     _add_common(q, restarts=True)
-    q.set_defaults(handler=cmd_werner)
 
     p = sub.add_parser("measure", help="sampled share of states past the pair-weight mark")
     p.add_argument("--m", type=int, required=True, help="party count")
     p.add_argument("--poly", type=float, required=True, help="expression value at the target")
     p.add_argument("--samples", type=_POSITIVE, default=100000, help="Monte Carlo samples")
     _add_common(p)
-    p.set_defaults(handler=cmd_measure)
 
     p = sub.add_parser("gamma", help="sampled block-ratio minima over random vectors")
     p.add_argument("--m", type=int, required=True, help="party count")
     p.add_argument("--samples", type=_POSITIVE, default=10000, help="random vectors to draw")
     _add_common(p)
-    p.set_defaults(handler=cmd_gamma)
 
     p = sub.add_parser("examples", help="run the built-in expressions end to end")
     _add_common(p, restarts=True)
-    p.set_defaults(handler=cmd_examples)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        report = args.handler(args)
+        # looked up per call, so a cmd_* rebound on the module is the one run
+        report = globals()[f"cmd_{args.command}"](args)
         text = render(report, args.format)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

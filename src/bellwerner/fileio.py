@@ -1,4 +1,4 @@
-"""Structured-text (JSON) loading and saving of expressions and pure states.
+"""Loading of expressions and pure states from structured-text (JSON) files.
 
 Expression documents: {"parties": m, "terms": [{"pattern": "...", "coeff": x}]}
 with patterns over {_, 0, 1}.  State documents: {"parties": m, "amplitudes":
@@ -110,15 +110,6 @@ def expression_from_document(doc) -> BellExpression:
     return expr
 
 
-def expression_to_document(expr: BellExpression) -> dict:
-    return {
-        "parties": expr.parties,
-        "terms": [
-            {"pattern": pattern, "coeff": coeff} for pattern, coeff in expr.terms()
-        ],
-    }
-
-
 def _read_json(path: PathLike, kind: str):
     """The decoded JSON document of a `kind` ("expression" or "state") file."""
     try:
@@ -136,10 +127,6 @@ def _read_json(path: PathLike, kind: str):
 
 def load_expression(path: PathLike) -> BellExpression:
     return expression_from_document(_read_json(path, "expression"))
-
-
-def save_expression(expr: BellExpression, path: PathLike) -> None:
-    Path(path).write_text(json.dumps(expression_to_document(expr), indent=2) + "\n")
 
 
 def state_from_document(doc) -> PureFamily:
@@ -169,25 +156,5 @@ def state_from_document(doc) -> PureFamily:
     return PureFamily(vec)  # non-unit norm raises ValueError, by design
 
 
-def state_to_document(family: PureFamily) -> dict:
-    parties = family.parties
-    entries = []
-    for idx, amp in enumerate(family.amplitudes):
-        if amp == 0:
-            continue
-        entries.append(
-            {
-                "index": format(idx, f"0{parties}b"),
-                "re": float(amp.real),
-                "im": float(amp.imag),
-            }
-        )
-    return {"parties": parties, "amplitudes": entries}
-
-
 def load_state(path: PathLike) -> PureFamily:
     return state_from_document(_read_json(path, "state"))
-
-
-def save_state(family: PureFamily, path: PathLike) -> None:
-    Path(path).write_text(json.dumps(state_to_document(family), indent=2) + "\n")

@@ -68,13 +68,6 @@ def new_report(
     results: Optional[dict] = None,
     warnings=(),
 ) -> Report:
-    warn_list = []
-    for w in warnings:
-        if isinstance(w, dict):
-            name, message = w.get("name"), w.get("message")
-        else:
-            name, message = w  # (name, message) pairs
-        warn_list.append({"name": str(name), "message": str(message)})
     return Report(
         command=command,
         version=__version__,
@@ -82,7 +75,7 @@ def new_report(
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         inputs=clean_value(inputs or {}),
         results=clean_value(results or {}),
-        warnings=warn_list,
+        warnings=[{"name": str(n), "message": str(m)} for n, m in warnings],
     )
 
 

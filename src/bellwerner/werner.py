@@ -239,19 +239,6 @@ def separability_upper_bound(amplitudes) -> float:
     return min(1.0, float((1.0 / np.sqrt(peak[usable])).min()))
 
 
-def separability_necessary_check(amplitudes, v: float) -> bool:
-    """Diagonal-dominance condition every fully separable mixture satisfies.
-
-    Checks min_i sqrt(d_i d_ic) >= max_j |alpha_j||alpha_jc| * v where
-    d_i are the diagonal entries of rho_v.  A False verdict certifies
-    entanglement at that v.
-    """
-    p = _validated_probabilities(amplitudes)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {v!r}")
-    return _necessary_holds(p, v)
-
-
 def _necessary_holds(p: np.ndarray, v: float) -> bool:
     d = (1.0 - v) / p.shape[0] + v * p
     lhs = float(np.sqrt(d * d[::-1]).min())

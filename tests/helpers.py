@@ -1,8 +1,9 @@
-"""Shared test utilities: seeded random expressions and independent bounds."""
+"""Shared test utilities: seeded random expressions, independent bounds and file writers."""
 
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from bellwerner.gamma import _BLOCK_EPS
 from bellwerner.classical import MAX_PARTIES
 from bellwerner.quantum import _OPERATOR, _dominant_eig
 from bellwerner.reports import Report
-from bellwerner.werner import _MC_CHUNK
+from bellwerner.werner import _MC_CHUNK, _necessary_holds, _validated_probabilities
 
 _MIN_NORM = 1e-12  # sample_vector redraws below this norm
 _SLOT = str.maketrans("_01", "012")
@@ -500,6 +501,20 @@ def separability_upper_bound_loop(amplitudes):
     return best
 
 
+def separability_necessary_check(amplitudes, v):
+    """Diagonal-dominance condition every fully separable mixture satisfies.
+
+    Checks min_i sqrt(d_i d_ic) >= max_j |alpha_j||alpha_jc| * v where
+    d_i are the diagonal entries of rho_v.  A False verdict certifies
+    entanglement at that v.  The package bisects the same condition in
+    werner.necessary_check_first_failure.
+    """
+    p = _validated_probabilities(amplitudes)
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"mixing weight must lie in [0, 1], got {v!r}")
+    return _necessary_holds(p, v)
+
+
 def lhv_bound_loop(expr):
     """(value, witness encoding, sign) by the full term-ordered 4^m loop.
 
@@ -657,3 +672,38 @@ def parse_report(text):
         results=doc["results"],
         warnings=doc["warnings"],
     )
+
+
+def expression_to_document(expr):
+    """The expression document that fileio.expression_from_document reads back."""
+    return {
+        "parties": expr.parties,
+        "terms": [
+            {"pattern": pattern, "coeff": coeff} for pattern, coeff in expr.terms()
+        ],
+    }
+
+
+def save_expression(expr, path):
+    Path(path).write_text(json.dumps(expression_to_document(expr), indent=2) + "\n")
+
+
+def state_to_document(family):
+    """The state document of a PureFamily; zero amplitudes are left out."""
+    parties = family.parties
+    entries = []
+    for idx, amp in enumerate(family.amplitudes):
+        if amp == 0:
+            continue
+        entries.append(
+            {
+                "index": format(idx, f"0{parties}b"),
+                "re": float(amp.real),
+                "im": float(amp.imag),
+            }
+        )
+    return {"parties": parties, "amplitudes": entries}
+
+
+def save_state(family, path):
+    Path(path).write_text(json.dumps(state_to_document(family), indent=2) + "\n")

@@ -9,9 +9,9 @@ import pytest
 from bellwerner import builtin, new_expression
 from bellwerner import cli, quantum, werner
 from bellwerner.cli import main
-from bellwerner.fileio import save_expression, save_state
+from bellwerner.reports import new_report
 from bellwerner.werner import PureFamily, ghz_amplitudes
-from helpers import parse_report
+from helpers import parse_report, save_expression, save_state
 
 
 @pytest.fixture
@@ -62,10 +62,16 @@ def test_bounds_closed_form_and_seesaw(capsys, chsh_file):
     assert res["seesaw_lower"] == pytest.approx(2 * math.sqrt(2), abs=1e-3)
 
 
-def test_bounds_closed_form_rejected_for_marginal_terms(capsys, ch_file):
+def test_bounds_closed_form_rejected_for_marginal_terms(capsys, monkeypatch, ch_file):
     code, _, err = _run(capsys, ["bounds", ch_file, "--closed-form"])
     assert code == 3
     assert "full-correlation" in err
+
+    def fault(*args, **kwargs):
+        raise AssertionError("the see-saw ran")
+
+    monkeypatch.setattr(cli, "seesaw_lower", fault)  # rejected before any see-saw
+    assert _run(capsys, ["bounds", ch_file, "--closed-form", "--seesaw"]) == (3, "", err)
 
 
 def test_bounds_missing_file(capsys, tmp_path):
@@ -286,7 +292,7 @@ def test_examples_command(capsys):
     assert "loose-threshold-variant" in names
 
 
-def test_seesaw_sweep_cap_warning(capsys, monkeypatch, chsh_file):
+def test_seesaw_sweep_cap_warning(capsys, monkeypatch, tmp_path, chsh_file):
     rep = _structured(capsys, ["bounds", chsh_file, "--seesaw", "--restarts", "2"])
     assert "seesaw-sweep-cap" not in {w["name"] for w in rep.warnings}
     results = rep.results
@@ -297,6 +303,22 @@ def test_seesaw_sweep_cap_warning(capsys, monkeypatch, chsh_file):
     assert rep.results.keys() == results.keys()
     rep = _structured(capsys, ["examples", "--restarts", "1"])
     assert "seesaw-sweep-cap" in {w["name"] for w in rep.warnings}
+    # per expression: closed form, then sweep cap, then (examples only) the variant
+    assert [(w["message"].split(":")[0], w["name"]) for w in rep.warnings] == [
+        ("CHSH", "seesaw-sweep-cap"),
+        ("MERMIN", "closed-form-exceeds-enumeration"),
+        ("MERMIN", "seesaw-sweep-cap"),
+        ("CH", "seesaw-sweep-cap"),
+        ("CH", "loose-threshold-variant"),
+        ("SASA", "seesaw-sweep-cap"),
+    ]
+    path = tmp_path / "mermin.json"
+    save_expression(builtin("MERMIN"), path)
+    rep = _structured(capsys, ["bounds", str(path), "--seesaw"])
+    assert [w["name"] for w in rep.warnings] == [
+        "closed-form-exceeds-enumeration",
+        "seesaw-sweep-cap",
+    ]
 
 
 def test_internal_fault_exit_code(capsys, monkeypatch, chsh_file):
@@ -411,6 +433,22 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_main_runs_the_command_bound_at_call_time(capsys, monkeypatch, ch_file):
+    # the parser is built once per process; the cmd_* it dispatches to is not
+    assert _run(capsys, ["bounds", ch_file])[0] == 0
+    seen = []
+
+    def stand_in(args):
+        seen.append(args.expr_file)
+        return new_report("bounds")
+
+    monkeypatch.setattr(cli, "cmd_bounds", stand_in)
+    code, out, _ = _run(capsys, ["bounds", ch_file, "--format", "structured"])
+    assert (code, seen) == (0, [ch_file])
+    assert parse_report(out).results == {}
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_unknown_subcommand(capsys):

@@ -9,16 +9,19 @@ from hypothesis import strategies as st
 from bellwerner import CapExceeded, ParseError, builtin, new_expression
 from bellwerner.fileio import (
     expression_from_document,
-    expression_to_document,
     load_expression,
     load_state,
-    save_expression,
-    save_state,
     state_from_document,
-    state_to_document,
 )
 from bellwerner.werner import STATE_MAX_PARTIES, PureFamily, ghz_amplitudes
-from helpers import expression_from_document_loop, term_index
+from helpers import (
+    expression_from_document_loop,
+    expression_to_document,
+    save_expression,
+    save_state,
+    state_to_document,
+    term_index,
+)
 
 
 def test_expression_roundtrip(tmp_path):

@@ -257,7 +257,7 @@ def test_seesaw_scaling_equivariance():
     assert b.value == pytest.approx(2.5 * a.value, rel=1e-6)
 
 
-def test_seesaw_thread_determinism():
+def test_seesaw_rerun_determinism():
     expr = builtin("MERMIN")
     first = seesaw_lower(expr, restarts=6, seed=11)
     rerun = seesaw_lower(expr, restarts=6, seed=11)

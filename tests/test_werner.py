@@ -20,7 +20,6 @@ from bellwerner import (
     measure_lower_bound,
     measure_monte_carlo,
     necessary_check_first_failure,
-    separability_necessary_check,
     separability_upper_bound,
     undetectable_measure_condition,
     undetectable_range_general,
@@ -34,6 +33,7 @@ from bellwerner.werner import _MC_CHUNK, _mc_chunk_hits
 from helpers import (
     exact_pair_fraction,
     mc_chunk_pairs_dense,
+    separability_necessary_check,
     separability_upper_bound_loop,
     werner_density,
 )
