@@ -3,20 +3,30 @@
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 
-def ordered_map(fn: Callable, items: Iterable, threads: Optional[int]) -> list:
-    """[fn(x) for x in items], spread over `threads` workers when threads > 1.
+def ordered_map(fn: Callable, items: Iterable, threads: Optional[int]) -> Iterator:
+    """fn(x) for x in items, lazily and in input order, on `threads` workers when > 1.
 
-    Results come back in input order whatever the worker count, so callers
-    that merge them left to right get the same answer for any thread count.
+    Callers that merge the results left to right get the same answer for
+    any thread count.  At most 2 * threads calls are submitted and not yet
+    taken, so what a caller folds as it goes is held for that window of
+    items only, not for all of them.
     """
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+    if threads is None or threads <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending: deque = deque()
+        for x in items:
+            if len(pending) == 2 * threads:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, x))
+        while pending:
+            yield pending.popleft().result()
 
 
 def usable_cores() -> int:

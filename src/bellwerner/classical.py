@@ -17,17 +17,20 @@ Cost model.  Including the constant slot, the 4^m x 3^m strategy matrix is
 the Kronecker product over parties of the 4 x 3 matrix
 W[b0 + 2 b1] = [1, (-1)^b0, (-1)^b1], so all 4^m values of a (3,)*m
 coefficient tensor come from m products with W, O(m 4^m) work whatever
-the number of terms T (`_strategy_values`, which also takes a batch of
-tensors).  That transform adds in another order, so `lhv_bound` uses it
-only to shortlist the strategies within a rounding bound of the maximum
-and re-evaluates those term by term, O(T) each, in blocks of 2^15
-(term, strategy) pairs.  A dense random expression shortlists one or two
-strategies; the worst case is a shortlist of all 4^m, as for MERMIN(7),
-whose 16384 strategies all tie, and costs O(T 4^m) like a full scan.
+the number of terms T (`_strategy_values`; its loop `_contraction_steps`
+takes a batch of tensors and yields the array before each product, which
+the gamma scan reads its bounds from).  That transform adds in another
+order, so `lhv_bound` uses it only to shortlist the strategies within a
+rounding bound of the maximum and re-evaluates those term by term, O(T)
+each, in blocks of 2^15 (term, strategy) pairs.  A dense random
+expression shortlists one or two strategies; the worst case is a
+shortlist of all 4^m, as for MERMIN(7), whose 16384 strategies all tie,
+and costs O(T 4^m) like a full scan.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -130,6 +133,24 @@ def _check_enumeration(parties: int) -> None:
     check_cap(_ENUMERATION, parties, MAX_PARTIES)
 
 
+def _contraction_steps(coeffs: np.ndarray, parties: int) -> Iterator[np.ndarray]:
+    """The loop of `_strategy_values`: the array before each contraction, then the result.
+
+    Before party p = m-1-done it is (4^done, 3, rest): the strategies of
+    parties p+1..m-1, party p's slot, then the slots of parties p-1..0 and
+    the batch, flattened with the batch fastest, so the first (batch size)
+    entries of the last axis have every earlier party at slot 0.  The
+    result is (4^(m-1), 4, batch size).
+    """
+    batch = coeffs.shape[: coeffs.ndim - parties]
+    t = coeffs.transpose([*range(coeffs.ndim - 1, len(batch) - 1, -1), *range(len(batch))])
+    for done in range(parties):
+        t = t.reshape(4**done, 3, -1)
+        yield t
+        t = np.matmul(_PARTY_SIGNS, t)
+    yield t
+
+
 def _strategy_values(coeffs: np.ndarray, parties: int) -> np.ndarray:
     """Values of all 4^m strategies for (..., 3, ..., 3) coefficient tensors.
 
@@ -141,10 +162,9 @@ def _strategy_values(coeffs: np.ndarray, parties: int) -> np.ndarray:
     (a three-term sum with +-1 weights per party).  The result is a view of
     a (4^m, ...) array.
     """
+    for t in _contraction_steps(coeffs, parties):
+        pass
     batch = coeffs.shape[: coeffs.ndim - parties]
-    t = coeffs.transpose([*range(coeffs.ndim - 1, len(batch) - 1, -1), *range(len(batch))])
-    for done in range(parties):
-        t = np.matmul(_PARTY_SIGNS, t.reshape(4**done, 3, -1))
     return np.moveaxis(t.reshape((4**parties,) + batch), 0, -1)
 
 

@@ -25,22 +25,22 @@ the lowest sample index; witnesses are regenerated from their substream
 rather than stored.
 
 Cost model.  A chunk stacks its sample vectors and reads every classical
-bound off the Kronecker transform `classical._strategy_values`, batched
-over the samples: the full expressions as (3,)*m tensors, O(m 4^m) per
-sample, and block i from the two halves of its slice (leading party at
-setting 0 or 1) as tensors over the m - i later parties, which sums to
-about half the full cost over all blocks.  Rows go through in sub-batches
-whose value array (rows x 4^m doubles) stays within 16 MiB, so memory
-does not grow with the chunk at eight parties.  Ratios, skips, the
-gamma_1 self-check and the minima are array operations on the chunk.  What
-remains per sample is its draw.  On one core of a 2 GHz Xeon it takes
-about 6 us at four parties (80 coefficients), of which about 1 us derives
-the state and the rest sets it, draws and takes the norm; building a
-default_rng per sample took about 20 us there.
+bound off one Kronecker transform of the full expressions as (3,)*m
+tensors, batched over the samples (`_bounds`): the block bounds from
+slices taken before each party is contracted, the full bound in place of
+the last contraction.  So a sample costs about 70% of one full transform,
+O(m 4^m), and its 4^m values are never formed.  Rows go through in
+sub-batches of about 1 MiB of 4^m doubles, but at least 8 rows, so memory
+does not grow with the chunk.  Ratios, skips, the gamma_1 self-check and
+the minima are array operations on the chunk.  What remains per sample
+is its draw: on one core of a 2 GHz Xeon about 6 us at four parties (80
+coefficients), of which about 1 us derives the state and the rest sets
+it, draws and takes the norm (a default_rng per sample took 20 us).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -49,14 +49,15 @@ from typing import Optional
 import numpy as np
 
 from ._workers import ordered_map
-from .classical import _check_enumeration, _strategy_values
-from .expressions import block_sizes, canonical_tensor
+from .classical import _check_enumeration, _contraction_steps
+from .expressions import canonical_tensor
 
 _BLOCK_EPS = 1e-9
 _CHUNK = 256
 _GAMMA1_SLACK = 1e-12
 _MIN_NORM = 1e-12  # a draw below this norm is redrawn
-_VALUE_BYTES = 16 << 20  # one sub-batch's strategy values
+_VALUE_BYTES = 1 << 20  # sub-batch rows: this many bytes of 4^m doubles,
+_MIN_ROWS = 8  # but at least this many (fewer slow the matmuls at m = 8)
 
 # NumPy's SeedSequence (seed_seq_fe, pool of four uint32 words) and PCG64
 _MASK32 = 0xFFFFFFFF
@@ -205,36 +206,39 @@ def _sample_rows(seed: int, indices: np.ndarray, dim: int) -> np.ndarray:
     return x
 
 
-def _bounds(x: np.ndarray, m: int, offsets: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _bounds(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Classical bounds of the sample rows x: the full ones and (rows, m) per block.
 
-    Block i + 1 is the first block of an expression over parties i+1..m,
-    whose tensor holds it in the leading party's slots 1 and 2.  Rather than
-    contract that party, whose two outcomes are free signs on the two
-    halves a and b, the bound is read off as max (|a| + |b|) over the
-    strategies of the other parties.
+    All are read off one transform of the full tensors.  Just before party
+    i is contracted, the slice with party i at slot 1 or 2 and every
+    earlier party at slot 0 holds block i over the later parties'
+    strategies as two halves a and b; party i's outcomes are free signs on
+    them, so block i's bound is max(|a| + |b|), the sums a transform of the
+    block alone takes.  Party 0's slots 0, 1, 2 hold c, a and b, which its
+    contraction would round as (c + u a) + v b for signs u, v; rounding is
+    odd and monotone, so the full bound is max((|c| + |a|) + |b|) bit for
+    bit, and the 4^m values are never formed.
     """
-    total = np.abs(_strategy_values(canonical_tensor(x, m), m)).max(axis=-1)
-    blocks = np.empty((len(x), m))
-    for i in range(m):
-        reduced = np.zeros((len(x), 3 ** (m - i) - 1))
-        reduced[:, : offsets[i + 1] - offsets[i]] = x[:, offsets[i] : offsets[i + 1]]
-        halves = canonical_tensor(reduced, m - i)[:, 1:]
-        values = np.abs(_strategy_values(halves, m - i - 1))
-        blocks[:, i] = (values[:, 0] + values[:, 1]).max(axis=-1)
-    return total, blocks
+    n = len(x)
+    blocks = np.empty((n, m))
+    steps = _contraction_steps(canonical_tensor(x, m), m)
+    for done, t in enumerate(itertools.islice(steps, m)):
+        a = np.abs(t[:, 1, :n])
+        b = np.abs(t[:, 2, :n])
+        blocks[:, m - 1 - done] = (a + b).max(axis=0)
+    return (np.abs(t[:, 0]) + a + b).max(axis=0), blocks
 
 
-def _scan_chunk(config: GammaScanConfig, offsets: list[int], start: int):
+def _scan_chunk(config: GammaScanConfig, start: int):
     """Per-index minima and skip counts over samples start .. start + _CHUNK."""
     m = config.parties
     indices = np.arange(start, min(start + _CHUNK, config.samples))
-    x = _sample_rows(config.seed, indices, offsets[-1])
-    rows = max(1, _VALUE_BYTES // (8 * 4**m))
+    x = _sample_rows(config.seed, indices, 3**m - 1)
+    rows = max(_MIN_ROWS, _VALUE_BYTES // (8 * 4**m))
     total = np.empty(len(x))
     blocks = np.empty((len(x), m))
     for lo in range(0, len(x), rows):
-        total[lo : lo + rows], blocks[lo : lo + rows] = _bounds(x[lo : lo + rows], m, offsets)
+        total[lo : lo + rows], blocks[lo : lo + rows] = _bounds(x[lo : lo + rows], m)
 
     skip = blocks < _BLOCK_EPS
     ratios = np.where(skip, np.inf, total[:, None] / np.where(skip, 1.0, blocks))
@@ -252,22 +256,6 @@ def _scan_chunk(config: GammaScanConfig, offsets: list[int], start: int):
     return minima, skip.sum(axis=0).tolist()
 
 
-def _merge(into, minima, skipped):
-    """Fold one chunk into the running minima and skip counts.
-
-    Chunks arrive in index order, so an equal value never replaces the
-    current entry and ties keep the lowest sample index.
-    """
-    merged_minima, merged_skips = into
-    for i, entry in enumerate(minima):
-        current = merged_minima[i]
-        if entry is not None and (current is None or entry[0] < current[0]):
-            merged_minima[i] = entry
-    for i, n in enumerate(skipped):
-        merged_skips[i] += n
-    return merged_minima, merged_skips
-
-
 def gamma_scan(
     config: GammaScanConfig, *, threads: Optional[int] = None
 ) -> GammaScanResult:
@@ -279,41 +267,22 @@ def gamma_scan(
     """
     m = config.parties
     _check_enumeration(m)
-    _, offsets = block_sizes(m)
-    dim = offsets[-1]
-
-    scan = partial(_scan_chunk, config, offsets)
-    state = ([None] * m, [0] * m)
-    for minima, skipped in ordered_map(scan, range(0, config.samples, _CHUNK), threads):
-        state = _merge(state, minima, skipped)
-    minima, skipped = state
+    minima: list[Optional[tuple[float, int]]] = [None] * m
+    skipped = [0] * m
+    chunks = ordered_map(partial(_scan_chunk, config), range(0, config.samples, _CHUNK), threads)
+    for chunk_minima, chunk_skipped in chunks:
+        # chunks arrive in index order, so an equal value never replaces the
+        # current entry and ties keep the lowest sample index
+        for i, entry in enumerate(chunk_minima):
+            if entry is not None and (minima[i] is None or entry[0] < minima[i][0]):
+                minima[i] = entry
+            skipped[i] += chunk_skipped[i]
     estimates = []
-    for i in range(m):
-        if minima[i] is None:
-            estimates.append(
-                GammaIndexEstimate(
-                    index=i + 1,
-                    gamma_min=None,
-                    witness_coefficients=None,
-                    witness_sample=None,
-                    skipped=skipped[i],
-                )
-            )
+    for i, entry in enumerate(minima):
+        if entry is None:
+            estimates.append(GammaIndexEstimate(i + 1, None, None, None, skipped[i]))
             continue
-        value, sample_index = minima[i]
-        witness = _sample_rows(config.seed, np.array([sample_index]), dim)[0]
-        estimates.append(
-            GammaIndexEstimate(
-                index=i + 1,
-                gamma_min=value,
-                witness_coefficients=witness,
-                witness_sample=sample_index,
-                skipped=skipped[i],
-            )
-        )
-    return GammaScanResult(
-        parties=m,
-        samples=config.samples,
-        seed=config.seed,
-        estimates=tuple(estimates),
-    )
+        value, sample = entry
+        witness = _sample_rows(config.seed, np.array([sample]), 3**m - 1)[0]
+        estimates.append(GammaIndexEstimate(i + 1, value, witness, sample, skipped[i]))
+    return GammaScanResult(m, config.samples, config.seed, tuple(estimates))

@@ -20,10 +20,10 @@ from bellwerner import (
     strategy_matrix,
 )
 from bellwerner.errors import ParseError, check_cap
-from bellwerner.expressions import _from_lists
+from bellwerner.expressions import _from_lists, canonical_tensor
 from bellwerner.fileio import _require_dict, _require_parties
 from bellwerner.gamma import _BLOCK_EPS
-from bellwerner.classical import MAX_PARTIES
+from bellwerner.classical import MAX_PARTIES, _strategy_values
 from bellwerner.quantum import _OPERATOR, _dominant_eig
 from bellwerner.reports import Report
 from bellwerner.werner import _MC_CHUNK, _necessary_holds, _validated_probabilities
@@ -550,6 +550,26 @@ def sample_vector(seed, index, dim):
         norm = float(np.linalg.norm(x))
         if norm >= _MIN_NORM:
             return x / norm
+
+
+def bounds_per_block(x, m):
+    """Full and per-block bounds of sample rows x, each block through its own transform.
+
+    The body `gamma._bounds` had before it read every block off the full
+    transform: block i + 1 is zero-padded to an expression over parties
+    i+1..m, and its leading party's two halves are contracted as a batch.
+    The fused scan must equal this bit for bit.
+    """
+    _, offsets = block_sizes(m)
+    total = np.abs(_strategy_values(canonical_tensor(x, m), m)).max(axis=-1)
+    blocks = np.empty((len(x), m))
+    for i in range(m):
+        reduced = np.zeros((len(x), 3 ** (m - i) - 1))
+        reduced[:, : offsets[i + 1] - offsets[i]] = x[:, offsets[i] : offsets[i + 1]]
+        halves = canonical_tensor(reduced, m - i)[:, 1:]
+        values = np.abs(_strategy_values(halves, m - i - 1))
+        blocks[:, i] = (values[:, 0] + values[:, 1]).max(axis=-1)
+    return total, blocks
 
 
 def scan_chunk_dense(config, start, chunk):

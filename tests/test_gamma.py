@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,14 @@ from bellwerner import (
     block_strategy_matrix,
 )
 import bellwerner.gamma as gamma_module
-from bellwerner.gamma import _CHUNK, _scan_chunk, _substream_states
-from helpers import gamma_for, random_expression, sample_vector, scan_chunk_dense
+from bellwerner.gamma import _CHUNK, _bounds, _sample_rows, _scan_chunk, _substream_states
+from helpers import (
+    bounds_per_block,
+    gamma_for,
+    random_expression,
+    sample_vector,
+    scan_chunk_dense,
+)
 
 
 def test_gamma_for_ch_exact():
@@ -135,9 +142,8 @@ def test_scan_chunk_matches_dense_reference():
     # the batched transform against the per-sample dense matvec it replaced
     for m in (2, 3, 4, 5):
         config = GammaScanConfig(parties=m, samples=2 * _CHUNK + 40, seed=m)
-        _, offsets = block_sizes(m)
         for start in range(0, config.samples, _CHUNK):
-            minima, skipped = _scan_chunk(config, offsets, start)
+            minima, skipped = _scan_chunk(config, start)
             ref_minima, ref_skipped = scan_chunk_dense(config, start, _CHUNK)
             assert skipped == ref_skipped
             for got, ref in zip(minima, ref_minima):
@@ -146,14 +152,51 @@ def test_scan_chunk_matches_dense_reference():
 
 
 def test_scan_sub_batches_do_not_change_results(monkeypatch):
-    config = GammaScanConfig(parties=4, samples=300, seed=6)
-    whole = gamma_scan(config)
-    # three rows of 4^4 values per sub-batch instead of the whole chunk
-    monkeypatch.setattr(gamma_module, "_VALUE_BYTES", 3 * 8 * 4**4)
+    config = GammaScanConfig(parties=6, samples=300, seed=6)
+    sizes = []
+    bounds = gamma_module._bounds
+
+    def spy(x, m):
+        sizes.append(len(x))
+        return bounds(x, m)
+
+    monkeypatch.setattr(gamma_module, "_bounds", spy)
     split = gamma_scan(config)
+    assert sizes == [32] * 9 + [12]  # 1 MiB of 4^6 values, chunks of 256 and 44 rows
+    monkeypatch.setattr(gamma_module, "_VALUE_BYTES", 2**40)
+    whole = gamma_scan(config)
+    assert sizes[10:] == [256, 44]
     for a, b in zip(whole.estimates, split.estimates):
         assert (a.witness_sample, a.skipped) == (b.witness_sample, b.skipped)
-        assert a.gamma_min == pytest.approx(b.gamma_min, rel=1e-12, abs=0.0)
+        assert a.gamma_min == b.gamma_min
+
+
+# (8, 256) is left out: the reference would hold 128 MiB arrays of 4^8 values
+@pytest.mark.parametrize(
+    "m, rows",
+    [(m, rows) for m in range(1, 9) for rows in (1, 31, 32, 33, 256) if rows * 4**m <= 2**22],
+)
+def test_bounds_match_the_per_block_transforms(m, rows):
+    # one transform read before each contraction against a transform per block
+    x = _sample_rows(m, np.arange(rows), 3**m - 1)
+    if rows > 1:
+        x[1, : 2 * 3 ** (m - 1)] = 0.0  # an empty first block
+    total, blocks = _bounds(x, m)
+    ref_total, ref_blocks = bounds_per_block(x, m)
+    assert np.array_equal(total, ref_total)
+    assert np.array_equal(blocks, ref_blocks)
+
+
+@pytest.mark.parametrize("m, limit_mib", [(6, 6), (7, 16)])
+def test_scan_memory_is_a_sub_batch_not_a_chunk(m, limit_mib):
+    # 16 MiB sub-batches with a transform per block peaked at 18.2 and 36.3 MiB
+    tracemalloc.start()
+    try:
+        gamma_scan(GammaScanConfig(m, 256, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20
 
 
 def _bits(x):
@@ -181,13 +224,12 @@ def _chunk_rows(monkeypatch, config, start):
     seen = []
     bounds = gamma_module._bounds
 
-    def spy(x, m, offsets):
+    def spy(x, m):
         seen.append(x.copy())
-        return bounds(x, m, offsets)
+        return bounds(x, m)
 
     monkeypatch.setattr(gamma_module, "_bounds", spy)
-    _, offsets = block_sizes(config.parties)
-    _scan_chunk(config, offsets, start)
+    _scan_chunk(config, start)
     return np.concatenate(seen)
 
 
