@@ -1,4 +1,4 @@
-"""The one executor (gamma scan, Monte Carlo): serial or a thread pool, results in input order."""
+"""The Monte Carlo executor: serial or a thread pool, results in input order."""
 
 from __future__ import annotations
 

@@ -13,8 +13,9 @@ The solvers run at fixed settings that no option changes: the see-saw stops
 a restart once a sweep gains less than 1e-9 ("converged", or "stalled" when
 the gains shrink too slowly), once its gains show it cannot beat the
 classical bound ("bounded") or after 500 sweeps (the `seesaw-sweep-cap`
-warning), and visibilities are bisected to 1e-6.  Only the scans (tables,
-gamma, measure) take --threads; the see-saw runs its restarts as stacks.
+warning), and visibilities are bisected to 1e-6.  Only measure takes
+--threads, for its Monte Carlo chunks; the gamma scan (gamma, tables II)
+runs one sub-batch after another and the see-saw its restarts as stacks.
 """
 
 from __future__ import annotations
@@ -224,9 +225,7 @@ def _table_ii(args) -> tuple[dict, list]:
     rows = []
     for m in range(2, args.max_m + 1):
         n = args.samples if m <= 4 else max(1, args.samples // 10)
-        scanned = gamma_scan(
-            GammaScanConfig(parties=m, samples=n, seed=args.seed), threads=args.threads
-        )
+        scanned = gamma_scan(GammaScanConfig(parties=m, samples=n, seed=args.seed))
         row = [m, n]
         skipped = 0
         for i in range(1, 7):
@@ -361,10 +360,7 @@ def cmd_measure(args) -> Report:
 
 
 def cmd_gamma(args) -> Report:
-    scanned = gamma_scan(
-        GammaScanConfig(parties=args.m, samples=args.samples, seed=args.seed),
-        threads=args.threads,
-    )
+    scanned = gamma_scan(GammaScanConfig(parties=args.m, samples=args.samples, seed=args.seed))
     rows = []
     for est in scanned.estimates:
         rows.append(
@@ -497,15 +493,8 @@ _POSITIVE = _int_at_least(1)
 
 
 def _add_common(p, *, restarts=False) -> None:
-    if restarts:  # a see-saw command; the others are scans with a worker cap
+    if restarts:  # a see-saw command; the others are scans
         p.add_argument("--restarts", type=_POSITIVE, default=20, help="see-saw restarts")
-    else:
-        p.add_argument(
-            "--threads",
-            type=_POSITIVE,
-            default=None,
-            help="worker cap (default: every usable core for measure, serial elsewhere)",
-        )
     # the (seed, k) substreams take non-negative integers only
     p.add_argument("--seed", type=_NON_NEGATIVE, default=0, help="base RNG seed (non-negative)")
     p.add_argument(
@@ -571,6 +560,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="party count")
     p.add_argument("--poly", type=float, required=True, help="expression value at the target")
     p.add_argument("--samples", type=_POSITIVE, default=100000, help="Monte Carlo samples")
+    p.add_argument(
+        "--threads",
+        type=_POSITIVE,
+        default=None,
+        help="worker cap (default and ceiling: the usable cores, at most one per chunk)",
+    )
     _add_common(p)
 
     p = sub.add_parser("gamma", help="sampled block-ratio minima over random vectors")

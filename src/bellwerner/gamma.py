@@ -13,29 +13,32 @@ each sample as a self-check.
 Determinism: sample k draws from the substream keyed by (seed, k), which
 is NumPy's default_rng([seed, k]): standard normals from that stream,
 redrawn while the norm is below 1e-12, then divided by the norm.  Rather
-than build a SeedSequence, PCG64 and Generator per sample, a chunk derives
-every sample's PCG64 (state, inc) in one pass, running SeedSequence's
-seed_seq_fe hash as uint32 array operations over the chunk's indices and
-PCG64's two seeding steps on Python ints, then draws each sample through
-one Generator of its own whose state it sets (NEP 19 keeps these streams
-fixed across NumPy versions; the tests pin the derived states and vectors
-against default_rng).  Samples are partitioned into fixed-size chunks
-whatever the worker count; chunks merge in index order with ties going to
-the lowest sample index; witnesses are regenerated from their substream
+than build a SeedSequence, PCG64 and Generator per sample, the scan
+derives the PCG64 (state, inc) of 256 samples in one pass, running
+SeedSequence's seed_seq_fe hash as uint32 array operations over their
+indices and PCG64's two seeding steps on Python ints, then draws each
+sample through one Generator whose state it sets (NEP 19 keeps these
+streams fixed across NumPy versions; the tests pin the derived states and
+vectors against default_rng).  So no result depends on how the samples
+are grouped: sub-batches fold in index order with ties going to the
+lowest sample index, and witnesses are regenerated from their substream
 rather than stored.
 
-Cost model.  A chunk stacks its sample vectors and reads every classical
-bound off one Kronecker transform of the full expressions as (3,)*m
-tensors, batched over the samples (`_bounds`): the block bounds from
-slices taken before each party is contracted, the full bound in place of
-the last contraction.  So a sample costs about 70% of one full transform,
-O(m 4^m), and its 4^m values are never formed.  Rows go through in
-sub-batches of about 1 MiB of 4^m doubles, but at least 8 rows, so memory
-does not grow with the chunk.  Ratios, skips, the gamma_1 self-check and
-the minima are array operations on the chunk.  What remains per sample
-is its draw: on one core of a 2 GHz Xeon about 6 us at four parties (80
-coefficients), of which about 1 us derives the state and the rest sets
-it, draws and takes the norm (a default_rng per sample took 20 us).
+Cost model.  One loop walks the samples in sub-batches of about 1 MiB of
+4^m doubles, but at least 8 rows and at most 256.  A sub-batch draws its
+rows and reads every classical bound off one Kronecker transform of the
+full expressions as (3,)*m tensors, batched over the rows (`_bounds`):
+the block bounds from slices taken before each party is contracted, the
+full bound in place of the last contraction.  So a sample costs about 70%
+of one full transform, O(m 4^m), its 4^m values are never formed, and
+memory is one sub-batch whatever the sample count (under 8 MiB at eight
+parties).  Ratios, skips, the gamma_1 self-check and the minima are array
+operations on the sub-batch.  What remains per sample is its draw: on one
+core of a 2 GHz Xeon about 6 us at four parties (80 coefficients), of
+which about 1 us derives the state and the rest sets it, draws and takes
+the norm (a default_rng per sample took 20 us).  A derivation pass also
+has a fixed cost of about 0.3 ms, which is why it covers 256 samples
+rather than one sub-batch of 8; their states are two ints a sample.
 """
 
 from __future__ import annotations
@@ -43,21 +46,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from ._workers import ordered_map
 from .classical import _check_enumeration, _contraction_steps
 from .expressions import canonical_tensor
 
 _BLOCK_EPS = 1e-9
-_CHUNK = 256
 _GAMMA1_SLACK = 1e-12
 _MIN_NORM = 1e-12  # a draw below this norm is redrawn
 _VALUE_BYTES = 1 << 20  # sub-batch rows: this many bytes of 4^m doubles,
 _MIN_ROWS = 8  # but at least this many (fewer slow the matmuls at m = 8)
+_MAX_ROWS = 256  # and at most this many (larger ones fault in fresh pages at m <= 4)
+_STATE_ROWS = 256  # substream states derived per pass
 
 # NumPy's SeedSequence (seed_seq_fe, pool of four uint32 words) and PCG64
 _MASK32 = 0xFFFFFFFF
@@ -179,16 +181,13 @@ def _substream_states(seed: int, indices: np.ndarray) -> list[tuple[int, int]]:
     return states
 
 
-def _sample_rows(seed: int, indices: np.ndarray, dim: int) -> np.ndarray:
-    """Unit vectors of samples `indices`, one row each (see Determinism).
-
-    The generator belongs to this call, so concurrent chunks share nothing.
-    """
-    x = np.empty((len(indices), dim))
+def _sample_rows(states: list[tuple[int, int]], dim: int) -> np.ndarray:
+    """Unit vectors drawn from PCG64 (state, inc) pairs, one row each (see Determinism)."""
+    x = np.empty((len(states), dim))
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
-    norms = np.empty(len(indices))
-    for r, (state, inc) in enumerate(_substream_states(seed, indices)):
+    norms = np.empty(len(states))
+    for r, (state, inc) in enumerate(states):
         bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
@@ -229,60 +228,48 @@ def _bounds(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return (np.abs(t[:, 0]) + a + b).max(axis=0), blocks
 
 
-def _scan_chunk(config: GammaScanConfig, start: int):
-    """Per-index minima and skip counts over samples start .. start + _CHUNK."""
-    m = config.parties
-    indices = np.arange(start, min(start + _CHUNK, config.samples))
-    x = _sample_rows(config.seed, indices, 3**m - 1)
-    rows = max(_MIN_ROWS, _VALUE_BYTES // (8 * 4**m))
-    total = np.empty(len(x))
-    blocks = np.empty((len(x), m))
-    for lo in range(0, len(x), rows):
-        total[lo : lo + rows], blocks[lo : lo + rows] = _bounds(x[lo : lo + rows], m)
-
-    skip = blocks < _BLOCK_EPS
-    ratios = np.where(skip, np.inf, total[:, None] / np.where(skip, 1.0, blocks))
-    low = np.flatnonzero(~skip[:, 0] & (ratios[:, 0] < 1.0 - _GAMMA1_SLACK))
-    if low.size:
-        raise RuntimeError(
-            f"sample {int(indices[low[0]])}: first-block ratio {ratios[low[0], 0]!r} "
-            "fell below 1; enumeration kernels disagree"
-        )
-    minima: list[Optional[tuple[float, int]]] = [None] * m
-    for i in range(m):
-        if not skip[:, i].all():
-            best = int(np.argmin(ratios[:, i]))  # the lowest sample index on ties
-            minima[i] = (float(ratios[best, i]), int(indices[best]))
-    return minima, skip.sum(axis=0).tolist()
-
-
-def gamma_scan(
-    config: GammaScanConfig, *, threads: Optional[int] = None
-) -> GammaScanResult:
+def gamma_scan(config: GammaScanConfig) -> GammaScanResult:
     """Minimum sampled ratio per block index over seeded unit vectors.
 
     Each sample is one full coefficient vector; all m ratios are read off it.
     Block bounds below 1e-9 are skipped (counted per index); an index with
     every sample skipped reports gamma_min None rather than raising.
     """
-    m = config.parties
+    m, n, seed = config.parties, config.samples, config.seed
     _check_enumeration(m)
-    minima: list[Optional[tuple[float, int]]] = [None] * m
-    skipped = [0] * m
-    chunks = ordered_map(partial(_scan_chunk, config), range(0, config.samples, _CHUNK), threads)
-    for chunk_minima, chunk_skipped in chunks:
-        # chunks arrive in index order, so an equal value never replaces the
-        # current entry and ties keep the lowest sample index
-        for i, entry in enumerate(chunk_minima):
-            if entry is not None and (minima[i] is None or entry[0] < minima[i][0]):
-                minima[i] = entry
-            skipped[i] += chunk_skipped[i]
+    low = np.full(m, np.inf)  # per index: the smallest ratio so far
+    low_sample = np.zeros(m, dtype=np.int64)  # and the sample it came from
+    skipped = np.zeros(m, dtype=np.int64)
+    states = itertools.chain.from_iterable(
+        _substream_states(seed, np.arange(lo, min(lo + _STATE_ROWS, n)))
+        for lo in range(0, n, _STATE_ROWS)
+    )
+    rows = min(_MAX_ROWS, max(_MIN_ROWS, _VALUE_BYTES // (8 * 4**m)))
+    for start in range(0, n, rows):
+        x = _sample_rows(list(itertools.islice(states, rows)), 3**m - 1)
+        total, blocks = _bounds(x, m)
+        skip = blocks < _BLOCK_EPS
+        ratios = np.where(skip, np.inf, total[:, None] / np.where(skip, 1.0, blocks))
+        bad = np.flatnonzero(~skip[:, 0] & (ratios[:, 0] < 1.0 - _GAMMA1_SLACK))
+        if bad.size:
+            raise RuntimeError(
+                f"sample {start + int(bad[0])}: first-block ratio {float(ratios[bad[0], 0])!r} "
+                "fell below 1; enumeration kernels disagree"
+            )
+        skipped += skip.sum(axis=0)
+        best = ratios.argmin(axis=0)  # the lowest sample index on ties
+        value = ratios[best, np.arange(m)]
+        # sub-batches come in index order, so the strict < keeps ties at the
+        # lowest index; an index skipped so far stays at inf
+        better = value < low
+        low[better] = value[better]
+        low_sample[better] = start + best[better]
     estimates = []
-    for i, entry in enumerate(minima):
-        if entry is None:
-            estimates.append(GammaIndexEstimate(i + 1, None, None, None, skipped[i]))
+    found = zip(low.tolist(), low_sample.tolist(), skipped.tolist())
+    for i, (value, sample, skips) in enumerate(found, start=1):
+        if value == math.inf:
+            estimates.append(GammaIndexEstimate(i, None, None, None, skips))
             continue
-        value, sample = entry
-        witness = _sample_rows(config.seed, np.array([sample]), 3**m - 1)[0]
-        estimates.append(GammaIndexEstimate(i + 1, value, witness, sample, skipped[i]))
-    return GammaScanResult(m, config.samples, config.seed, tuple(estimates))
+        witness = _sample_rows(_substream_states(seed, [sample]), 3**m - 1)[0]
+        estimates.append(GammaIndexEstimate(i, value, witness, sample, skips))
+    return GammaScanResult(m, n, seed, tuple(estimates))

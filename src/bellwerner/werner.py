@@ -442,7 +442,8 @@ def measure_monte_carlo(
 
     Sampling is chunked with substreams keyed by (seed, chunk index) and hit
     counts are integers, so the estimate is identical for any thread count.
-    threads=None runs min(usable cores, chunk count) workers.  A chunk of
+    It runs min(threads or usable cores, usable cores, chunk count) workers,
+    so no request starts more threads than cores or chunks.  A chunk of
     min(samples, 4096) vectors of 2^m amplitudes is drawn in blocks of at
     most 2^16 values (512 KiB, or one row of 2^m values when that is
     longer), so its memory is a block plus a few values per sample; the
@@ -454,8 +455,8 @@ def measure_monte_carlo(
     _check_sampler_size(parties, samples)
     c = (poly_value + 1.0) / 2 ** parties
     chunks = math.ceil(samples / _MC_CHUNK)
-    if threads is None:
-        threads = min(usable_cores(), chunks)
+    cores = usable_cores()
+    threads = min(threads or cores, cores, chunks)
     chunk_hits = partial(_mc_chunk_hits, parties, c * c, seed, samples)
     hits = sum(ordered_map(chunk_hits, range(chunks), threads))
     fraction = hits / samples

@@ -540,7 +540,7 @@ def lhv_bound_loop(expr):
 def sample_vector(seed, index, dim):
     """Sample `index` of the gamma scan through its own default_rng([seed, index]).
 
-    The per-sample generator the chunk-wide state derivation replaced: draw
+    The per-sample generator the batched state derivation replaced: draw
     standard normals until the norm is at least _MIN_NORM, then divide by it.
     The scan's rows must equal this bit for bit.
     """

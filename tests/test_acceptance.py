@@ -11,6 +11,7 @@ import pytest
 from bellwerner import block, builtin
 from bellwerner.classical import closed_form_classical, lhv_bound
 from bellwerner.cli import main
+import bellwerner.gamma as gamma_module
 from bellwerner.gamma import GammaScanConfig, gamma_scan
 from bellwerner.quantum import seesaw_lower
 from bellwerner.werner import (
@@ -184,7 +185,7 @@ def test_measure_bound_consistency():
         assert estimate.fraction + 3.0 * estimate.std_error >= bound
 
 
-def test_worker_count_and_rerun_determinism():
+def test_worker_count_and_rerun_determinism(monkeypatch):
     with budget(600.0):
         seesaws = [seesaw_lower(builtin("CHSH"), restarts=20, seed=0) for _ in range(3)]
         for other in seesaws[1:]:
@@ -193,8 +194,12 @@ def test_worker_count_and_rerun_determinism():
             assert other.sweep_values == seesaws[0].sweep_values
             assert np.array_equal(other.state, seesaws[0].state)
 
+        # two reruns, then one sub-batch of all 10 000 samples
         config = GammaScanConfig(parties=3, samples=10_000, seed=0)
-        scans = [gamma_scan(config, threads=t) for t in (1, 4, 1)]
+        scans = [gamma_scan(config), gamma_scan(config)]
+        monkeypatch.setattr(gamma_module, "_MIN_ROWS", 10_000)
+        monkeypatch.setattr(gamma_module, "_MAX_ROWS", 10_000)
+        scans.append(gamma_scan(config))
         for other in scans[1:]:
             for a, b in zip(scans[0].estimates, other.estimates):
                 assert (a.index, a.gamma_min, a.witness_sample, a.skipped) == (

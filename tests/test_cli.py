@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bellwerner import builtin, new_expression
-from bellwerner import cli, quantum, werner
+from bellwerner import cli, gamma, quantum, werner
 from bellwerner.cli import main
 from bellwerner.reports import new_report
 from bellwerner.werner import PureFamily, ghz_amplitudes
@@ -399,14 +399,10 @@ def test_seed_reproducibility_across_threads(capsys):
 
 
 def test_gamma_reproducibility(capsys):
-    def run(threads):
-        rep = _structured(
-            capsys,
-            ["gamma", "--m", "2", "--samples", "600", "--threads", str(threads)],
-        )
-        return rep.results
+    def run():
+        return _structured(capsys, ["gamma", "--m", "2", "--samples", "600"]).results
 
-    assert run(1) == run(3)
+    assert run() == run()
 
 
 def test_markdown_is_default_format(capsys, ch_file):
@@ -470,16 +466,22 @@ _EVERY_COMMAND = [
 
 @pytest.mark.parametrize(
     "argv",
-    [a for a in _EVERY_COMMAND if a[0] in ("bounds", "werner", "examples")],
+    [a for a in _EVERY_COMMAND if a[0] != "measure"],
     ids=lambda a: " ".join(a[:2]),
 )
 def test_seesaw_commands_take_no_thread_count(capsys, argv):
-    # the see-saw runs its restarts as stacks, with no worker pool to size
+    # the see-saw runs its restarts as stacks and the gamma scan one sub-batch
+    # after another, with no worker pool to size; only measure takes --threads
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--threads", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
-    for fn in (quantum.seesaw_lower, quantum.seesaw_fixed_state, werner.detect_visibility):
+    for fn in (
+        quantum.seesaw_lower,
+        quantum.seesaw_fixed_state,
+        werner.detect_visibility,
+        gamma.gamma_scan,
+    ):
         assert "threads" not in inspect.signature(fn).parameters
 
 
@@ -487,7 +489,7 @@ def test_seesaw_commands_take_no_thread_count(capsys, argv):
     "argv, flag, value",
     [pytest.param(argv, "--seed", "-3", id=" ".join(argv[:2])) for argv in _EVERY_COMMAND]
     + [
-        pytest.param(["gamma", "--m", "2", "--samples", "10"], "--threads", "-5", id="threads"),
+        pytest.param(["measure", "--m", "3", "--poly", "3"], "--threads", "-5", id="threads"),
         pytest.param(["measure", "--m", "3", "--poly", "3"], "--threads", "0", id="threads 0"),
         pytest.param(["gamma", "--m", "2"], "--samples", "-5", id="samples"),
         pytest.param(["bounds", "expr.json", "--seesaw"], "--restarts", "-1", id="restarts"),

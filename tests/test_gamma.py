@@ -15,7 +15,7 @@ from bellwerner import (
     block_strategy_matrix,
 )
 import bellwerner.gamma as gamma_module
-from bellwerner.gamma import _CHUNK, _bounds, _sample_rows, _scan_chunk, _substream_states
+from bellwerner.gamma import _STATE_ROWS, _bounds, _sample_rows, _substream_states
 from helpers import (
     bounds_per_block,
     gamma_for,
@@ -120,14 +120,21 @@ def test_scan_witness_vectors_are_unit():
         assert np.linalg.norm(est.witness_coefficients) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_scan_thread_partition_independence():
-    serial = gamma_scan(GammaScanConfig(parties=3, samples=1200, seed=4), threads=1)
-    pooled = gamma_scan(GammaScanConfig(parties=3, samples=1200, seed=4), threads=4)
-    for a, b in zip(serial.estimates, pooled.estimates):
-        assert a.gamma_min == b.gamma_min
-        assert a.witness_sample == b.witness_sample
-        assert a.skipped == b.skipped
-        assert np.array_equal(a.witness_coefficients, b.witness_coefficients)
+def test_scan_thread_partition_independence(monkeypatch):
+    # a rerun, sub-batches of 8 rows and one sub-batch of all 1200 give one answer
+    config = GammaScanConfig(parties=3, samples=1200, seed=4)
+    scans = [gamma_scan(config), gamma_scan(config)]
+    monkeypatch.setattr(gamma_module, "_VALUE_BYTES", 0)
+    scans.append(gamma_scan(config))
+    monkeypatch.setattr(gamma_module, "_MIN_ROWS", 1200)
+    monkeypatch.setattr(gamma_module, "_MAX_ROWS", 1200)
+    scans.append(gamma_scan(config))
+    for other in scans[1:]:
+        for a, b in zip(scans[0].estimates, other.estimates):
+            assert a.gamma_min == b.gamma_min
+            assert a.witness_sample == b.witness_sample
+            assert a.skipped == b.skipped
+            assert np.array_equal(a.witness_coefficients, b.witness_coefficients)
 
 
 def test_scan_seed_sensitivity():
@@ -141,14 +148,13 @@ def test_scan_seed_sensitivity():
 def test_scan_chunk_matches_dense_reference():
     # the batched transform against the per-sample dense matvec it replaced
     for m in (2, 3, 4, 5):
-        config = GammaScanConfig(parties=m, samples=2 * _CHUNK + 40, seed=m)
-        for start in range(0, config.samples, _CHUNK):
-            minima, skipped = _scan_chunk(config, start)
-            ref_minima, ref_skipped = scan_chunk_dense(config, start, _CHUNK)
-            assert skipped == ref_skipped
-            for got, ref in zip(minima, ref_minima):
-                assert got[1] == ref[1]
-                assert got[0] == pytest.approx(ref[0], rel=1e-12, abs=0.0)
+        config = GammaScanConfig(parties=m, samples=2 * _STATE_ROWS + 40, seed=m)
+        res = gamma_scan(config)
+        ref_minima, ref_skipped = scan_chunk_dense(config, 0, config.samples)
+        assert [est.skipped for est in res.estimates] == ref_skipped
+        for est, ref in zip(res.estimates, ref_minima):
+            assert est.witness_sample == ref[1]
+            assert est.gamma_min == pytest.approx(ref[0], rel=1e-12, abs=0.0)
 
 
 def test_scan_sub_batches_do_not_change_results(monkeypatch):
@@ -162,13 +168,45 @@ def test_scan_sub_batches_do_not_change_results(monkeypatch):
 
     monkeypatch.setattr(gamma_module, "_bounds", spy)
     split = gamma_scan(config)
-    assert sizes == [32] * 9 + [12]  # 1 MiB of 4^6 values, chunks of 256 and 44 rows
+    assert sizes == [32] * 9 + [12]  # 1 MiB of 4^6 values
     monkeypatch.setattr(gamma_module, "_VALUE_BYTES", 2**40)
+    monkeypatch.setattr(gamma_module, "_MAX_ROWS", 2**40)
     whole = gamma_scan(config)
-    assert sizes[10:] == [256, 44]
+    assert sizes[10:] == [300]
     for a, b in zip(whole.estimates, split.estimates):
         assert (a.witness_sample, a.skipped) == (b.witness_sample, b.skipped)
         assert a.gamma_min == b.gamma_min
+
+
+def test_scan_ties_keep_the_lowest_sample(monkeypatch):
+    # every sample ties on index 1 and index 2 is always skipped; across
+    # sub-batches of 8 rows the witness stays sample 0
+    def flat(x, m):
+        blocks = np.zeros((len(x), m))
+        blocks[:, 0] = 0.5
+        return np.ones(len(x)), blocks
+
+    monkeypatch.setattr(gamma_module, "_bounds", flat)
+    monkeypatch.setattr(gamma_module, "_VALUE_BYTES", 0)
+    first, second = gamma_scan(GammaScanConfig(parties=2, samples=30, seed=1)).estimates
+    assert (first.gamma_min, first.witness_sample, first.skipped) == (2.0, 0, 0)
+    assert (second.gamma_min, second.witness_sample, second.skipped) == (None, None, 30)
+
+
+def test_scan_self_check_names_the_first_low_sample(monkeypatch):
+    # samples 13 on have a first-block ratio of 0.5, from the second sub-batch of 8
+    done = []
+
+    def low_from_13(x, m):
+        k = np.arange(len(done), len(done) + len(x))
+        done.extend(k)
+        return np.where(k >= 13, 0.5, 1.0), np.ones((len(x), m))
+
+    monkeypatch.setattr(gamma_module, "_bounds", low_from_13)
+    monkeypatch.setattr(gamma_module, "_VALUE_BYTES", 0)
+    with pytest.raises(RuntimeError, match="^sample 13: first-block ratio 0.5 fell below 1"):
+        gamma_scan(GammaScanConfig(parties=2, samples=30, seed=1))
+    assert len(done) == 16  # it stops at the sub-batch that fails
 
 
 # (8, 256) is left out: the reference would hold 128 MiB arrays of 4^8 values
@@ -178,7 +216,7 @@ def test_scan_sub_batches_do_not_change_results(monkeypatch):
 )
 def test_bounds_match_the_per_block_transforms(m, rows):
     # one transform read before each contraction against a transform per block
-    x = _sample_rows(m, np.arange(rows), 3**m - 1)
+    x = _sample_rows(_substream_states(m, np.arange(rows)), 3**m - 1)
     if rows > 1:
         x[1, : 2 * 3 ** (m - 1)] = 0.0  # an empty first block
     total, blocks = _bounds(x, m)
@@ -187,9 +225,10 @@ def test_bounds_match_the_per_block_transforms(m, rows):
     assert np.array_equal(blocks, ref_blocks)
 
 
-@pytest.mark.parametrize("m, limit_mib", [(6, 6), (7, 16)])
+@pytest.mark.parametrize("m, limit_mib", [(6, 6), (7, 16), (8, 8)])
 def test_scan_memory_is_a_sub_batch_not_a_chunk(m, limit_mib):
     # 16 MiB sub-batches with a transform per block peaked at 18.2 and 36.3 MiB
+    # at m = 6 and 7; drawing 256 rows before splitting them, 19.3 MiB at m = 8
     tracemalloc.start()
     try:
         gamma_scan(GammaScanConfig(m, 256, 0))
@@ -219,8 +258,8 @@ def test_negative_seed_is_rejected():
         gamma_scan(GammaScanConfig(parties=2, samples=10, seed=-3))
 
 
-def _chunk_rows(monkeypatch, config, start):
-    """The sample rows `_scan_chunk` hands to the transform, in order."""
+def _scan_rows(monkeypatch, config):
+    """The sample rows `gamma_scan` hands to the transform, one array per sub-batch."""
     seen = []
     bounds = gamma_module._bounds
 
@@ -229,20 +268,27 @@ def _chunk_rows(monkeypatch, config, start):
         return bounds(x, m)
 
     monkeypatch.setattr(gamma_module, "_bounds", spy)
-    _scan_chunk(config, start)
-    return np.concatenate(seen)
+    gamma_scan(config)
+    monkeypatch.setattr(gamma_module, "_bounds", bounds)
+    return seen
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_scan_chunk_rows_match_per_sample_reference(monkeypatch, m):
+    # sub-batches of the size rule, then of 37 rows, which straddle the
+    # passes that derive 256 substream states at a time
     dim = 3**m - 1
-    for seed in (0, 11, 2**33 + 1):
-        config = GammaScanConfig(parties=m, samples=_CHUNK + 40, seed=seed)
-        for start in (0, _CHUNK):
-            rows = _chunk_rows(monkeypatch, config, start)
-            stop = min(start + _CHUNK, config.samples)
-            ref = [sample_vector(seed, k, dim) for k in range(start, stop)]
-            assert np.array_equal(_bits(rows), _bits(ref))
+    for rows in (None, 37):
+        if rows is not None:
+            monkeypatch.setattr(gamma_module, "_VALUE_BYTES", 0)
+            monkeypatch.setattr(gamma_module, "_MIN_ROWS", rows)
+        for seed in (0, 11, 2**33 + 1):
+            config = GammaScanConfig(parties=m, samples=_STATE_ROWS + 40, seed=seed)
+            seen = _scan_rows(monkeypatch, config)
+            if rows is not None:
+                assert [len(x) for x in seen] == [37] * 8  # the seventh spans samples 222..258
+            ref = [sample_vector(seed, k, dim) for k in range(config.samples)]
+            assert np.array_equal(_bits(np.concatenate(seen)), _bits(ref))
 
 
 def test_scan_rows_follow_the_redraw_rule(monkeypatch):
@@ -253,7 +299,7 @@ def test_scan_rows_follow_the_redraw_rule(monkeypatch):
     monkeypatch.setattr(gamma_module, "_MIN_NORM", 1.0)
     monkeypatch.setattr(helpers, "_MIN_NORM", 1.0)
     indices = np.arange(300)
-    rows = gamma_module._sample_rows(9, indices, 1)
+    rows = _sample_rows(_substream_states(9, indices), 1)
     assert np.array_equal(_bits(rows), _bits([helpers.sample_vector(9, k, 1) for k in indices]))
     assert np.all(np.abs(rows) == 1.0)
 

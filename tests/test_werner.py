@@ -352,12 +352,15 @@ def test_monte_carlo_defaults_to_the_usable_cores(monkeypatch):
     for cores in ({0}, set(range(16))):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cores: c, raising=False)
         assert run() == serial
+    # a request above the cores is cut to them (the spy sees 2, no pool of 10 000)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert run(threads=10_000) == serial
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert run() == serial
     assert run(threads=1) == serial
-    # one core, then no more workers than chunks, then the CPU count
-    assert workers == [1, 4, 2, 1]
+    # one core, then no more workers than chunks, then two cores, then the CPU count
+    assert workers == [1, 4, 2, 2, 1]
 
 
 def test_monte_carlo_memory_is_a_block_not_a_chunk():
