@@ -36,6 +36,7 @@ from .quantum import (
     seesaw_lower,
 )
 from .werner import (
+    Detection,
     GhzFamily,
     MeasureConditionVerdict,
     MonteCarloEstimate,
@@ -69,6 +70,7 @@ __all__ = [
     "CapExceeded",
     "ClassicalBoundResult",
     "DeterministicStrategy",
+    "Detection",
     "GammaIndexEstimate",
     "GammaScanConfig",
     "GammaScanResult",

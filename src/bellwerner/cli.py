@@ -13,9 +13,10 @@ The solvers run at fixed settings that no option changes: the see-saw stops
 a restart once a sweep gains less than 1e-9 ("converged", or "stalled" when
 the gains shrink too slowly), once its gains show it cannot beat the
 classical bound ("bounded") or after 500 sweeps (the `seesaw-sweep-cap`
-warning), and visibilities are bisected to 1e-6.  Only measure takes
---threads, for its Monte Carlo chunks; the gamma scan (gamma, tables II)
-runs one sub-batch after another and the see-saw its restarts as stacks.
+warning), and visibilities are bisected to 1e-6.  A see-saw computes the
+classical bound once, and its command reports that value.  Only measure
+takes --threads, for its Monte Carlo chunks; the gamma scan (gamma, tables
+II) runs one sub-batch after another and the see-saw its restarts as stacks.
 """
 
 from __future__ import annotations
@@ -101,10 +102,15 @@ def _analyse(expr: BellExpression, *, seed, closed_form=False, restarts=None) ->
 
     Block i is an expression over parties i..m, so its bound enumerates
     4^(m+1-i) strategies; the absent leading parties cannot change it.
-    The see-saw runs only when restarts is given.  closed_form=True makes a
-    partial-correlation expression a ValueError, raised before any see-saw.
+    The see-saw runs only when restarts is given, and then its classical
+    bound is the one reported.  closed_form=True makes a partial-correlation
+    expression a ValueError, raised before any see-saw.
     """
-    outcome = lhv_bound(expr)
+    homogeneous = is_homogeneous(expr)
+    if closed_form and not homogeneous:
+        raise ValueError("--closed-form requires a full-correlation expression")
+    found = None if restarts is None else seesaw_lower(expr, restarts=restarts, seed=seed)
+    outcome = lhv_bound(expr) if found is None else found.classical
     values = []
     for i in range(1, expr.parties + 1):
         part = block(expr, i)
@@ -112,24 +118,23 @@ def _analyse(expr: BellExpression, *, seed, closed_form=False, restarts=None) ->
     gammas = [outcome.value / v if v else math.inf for v in values]
     composite = composite_ratio_upper(gammas)
     warnings = []
-    cf = uppers = found = None
-    if is_homogeneous(expr):
+    cf = uppers = None
+    if homogeneous:
         cf = closed_form_classical(expr)
         uppers = analytic_quantum_upper(expr)
         if cf > outcome.value + 1e-9:
             warnings.append(("closed-form-exceeds-enumeration", _CLOSED_FORM_NOTE))
-    elif closed_form:
-        raise ValueError("--closed-form requires a full-correlation expression")
-    if restarts is not None:
-        found = seesaw_lower(expr, restarts=restarts, seed=seed)
-        capped = found.stop_reasons.count("max_sweeps")
-        if capped:
-            note = (
-                f"{capped} of {len(found.stop_reasons)} see-saw restarts stopped at the "
-                "sweep cap before converging; the lower bound may not be the best reachable"
-            )
-            warnings.append(("seesaw-sweep-cap", note))
+    if found is not None:
+        warnings.extend(_sweep_cap_warnings(found))
     return _Analysis(outcome, values, gammas, composite, cf, uppers, found, warnings)
+
+
+def _sweep_cap_warnings(found: SeesawResult) -> list:
+    """The seesaw-sweep-cap warning when any restart of found stopped at the sweep cap."""
+    capped = found.stop_reasons.count("max_sweeps")
+    note = (f"{capped} of {len(found.stop_reasons)} see-saw restarts stopped at the sweep cap "
+            "before converging; the lower bound may not be the best reachable")
+    return [("seesaw-sweep-cap", note)] if capped else []
 
 
 def cmd_bounds(args) -> Report:
@@ -274,21 +279,21 @@ def cmd_tables(args) -> Report:
     )
 
 
-def _detection_block(expr_file, family, args) -> dict:
+def _detection_block(expr_file, family, args) -> tuple[dict, SeesawResult]:
+    """The detection entry of a werner report, and the see-saw behind it."""
     expr = load_expression(expr_file)
-    outcome = lhv_bound(expr)
+    found = detect_visibility(expr, family, args.seed, restarts=args.restarts)
+    c1 = found.seesaw.classical.value
     out = {
         "expr_file": str(expr_file),
-        "classical_bound": outcome.value,
-        "detect_visibility": detect_visibility(expr, family, args.seed, restarts=args.restarts),
+        "classical_bound": c1,
+        "detect_visibility": found.visibility,
     }
     if is_homogeneous(expr):
         upper = analytic_quantum_upper(expr).general
-        if upper > outcome.value:
-            out["visibility_lower_bound"] = visibility_lower_bound(
-                expr.parties, outcome.value, upper
-            )
-    return out
+        if upper > c1:
+            out["visibility_lower_bound"] = visibility_lower_bound(expr.parties, c1, upper)
+    return out, found.seesaw
 
 
 def cmd_werner(args) -> Report:
@@ -319,7 +324,8 @@ def cmd_werner(args) -> Report:
         }
         inputs = {"family": "pure", "state_file": str(args.state)}
     if args.expr:
-        detection = _detection_block(args.expr, family, args)
+        detection, found = _detection_block(args.expr, family, args)
+        warnings.extend(_sweep_cap_warnings(found))
         vlb = detection.get("visibility_lower_bound")
         if vlb is not None and "separability_threshold" in results:
             # a gap between the two certifies Werner states no expression

@@ -52,7 +52,9 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .classical import MAX_PARTIES, _ordered_values, closed_form_classical, lhv_bound
+from .classical import (
+    MAX_PARTIES, ClassicalBoundResult, _ordered_values, closed_form_classical, lhv_bound
+)
 from .errors import check_cap
 from .expressions import BellExpression, coefficient_tensor, term_slots
 
@@ -151,7 +153,7 @@ class SeesawResult:
     stop_reasons and sweeps have one entry per restart, the classical warm
     start last: why it stopped ("converged", "stalled", "bounded" or
     "max_sweeps", as the module docstring defines them) and how many sweeps
-    it ran.
+    it ran.  classical is the classical bound c1, computed once per call.
     """
 
     value: float
@@ -161,6 +163,7 @@ class SeesawResult:
     restart_index: int
     stop_reasons: tuple[str, ...]
     sweeps: tuple[int, ...]
+    classical: ClassicalBoundResult
 
 
 def analytic_quantum_upper(expr: BellExpression) -> AnalyticUppers:
@@ -464,39 +467,38 @@ def _random_assignment(parties: int, rng: np.random.Generator) -> ObservableAssi
     return ObservableAssignment(tuple(pairs))
 
 
-def _witness_assignment(expr: BellExpression) -> tuple[ObservableAssignment, float]:
-    """The commuting warm start, the best deterministic strategy as identity
-    multiples, whose operator is c1 times identity, and the classical bound c1."""
-    outcome = lhv_bound(expr)
-    pairs = tuple(
+def _witness_assignment(outcome: ClassicalBoundResult) -> ObservableAssignment:
+    """The commuting warm start: the classical witness strategy as identity
+    multiples, whose operator is c1 times identity."""
+    return ObservableAssignment(tuple(
         (QubitObservable.constant(float(a0)), QubitObservable.constant(float(a1)))
         for a0, a1 in outcome.witness.assignments
-    )
-    return ObservableAssignment(pairs), outcome.value
+    ))
 
 
 def _best_of_restarts(
     expr: BellExpression, restarts: int, seed: int, fixed_state: Optional[np.ndarray] = None
 ) -> SeesawResult:
     """The restart loop shared by seesaw_lower and seesaw_fixed_state."""
-    if len(expr) == 0:
-        raise ValueError("zero expression has no quantum bound")
+    # rejects a zero expression and checks the party cap before anything is allocated
+    classical = lhv_bound(expr)
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    check_cap(_OPERATOR, expr.parties, MAX_PARTIES)
 
-    warm, c1 = _witness_assignment(expr)
     randoms = (_random_assignment(expr.parties, np.random.default_rng([seed, r]))
                for r in range(restarts))
+    starts = itertools.chain(randoms, [_witness_assignment(classical)])
     ends, best = {}, None
-    for idx, run in _seesaw_runs(expr, itertools.chain(randoms, [warm]), c1, fixed_state):
+    for idx, run in _seesaw_runs(expr, starts, classical.value, fixed_state):
         ends[idx] = run.stop_reason, len(run.sweep_values) - 1
         # ties go to the lowest index, whatever order the restarts stop in
         if best is None or (run.value, -idx) > (best[1].value, -best[0]):
             best = idx, run
     reasons, sweeps = zip(*(ends[idx] for idx in range(restarts + 1)))
     idx, run = best
-    return SeesawResult(run.value, run.witness, run.state, run.sweep_values, idx, reasons, sweeps)
+    return SeesawResult(
+        run.value, run.witness, run.state, run.sweep_values, idx, reasons, sweeps, classical
+    )
 
 
 def seesaw_lower(

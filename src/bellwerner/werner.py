@@ -24,12 +24,13 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from ._workers import ordered_map, usable_cores
-from .classical import MAX_PARTIES, lhv_bound
+from .classical import MAX_PARTIES
 from .errors import check_cap
 from .expressions import BellExpression
 from .quantum import (
     _OPERATOR,
     DEFAULT_RESTARTS,
+    SeesawResult,
     _sum_inverse_gammas,
     bell_operator,
     seesaw_fixed_state,
@@ -49,6 +50,13 @@ class ThetaRange(NamedTuple):
     theta_lower: float
     theta_upper: float
     measure: float  # (theta_upper - theta_lower) / pi
+
+
+class Detection(NamedTuple):
+    """detect_visibility's result; seesaw.classical.value is the classical bound c1."""
+
+    visibility: Optional[float]  # None when even v = 1 shows no violation
+    seesaw: SeesawResult  # the fixed-state see-saw at v = 1
 
 
 class MonteCarloEstimate(NamedTuple):
@@ -470,23 +478,23 @@ def detect_visibility(
     seed: int = 0,
     *,
     restarts: int = DEFAULT_RESTARTS,
-) -> Optional[float]:
+) -> Detection:
     """Empirical visibility at which the Werner family starts violating expr.
 
     Optimizes the observable assignment for the pure state (v = 1) with the
     fixed-state see-saw, then bisects the linear-in-v value
-    (1-v) Tr(B)/2^m + v <Psi|B|Psi> against the classical bound.  None when
+    (1-v) Tr(B)/2^m + v <Psi|B|Psi> against the classical bound c1, which
+    the see-saw computed for its warm start.  The visibility is None when
     even v = 1 shows no violation.  The maximally mixed end never violates,
     so the crossing is bracketed whenever it exists.
     """
-    if family.parties != expr.parties:
-        raise ValueError(
-            f"family has {family.parties} parties, expression has {expr.parties}"
-        )
+    # first, so an expression over the cap is a cap violation whatever the family
     check_cap(_OPERATOR, expr.parties, MAX_PARTIES)
+    if family.parties != expr.parties:
+        raise ValueError(f"family has {family.parties} parties, expression has {expr.parties}")
     psi = family.state_vector()
-    c1 = lhv_bound(expr).value
     result = seesaw_fixed_state(expr, psi, restarts=restarts, seed=seed)
+    c1 = result.classical.value
     operator = bell_operator(expr, result.witness)
     mixed_value = float(np.trace(operator).real) / psi.shape[0]
     pure_value = float(np.vdot(psi, operator @ psi).real)
@@ -494,6 +502,4 @@ def detect_visibility(
     def violates(v: float) -> bool:
         return abs((1.0 - v) * mixed_value + v * pure_value) > c1
 
-    if not violates(1.0):
-        return None
-    return _first_true(violates)
+    return Detection(_first_true(violates) if violates(1.0) else None, result)

@@ -129,7 +129,7 @@ def test_werner_visibility_thresholds():
         assert ghz_separability_threshold(2, math.pi / 4) == 1.0 / 3.0
         detected = detect_visibility(
             builtin("CHSH"), GhzFamily(2, math.pi / 4), 0, restarts=20
-        )
+        ).visibility
         assert detected is not None
         assert abs(detected - 0.7071067811865476) <= 1e-3
         lower = visibility_lower_bound(2, 2.0, 2.0 * math.sqrt(2.0))

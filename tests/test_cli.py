@@ -321,6 +321,58 @@ def test_seesaw_sweep_cap_warning(capsys, monkeypatch, tmp_path, chsh_file):
     ]
 
 
+def test_werner_warns_when_its_seesaw_hits_the_sweep_cap(capsys, tmp_path):
+    rng = np.random.default_rng(1)
+    v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    state, expr = tmp_path / "state.json", tmp_path / "mermin3.json"
+    save_state(PureFamily(v / np.linalg.norm(v)), state)
+    save_expression(builtin("MERMIN(3)"), expr)
+    argv = ["werner", "pure", "--state", str(state), "--expr", str(expr)]
+    for restarts, capped in (("3", "3 of 4"), ("20", "18 of 21")):
+        rep = _structured(capsys, argv + ["--restarts", restarts])
+        assert rep.results["detection"]["detect_visibility"] == 0.651329994202
+        assert rep.warnings == [{
+            "name": "seesaw-sweep-cap",
+            "message": f"{capped} see-saw restarts stopped at the sweep cap before "
+            "converging; the lower bound may not be the best reachable",
+        }]
+
+
+@pytest.fixture
+def lhv_calls(monkeypatch):
+    """The expressions lhv_bound is called on, wherever the package binds it."""
+    calls = []
+    for module in (cli, quantum, werner):
+        if hasattr(module, "lhv_bound"):
+            def spy(expr, original=getattr(module, "lhv_bound")):
+                calls.append(expr)
+                return original(expr)
+
+            monkeypatch.setattr(module, "lhv_bound", spy)
+    return calls
+
+
+def test_one_classical_bound_per_seesaw_op(capsys, tmp_path, lhv_calls, chsh_file, ch_file):
+    mermin = tmp_path / "mermin3.json"
+    save_expression(builtin("MERMIN(3)"), mermin)
+    state = tmp_path / "state.json"
+    save_state(PureFamily(ghz_amplitudes(3, 0.6)), state)
+    for argv in (
+        ["werner", "ghz", "--m", "2", "--theta", "0.6", "--expr", chsh_file],
+        ["werner", "ghz", "--m", "3", "--theta", "0.6", "--expr", str(mermin)],
+        ["werner", "pure", "--state", str(state), "--expr", str(mermin)],
+    ):
+        lhv_calls.clear()
+        _structured(capsys, argv + ["--restarts", "2"])
+        assert len(lhv_calls) == 1, argv  # the see-saw's, which detection reads c1 off
+    # bounds --seesaw: the see-saw's bound of the whole expression, then one per
+    # non-empty block: one for CHSH, two for CH, one for MERMIN(3)
+    for path, blocks in ((chsh_file, 1), (ch_file, 2), (str(mermin), 1)):
+        lhv_calls.clear()
+        _structured(capsys, ["bounds", path, "--seesaw", "--restarts", "2"])
+        assert len(lhv_calls) == 1 + blocks, path
+
+
 def test_internal_fault_exit_code(capsys, monkeypatch, chsh_file):
     def fault(*args, **kwargs):
         raise RuntimeError("see-saw objective decreased; eigensolver or update fault")

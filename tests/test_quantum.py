@@ -413,10 +413,11 @@ def test_seesaw_run_matches_reference(fixed, monkeypatch):
         if fixed:
             psi = rng.standard_normal(2 ** m) + 1j * rng.standard_normal(2 ** m)
             psi /= np.linalg.norm(psi)
-        warm, c1 = quantum._witness_assignment(expr)
+        classical = lhv_bound(expr)
+        c1 = classical.value
         starts = [
             quantum._random_assignment(m, np.random.default_rng([int(rng.integers(100)), 0])),
-            warm,
+            quantum._witness_assignment(classical),
         ]
         refs = [seesaw_run_reference(expr, start, c1, fixed_state=psi) for start in starts]
         # one stack of both restarts, then one group per restart

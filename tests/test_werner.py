@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from bellwerner import (
     GhzFamily,
     PureFamily,
+    bell_operator,
     builtin,
     detect_visibility,
     ghz_amplitudes,
@@ -20,6 +22,7 @@ from bellwerner import (
     measure_lower_bound,
     measure_monte_carlo,
     necessary_check_first_failure,
+    new_expression,
     separability_upper_bound,
     undetectable_measure_condition,
     undetectable_range_general,
@@ -31,6 +34,7 @@ from bellwerner import werner
 from bellwerner._workers import ordered_map
 from bellwerner.werner import _MC_CHUNK, _mc_chunk_hits
 from helpers import (
+    equatorial_lower,
     exact_pair_fraction,
     mc_chunk_pairs_dense,
     separability_necessary_check,
@@ -430,6 +434,7 @@ def test_max_pair_product():
 
 def test_detect_visibility_chsh():
     found = detect_visibility(builtin("CHSH"), GhzFamily(2, math.pi / 4), 0, restarts=6)
+    found = found.visibility
     assert found == pytest.approx(1.0 / ROOT2, abs=1e-3)
     floor = visibility_lower_bound(2, 2.0, 2 * ROOT2)
     assert floor - 1e-3 <= found <= 1.0
@@ -437,17 +442,18 @@ def test_detect_visibility_chsh():
 
 def test_detect_visibility_mermin():
     found = detect_visibility(builtin("MERMIN"), GhzFamily(3, math.pi / 4), 0, restarts=6)
+    found = found.visibility
     assert found == pytest.approx(0.5, abs=5e-3)
 
 
 def test_detect_visibility_near_product_state():
-    found = detect_visibility(builtin("CHSH"), GhzFamily(2, 0.01), 0, restarts=4)
+    found = detect_visibility(builtin("CHSH"), GhzFamily(2, 0.01), 0, restarts=4).visibility
     assert found is None or found > 0.9
 
 
 def test_detect_visibility_seven_parties():
     expr = builtin("MERMIN(7)")
-    found = detect_visibility(expr, GhzFamily(7, math.pi / 4), 0, restarts=1)
+    found = detect_visibility(expr, GhzFamily(7, math.pi / 4), 0, restarts=1).visibility
     assert found == pytest.approx(lhv_bound(expr).value / 64.0, abs=1e-5)
 
 
@@ -458,3 +464,47 @@ def test_detect_visibility_party_cap():
         detect_visibility(
             builtin("MERMIN(9)"), GhzFamily(9, math.pi / 4), 0, restarts=1
         )
+
+
+def _werner_detect_ghz_expressions(sets):
+    """fc3, fc4 and fc5 of the given input sets of the werner_detect benchmark.
+
+    Each set draws them first, in this order, from default_rng([2, 0, s])
+    (stream 2 is werner_detect, 0 the pool seed): standard normal
+    coefficients on all 2^m full-correlation patterns.
+    """
+    for s in sets:
+        rng = np.random.default_rng([2, 0, s])
+        for m in (3, 4, 5):
+            patterns = ["".join(p) for p in itertools.product("01", repeat=m)]
+            terms = [(p, float(rng.standard_normal())) for p in patterns]
+            yield pytest.param(new_expression(m, terms), (0.6,), id=f"s{s}_fc{m}")
+
+
+@pytest.mark.parametrize(
+    "expr, thetas",
+    [
+        *_werner_detect_ghz_expressions((0, 1)),
+        *(
+            pytest.param(builtin(name), (0.3, 0.6, math.pi / 4, 1.2), id=name)
+            for name in ("MERMIN(3)", "MERMIN(5)")
+        ),
+    ],
+)
+def test_ghz_detection_within_the_equatorial_bracket(expr, thetas):
+    # Equatorial observables cos(phi) X + sin(phi) Y give the GHZ(theta) value
+    # sin(2 theta) E, E = equatorial_lower(expr) (Werner and Wolf,
+    # quant-ph/0102024), so the fixed-state see-saw must reach it; with a
+    # traceless witness the detected visibility is then at most c1 / (sin(2 theta) E).
+    lower = equatorial_lower(expr)
+    for theta in thetas:
+        reach = math.sin(2.0 * theta) * lower
+        found = detect_visibility(expr, GhzFamily(expr.parties, theta), 0, restarts=3)
+        value, c1 = found.seesaw.value, found.seesaw.classical.value
+        assert value >= reach - 1e-9 * max(1.0, value)
+        trace = np.trace(bell_operator(expr, found.seesaw.witness)).real
+        if abs(trace) / 2 ** expr.parties <= 1e-12 * c1:
+            if found.visibility is None:
+                assert reach <= c1 * (1.0 + 1e-9)
+            else:
+                assert found.visibility <= c1 / reach + 1e-6
