@@ -133,21 +133,23 @@ def _check_enumeration(parties: int) -> None:
     check_cap(_ENUMERATION, parties, MAX_PARTIES)
 
 
-def _contraction_steps(coeffs: np.ndarray, parties: int) -> Iterator[np.ndarray]:
+def _contraction_steps(coeffs: np.ndarray, parties: int, buffers=()) -> Iterator[np.ndarray]:
     """The loop of `_strategy_values`: the array before each contraction, then the result.
 
     Before party p = m-1-done it is (4^done, 3, rest): the strategies of
     parties p+1..m-1, party p's slot, then the slots of parties p-1..0 and
     the batch, flattened with the batch fastest, so the first (batch size)
     entries of the last axis have every earlier party at slot 0.  The
-    result is (4^(m-1), 4, batch size).
+    result is (4^(m-1), 4, batch size).  Given two flat float64 buffers,
+    product `done` goes into the head of buffers[done % 2] (a short one raises).
     """
     batch = coeffs.shape[: coeffs.ndim - parties]
     t = coeffs.transpose([*range(coeffs.ndim - 1, len(batch) - 1, -1), *range(len(batch))])
     for done in range(parties):
         t = t.reshape(4**done, 3, -1)
         yield t
-        t = np.matmul(_PARTY_SIGNS, t)
+        out = buffers[done % 2][: 4 * (t.size // 3)].reshape(4**done, 4, -1) if buffers else None
+        t = np.matmul(_PARTY_SIGNS, t, out=out)
     yield t
 
 

@@ -17,27 +17,31 @@ than build a SeedSequence, PCG64 and Generator per sample, the scan
 derives the PCG64 (state, inc) of 256 samples in one pass, running
 SeedSequence's seed_seq_fe hash as uint32 array operations over their
 indices and PCG64's two seeding steps on Python ints, then draws each
-sample through one Generator whose state it sets (NEP 19 keeps these
-streams fixed across NumPy versions; the tests pin the derived states and
-vectors against default_rng).  So no result depends on how the samples
-are grouped: sub-batches fold in index order with ties going to the
-lowest sample index, and witnesses are regenerated from their substream
-rather than stored.
+sample through one Generator whose state it sets.  NEP 19 fixes PCG64's
+bit stream but not what Generator methods such as standard_normal make of
+it; the tests that pin the derived states and drawn vectors against
+default_rng would catch a change.  No result depends on how the samples
+are grouped: sub-batches fold in index order with ties going to the lowest
+sample index, and witnesses are regenerated from their substream rather
+than stored.
 
 Cost model.  One loop walks the samples in sub-batches of about 1 MiB of
 4^m doubles, but at least 8 rows and at most 256.  A sub-batch draws its
 rows and reads every classical bound off one Kronecker transform of the
-full expressions as (3,)*m tensors, batched over the rows (`_bounds`):
-the block bounds from slices taken before each party is contracted, the
-full bound in place of the last contraction.  So a sample costs about 70%
-of one full transform, O(m 4^m), its 4^m values are never formed, and
-memory is one sub-batch whatever the sample count (under 8 MiB at eight
-parties).  Ratios, skips, the gamma_1 self-check and the minima are array
-operations on the sub-batch.  What remains per sample is its draw: on one
-core of a 2 GHz Xeon about 6 us at four parties (80 coefficients), of
-which about 1 us derives the state and the rest sets it, draws and takes
-the norm (a default_rng per sample took 20 us).  A derivation pass also
-has a fixed cost of about 0.3 ms, which is why it covers 256 samples
+full expressions as (3,)*m tensors, batched over the rows (`_bounds`): the
+block bounds from slices taken before each party is contracted, the full
+bound in place of the last contraction.  So a sample costs about 70% of
+one full transform, O(m 4^m), and its 4^m values are never formed.  The
+products go into two buffers allocated once per scan (`_workspace`), so
+the heap does not shrink and regrow between sub-batches, faulting its
+pages in afresh each time (7k faults a 2000-sample scan at five parties),
+and memory is the workspace plus one sub-batch whatever the sample count
+(under 8 MiB at eight parties).  Ratios, skips, the gamma_1 self-check and the minima are
+array operations on the sub-batch.  What remains per sample is its draw:
+on one core of a 2 GHz Xeon about 6 us at four parties (80 coefficients),
+of which about 1 us derives the state and the rest sets it, draws and
+takes the norm (a default_rng per sample took 20 us).  A derivation pass
+also has a fixed cost of about 0.3 ms, which is why it covers 256 samples
 rather than one sub-batch of 8; their states are two ints a sample.
 """
 
@@ -58,7 +62,7 @@ _GAMMA1_SLACK = 1e-12
 _MIN_NORM = 1e-12  # a draw below this norm is redrawn
 _VALUE_BYTES = 1 << 20  # sub-batch rows: this many bytes of 4^m doubles,
 _MIN_ROWS = 8  # but at least this many (fewer slow the matmuls at m = 8)
-_MAX_ROWS = 256  # and at most this many (larger ones fault in fresh pages at m <= 4)
+_MAX_ROWS = 256  # and at most this many (more gain no time at m <= 4 and fault a fresh workspace)
 _STATE_ROWS = 256  # substream states derived per pass
 
 # NumPy's SeedSequence (seed_seq_fe, pool of four uint32 words) and PCG64
@@ -205,27 +209,37 @@ def _sample_rows(states: list[tuple[int, int]], dim: int) -> np.ndarray:
     return x
 
 
-def _bounds(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _workspace(m: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_bounds`'s buffers for up to `rows` samples, each sized for its last product."""
+    sizes = [4 ** (k + 1) * 3 ** (m - 1 - k) * rows for k in range(m - 1)]  # products 0..m-2
+    return np.empty(max(sizes[0::2], default=0)), np.empty(max(sizes[1::2], default=0))
+
+
+def _bounds(x: np.ndarray, m: int, workspace: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Classical bounds of the sample rows x: the full ones and (rows, m) per block.
 
-    All are read off one transform of the full tensors.  Just before party
-    i is contracted, the slice with party i at slot 1 or 2 and every
-    earlier party at slot 0 holds block i over the later parties'
-    strategies as two halves a and b; party i's outcomes are free signs on
-    them, so block i's bound is max(|a| + |b|), the sums a transform of the
-    block alone takes.  Party 0's slots 0, 1, 2 hold c, a and b, which its
-    contraction would round as (c + u a) + v b for signs u, v; rounding is
-    odd and monotone, so the full bound is max((|c| + |a|) + |b|) bit for
-    bit, and the 4^m values are never formed.
+    All are read off one transform of the full tensors, its products in
+    `workspace`.  Just before party i is contracted, the slice with party i
+    at slot 1 or 2 and every earlier party at slot 0 holds block i over the
+    later parties' strategies as two halves a and b; party i's outcomes are
+    free signs on them, so block i's bound is max(|a| + |b|), the sums a
+    transform of the block alone takes.  Party 0's slots 0, 1, 2 hold c, a
+    and b, which its contraction would round as (c + u a) + v b for signs
+    u, v; rounding is odd and monotone, so the full bound is
+    max((|c| + |a|) + |b|) bit for bit, summed in place in the last product.
     """
     n = len(x)
     blocks = np.empty((n, m))
-    steps = _contraction_steps(canonical_tensor(x, m), m)
-    for done, t in enumerate(itertools.islice(steps, m)):
+    steps = _contraction_steps(canonical_tensor(x, m), m, workspace)
+    for done, t in enumerate(itertools.islice(steps, m - 1)):
         a = np.abs(t[:, 1, :n])
         b = np.abs(t[:, 2, :n])
         blocks[:, m - 1 - done] = (a + b).max(axis=0)
-    return (np.abs(t[:, 0]) + a + b).max(axis=0), blocks
+    t = next(steps)
+    c, a, b = np.abs(t, out=t).transpose(1, 0, 2)
+    np.add(np.add(c, a, out=c), b, out=c)  # (|c| + |a|) + |b|, before a turns into |a| + |b|
+    blocks[:, 0] = np.add(a, b, out=a).max(axis=0)
+    return c.max(axis=0), blocks
 
 
 def gamma_scan(config: GammaScanConfig) -> GammaScanResult:
@@ -245,9 +259,10 @@ def gamma_scan(config: GammaScanConfig) -> GammaScanResult:
         for lo in range(0, n, _STATE_ROWS)
     )
     rows = min(_MAX_ROWS, max(_MIN_ROWS, _VALUE_BYTES // (8 * 4**m)))
+    workspace = _workspace(m, min(rows, n))
     for start in range(0, n, rows):
         x = _sample_rows(list(itertools.islice(states, rows)), 3**m - 1)
-        total, blocks = _bounds(x, m)
+        total, blocks = _bounds(x, m, workspace)
         skip = blocks < _BLOCK_EPS
         ratios = np.where(skip, np.inf, total[:, None] / np.where(skip, 1.0, blocks))
         bad = np.flatnonzero(~skip[:, 0] & (ratios[:, 0] < 1.0 - _GAMMA1_SLACK))

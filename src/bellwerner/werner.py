@@ -376,16 +376,16 @@ def _mc_chunk_hits(
     E = sum (a + b) exactly: every term of T passes through one rounding of
     a + b and at most n - 1 of the sum, every term of T' through n - 1 of
     its row sum and one of A + B, so |T - E| and |T' - E| are both at most
-    gamma_n E, |T' / T - 1| <= 2 gamma_n / (1 - gamma_n), and with one
-    rounding per quotient |pair - pair'| is (n + 1) 2^-52 pair' to first
-    order, plus an absolute 2^-1074 per subnormal quotient.  The margin
-    (2n + 8) 2^-52 pair' + 2^-1022 is twice that, which absorbs the
+    gamma_n E, in whatever order the nonnegative terms are added (NumPy's
+    pairwise sum, einsum's unfixed one), |T' / T - 1| <= 2 gamma_n / (1 - gamma_n),
+    and with one rounding per quotient |pair - pair'| is (n + 1) 2^-52 pair'
+    to first order, plus an absolute 2^-1074 per subnormal quotient.  The
+    margin (2n + 8) 2^-52 pair' + 2^-1022 is twice that, which absorbs the
     higher-order terms and its own roundings, so a sample whose pair'
     clears the threshold by more than it has the dense verdict (a rounded
     difference compared with the float threshold keeps the order of the
-    exact one).  The rare samples inside the
-    margin, and a NaN pair', are redrawn and decided exactly as the dense
-    code decides them (`_mc_recheck`).
+    exact one).  The rare samples inside the margin, and a NaN pair', are
+    redrawn and decided exactly as the dense code decides them (`_mc_recheck`).
     """
     count = min(_MC_CHUNK, samples - chunk_index * _MC_CHUNK)
     dim = 2 ** parties
@@ -398,7 +398,7 @@ def _mc_chunk_hits(
             span = slice(start, start + rows.shape[0])
             head[span] += rows[:, 0]
             tail[span] += rows[:, -1]
-            total[span] += rows.sum(axis=1)
+            total[span] += np.einsum("ij->i", rows)  # no BLAS call, so no BLAS threads
     pair = (head + tail) / total
     margin = (2 * dim + 8) * 2.0**-52 * pair + 2.0**-1022
     above = pair - margin > threshold
@@ -442,11 +442,14 @@ def measure_monte_carlo(
 
     Draws amplitude vectors as normalized independent complex Gaussians and
     counts states with p_{0...0} + p_{1...1} > c^2, c = 2^-m (poly_value + 1).
-    That event is the one the closed-form measure_lower_bound actually
-    bounds; the per-pair product form of the test is unattainable once
-    poly_value + 1 >= 2^(m-1) (pair products never exceed 1/4), so it is not
-    used.  By symmetry of the uniform measure, any fixed complementary pair
-    gives the same distribution.
+    The per-pair product form of the test is unattainable once poly_value + 1
+    >= 2^(m-1) (pair products never exceed 1/4), so it is not used.  By
+    symmetry of the uniform measure, any fixed complementary pair gives the
+    same distribution.  With d = 2^m and t = c^2 the exact share is
+    (1 - t)^(d-2) (1 + (d - 2) t), and measure_lower_bound's (1 - t)^(d/2)
+    bounds it from below exactly when (d/2 - 2) ln(1 - t) + ln(1 + (d - 2) t) >= 0:
+    at m = 3 when t <= 1/2, that is poly_value <= 4 sqrt(2) - 1 (at 5.5 the
+    share is 0.0076 and the "bound" 0.0133).
 
     Sampling is chunked with substreams keyed by (seed, chunk index) and hit
     counts are integers, so the estimate is identical for any thread count.

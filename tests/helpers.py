@@ -3,10 +3,14 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import bellwerner
 from bellwerner import (
     ObservableAssignment,
     QubitObservable,
@@ -727,3 +731,12 @@ def state_to_document(family):
 
 def save_state(family, path):
     Path(path).write_text(json.dumps(state_to_document(family), indent=2) + "\n")
+
+
+def run_python(code):
+    """stdout of `code` run by this interpreter in a fresh process that imports this bellwerner."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bellwerner.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout

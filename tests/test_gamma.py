@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,11 +16,12 @@ from bellwerner import (
     block_strategy_matrix,
 )
 import bellwerner.gamma as gamma_module
-from bellwerner.gamma import _STATE_ROWS, _bounds, _sample_rows, _substream_states
+from bellwerner.gamma import _STATE_ROWS, _bounds, _sample_rows, _substream_states, _workspace
 from helpers import (
     bounds_per_block,
     gamma_for,
     random_expression,
+    run_python,
     sample_vector,
     scan_chunk_dense,
 )
@@ -162,9 +164,9 @@ def test_scan_sub_batches_do_not_change_results(monkeypatch):
     sizes = []
     bounds = gamma_module._bounds
 
-    def spy(x, m):
+    def spy(x, m, workspace):
         sizes.append(len(x))
-        return bounds(x, m)
+        return bounds(x, m, workspace)
 
     monkeypatch.setattr(gamma_module, "_bounds", spy)
     split = gamma_scan(config)
@@ -181,7 +183,7 @@ def test_scan_sub_batches_do_not_change_results(monkeypatch):
 def test_scan_ties_keep_the_lowest_sample(monkeypatch):
     # every sample ties on index 1 and index 2 is always skipped; across
     # sub-batches of 8 rows the witness stays sample 0
-    def flat(x, m):
+    def flat(x, m, workspace):
         blocks = np.zeros((len(x), m))
         blocks[:, 0] = 0.5
         return np.ones(len(x)), blocks
@@ -197,7 +199,7 @@ def test_scan_self_check_names_the_first_low_sample(monkeypatch):
     # samples 13 on have a first-block ratio of 0.5, from the second sub-batch of 8
     done = []
 
-    def low_from_13(x, m):
+    def low_from_13(x, m, workspace):
         k = np.arange(len(done), len(done) + len(x))
         done.extend(k)
         return np.where(k >= 13, 0.5, 1.0), np.ones((len(x), m))
@@ -215,14 +217,22 @@ def test_scan_self_check_names_the_first_low_sample(monkeypatch):
     [(m, rows) for m in range(1, 9) for rows in (1, 31, 32, 33, 256) if rows * 4**m <= 2**22],
 )
 def test_bounds_match_the_per_block_transforms(m, rows):
-    # one transform read before each contraction against a transform per block
+    # one transform read before each contraction against a transform per block,
+    # in a workspace that starts as NaN and is then reused for fewer rows
     x = _sample_rows(_substream_states(m, np.arange(rows)), 3**m - 1)
     if rows > 1:
         x[1, : 2 * 3 ** (m - 1)] = 0.0  # an empty first block
-    total, blocks = _bounds(x, m)
+    workspace = _workspace(m, rows)
+    for buffer in workspace:
+        buffer.fill(np.nan)
+    total, blocks = _bounds(x, m, workspace)
     ref_total, ref_blocks = bounds_per_block(x, m)
     assert np.array_equal(total, ref_total)
     assert np.array_equal(blocks, ref_blocks)
+    fewer = max(1, rows - 2)
+    total, blocks = _bounds(x[:fewer], m, workspace)
+    assert np.array_equal(total, ref_total[:fewer])
+    assert np.array_equal(blocks, ref_blocks[:fewer])
 
 
 @pytest.mark.parametrize("m, limit_mib", [(6, 6), (7, 16), (8, 8)])
@@ -236,6 +246,23 @@ def test_scan_memory_is_a_sub_batch_not_a_chunk(m, limit_mib):
     finally:
         tracemalloc.stop()
     assert peak <= limit_mib * 2**20
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads Linux's minor page-fault count")
+def test_scan_reuses_one_workspace_across_sub_batches():
+    # in a fresh process, whose heap no earlier test has grown: products
+    # allocated per sub-batch let the heap shrink and regrow between them,
+    # about 6.9k minor faults a call, against about 0.5k with one workspace
+    faults = run_python(
+        "import resource\n"
+        "from bellwerner import GammaScanConfig, gamma_scan\n"
+        "config = GammaScanConfig(5, 2000, 0)\n"
+        "gamma_scan(config)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "gamma_scan(config)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    assert int(faults) < 6900 // 3
 
 
 def _bits(x):
@@ -263,9 +290,9 @@ def _scan_rows(monkeypatch, config):
     seen = []
     bounds = gamma_module._bounds
 
-    def spy(x, m):
+    def spy(x, m, workspace):
         seen.append(x.copy())
-        return bounds(x, m)
+        return bounds(x, m, workspace)
 
     monkeypatch.setattr(gamma_module, "_bounds", spy)
     gamma_scan(config)

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from bellwerner._workers import ordered_map
+from helpers import run_python
 
 
 class _Window:
@@ -54,3 +55,13 @@ def test_ordered_map_stops_submitting_after_a_failure():
     with pytest.raises(ValueError, match="item 10"):
         window.take(ordered_map(window.call, range(1000), 2))
     assert window.started <= 11 + 4
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # concurrent.futures costs 7-10 ms at every start; only a pool needs it
+    loaded = run_python(
+        "import sys\n"
+        "import bellwerner.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('concurrent')))\n"
+    )
+    assert loaded.strip() == "[]"
