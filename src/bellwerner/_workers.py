@@ -1,32 +1,41 @@
-"""The Monte Carlo executor: serial or a thread pool, results in input order."""
+"""The Monte Carlo executor: an integer sum over indices, the caller one of its workers."""
 
 from __future__ import annotations
 
 import os
-from collections import deque
-from typing import Callable, Iterable, Iterator, Optional
+import threading
+from typing import Callable
 
 
-def ordered_map(fn: Callable, items: Iterable, threads: Optional[int]) -> Iterator:
-    """fn(x) for x in items, lazily and in input order, on `threads` workers when > 1.
+def summed(make_work: Callable[[], Callable[[int], int]], count: int, workers: int) -> int:
+    """sum(work(i) for i in range(count)) on `workers` workers, each with work = make_work().
 
-    Callers that merge the results left to right get the same answer for
-    any thread count.  At most 2 * threads calls are submitted and not yet
-    taken, so what a caller folds as it goes is held for that window of
-    items only, not for all of them.
+    The caller is one worker, the others plain threads; each takes the next index when free.
+    After a call raises no index is taken, and the first exception is raised here at the end.
     """
-    if threads is None or threads <= 1:
-        yield from map(fn, items)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # 7-10 ms to import: only where a pool starts
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending: deque = deque()
-        for x in items:
-            if len(pending) == 2 * threads:
-                yield pending.popleft().result()
-            pending.append(pool.submit(fn, x))
-        while pending:
-            yield pending.popleft().result()
+    lock = threading.Lock()
+    indices = iter(range(count))
+    sums, failures = [], []
+
+    def take():
+        with lock:
+            return None if failures else next(indices, None)
+
+    def run() -> None:
+        try:
+            sums.append(sum(map(make_work(), iter(take, None))))
+        except BaseException as exc:  # raised in the caller, not lost in a thread
+            failures.append(exc)
+
+    helpers = [threading.Thread(target=run) for _ in range(workers - 1)]
+    for thread in helpers:
+        thread.start()
+    run()
+    for thread in helpers:
+        thread.join()
+    if failures:
+        raise failures[0]
+    return sum(sums)
 
 
 def usable_cores() -> int:

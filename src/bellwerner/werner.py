@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from ._workers import ordered_map, usable_cores
+from ._workers import summed, usable_cores
 from .classical import MAX_PARTIES
 from .errors import check_cap
 from .expressions import BellExpression
@@ -40,7 +40,7 @@ _BISECTION_TOL = 1e-6
 _NORM_TOL = 1e-12
 _MC_CHUNK = 4096
 _MC_CHUNK_BYTES = 2 ** 28
-_MC_BLOCK = 2 ** 16  # values per streamed draw: 512 KiB of float64
+_MC_BLOCK = 2 ** 16  # values per streamed draw: each worker's one 512 KiB float64 buffer
 STATE_MAX_PARTIES = 16
 
 
@@ -343,30 +343,29 @@ def _check_sampler_size(parties: int, samples: int) -> None:
     check_cap(f"parties for Monte Carlo chunks of {count} samples", parties, limit)
 
 
-def _squared_blocks(rng: np.random.Generator, count: int, dim: int):
+def _squared_blocks(rng: np.random.Generator, count: int, dim: int, buf: np.ndarray):
     """(start, rows) blocks of the squares of a (count, dim) normal draw.
 
     Row blocks hold at most _MC_BLOCK values (one row when a row is longer)
-    in one reused buffer.  Consecutive draws continue the Generator's
-    stream, so the blocks are exactly the rows of
+    in buf, max(_MC_BLOCK, dim) doubles that each block overwrites.  Draws
+    continue the Generator's stream, so the blocks are exactly the rows of
     rng.standard_normal((count, dim)) ** 2.
     """
     step = max(1, _MC_BLOCK // dim)
-    buf = np.empty((min(step, count), dim))
     for start in range(0, count, step):
-        rows = buf[: min(step, count - start)]
+        rows = buf[: min(step, count - start) * dim].reshape(-1, dim)
         rng.standard_normal(out=rows)
         np.square(rows, out=rows)
         yield start, rows
 
 
 def _mc_chunk_hits(
-    parties: int, threshold: float, seed: int, samples: int, chunk_index: int
+    parties: int, threshold: float, seed: int, samples: int, buf: np.ndarray, chunk_index: int
 ) -> int:
     """Samples of one chunk whose pair weight exceeds threshold, streamed.
 
     The chunk's stream is the real parts, a (count, 2^m) draw, then the
-    imaginary parts.  Their squares a, b come in row blocks
+    imaginary parts.  Their squares a, b come in row blocks drawn into buf
     (`_squared_blocks`); per sample only w_0 = a_0 + b_0, w_last and the
     two row sums A = sum a, B = sum b are kept.  The numerator
     N = w_0 + w_last is the dense one bit for bit; T' = A + B differs from
@@ -390,11 +389,9 @@ def _mc_chunk_hits(
     count = min(_MC_CHUNK, samples - chunk_index * _MC_CHUNK)
     dim = 2 ** parties
     rng = np.random.default_rng([seed, chunk_index])
-    head = np.zeros(count)
-    tail = np.zeros(count)
-    total = np.zeros(count)
+    head, tail, total = np.zeros((3, count))
     for _part in range(2):  # the real parts, then the imaginary parts
-        for start, rows in _squared_blocks(rng, count, dim):
+        for start, rows in _squared_blocks(rng, count, dim, buf):
             span = slice(start, start + rows.shape[0])
             head[span] += rows[:, 0]
             tail[span] += rows[:, -1]
@@ -405,17 +402,17 @@ def _mc_chunk_hits(
     unsure = np.flatnonzero(~(above | (pair + margin < threshold)))
     hits = int(np.count_nonzero(above))
     if unsure.size:
-        hits += _mc_recheck(parties, threshold, seed, chunk_index, count, unsure)
+        hits += _mc_recheck(parties, threshold, seed, chunk_index, count, buf, unsure)
     return hits
 
 
 def _mc_recheck(
     parties: int, threshold: float, seed: int, chunk_index: int, count: int,
-    picked: np.ndarray,
+    buf: np.ndarray, picked: np.ndarray,
 ) -> int:
     """Hits among the sorted sample rows `picked`, decided as the dense code.
 
-    Redraws the chunk's stream block by block and keeps only the picked
+    Redraws the chunk's stream block by block into buf and keeps only the picked
     rows of the weights w = a + b, in one C-contiguous array whose row sums
     do not depend on how many rows it has; pair = (w_0 + w_last) / sum w.
     """
@@ -423,7 +420,7 @@ def _mc_recheck(
     rng = np.random.default_rng([seed, chunk_index])
     weights = np.zeros((picked.size, dim))
     for _part in range(2):
-        for start, rows in _squared_blocks(rng, count, dim):
+        for start, rows in _squared_blocks(rng, count, dim, buf):
             lo, hi = np.searchsorted(picked, [start, start + rows.shape[0]])
             weights[lo:hi] += rows[picked[lo:hi] - start]
     pair = (weights[:, 0] + weights[:, -1]) / weights.sum(axis=1)
@@ -454,22 +451,26 @@ def measure_monte_carlo(
     Sampling is chunked with substreams keyed by (seed, chunk index) and hit
     counts are integers, so the estimate is identical for any thread count.
     It runs min(threads or usable cores, usable cores, chunk count) workers,
-    so no request starts more threads than cores or chunks.  A chunk of
-    min(samples, 4096) vectors of 2^m amplitudes is drawn in blocks of at
-    most 2^16 values (512 KiB, or one row of 2^m values when that is
-    longer), so its memory is a block plus a few values per sample; the
-    256 MiB cap on a (min(samples, 4096), 2^m) float64 draw bounds the
-    work per chunk and the rows its exact recheck may keep.
+    the caller one of them (threads below 1 raise), so no request starts
+    more threads than cores or chunks.  A chunk of min(samples, 4096)
+    vectors of 2^m amplitudes is drawn in blocks of at most 2^16 values
+    (512 KiB, or one row of 2^m values when longer) into its worker's one
+    buffer, kept for all that worker's chunks and rechecks; the 256 MiB cap
+    on a (min(samples, 4096), 2^m) float64 draw bounds the work per chunk
+    and the rows its exact recheck may keep.
     """
     if parties < 1:
         raise ValueError("parties must be at least 1")
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be at least 1")
     _check_sampler_size(parties, samples)
     c = (poly_value + 1.0) / 2 ** parties
     chunks = math.ceil(samples / _MC_CHUNK)
     cores = usable_cores()
-    threads = min(threads or cores, cores, chunks)
+    workers = min(threads or cores, cores, chunks)
     chunk_hits = partial(_mc_chunk_hits, parties, c * c, seed, samples)
-    hits = sum(ordered_map(chunk_hits, range(chunks), threads))
+    block = max(_MC_BLOCK, 2 ** parties)
+    hits = summed(lambda: partial(chunk_hits, np.empty(block)), chunks, workers)
     fraction = hits / samples
     std_error = math.sqrt(fraction * (1.0 - fraction) / samples)
     return MonteCarloEstimate(fraction, std_error, hits, samples)

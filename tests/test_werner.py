@@ -31,8 +31,8 @@ from bellwerner import (
 )
 
 from bellwerner import werner
-from bellwerner._workers import ordered_map
-from bellwerner.werner import _MC_CHUNK, _mc_chunk_hits
+from bellwerner._workers import summed
+from bellwerner.werner import _MC_BLOCK, _MC_CHUNK, _mc_chunk_hits
 from helpers import (
     equatorial_lower,
     exact_pair_fraction,
@@ -293,6 +293,19 @@ def test_monte_carlo_partition_independent():
     assert all(run == runs[0] for run in runs)
 
 
+def test_monte_carlo_rejects_fewer_than_one_thread():
+    # threads=0 once meant every core and threads=-3 one thread; None, 1 and
+    # 2 agreeing is test_monte_carlo_partition_independent
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            measure_monte_carlo(6, 3.0, 2 * _MC_CHUNK, 1, threads=threads)
+
+
+def _block_buffer(parties):
+    """A worker's block buffer, NaN-filled so that a value read before it is drawn shows."""
+    return np.full(max(_MC_BLOCK, 2**parties), np.nan)
+
+
 @st.composite
 def _chunks(draw):
     """(parties, seed, samples, chunk) with the dense draw at most 1 MiB a part."""
@@ -321,7 +334,7 @@ def test_streamed_chunk_hits_equal_the_dense_draw(case, pick, where, free):
         "above": np.nextafter(p, 2.0),
         "free": free,
     }[where]
-    hits = _mc_chunk_hits(parties, threshold, seed, samples, chunk)
+    hits = _mc_chunk_hits(parties, threshold, seed, samples, _block_buffer(parties), chunk)
     assert hits == int(np.count_nonzero(pairs > threshold))
 
 
@@ -335,11 +348,12 @@ def test_recheck_decides_the_samples_inside_the_margin(monkeypatch):
 
     monkeypatch.setattr(werner, "_mc_recheck", spy)
     pairs = mc_chunk_pairs_dense(7, 5, 300, 0)
+    buf = _block_buffer(7)  # one worker's buffer, reused by each chunk and recheck
     for threshold in (pairs[123], np.nextafter(pairs[123], -1.0)):
-        hits = _mc_chunk_hits(7, threshold, 5, 300, 0)
+        hits = _mc_chunk_hits(7, threshold, 5, 300, buf, 0)
         assert hits == int(np.count_nonzero(pairs > threshold))
     assert picked == [[123], [123]]
-    assert _mc_chunk_hits(7, 0.05, 5, 300, 0) == int(np.count_nonzero(pairs > 0.05))
+    assert _mc_chunk_hits(7, 0.05, 5, 300, buf, 0) == int(np.count_nonzero(pairs > 0.05))
     assert len(picked) == 2  # nothing near an ordinary threshold
 
 
@@ -348,11 +362,11 @@ def test_monte_carlo_defaults_to_the_usable_cores(monkeypatch):
     serial = run(threads=1)
     workers = []
 
-    def spy(fn, items, threads):
+    def spy(make_work, count, threads):
         workers.append(threads)
-        return ordered_map(fn, items, threads)
+        return summed(make_work, count, threads)
 
-    monkeypatch.setattr(werner, "ordered_map", spy)
+    monkeypatch.setattr(werner, "summed", spy)
     for cores in ({0}, set(range(16))):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cores: c, raising=False)
         assert run() == serial
@@ -365,6 +379,24 @@ def test_monte_carlo_defaults_to_the_usable_cores(monkeypatch):
     assert run(threads=1) == serial
     # one core, then no more workers than chunks, then two cores, then the CPU count
     assert workers == [1, 4, 2, 2, 1]
+
+
+def test_monte_carlo_workers_each_keep_one_block_buffer(monkeypatch):
+    # a thread pool drew each chunk into new blocks, which malloc arenas kept
+    buffers = []
+
+    def spy(parties, threshold, seed, samples, buf, chunk_index):
+        buffers.append(buf)  # held, so no two live buffers share an id
+        return chunk_hits(parties, threshold, seed, samples, buf, chunk_index)
+
+    chunk_hits = werner._mc_chunk_hits
+    monkeypatch.setattr(werner, "_mc_chunk_hits", spy)
+    serial = measure_monte_carlo(6, 3.0, 12 * _MC_CHUNK, threads=1)
+    assert len(buffers) == 12 and len({id(b) for b in buffers}) == 1
+    buffers.clear()
+    assert measure_monte_carlo(6, 3.0, 12 * _MC_CHUNK, threads=2) == serial
+    assert len(buffers) == 12 and len({id(b) for b in buffers}) <= 2
+    assert all(b.shape == (_MC_BLOCK,) for b in buffers)
 
 
 def test_monte_carlo_memory_is_a_block_not_a_chunk():

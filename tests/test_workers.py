@@ -1,67 +1,112 @@
+import sys
 import threading
 import time
 
 import pytest
 
-from bellwerner._workers import ordered_map
+from bellwerner._workers import summed
 from helpers import run_python
 
 
-class _Window:
-    """Counts calls that have started and results the caller has taken."""
+class _Tasks:
+    """Tasks x -> x * x that log what started; every 7th sleeps longer, so finish order varies."""
 
-    def __init__(self):
+    def __init__(self, fail_at=None):
         self.lock = threading.Lock()
-        self.started = 0
-        self.taken = 0
-        self.peak = 0
+        self.started = []
+        self.makers = []  # the thread of each make_work call
+        self.fail_at = fail_at
+
+    def make_work(self):
+        with self.lock:
+            self.makers.append(threading.get_ident())
+        return self.call
 
     def call(self, x):
         with self.lock:
-            self.started += 1
-            self.peak = max(self.peak, self.started - self.taken)
-        if x % 7 == 0:
-            time.sleep(0.001)  # so later items often finish first
-        if x == 10 and getattr(self, "fail", False):
-            raise ValueError("item 10")
+            self.started.append(x)
+        if x == self.fail_at:  # at once, while the other workers are inside their sleeps
+            raise ValueError(f"item {x}")
+        time.sleep(0.001 if x % 7 == 0 else 0.0001)
         return x * x
 
-    def take(self, results):
-        out = []
-        for r in results:
-            with self.lock:
-                self.taken += 1
-            out.append(r)
-        return out
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_summed_runs_every_index_once(workers):
+    tasks = _Tasks()
+    assert summed(tasks.make_work, 200, workers) == sum(x * x for x in range(200))
+    assert sorted(tasks.started) == list(range(200))
 
 
-def test_ordered_map_keeps_a_bounded_window_in_input_order():
-    # list(pool.map(...)) ran all 1000 calls before the first was taken
-    window = _Window()
-    got = window.take(ordered_map(window.call, range(1000), 2))
-    assert got == [x * x for x in range(1000)]
-    assert window.peak <= 4
+def test_summed_under_frequent_thread_switches():
+    # more workers than cores, switching every microsecond: a lost update
+    # to the shared index or the sums would show in the total
+    counts = [0] * 3000
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def work(i):
+            counts[i] += 1
+            return i
+
+        assert summed(lambda: work, len(counts), 8) == sum(range(len(counts)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts == [1] * len(counts)
 
 
-def test_ordered_map_serial_path_is_lazy_and_ordered():
-    window = _Window()
-    assert window.take(ordered_map(window.call, range(50), 1)) == [x * x for x in range(50)]
-    assert window.peak == 1
-
-
-def test_ordered_map_stops_submitting_after_a_failure():
-    window = _Window()
-    window.fail = True
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_summed_stops_taking_indices_after_a_failure(workers):
+    tasks = _Tasks(fail_at=10)
     with pytest.raises(ValueError, match="item 10"):
-        window.take(ordered_map(window.call, range(1000), 2))
-    assert window.started <= 11 + 4
+        summed(tasks.make_work, 1000, workers)
+    # indices are taken in order: 0..10, plus one in flight per other worker
+    assert len(tasks.started) <= 10 + workers
+    assert sorted(tasks.started) == list(range(len(tasks.started)))
+
+
+def test_summed_raises_a_failing_make_work_in_the_caller():
+    def make_work():
+        if threading.current_thread() is not threading.main_thread():
+            raise ValueError("no scratch")
+        return lambda i: i
+
+    with pytest.raises(ValueError, match="no scratch"):
+        summed(make_work, 10, 2)
+
+
+def test_summed_runs_in_the_caller_plus_plain_threads(monkeypatch):
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Thread)
+    main = threading.get_ident()
+    for workers in (1, 2):
+        started.clear()
+        tasks = _Tasks()
+        assert summed(tasks.make_work, 20, workers) == sum(x * x for x in range(20))
+        assert len(started) == workers - 1
+        assert not any(thread.is_alive() for thread in started)
+        # make_work once per worker, the caller among them
+        assert len(tasks.makers) == len(set(tasks.makers)) == workers
+        assert main in tasks.makers
 
 
 def test_cli_import_leaves_the_thread_pool_unloaded():
-    # concurrent.futures costs 7-10 ms at every start; only a pool needs it
+    # concurrent.futures costs 7-10 ms and about 0.9 MB at every start; the
+    # Monte Carlo workers are plain threads, so a threaded measure needs none
     loaded = run_python(
         "import sys\n"
         "import bellwerner.cli\n"
         "print(sorted(m for m in sys.modules if m.startswith('concurrent')))\n"
+        "code = bellwerner.cli.main(['measure', '--m', '3', '--poly', '3', '--samples',\n"
+        "                            '10000', '--threads', '2', '--format', 'structured'])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('concurrent')))\n"
     )
-    assert loaded.strip() == "[]"
+    lines = loaded.strip().splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 []"
