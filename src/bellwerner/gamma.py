@@ -17,32 +17,37 @@ than build a SeedSequence, PCG64 and Generator per sample, the scan
 derives the PCG64 (state, inc) of 256 samples in one pass, running
 SeedSequence's seed_seq_fe hash as uint32 array operations over their
 indices and PCG64's two seeding steps on Python ints, then draws each
-sample through one Generator whose state it sets.  NEP 19 fixes PCG64's
-bit stream but not what Generator methods such as standard_normal make of
-it; the tests that pin the derived states and drawn vectors against
-default_rng would catch a change.  No result depends on how the samples
-are grouped: sub-batches fold in index order with ties going to the lowest
-sample index, and witnesses are regenerated from their substream rather
-than stored.
+sample through one Generator whose state it sets.  A sub-batch's norms
+are one stacked (1, n) @ (n, 1) product: NumPy computes it as the dot
+product np.linalg.norm takes.  NEP 19 fixes PCG64's bit stream but not
+what Generator methods such as standard_normal make of it; the tests that
+pin the derived states and drawn vectors against default_rng would catch
+a change.  No result depends on how the samples are grouped: sub-batches
+fold in index order with ties going to the lowest sample index, and each
+new minimum's row is kept as its witness.  `gamma_scans` draws sample k
+once, as wide as the widest scan that has it; a narrower scan normalizes
+a copy of the prefix, its own first draws from that substream.
 
 Cost model.  One loop walks the samples in sub-batches of about 1 MiB of
-4^m doubles, but at least 8 rows and at most 256.  A sub-batch draws its
+4^m doubles, but at least 8 rows and at most 256 (with several scans,
+the smallest sub-batch among those still running).  A sub-batch draws its
 rows and reads every classical bound off one Kronecker transform of the
 full expressions as (3,)*m tensors, batched over the rows (`_bounds`): the
 block bounds from slices taken before each party is contracted, the full
 bound in place of the last contraction.  So a sample costs about 70% of
 one full transform, O(m 4^m), and its 4^m values are never formed.  The
-products go into two buffers allocated once per scan (`_workspace`), so
+products go into two buffers allocated once per call (`_workspace`), so
 the heap does not shrink and regrow between sub-batches, faulting its
 pages in afresh each time (7k faults a 2000-sample scan at five parties),
-and memory is the workspace plus one sub-batch whatever the sample count
-(under 8 MiB at eight parties).  Ratios, skips, the gamma_1 self-check and the minima are
-array operations on the sub-batch.  What remains per sample is its draw:
-on one core of a 2 GHz Xeon about 6 us at four parties (80 coefficients),
-of which about 1 us derives the state and the rest sets it, draws and
-takes the norm (a default_rng per sample took 20 us).  A derivation pass
-also has a fixed cost of about 0.3 ms, which is why it covers 256 samples
-rather than one sub-batch of 8; their states are two ints a sample.
+and memory is the workspace, one sub-batch and m witness rows whatever
+the sample count (under 8 MiB at eight parties).  Ratios, skips, the
+gamma_1 self-check and the minima are array operations on the sub-batch.
+What remains per sample is its draw: on one core of a 2 GHz Xeon about
+5.5 us at four parties (80 coefficients), of which about 1.5 us derives
+the state, 0.2 us takes the norm and the rest sets the state and draws.
+A derivation pass also has a fixed cost of about 0.3 ms, which is why it
+covers 256 samples rather than one sub-batch of 8; their states are two
+ints a sample.
 """
 
 from __future__ import annotations
@@ -185,34 +190,46 @@ def _substream_states(seed: int, indices: np.ndarray) -> list[tuple[int, int]]:
     return states
 
 
+def _pcg64_state(state: int = 0, inc: int = 0) -> dict:
+    pcg = {"state": state, "inc": inc}
+    return {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+
+
 def _sample_rows(states: list[tuple[int, int]], dim: int) -> np.ndarray:
-    """Unit vectors drawn from PCG64 (state, inc) pairs, one row each (see Determinism)."""
+    """The first `dim` standard normals of each PCG64 (state, inc) pair, one row each."""
     x = np.empty((len(states), dim))
     bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    norms = np.empty(len(states))
-    for r, (state, inc) in enumerate(states):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        row = x[r]
-        while True:
-            generator.standard_normal(out=row)
-            # np.linalg.norm of a real vector is sqrt(x.dot(x)), without its overhead
-            norms[r] = math.sqrt(row.dot(row))
-            if norms[r] >= _MIN_NORM:
-                break
+    fill = np.random.Generator(bit_generator).standard_normal
+    pcg = _pcg64_state()
+    seat = pcg["state"]
+    for row, (seat["state"], seat["inc"]) in zip(x, states):
+        bit_generator.state = pcg
+        fill(out=row)
+    return x
+
+
+def _unit_rows(x: np.ndarray, states: list[tuple[int, int]]) -> np.ndarray:
+    """C-contiguous first draws x of `states` divided by their norms, in place (see Determinism)."""
+    norms = np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+    for r in np.flatnonzero(norms < _MIN_NORM).tolist():
+        generator = np.random.Generator(np.random.PCG64(0))
+        generator.bit_generator.state = _pcg64_state(*states[r])
+        while norms[r] < _MIN_NORM:  # the first draw falls short again, then the next ones
+            norms[r] = np.linalg.norm(generator.standard_normal(out=x[r]))
     x /= norms[:, None]
     return x
 
 
-def _workspace(m: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_bounds`'s buffers for up to `rows` samples, each sized for its last product."""
-    sizes = [4 ** (k + 1) * 3 ** (m - 1 - k) * rows for k in range(m - 1)]  # products 0..m-2
-    return np.empty(max(sizes[0::2], default=0)), np.empty(max(sizes[1::2], default=0))
+def _workspace(scans) -> tuple[np.ndarray, np.ndarray]:
+    """`_bounds`'s buffers for up to `rows` samples of each (m, rows) in scans.
+
+    Product k goes into buffer k % 2, so each is sized for the largest it takes.
+    """
+    sizes = ([0], [0])
+    for m, rows in scans:
+        for k in range(m - 1):  # products 0..m-2
+            sizes[k % 2].append(4 ** (k + 1) * 3 ** (m - 1 - k) * rows)
+    return np.empty(max(sizes[0])), np.empty(max(sizes[1]))
 
 
 def _bounds(x: np.ndarray, m: int, workspace: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -242,26 +259,21 @@ def _bounds(x: np.ndarray, m: int, workspace: tuple) -> tuple[np.ndarray, np.nda
     return c.max(axis=0), blocks
 
 
-def gamma_scan(config: GammaScanConfig) -> GammaScanResult:
-    """Minimum sampled ratio per block index over seeded unit vectors.
+class _Minima:
+    """One scan's running minimum per block index, with its sample, row and skips."""
 
-    Each sample is one full coefficient vector; all m ratios are read off it.
-    Block bounds below 1e-9 are skipped (counted per index); an index with
-    every sample skipped reports gamma_min None rather than raising.
-    """
-    m, n, seed = config.parties, config.samples, config.seed
-    _check_enumeration(m)
-    low = np.full(m, np.inf)  # per index: the smallest ratio so far
-    low_sample = np.zeros(m, dtype=np.int64)  # and the sample it came from
-    skipped = np.zeros(m, dtype=np.int64)
-    states = itertools.chain.from_iterable(
-        _substream_states(seed, np.arange(lo, min(lo + _STATE_ROWS, n)))
-        for lo in range(0, n, _STATE_ROWS)
-    )
-    rows = min(_MAX_ROWS, max(_MIN_ROWS, _VALUE_BYTES // (8 * 4**m)))
-    workspace = _workspace(m, min(rows, n))
-    for start in range(0, n, rows):
-        x = _sample_rows(list(itertools.islice(states, rows)), 3**m - 1)
+    def __init__(self, config: GammaScanConfig):
+        m = config.parties
+        self.config, self.dim = config, 3**m - 1
+        self.rows = min(_MAX_ROWS, max(_MIN_ROWS, _VALUE_BYTES // (8 * 4**m)), config.samples)
+        self.low = np.full(m, np.inf)
+        self.sample = np.zeros(m, dtype=np.int64)
+        self.witness = np.empty((m, self.dim))
+        self.skipped = np.zeros(m, dtype=np.int64)
+
+    def fold(self, x: np.ndarray, start: int, workspace: tuple) -> None:
+        """Fold in the unit rows x of samples start, start + 1, ..."""
+        m = self.config.parties
         total, blocks = _bounds(x, m, workspace)
         skip = blocks < _BLOCK_EPS
         ratios = np.where(skip, np.inf, total[:, None] / np.where(skip, 1.0, blocks))
@@ -271,20 +283,59 @@ def gamma_scan(config: GammaScanConfig) -> GammaScanResult:
                 f"sample {start + int(bad[0])}: first-block ratio {float(ratios[bad[0], 0])!r} "
                 "fell below 1; enumeration kernels disagree"
             )
-        skipped += skip.sum(axis=0)
+        self.skipped += skip.sum(axis=0)
         best = ratios.argmin(axis=0)  # the lowest sample index on ties
         value = ratios[best, np.arange(m)]
         # sub-batches come in index order, so the strict < keeps ties at the
         # lowest index; an index skipped so far stays at inf
-        better = value < low
-        low[better] = value[better]
-        low_sample[better] = start + best[better]
-    estimates = []
-    found = zip(low.tolist(), low_sample.tolist(), skipped.tolist())
-    for i, (value, sample, skips) in enumerate(found, start=1):
-        if value == math.inf:
-            estimates.append(GammaIndexEstimate(i, None, None, None, skips))
-            continue
-        witness = _sample_rows(_substream_states(seed, [sample]), 3**m - 1)[0]
-        estimates.append(GammaIndexEstimate(i, value, witness, sample, skips))
-    return GammaScanResult(m, n, seed, tuple(estimates))
+        better = value < self.low
+        self.low[better] = value[better]
+        self.sample[better] = start + best[better]
+        self.witness[better] = x[best[better]]
+
+    def result(self) -> GammaScanResult:
+        estimates = []
+        found = zip(self.low.tolist(), self.witness, self.sample.tolist(), self.skipped.tolist())
+        for i, (value, witness, sample, skips) in enumerate(found, start=1):
+            if value == math.inf:
+                value = witness = sample = None
+            estimates.append(GammaIndexEstimate(i, value, witness, sample, skips))
+        c = self.config
+        return GammaScanResult(c.parties, c.samples, c.seed, tuple(estimates))
+
+
+def gamma_scan(config: GammaScanConfig) -> GammaScanResult:
+    """Minimum sampled ratio per block index over seeded unit vectors.
+
+    Each sample is one full coefficient vector; all m ratios are read off it.
+    Block bounds below 1e-9 are skipped (counted per index); an index with
+    every sample skipped reports gamma_min None rather than raising.
+    """
+    return gamma_scans([config])[0]
+
+
+def gamma_scans(configs: list[GammaScanConfig]) -> list[GammaScanResult]:
+    """`gamma_scan` of each config, all of one seed, drawing each sample once."""
+    for c in configs:
+        _check_enumeration(c.parties)
+    if len({c.seed for c in configs}) != 1:
+        raise ValueError("scans drawn together must share one seed")
+    scans = [_Minima(c) for c in configs]
+    n = max(c.samples for c in configs)
+    states = itertools.chain.from_iterable(
+        _substream_states(configs[0].seed, np.arange(lo, min(lo + _STATE_ROWS, n)))
+        for lo in range(0, n, _STATE_ROWS)
+    )
+    workspace = _workspace([(s.config.parties, s.rows) for s in scans])
+    start = 0
+    while start < n:
+        live = sorted((s for s in scans if s.config.samples > start), key=lambda s: s.dim)
+        # a sub-batch of each live scan, ending where the first of them ends
+        stop = min(start + min(s.rows for s in live), min(s.config.samples for s in live))
+        batch = list(itertools.islice(states, stop - start))
+        drawn = _sample_rows(batch, live[-1].dim)
+        for scan in live[:-1]:  # copied before the widest scan divides the draws in place
+            scan.fold(_unit_rows(drawn[:, : scan.dim].copy(), batch), start, workspace)
+        live[-1].fold(_unit_rows(drawn, batch), start, workspace)
+        start = stop
+    return [scan.result() for scan in scans]

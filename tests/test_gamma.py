@@ -16,7 +16,14 @@ from bellwerner import (
     block_strategy_matrix,
 )
 import bellwerner.gamma as gamma_module
-from bellwerner.gamma import _STATE_ROWS, _bounds, _sample_rows, _substream_states, _workspace
+from bellwerner.gamma import (
+    _STATE_ROWS,
+    _bounds,
+    _sample_rows,
+    _substream_states,
+    _unit_rows,
+    _workspace,
+)
 from helpers import (
     bounds_per_block,
     gamma_for,
@@ -222,7 +229,7 @@ def test_bounds_match_the_per_block_transforms(m, rows):
     x = _sample_rows(_substream_states(m, np.arange(rows)), 3**m - 1)
     if rows > 1:
         x[1, : 2 * 3 ** (m - 1)] = 0.0  # an empty first block
-    workspace = _workspace(m, rows)
+    workspace = _workspace([(m, rows)])
     for buffer in workspace:
         buffer.fill(np.nan)
     total, blocks = _bounds(x, m, workspace)
@@ -326,7 +333,8 @@ def test_scan_rows_follow_the_redraw_rule(monkeypatch):
     monkeypatch.setattr(gamma_module, "_MIN_NORM", 1.0)
     monkeypatch.setattr(helpers, "_MIN_NORM", 1.0)
     indices = np.arange(300)
-    rows = _sample_rows(_substream_states(9, indices), 1)
+    states = _substream_states(9, indices)
+    rows = _unit_rows(_sample_rows(states, 1), states)
     assert np.array_equal(_bits(rows), _bits([helpers.sample_vector(9, k, 1) for k in indices]))
     assert np.all(np.abs(rows) == 1.0)
 
@@ -339,3 +347,87 @@ def test_scan_witnesses_are_their_sample_rows(m):
             assert est.witness_sample is not None
             ref = sample_vector(seed, est.witness_sample, 3**m - 1)
             assert np.array_equal(_bits(est.witness_coefficients), _bits(ref))
+
+
+def _assert_same_scan(a, b):
+    for x, y in zip(a.estimates, b.estimates, strict=True):
+        assert (x.gamma_min, x.witness_sample, x.skipped) == (y.gamma_min, y.witness_sample, y.skipped)
+        assert np.array_equal(_bits(x.witness_coefficients), _bits(y.witness_coefficients))
+
+
+def _table_ii_scans(monkeypatch, argv):
+    """The scans `tables II` reports, caught on their way from `gamma_scans`."""
+    from bellwerner import cli
+
+    caught = []
+
+    def spy(configs):
+        caught.extend(gamma_module.gamma_scans(configs))
+        return caught
+
+    monkeypatch.setattr(cli, "gamma_scans", spy)
+    assert cli.main(["tables", "II", *argv, "--format", "structured"]) == 0
+    return caught
+
+
+@pytest.mark.parametrize("seed", [0, 2**33 + 1])
+@pytest.mark.parametrize("argv", [[], ["--force", "--max-m", "6"]], ids=["default", "max-m 6"])
+def test_table_ii_scans_equal_separate_scans(monkeypatch, capsys, seed, argv):
+    # one draw for every party count against a draw per scan; at --max-m 6
+    # the five- and six-party scans stop at 1000 of the 10000 samples
+    shared = _table_ii_scans(monkeypatch, argv + ["--seed", str(seed)])
+    assert [(s.parties, s.samples) for s in shared] == [
+        (m, 10000 if m <= 4 else 1000) for m in range(2, 7 if argv else 5)
+    ]
+    for res in shared:
+        _assert_same_scan(res, gamma_scan(GammaScanConfig(res.parties, res.samples, seed)))
+
+
+def test_shared_scans_follow_the_redraw_rule(monkeypatch):
+    # at a threshold of 2 about one 8-value prefix in seven is redrawn from
+    # its substream past those 8 values, while no 26- or 80-value row is
+    import helpers
+
+    monkeypatch.setattr(gamma_module, "_MIN_NORM", 2.0)
+    monkeypatch.setattr(helpers, "_MIN_NORM", 2.0)
+    configs = [GammaScanConfig(m, n, 5) for m, n in ((4, 300), (2, 300), (3, 260))]
+    states = _substream_states(5, np.arange(300))
+    wide = _sample_rows(states, 80)
+    short = np.linalg.norm(wide[:, :8], axis=1) < 2.0
+    assert short.sum() > 20 and np.linalg.norm(wide[:, :26], axis=1).min() >= 2.0
+    seen = {}
+    bounds = gamma_module._bounds
+
+    def spy(x, m, workspace):
+        seen.setdefault(m, []).append(x.copy())
+        return bounds(x, m, workspace)
+
+    monkeypatch.setattr(gamma_module, "_bounds", spy)
+    shared = gamma_module.gamma_scans(configs)
+    for config, res in zip(configs, shared):
+        dim = 3**config.parties - 1
+        ref = [helpers.sample_vector(5, k, dim) for k in range(config.samples)]
+        assert np.array_equal(_bits(np.concatenate(seen.pop(config.parties))), _bits(ref))
+        _assert_same_scan(res, gamma_scan(config))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gamma", "--m", "4", "--samples", "600"], ["tables", "II", "--samples", "600"]],
+    ids=["gamma", "tables II"],
+)
+def test_each_sample_is_derived_once_per_command(monkeypatch, capsys, argv):
+    # witnesses are kept rather than derived again, and table II's three
+    # party counts share one draw of their 600 samples
+    from bellwerner import cli
+
+    derived = []
+    substream_states = gamma_module._substream_states
+
+    def spy(seed, indices):
+        derived.extend(np.asarray(indices).tolist())
+        return substream_states(seed, indices)
+
+    monkeypatch.setattr(gamma_module, "_substream_states", spy)
+    assert cli.main(argv) == 0
+    assert sorted(derived) == list(range(600))
