@@ -7,7 +7,8 @@ or structured JSON.
 Exit status: 0 success, 2 parse errors (bad files, bad arguments, a
 negative seed or a non-positive count), 3 domain errors (invalid parameter
 values), 4 cap violations, 5 a failed internal self-check (the see-saw
-objective decreased, or a first-block ratio fell below 1).
+objective decreased, a first-block ratio fell below 1, or PCG64 asked a
+gamma substream's seed for other than its four uint64 words).
 
 The solvers run at fixed settings that no option changes: the see-saw stops
 a restart once a sweep gains less than 1e-9 ("converged", or "stalled" when
@@ -62,6 +63,8 @@ from .werner import (
 _TABLE_MS = (2, 3, 4, 5, 6)
 _EXAMPLE_NAMES = ("CHSH", "MERMIN", "CH", "SASA")
 _TABLE_II_DEFAULT_MAX_M = 4
+# subclasses before their bases: ParseError is a ValueError, CapExceeded a RuntimeError
+_EXIT_CODES = ((ParseError, 2), (CapExceeded, 4), (ValueError, 3), (RuntimeError, 5))
 
 _M3_R_CELL_NOTE = (
     "for m=3 the computed undetectable fraction is 93.29% while the published "
@@ -184,40 +187,18 @@ def cmd_bounds(args) -> Report:
     )
 
 
-def _table_i() -> tuple[dict, list]:
+def _window_table(kind: str, window, last_column: str, scale: float) -> dict:
+    """Table I or III: the GHZ window window(m) of each m, its measure times scale."""
     rows = []
     for m in _TABLE_MS:
-        rng = undetectable_range_homogeneous(m)
-        rows.append(
-            [
-                m,
-                rng.theta_lower / math.pi,
-                rng.theta_upper / math.pi,
-                100.0 * rng.measure,
-            ]
-        )
-    table = {
-        "title": "Undetectable GHZ windows (full-correlation expressions)",
-        "columns": ["m", "theta_lower/pi", "theta_upper/pi", "r_percent"],
-        "rows": rows,
-    }
-    return {"tables": [table]}, [("table-i-m3-r-cell", _M3_R_CELL_NOTE)]
-
-
-def _table_iii() -> tuple[dict, list]:
-    rows = []
-    for m in _TABLE_MS:
-        rng = undetectable_range_general(m, [1.0] * (m - 1))
-        if rng is None:
+        w = window(m)
+        if w is None:
             rows.append([m, "-", "-", "-"])
         else:
-            rows.append([m, rng.theta_lower / math.pi, rng.theta_upper / math.pi, rng.measure])
-    table = {
-        "title": "Undetectable GHZ windows (unit block ratios)",
-        "columns": ["m", "theta_lower/pi", "theta_upper/pi", "measure"],
-        "rows": rows,
-    }
-    return {"tables": [table]}, []
+            rows.append([m, w.theta_lower / math.pi, w.theta_upper / math.pi, scale * w.measure])
+    title = f"Undetectable GHZ windows ({kind})"
+    columns = ["m", "theta_lower/pi", "theta_upper/pi", last_column]
+    return {"tables": [{"title": title, "columns": columns, "rows": rows}]}
 
 
 def _table_ii(args) -> tuple[dict, list]:
@@ -265,11 +246,17 @@ def _table_ii(args) -> tuple[dict, list]:
 def cmd_tables(args) -> Report:
     which = args.which.upper()
     if which == "I":
-        results, warnings = _table_i()
+        results = _window_table(
+            "full-correlation expressions", undetectable_range_homogeneous, "r_percent", 100.0
+        )
+        warnings = [("table-i-m3-r-cell", _M3_R_CELL_NOTE)]
     elif which == "II":
         results, warnings = _table_ii(args)
     else:
-        results, warnings = _table_iii()
+        def unit(m):  # every block ratio 1
+            return undetectable_range_general(m, [1.0] * (m - 1))
+
+        results, warnings = _window_table("unit block ratios", unit, "measure", 1.0), []
     return new_report(
         "tables",
         seed=args.seed,
@@ -596,18 +583,9 @@ def main(argv=None) -> int:
         # looked up per call, so a cmd_* rebound on the module is the one run
         report = globals()[f"cmd_{args.command}"](args)
         text = render(report, args.format)
-    except ParseError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except RuntimeError as exc:  # after CapExceeded, which subclasses it
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return 0
 

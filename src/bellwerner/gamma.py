@@ -13,20 +13,22 @@ each sample as a self-check.
 Determinism: sample k draws from the substream keyed by (seed, k), which
 is NumPy's default_rng([seed, k]): standard normals from that stream,
 redrawn while the norm is below 1e-12, then divided by the norm.  Rather
-than build a SeedSequence, PCG64 and Generator per sample, the scan
-derives the PCG64 (state, inc) of 256 samples in one pass, running
-SeedSequence's seed_seq_fe hash as uint32 array operations over their
-indices and PCG64's two seeding steps on Python ints, then draws each
-sample through one Generator whose state it sets.  A sub-batch's norms
-are one stacked (1, n) @ (n, 1) product: NumPy computes it as the dot
-product np.linalg.norm takes.  NEP 19 fixes PCG64's bit stream but not
-what Generator methods such as standard_normal make of it; the tests that
-pin the derived states and drawn vectors against default_rng would catch
-a change.  No result depends on how the samples are grouped: sub-batches
-fold in index order with ties going to the lowest sample index, and each
-new minimum's row is kept as its witness.  `gamma_scans` draws sample k
-once, as wide as the widest scan that has it; a narrower scan normalizes
-a copy of the prefix, its own first draws from that substream.
+than build a SeedSequence per sample, the scan derives the words
+SeedSequence([seed, k]).generate_state(4, uint64) of 256 samples in one
+pass, running its seed_seq_fe hash as uint32 array operations over their
+indices, and hands each sample's words to PCG64 through NumPy's
+ISeedSequence interface; PCG64 asking for anything else is an internal
+fault (RuntimeError).  A sub-batch's norms are one stacked
+(1, n) @ (n, 1) product: NumPy computes it as the dot product
+np.linalg.norm takes.  NEP 19 fixes PCG64's bit stream but not what
+Generator methods such as standard_normal make of it; the tests that pin
+the derived words, generator states and drawn vectors against
+default_rng would catch a change.  No result depends on how the samples
+are grouped: sub-batches fold in index order with ties going to the
+lowest sample index, and each new minimum's row is kept as its witness.
+`gamma_scans` draws sample k once, as wide as the widest scan that has
+it; a narrower scan normalizes a copy of the prefix, its own first draws
+from that substream.
 
 Cost model.  One loop walks the samples in sub-batches of about 1 MiB of
 4^m doubles, but at least 8 rows and at most 256 (with several scans,
@@ -43,11 +45,11 @@ and memory is the workspace, one sub-batch and m witness rows whatever
 the sample count (under 8 MiB at eight parties).  Ratios, skips, the
 gamma_1 self-check and the minima are array operations on the sub-batch.
 What remains per sample is its draw: on one core of a 2 GHz Xeon about
-5.5 us at four parties (80 coefficients), of which about 1.5 us derives
-the state, 0.2 us takes the norm and the rest sets the state and draws.
-A derivation pass also has a fixed cost of about 0.3 ms, which is why it
-covers 256 samples rather than one sub-batch of 8; their states are two
-ints a sample.
+5 us at four parties (80 coefficients), of which about 1 us derives the
+words, 0.2 us takes the norm and the rest builds the generator and draws.
+A derivation pass also has a fixed cost of about 0.2 ms, which is why it
+covers 256 samples rather than one sub-batch of 8; their words are 32
+bytes a sample.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -70,14 +73,12 @@ _MIN_ROWS = 8  # but at least this many (fewer slow the matmuls at m = 8)
 _MAX_ROWS = 256  # and at most this many (more gain no time at m <= 4 and fault a fresh workspace)
 _STATE_ROWS = 256  # substream states derived per pass
 
-# NumPy's SeedSequence (seed_seq_fe, pool of four uint32 words) and PCG64
+# NumPy's SeedSequence (seed_seq_fe, pool of four uint32 words)
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,8 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _seed_seq_words(entropy: list[np.ndarray]) -> list[list[int]]:
-    """SeedSequence(entropy).generate_state(4, uint64), one column per sample.
+def _seed_seq_words(entropy: list[np.ndarray]) -> np.ndarray:
+    """SeedSequence(entropy).generate_state(4, uint64), one row per sample.
 
     entropy holds one uint32 array per entropy word, all of one length.  The
     hash constants advance the same way whatever the values, so the pool
@@ -160,60 +161,68 @@ def _seed_seq_words(entropy: list[np.ndarray]) -> list[list[int]]:
         const = const * _MULT_B & _MASK32
         value = value * np.uint32(const)
         state.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
-    return [(state[2 * j] | state[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)]
+    return np.stack(state[0::2], axis=1) | np.stack(state[1::2], axis=1) << np.uint64(32)
 
 
-def _substream_states(seed: int, indices: np.ndarray) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) of default_rng([seed, k]) for each k in indices.
+def _substream_states(seed: int, indices: np.ndarray) -> np.ndarray:
+    """SeedSequence([seed, k]).generate_state(4, uint64) for each k in indices, one row each.
 
     The entropy words are the seed's, then k's; indices of one word and of
-    two are hashed as separate groups.  PCG64 seeds from the four words as
-    initstate = w0 w1, initseq = w2 w3: state 0, inc = 2 initseq + 1, a
-    step, state += initstate, another step, all modulo 2^128.
+    two are hashed as separate groups.
     """
     head = _uint32_words(seed)
     indices = np.asarray(indices, dtype=np.uint64)
     wide = (indices >> np.uint64(32)) != 0
-    states: list = [None] * len(indices)
-    for group, two in ((np.flatnonzero(~wide), False), (np.flatnonzero(wide), True)):
-        if not group.size:
-            continue
+    words = np.empty((len(indices), 4), dtype=np.uint64)
+    for group, two in ((~wide, False), (wide, True)):
         k = indices[group]
-        entropy = [np.full(group.size, w, dtype=np.uint32) for w in head]
+        if not k.size:
+            continue
+        entropy = [np.full(k.size, w, dtype=np.uint32) for w in head]
         entropy.append((k & np.uint64(_MASK32)).astype(np.uint32))
         if two:
             entropy.append((k >> np.uint64(32)).astype(np.uint32))
-        for row, w0, w1, w2, w3 in zip(group.tolist(), *_seed_seq_words(entropy)):
-            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-            state = (((w0 << 64 | w1) + inc) * _PCG_MULT + inc) & _MASK128
-            states[row] = (state, inc)
-    return states
+        words[group] = _seed_seq_words(entropy)
+    return words
 
 
-def _pcg64_state(state: int = 0, inc: int = 0) -> dict:
-    pcg = {"state": state, "inc": inc}
-    return {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+# built at first use: on NumPy 2 and later, subclassing ISeedSequence is what imports numpy.random
+@lru_cache(maxsize=None)
+def _seeded_words() -> type:
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeededWords(ISeedSequence):
+        """A SeedSequence's generate_state(4, uint64), computed: a C-contiguous row of 4 uint64."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise RuntimeError(f"PCG64 asked its seed for {n_words} words of {np.dtype(dtype)}")
+            return self.words
+
+    return SeededWords
 
 
-def _sample_rows(states: list[tuple[int, int]], dim: int) -> np.ndarray:
-    """The first `dim` standard normals of each PCG64 (state, inc) pair, one row each."""
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """default_rng([seed, k]), built from the row of `_substream_states` for k."""
+    return np.random.Generator(np.random.PCG64(_seeded_words()(words)))
+
+
+def _sample_rows(states: np.ndarray, dim: int) -> np.ndarray:
+    """The first `dim` standard normals of each substream, one row each."""
     x = np.empty((len(states), dim))
-    bit_generator = np.random.PCG64(0)
-    fill = np.random.Generator(bit_generator).standard_normal
-    pcg = _pcg64_state()
-    seat = pcg["state"]
-    for row, (seat["state"], seat["inc"]) in zip(x, states):
-        bit_generator.state = pcg
-        fill(out=row)
+    for row, words in zip(x, states):
+        _generator(words).standard_normal(out=row)
     return x
 
 
-def _unit_rows(x: np.ndarray, states: list[tuple[int, int]]) -> np.ndarray:
+def _unit_rows(x: np.ndarray, states: np.ndarray) -> np.ndarray:
     """C-contiguous first draws x of `states` divided by their norms, in place (see Determinism)."""
     norms = np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
     for r in np.flatnonzero(norms < _MIN_NORM).tolist():
-        generator = np.random.Generator(np.random.PCG64(0))
-        generator.bit_generator.state = _pcg64_state(*states[r])
+        generator = _generator(states[r])
         while norms[r] < _MIN_NORM:  # the first draw falls short again, then the next ones
             norms[r] = np.linalg.norm(generator.standard_normal(out=x[r]))
     x /= norms[:, None]
@@ -250,8 +259,7 @@ def _bounds(x: np.ndarray, m: int, workspace: tuple) -> tuple[np.ndarray, np.nda
     steps = _contraction_steps(canonical_tensor(x, m), m, workspace)
     for done, t in enumerate(itertools.islice(steps, m - 1)):
         a = np.abs(t[:, 1, :n])
-        b = np.abs(t[:, 2, :n])
-        blocks[:, m - 1 - done] = (a + b).max(axis=0)
+        blocks[:, m - 1 - done] = np.add(a, np.abs(t[:, 2, :n]), out=a).max(axis=0)
     t = next(steps)
     c, a, b = np.abs(t, out=t).transpose(1, 0, 2)
     np.add(np.add(c, a, out=c), b, out=c)  # (|c| + |a|) + |b|, before a turns into |a| + |b|

@@ -489,11 +489,12 @@ def _best_of_restarts(
                for r in range(restarts))
     starts = itertools.chain(randoms, [_witness_assignment(classical)])
     ends, best = {}, None
-    for idx, run in _seesaw_runs(expr, starts, classical.value, fixed_state):
-        ends[idx] = run.stop_reason, len(run.sweep_values) - 1
-        # ties go to the lowest index, whatever order the restarts stop in
-        if best is None or (run.value, -idx) > (best[1].value, -best[0]):
-            best = idx, run
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite sweeps raise ValueError
+        for idx, run in _seesaw_runs(expr, starts, classical.value, fixed_state):
+            ends[idx] = run.stop_reason, len(run.sweep_values) - 1
+            # ties go to the lowest index, whatever order the restarts stop in
+            if best is None or (run.value, -idx) > (best[1].value, -best[0]):
+                best = idx, run
     reasons, sweeps = zip(*(ends[idx] for idx in range(restarts + 1)))
     idx, run = best
     return SeesawResult(

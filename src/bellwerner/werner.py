@@ -17,13 +17,14 @@ lookups are array reversals.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from ._workers import summed, usable_cores
 from .classical import MAX_PARTIES
 from .errors import check_cap
 from .expressions import BellExpression
@@ -165,6 +166,15 @@ def ghz_separability_threshold(parties: int, theta: float) -> float:
     return 1.0 / (2 ** (parties - 1) * math.sin(2.0 * theta) + 1.0)
 
 
+def _window(arg: float) -> Optional[ThetaRange]:
+    """The window theta_lower = arcsin(arg)/2 to pi - theta_lower, or None once arg >= 1."""
+    if arg >= 1.0:
+        return None
+    lower = 0.5 * math.asin(arg)
+    upper = math.pi - lower
+    return ThetaRange(lower, upper, (upper - lower) / math.pi)
+
+
 def undetectable_range_homogeneous(parties: int) -> ThetaRange:
     """GHZ theta window undetectable by any full-correlation expression.
 
@@ -173,10 +183,7 @@ def undetectable_range_homogeneous(parties: int) -> ThetaRange:
     """
     if parties < 2:
         raise ValueError("parties must be at least 2")
-    arg = (2.0 * math.sqrt(3.0) - 2.0) / (2 ** parties - 1)
-    lower = 0.5 * math.asin(arg)
-    upper = math.pi - lower
-    return ThetaRange(lower, upper, (upper - lower) / math.pi)
+    return _window((2.0 * math.sqrt(3.0) - 2.0) / (2 ** parties - 1))
 
 
 def undetectable_range_general(
@@ -189,12 +196,7 @@ def undetectable_range_general(
     """
     if parties < 2:
         raise ValueError("parties must be at least 2")
-    arg = 2.0 * math.sqrt(3.0) * _sum_inverse_gammas(gammas) / (2 ** parties - 1)
-    if arg >= 1.0:
-        return None
-    lower = 0.5 * math.asin(arg)
-    upper = math.pi - lower
-    return ThetaRange(lower, upper, (upper - lower) / math.pi)
+    return _window(2.0 * math.sqrt(3.0) * _sum_inverse_gammas(gammas) / (2 ** parties - 1))
 
 
 def _validated_probabilities(amplitudes) -> np.ndarray:
@@ -425,6 +427,45 @@ def _mc_recheck(
             weights[lo:hi] += rows[picked[lo:hi] - start]
     pair = (weights[:, 0] + weights[:, -1]) / weights.sum(axis=1)
     return int(np.count_nonzero(pair > threshold))
+
+
+def summed(make_work: Callable[[], Callable[[int], int]], count: int, workers: int) -> int:
+    """sum(work(i) for i in range(count)) on `workers` workers, each with work = make_work().
+
+    The caller is one worker, the others plain threads; each takes the next index when free.
+    After a call raises no index is taken, and the first exception is raised here at the end.
+    """
+    lock = threading.Lock()
+    indices = iter(range(count))
+    sums, failures = [], []
+
+    def take():
+        with lock:
+            return None if failures else next(indices, None)
+
+    def run() -> None:
+        try:
+            sums.append(sum(map(make_work(), iter(take, None))))
+        except BaseException as exc:  # raised in the caller, not lost in a thread
+            failures.append(exc)
+
+    helpers = [threading.Thread(target=run) for _ in range(workers - 1)]
+    for thread in helpers:
+        thread.start()
+    run()
+    for thread in helpers:
+        thread.join()
+    if failures:
+        raise failures[0]
+    return sum(sums)
+
+
+def usable_cores() -> int:
+    """CPUs this process may run on: its affinity set, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def measure_monte_carlo(

@@ -1,10 +1,14 @@
+import contextlib
 import inspect
+import io
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellwerner import builtin, new_expression
 from bellwerner import cli, gamma, quantum, werner
@@ -436,6 +440,24 @@ def test_nonfinite_operator_in_a_sweep_is_an_error(capsys, monkeypatch, chsh_fil
     assert err == "error: matrix has non-finite entries\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds", "FILE", "--seesaw"], ["werner", "pure", "--state", "STATE", "--expr", "FILE"]],
+    ids=["bounds seesaw", "werner pure"],
+)
+def test_overflowing_seesaw_is_one_error_line(capsys, tmp_path, argv):
+    # the coefficient sum is finite, but the operator's symmetrisation and the
+    # observable update overflow; the see-saw names that, with no RuntimeWarning
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"parties": 2, "terms": [{"pattern": "00", "coeff": 1e308}]}))
+    save_state(PureFamily(ghz_amplitudes(2, 0.0)), tmp_path / "state.json")
+    argv = [{"FILE": str(path), "STATE": str(tmp_path / "state.json")}.get(a, a) for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, argv)
+    assert (code, out, err, caught) == (3, "", "error: see-saw update is not finite\n", [])
+
+
 def test_seed_reproducibility_across_threads(capsys):
     def run(threads):
         rep = _structured(
@@ -555,3 +577,112 @@ def test_negative_seed_is_an_input_error(capsys, argv, flag, value):
     err = capsys.readouterr().err
     kind = "non-negative" if flag == "--seed" else "positive"
     assert f"argument {flag}: must be a {kind} integer, got '{value}'" in err
+
+
+# Edge values for the options: NaN, infinities, the float range's ends, zero
+# and -1, values at and past the caps (8 and 16 parties, 256 MiB a chunk),
+# 2^64 and non-numbers.  A quarter of each option's values are edge values.
+_EDGE = ["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "0", "-0.0", "-1", "9", "17",
+         "18446744073709551616", "x", ""]
+_EDGE_COEFFS = [1e308, -1e308, 5e-324, 1e-300, 10**400, math.inf, math.nan, "1", None]
+
+
+def _option(*valid, edge=_EDGE):
+    return st.sampled_from(list(valid) * (3 * len(edge) // len(valid)) + edge)
+
+
+def _count(*valid):  # 2^64 samples or restarts would run until stopped
+    return _option(*valid, edge=[e for e in _EDGE if e != "18446744073709551616"])
+
+
+_COEFF = st.one_of(st.sampled_from([1.0, -1.0, 0.5, 0.0, 2]), st.sampled_from(_EDGE_COEFFS))
+
+
+@st.composite
+def _documents(draw, entry):
+    """A small expression or state document, truncated JSON, or a bare value."""
+    parties = draw(st.sampled_from([9, 0, "2", True] + [1, 2, 3] * 4))
+    width = parties if type(parties) is int and 0 <= parties <= 9 else 2
+    text = json.dumps({"parties": parties, **draw(entry(width))})
+    kind = draw(st.sampled_from(["valid"] * 6 + ["truncated", "bare"]))
+    if kind == "truncated":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if kind == "bare":
+        return json.dumps(draw(st.sampled_from([None, [], "terms", 3.5, {"parties": 2}])))
+    return text
+
+
+def _terms(width):
+    pattern = st.text("01_", min_size=width, max_size=width) | st.sampled_from(["", "0x", 7])
+    term = st.fixed_dictionaries({"pattern": pattern, "coeff": _COEFF})
+    return st.fixed_dictionaries({"terms": st.lists(term, min_size=1, max_size=4)})
+
+
+def _amplitudes(width):
+    unit = st.just([{"index": "0" * width, "re": 1.0, "im": 0.0}])
+    index = st.text("01", min_size=width, max_size=width) | st.sampled_from(["", "2" * width])
+    entry = st.fixed_dictionaries({"index": index, "re": _COEFF, "im": _COEFF})
+    return st.fixed_dictionaries({"amplitudes": unit | st.lists(entry, max_size=3)})
+
+
+@st.composite
+def _argvs(draw, expr_file, state_file):
+    commands = ["bounds", "tables", "werner ghz", "werner pure", "measure", "gamma", "examples"]
+    command = draw(st.sampled_from(commands * 2 + ["nope"]))
+    argv = command.split()
+    if command == "bounds":
+        argv += [expr_file] + draw(st.sampled_from([[], ["--closed-form"], ["--seesaw"]]))
+    elif command == "tables":
+        argv += [draw(st.sampled_from(["I", "ii", "III", "IV"]))]
+        argv += ["--samples", draw(_count("1", "20")), "--max-m", draw(_option("2", "5", "6"))]
+        argv += draw(st.sampled_from([[], ["--force"]]))
+    elif command == "werner ghz":
+        argv += ["--m", draw(_option("2", "3", "8", "16")), "--theta", draw(_option("0.6", "1.5"))]
+        argv += draw(st.sampled_from([[], ["--expr", expr_file]]))
+    elif command == "werner pure":
+        argv += ["--state", state_file] + draw(st.sampled_from([[], ["--expr", expr_file]]))
+    elif command == "measure":
+        argv += ["--m", draw(_option("1", "3", "13", "64")), "--poly", draw(_option("3", "5.5"))]
+        argv += ["--samples", draw(_count("1", "100"))]
+        argv += draw(st.sampled_from([[], ["--threads", draw(_count("1", "2"))]]))
+    elif command == "gamma":
+        argv += ["--m", draw(_option("1", "2", "4", "8")), "--samples", draw(_count("1", "30"))]
+    if command in ("bounds", "werner ghz", "werner pure", "examples"):
+        argv += draw(st.sampled_from([[], ["--restarts", draw(_count("1", "2"))]]))
+    argv += ["--seed", draw(_option("0", "7", "18446744073709551616"))]
+    return argv + ["--format", draw(_option("markdown", "csv", "structured"))]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    return folder / "expr.json", folder / "state.json"
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_cli_run_ends_in_a_documented_exit_code(fuzz_files, data):
+    # no traceback and no warning: a report, or one error line (argparse
+    # adds its usage text on exit 2)
+    expr_file, state_file = fuzz_files
+    expr_file.write_text(data.draw(_documents(_terms), label="expression"))
+    state_file.write_text(data.draw(_documents(_amplitudes), label="state"))
+    argv = data.draw(_argvs(str(expr_file), str(state_file)), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own exit
+                code = exc.code
+    assert caught == []
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4, 5), err
+    if code == 0:
+        assert err == "" and out.getvalue()
+    elif err.startswith("usage: "):
+        assert code == 2 and ": error: " in err.splitlines()[-1]
+    else:
+        assert out.getvalue() == ""
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err

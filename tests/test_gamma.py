@@ -19,6 +19,7 @@ import bellwerner.gamma as gamma_module
 from bellwerner.gamma import (
     _STATE_ROWS,
     _bounds,
+    _generator,
     _sample_rows,
     _substream_states,
     _unit_rows,
@@ -281,9 +282,32 @@ def test_substream_states_match_numpy(seed):
     # seeds of one to four uint32 words, indices of one word and of two
     indices = np.concatenate([np.arange(4096), [2**32 - 1, 2**32, 2**40 + 3]])
     got = _substream_states(seed, indices)
-    for k, pair in zip(indices.tolist(), got):
-        state = np.random.default_rng([seed, k]).bit_generator.state["state"]
-        assert pair == (state["state"], state["inc"]), k
+    assert got.dtype == np.uint64 and got.shape == (len(indices), 4) and got.flags.c_contiguous
+    for k, words in zip(indices.tolist(), got):
+        want = np.random.SeedSequence([seed, k]).generate_state(4, np.uint64)
+        assert np.array_equal(words, want), k
+        state = np.random.default_rng([seed, k]).bit_generator.state
+        assert _generator(words).bit_generator.state == state, k
+
+
+def test_substream_seed_refuses_any_other_request(monkeypatch, capsys):
+    # the words are PCG64's 4 uint64; the other bit generators ask for
+    # 624 uint32 (MT19937) and 3 uint64 (SFC64)
+    words = _substream_states(0, np.arange(1))[0]
+    seed_seq = gamma_module._seeded_words()(words)
+    assert seed_seq.generate_state(4, np.uint64) is words
+    for n_words, dtype in [(8, np.uint32), (4, np.uint32), (3, np.uint64), (8, np.uint64)]:
+        with pytest.raises(RuntimeError, match=f"^PCG64 asked its seed for {n_words} words"):
+            seed_seq.generate_state(n_words, dtype)
+    for bit_generator in (np.random.MT19937, np.random.SFC64):
+        with pytest.raises(RuntimeError, match="^PCG64 asked its seed"):
+            bit_generator(seed_seq)
+    # a scan whose bit generator asked for anything else is an internal fault
+    from bellwerner import cli
+
+    monkeypatch.setattr(np.random, "PCG64", np.random.SFC64)
+    assert cli.main(["gamma", "--m", "2", "--samples", "5"]) == 5
+    assert capsys.readouterr().err == "error: PCG64 asked its seed for 3 words of uint64\n"
 
 
 def test_negative_seed_is_rejected():

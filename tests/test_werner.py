@@ -31,8 +31,7 @@ from bellwerner import (
 )
 
 from bellwerner import werner
-from bellwerner._workers import summed
-from bellwerner.werner import _MC_BLOCK, _MC_CHUNK, _mc_chunk_hits
+from bellwerner.werner import _MC_BLOCK, _MC_CHUNK, _mc_chunk_hits, summed
 from helpers import (
     equatorial_lower,
     exact_pair_fraction,

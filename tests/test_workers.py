@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from bellwerner._workers import summed
+from bellwerner.werner import summed
 from helpers import run_python
 
 
@@ -98,15 +98,25 @@ def test_summed_runs_in_the_caller_plus_plain_threads(monkeypatch):
 
 def test_cli_import_leaves_the_thread_pool_unloaded():
     # concurrent.futures costs 7-10 ms and about 0.9 MB at every start; the
-    # Monte Carlo workers are plain threads, so a threaded measure needs none
+    # Monte Carlo workers are plain threads, so a threaded measure needs none.
+    # numpy.random (about 5 MB and 20 ms) loads at the first draw, not at import.
+    # NumPy 1.x loads it inside `import numpy`, so only what the package adds
+    # beyond a bare `import numpy` counts.
     loaded = run_python(
-        "import sys\n"
+        "import contextlib, io, sys\n"
+        "def names(top):\n"
+        "    return sorted(m for m in sys.modules if m == top or m.startswith(top + '.'))\n"
+        "import numpy\n"
+        "bare = names('numpy.random')\n"
         "import bellwerner.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith('concurrent')))\n"
-        "code = bellwerner.cli.main(['measure', '--m', '3', '--poly', '3', '--samples',\n"
-        "                            '10000', '--threads', '2', '--format', 'structured'])\n"
-        "print(code, sorted(m for m in sys.modules if m.startswith('concurrent')))\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        return bellwerner.cli.main([*argv, '--format', 'structured'])\n"
+        "print(names('concurrent'), sorted(set(names('numpy.random')) - set(bare)))\n"
+        "code = run('gamma', '--m', '2', '--samples', '10')\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+        "code = run('measure', '--m', '3', '--poly', '3', '--samples', '10000',\n"
+        "           '--threads', '2')\n"
+        "print(code, names('concurrent'))\n"
     )
-    lines = loaded.strip().splitlines()
-    assert lines[0] == "[]"
-    assert lines[-1] == "0 []"
+    assert loaded.splitlines() == ["[] []", "0 True", "0 []"]
