@@ -14,7 +14,7 @@ Determinism: sample k draws from the substream keyed by (seed, k), which
 is NumPy's default_rng([seed, k]): standard normals from that stream,
 redrawn while the norm is below 1e-12, then divided by the norm.  Rather
 than build a SeedSequence per sample, the scan derives the words
-SeedSequence([seed, k]).generate_state(4, uint64) of 256 samples in one
+SeedSequence([seed, k]).generate_state(4, uint64) of 4096 samples in one
 pass, running its seed_seq_fe hash as uint32 array operations over their
 indices, and hands each sample's words to PCG64 through NumPy's
 ISeedSequence interface; PCG64 asking for anything else is an internal
@@ -47,9 +47,10 @@ gamma_1 self-check and the minima are array operations on the sub-batch.
 What remains per sample is its draw: on one core of a 2 GHz Xeon about
 5 us at four parties (80 coefficients), of which about 1 us derives the
 words, 0.2 us takes the norm and the rest builds the generator and draws.
-A derivation pass also has a fixed cost of about 0.2 ms, which is why it
-covers 256 samples rather than one sub-batch of 8; their words are 32
-bytes a sample.
+A derivation pass also has a fixed cost of about 0.3 ms, which is why it
+covers 4096 samples rather than one sub-batch of 8: one pass of 4096
+takes about 0.7 ms, sixteen passes of 256 about 5 ms.  Their words are 32
+bytes a sample, 128 KiB a pass.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ _MIN_NORM = 1e-12  # a draw below this norm is redrawn
 _VALUE_BYTES = 1 << 20  # sub-batch rows: this many bytes of 4^m doubles,
 _MIN_ROWS = 8  # but at least this many (fewer slow the matmuls at m = 8)
 _MAX_ROWS = 256  # and at most this many (more gain no time at m <= 4 and fault a fresh workspace)
-_STATE_ROWS = 256  # substream states derived per pass
+_STATE_ROWS = 4096  # substream states derived per pass
 
 # NumPy's SeedSequence (seed_seq_fe, pool of four uint32 words)
 _MASK32 = 0xFFFFFFFF

@@ -16,7 +16,7 @@ objective is nondecreasing by construction.
 Each sweep refreshes the state with a dense Hermitian eigensolve
 (np.linalg.eigh) of the current operator, at most 256 x 256 under the
 8-party cap; the extreme eigenpair of larger magnitude gives the objective.
-An operator that is not finite and Hermitian raises ValueError.  A restart
+An operator that is not finite raises ValueError.  A restart
 stops as "converged" or "stalled" once a sweep gains less than 1e-9 (_TOL):
 stalled when the last two gains shrink too slowly for the geometric tail
 to stay under _TOL.  It stops as "bounded" (_bounded) once its gains show
@@ -35,12 +35,14 @@ A sweep is thus about m^2 NumPy calls for all R restarts plus R O(8^m)
 eigensolves, which dominate from about six parties on.  Stacked matmul and
 eigh give each restart the floats it would get alone; a restart leaves the
 stack when it stops.  Observables are plain (axis, eig_plus, eig_minus)
-numbers; QubitObservable objects are built for the witness only.  Diagonal
-+-1 observables, such as the classical warm start, give a diagonal operator
-of strategy values, summed term by term like the classical bound.  A group
-takes as many restarts as fit in _GROUP_BYTES (64 MiB) at eight complex
-2^m x 2^m matrices each: all 21 default restarts up to seven parties, 8 at
-the cap.  Starts are drawn one group at a time.
+triples from the drawn start on; only the best restart's 2m become
+QubitObservable objects, for the witness.  Diagonal +-1 observables, such
+as the classical warm start, give a diagonal operator of strategy values,
+summed term by term like the classical bound.  A group takes as many
+restarts as fit in _GROUP_BYTES (64 MiB) at _RESTART_MATRICES = 8 complex
+2^m x 2^m matrices each (measured: about 2, a 10.97 MiB tracemalloc peak
+for MERMIN(7) with 21 restarts): all 21 default restarts up to seven
+parties, 8 at the cap.  Starts are drawn one group at a time.
 """
 
 from __future__ import annotations
@@ -195,16 +197,6 @@ def _sum_inverse_gammas(gammas: Sequence[float]) -> float:
     return total
 
 
-def _coefficient_tensor(expr: BellExpression) -> np.ndarray:
-    """The expression as a complex (3,)*m tensor: slot 0 is "_", 1 is "0", 2 is "1"."""
-    return coefficient_tensor(expr, complex)
-
-
-def _triples(obs: ObservableAssignment) -> list:
-    """Per party, the (axis, eig_plus, eig_minus) of both observables."""
-    return [[(o.axis, o.eig_plus, o.eig_minus) for o in pair] for pair in obs.observables]
-
-
 def _stacks(pairs: Sequence[Sequence[tuple]]) -> np.ndarray:
     """The (R, 3, 2, 2) stacks [I, A_0, A_1] of R pairs of (axis, eig_plus, eig_minus)."""
     return np.array(
@@ -280,33 +272,26 @@ def bell_operator(expr: BellExpression, obs: ObservableAssignment) -> np.ndarray
             f"assignment has {obs.parties} parties, expression has {expr.parties}"
         )
     check_cap(_OPERATOR, expr.parties, MAX_PARTIES)
-    stacks = [_stacks([pair]) for pair in _triples(obs)]
-    return _bell_matrix(expr, _coefficient_tensor(expr), stacks)[0]
+    stacks = [_stacks([[(o.axis, o.eig_plus, o.eig_minus) for o in p]]) for p in obs.observables]
+    return _bell_matrix(expr, coefficient_tensor(expr, complex), stacks)[0]
 
 
-def _validate_hermitian(matrix: np.ndarray) -> np.ndarray:
-    """The matrix, or stack of matrices, as complex; ValueError unless each is
-    square, finite and Hermitian to 1e-12 of its largest entry (at least 1)."""
-    h = np.asarray(matrix, dtype=complex)
-    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    largest = np.abs(h).max(axis=(-2, -1), initial=0.0)  # NaN or inf if any entry is
-    if not np.isfinite(largest).all():
+def _finite(h: np.ndarray) -> np.ndarray:
+    """h, or ValueError if an entry is NaN or infinite (an expression that overflows)."""
+    if not np.isfinite(h).all():
         raise ValueError("matrix has non-finite entries")
-    adjoint = h.conj().swapaxes(-1, -2)
-    skew = np.abs(np.subtract(h, adjoint, out=adjoint)).max(axis=(-2, -1), initial=0.0)
-    if (skew > 1e-12 * np.maximum(1.0, largest)).any():
-        raise ValueError("matrix is not Hermitian")
     return h
 
 
 def _dominant_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signed eigenvalues of largest magnitude and their eigenvectors.
 
-    One np.linalg.eigh serves a single matrix or a (R, n, n) stack; a tie in
-    magnitude goes to the largest eigenvalue.
+    One np.linalg.eigh serves a matrix or a (R, n, n) stack, reading one
+    triangle: the operators come from _bell_matrix, exactly Hermitian by
+    construction, so only finiteness is checked.  A tie in magnitude goes
+    to the largest eigenvalue.
     """
-    w, v = np.linalg.eigh(_validate_hermitian(h))
+    w, v = np.linalg.eigh(_finite(h))
     top = np.abs(w[..., -1]) >= np.abs(w[..., 0])
     return np.where(top, w[..., -1], w[..., 0]), np.where(top[..., None], v[..., -1], v[..., 0])
 
@@ -368,7 +353,7 @@ def _bounded(values: list[float], c1: float) -> bool:
 
 class _Run(NamedTuple):
     value: float
-    witness: ObservableAssignment
+    witness: list  # per party, two (axis, eig_plus, eig_minus) triples
     state: np.ndarray
     sweep_values: tuple[float, ...]
     stop_reason: str
@@ -380,14 +365,14 @@ def _objective(expr, coeffs, stacks, psi) -> tuple[list, np.ndarray]:
     if psi is None:
         signed, states = _dominant_eig(ops)
         return signed.tolist(), states
-    applied = _validate_hermitian(ops) @ psi
+    applied = _finite(ops) @ psi
     return [float(np.vdot(psi, row).real) for row in applied], np.broadcast_to(psi, applied.shape)
 
 
 def _seesaw_runs(
     expr: BellExpression, starts: Iterable, c1: float, fixed_state: Optional[np.ndarray] = None
 ) -> Iterator[tuple[int, _Run]]:
-    """(index, run) for every starting assignment, in the order restarts stop.
+    """(index, run) for every start (per party, a pair of triples), in the order restarts stop.
 
     With fixed_state the objective is |<psi|B|psi>| for that state, which is
     also the returned state; otherwise the state is refreshed each sweep to
@@ -399,11 +384,11 @@ def _seesaw_runs(
     psi = None if fixed_state is None else np.asarray(fixed_state, dtype=complex).reshape(-1)
     if psi is not None and psi.shape[0] != 2 ** m:
         raise ValueError(f"state must have dimension 2^{m}")
-    coeffs = _coefficient_tensor(expr)
+    coeffs = coefficient_tensor(expr, complex)
     layouts = [np.ascontiguousarray(np.moveaxis(coeffs, j, -1)[..., 1:]) for j in range(m)]
     size = max(1, _GROUP_BYTES // (_RESTART_MATRICES * 16 * 4 ** m))
     starts, offset = iter(starts), 0
-    while group := [_triples(start) for start in itertools.islice(starts, size)]:
+    while group := [list(start) for start in itertools.islice(starts, size)]:
         yield from _advance(expr, coeffs, layouts, group, offset, c1, psi)
         offset += len(group)
 
@@ -417,10 +402,9 @@ def _advance(expr, coeffs, layouts, obs, offset, c1, psi) -> Iterator[tuple[int,
     values = [[abs(s)] for s in signed]
 
     def stopped(i: int, reason: str) -> tuple[int, _Run]:
-        witness = tuple(tuple(QubitObservable(*o) for o in pair) for pair in obs[active[i]])
         state = states[i] if psi is None else psi
         return offset + active[i], _Run(
-            values[i][-1], ObservableAssignment(witness), state, tuple(values[i]), reason
+            values[i][-1], obs[active[i]], state, tuple(values[i]), reason
         )
 
     for _ in range(_MAX_SWEEPS):
@@ -453,27 +437,23 @@ def _advance(expr, coeffs, layouts, obs, offset, c1, psi) -> Iterator[tuple[int,
         yield stopped(i, "max_sweeps")
 
 
-def _random_assignment(parties: int, rng: np.random.Generator) -> ObservableAssignment:
-    pairs = []
-    for _ in range(parties):
-        settings = []
-        for _ in range(2):
-            vec = rng.standard_normal(3)
-            while np.linalg.norm(vec) < 1e-9:
-                vec = rng.standard_normal(3)
-            vec = vec / np.linalg.norm(vec)
-            settings.append(QubitObservable.projective(tuple(vec)))
-        pairs.append(tuple(settings))
-    return ObservableAssignment(tuple(pairs))
+def _random_assignment(parties: int, rng: np.random.Generator) -> list:
+    """Per party, two projective triples (axis, 1.0, -1.0) along standard
+    normal draws, each redrawn while its norm is below 1e-9."""
+    triples = []
+    while len(triples) < 2 * parties:
+        vec = rng.standard_normal(3)
+        norm = np.linalg.norm(vec)
+        if norm >= 1e-9:
+            triples.append((tuple((vec / norm).tolist()), 1.0, -1.0))
+    return [triples[k:k + 2] for k in range(0, 2 * parties, 2)]
 
 
-def _witness_assignment(outcome: ClassicalBoundResult) -> ObservableAssignment:
+def _witness_assignment(outcome: ClassicalBoundResult) -> list:
     """The commuting warm start: the classical witness strategy as identity
-    multiples, whose operator is c1 times identity."""
-    return ObservableAssignment(tuple(
-        (QubitObservable.constant(float(a0)), QubitObservable.constant(float(a1)))
-        for a0, a1 in outcome.witness.assignments
-    ))
+    multiples (triples with equal eigenvalues), whose operator is c1 times identity."""
+    return [[((0.0, 0.0, 1.0), float(a), float(a)) for a in pair]
+            for pair in outcome.witness.assignments]
 
 
 def _best_of_restarts(
@@ -497,8 +477,11 @@ def _best_of_restarts(
                 best = idx, run
     reasons, sweeps = zip(*(ends[idx] for idx in range(restarts + 1)))
     idx, run = best
+    witness = ObservableAssignment(
+        tuple(tuple(QubitObservable(*o) for o in pair) for pair in run.witness)
+    )
     return SeesawResult(
-        run.value, run.witness, run.state, run.sweep_values, idx, reasons, sweeps, classical
+        run.value, witness, run.state, run.sweep_values, idx, reasons, sweeps, classical
     )
 
 

@@ -200,14 +200,10 @@ def undetectable_range_general(
 
 
 def _validated_probabilities(amplitudes) -> np.ndarray:
-    vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    n = vec.shape[0]
-    parties = n.bit_length() - 1
-    if n < 4 or 2 ** parties != n:
-        raise ValueError(f"amplitude count must be a power of two >= 4, got {n}")
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise ValueError(f"amplitudes must be unit norm, got {norm!r}")
+    """|a_i|^2 of a valid PureFamily's amplitudes, of which there must be at least 4."""
+    vec = PureFamily(amplitudes).amplitudes
+    if vec.shape[0] < 4:
+        raise ValueError(f"amplitude count must be at least 4, got {vec.shape[0]}")
     return np.abs(vec) ** 2
 
 

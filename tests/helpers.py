@@ -12,7 +12,6 @@ import numpy as np
 
 import bellwerner
 from bellwerner import (
-    ObservableAssignment,
     QubitObservable,
     block,
     block_sizes,
@@ -24,7 +23,7 @@ from bellwerner import (
     strategy_matrix,
 )
 from bellwerner.errors import ParseError, check_cap
-from bellwerner.expressions import _from_lists, canonical_tensor
+from bellwerner.expressions import _from_lists, canonical_tensor, coefficient_tensor
 from bellwerner.fileio import _require_dict, _require_parties
 from bellwerner.gamma import _BLOCK_EPS
 from bellwerner.classical import MAX_PARTIES, _strategy_values
@@ -385,18 +384,19 @@ def dominant_eig_reference(h):
 
 
 def seesaw_run_reference(expr, initial, c1, fixed_state=None):
-    """One see-saw restart as the sweep first ran it, alone.
+    """One see-saw restart as the sweep first ran it, alone, from per-party
+    pairs of (axis, eig_plus, eig_minus) triples.
 
     Contraction by np.tensordot, each party's coefficient layout rebuilt in
     every sweep, one eigensolve per matrix and a QubitObservable built for
     every update; after a sweep that gains less than the tolerance the label
     follows stop_label_reference, and otherwise the restart stops as
     "bounded" once bounded_reference holds for the classical bound c1.
-    Returns a quantum._Run.
+    Returns a quantum._Run, its witness as triples.
     """
     m = expr.parties
-    coeffs = quantum._coefficient_tensor(expr)
-    obs = [[pair[0], pair[1]] for pair in initial.observables]
+    coeffs = coefficient_tensor(expr, complex)
+    obs = [[QubitObservable(*pair[0]), QubitObservable(*pair[1])] for pair in initial]
     stacks = [stack_reference(pair) for pair in obs]
     if fixed_state is not None:
         psi = np.asarray(fixed_state, dtype=complex).reshape(-1)
@@ -432,7 +432,7 @@ def seesaw_run_reference(expr, initial, c1, fixed_state=None):
         if bounded_reference(sweep_values, c1):
             stop_reason = "bounded"
             break
-    witness = ObservableAssignment(tuple((pair[0], pair[1]) for pair in obs))
+    witness = [[(o.axis, o.eig_plus, o.eig_minus) for o in pair] for pair in obs]
     return quantum._Run(value, witness, state, tuple(sweep_values), stop_reason)
 
 
@@ -448,7 +448,7 @@ def equatorial_lower(expr):
     """
     starts, steps = 64, 300
     m = expr.parties
-    beta = quantum._coefficient_tensor(expr)[(slice(1, 3),) * m].reshape(-1)
+    beta = coefficient_tensor(expr, complex)[(slice(1, 3),) * m].reshape(-1)
     bits = (np.arange(2 ** m) >> np.arange(m - 1, -1, -1)[:, None]) & 1  # bits[k, s]
     chosen = bits[None, :, :] == np.arange(2)[:, None, None]  # chosen[x, k, s]
 
@@ -733,9 +733,10 @@ def save_state(family, path):
     Path(path).write_text(json.dumps(state_to_document(family), indent=2) + "\n")
 
 
-def run_python(code):
-    """stdout of `code` run by this interpreter in a fresh process that imports this bellwerner."""
-    env = dict(os.environ, PYTHONPATH=str(Path(bellwerner.__file__).parents[1]))
+def run_python(code, **environ):
+    """stdout of `code` run by this interpreter in a fresh process that imports this
+    bellwerner, with the given environment variables set."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bellwerner.__file__).parents[1]), **environ)
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

@@ -17,7 +17,6 @@ from bellwerner import (
 )
 import bellwerner.gamma as gamma_module
 from bellwerner.gamma import (
-    _STATE_ROWS,
     _bounds,
     _generator,
     _sample_rows,
@@ -155,10 +154,12 @@ def test_scan_seed_sensitivity():
     )
 
 
-def test_scan_chunk_matches_dense_reference():
-    # the batched transform against the per-sample dense matvec it replaced
+def test_scan_chunk_matches_dense_reference(monkeypatch):
+    # the batched transform against the per-sample dense matvec it replaced,
+    # over three passes of 256 derived substream states
+    monkeypatch.setattr(gamma_module, "_STATE_ROWS", 256)
     for m in (2, 3, 4, 5):
-        config = GammaScanConfig(parties=m, samples=2 * _STATE_ROWS + 40, seed=m)
+        config = GammaScanConfig(parties=m, samples=2 * 256 + 40, seed=m)
         res = gamma_scan(config)
         ref_minima, ref_skipped = scan_chunk_dense(config, 0, config.samples)
         assert [est.skipped for est in res.estimates] == ref_skipped
@@ -335,13 +336,14 @@ def _scan_rows(monkeypatch, config):
 def test_scan_chunk_rows_match_per_sample_reference(monkeypatch, m):
     # sub-batches of the size rule, then of 37 rows, which straddle the
     # passes that derive 256 substream states at a time
+    monkeypatch.setattr(gamma_module, "_STATE_ROWS", 256)
     dim = 3**m - 1
     for rows in (None, 37):
         if rows is not None:
             monkeypatch.setattr(gamma_module, "_VALUE_BYTES", 0)
             monkeypatch.setattr(gamma_module, "_MIN_ROWS", rows)
         for seed in (0, 11, 2**33 + 1):
-            config = GammaScanConfig(parties=m, samples=_STATE_ROWS + 40, seed=seed)
+            config = GammaScanConfig(parties=m, samples=256 + 40, seed=seed)
             seen = _scan_rows(monkeypatch, config)
             if rows is not None:
                 assert [len(x) for x in seen] == [37] * 8  # the seventh spans samples 222..258
