@@ -15,9 +15,10 @@ a restart once a sweep gains less than 1e-9 ("converged", or "stalled" when
 the gains shrink too slowly), once its gains show it cannot beat the
 classical bound ("bounded") or after 500 sweeps (the `seesaw-sweep-cap`
 warning), and visibilities are bisected to 1e-6.  A see-saw computes the
-classical bound once, and its command reports that value.  Only measure
-takes --threads, for its Monte Carlo chunks; the gamma scan (gamma, tables
-II) runs one sub-batch after another and the see-saw its restarts as stacks.
+classical bound once, and its command reports that value.  measure runs
+its Monte Carlo chunks on min(usable cores, chunks) workers, so the CPU
+affinity sets the count; the gamma scan (gamma, tables II) runs one
+sub-batch after another and the see-saw its restarts as stacks.
 Table II scans all its party counts together, drawing each sample once at
 the widest count that uses it; its rows equal separate `gamma` runs.
 """
@@ -32,11 +33,12 @@ from typing import NamedTuple, Optional
 
 from . import __version__
 from .classical import ClassicalBoundResult, closed_form_classical, lhv_bound
-from .errors import CapExceeded, ParseError, check_cap
+from .errors import CapExceeded, ParseError
 from .expressions import BellExpression, block, builtin, is_homogeneous
 from .fileio import load_expression, load_state
 from .gamma import GammaScanConfig, gamma_scan, gamma_scans
 from .quantum import (
+    DEFAULT_RESTARTS,
     AnalyticUppers,
     SeesawResult,
     analytic_quantum_upper,
@@ -62,7 +64,6 @@ from .werner import (
 
 _TABLE_MS = (2, 3, 4, 5, 6)
 _EXAMPLE_NAMES = ("CHSH", "MERMIN", "CH", "SASA")
-_TABLE_II_DEFAULT_MAX_M = 4
 # subclasses before their bases: ParseError is a ValueError, CapExceeded a RuntimeError
 _EXIT_CODES = ((ParseError, 2), (CapExceeded, 4), (ValueError, 3), (RuntimeError, 5))
 
@@ -102,18 +103,14 @@ class _Analysis(NamedTuple):
     warnings: list  # (name, message) pairs
 
 
-def _analyse(expr: BellExpression, *, seed, closed_form=False, restarts=None) -> _Analysis:
+def _analyse(expr: BellExpression, *, seed, restarts=None) -> _Analysis:
     """The classical bound, block ratios, composite ratio and see-saw of expr.
 
     Block i is an expression over parties i..m, so its bound enumerates
     4^(m+1-i) strategies; the absent leading parties cannot change it.
     The see-saw runs only when restarts is given, and then its classical
-    bound is the one reported.  closed_form=True makes a partial-correlation
-    expression a ValueError, raised before any see-saw.
+    bound is the one reported.
     """
-    homogeneous = is_homogeneous(expr)
-    if closed_form and not homogeneous:
-        raise ValueError("--closed-form requires a full-correlation expression")
     found = None if restarts is None else seesaw_lower(expr, restarts=restarts, seed=seed)
     outcome = lhv_bound(expr) if found is None else found.classical
     values = []
@@ -124,7 +121,7 @@ def _analyse(expr: BellExpression, *, seed, closed_form=False, restarts=None) ->
     composite = composite_ratio_upper(gammas)
     warnings = []
     cf = uppers = None
-    if homogeneous:
+    if is_homogeneous(expr):
         cf = closed_form_classical(expr)
         uppers = analytic_quantum_upper(expr)
         if cf > outcome.value + 1e-9:
@@ -145,7 +142,7 @@ def _sweep_cap_warnings(found: SeesawResult) -> list:
 def cmd_bounds(args) -> Report:
     expr = load_expression(args.expr_file)
     restarts = args.restarts if args.seesaw else None
-    a = _analyse(expr, closed_form=args.closed_form, restarts=restarts, seed=args.seed)
+    a = _analyse(expr, restarts=restarts, seed=args.seed)
     outcome = a.outcome
     results = {
         "parties": expr.parties,
@@ -178,7 +175,6 @@ def cmd_bounds(args) -> Report:
         seed=args.seed,
         inputs={
             "expr_file": str(args.expr_file),
-            "closed_form": args.closed_form,
             "seesaw": args.seesaw,
             "restarts": args.restarts,
         },
@@ -202,13 +198,6 @@ def _window_table(kind: str, window, last_column: str, scale: float) -> dict:
 
 
 def _table_ii(args) -> tuple[dict, list]:
-    if not args.force:
-        check_cap(
-            "table II max m (the ratio scan is expensive)",
-            args.max_m,
-            _TABLE_II_DEFAULT_MAX_M,
-            "pass --force to run it",
-        )
     warnings = []
     rows = []
     configs = [
@@ -264,7 +253,6 @@ def cmd_tables(args) -> Report:
             "which": which,
             "samples": args.samples,
             "max_m": args.max_m,
-            "force": args.force,
         },
         results=results,
         warnings=warnings,
@@ -334,7 +322,7 @@ def cmd_werner(args) -> Report:
 def cmd_measure(args) -> Report:
     _check_sampler_size(args.m, args.samples)  # before the closed form overflows
     bound = measure_lower_bound(args.m, args.poly)
-    est = measure_monte_carlo(args.m, args.poly, args.samples, args.seed, threads=args.threads)
+    est = measure_monte_carlo(args.m, args.poly, args.samples, args.seed)
     high = est.fraction + 3.0 * est.std_error
     results = {
         "lower_bound": bound,
@@ -492,7 +480,9 @@ _POSITIVE = _int_at_least(1)
 
 def _add_common(p, *, restarts=False) -> None:
     if restarts:  # a see-saw command; the others are scans
-        p.add_argument("--restarts", type=_POSITIVE, default=20, help="see-saw restarts")
+        p.add_argument(
+            "--restarts", type=_POSITIVE, default=DEFAULT_RESTARTS, help="see-saw restarts"
+        )
     # the (seed, k) substreams take non-negative integers only
     p.add_argument("--seed", type=_NON_NEGATIVE, default=0, help="base RNG seed (non-negative)")
     p.add_argument(
@@ -517,11 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="classical/quantum bounds for an expression file")
     p.add_argument("expr_file", metavar="EXPR-FILE", help="expression JSON file")
-    p.add_argument(
-        "--closed-form",
-        action="store_true",
-        help="require the full-correlation closed form (error if inapplicable)",
-    )
     p.add_argument("--seesaw", action="store_true", help="run the see-saw lower bound")
     _add_common(p, restarts=True)
 
@@ -533,12 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-m",
         type=int,
-        default=_TABLE_II_DEFAULT_MAX_M,
+        default=4,
         choices=range(2, 7),
         help="largest party count for table II",
-    )
-    p.add_argument(
-        "--force", action="store_true", help="allow table II above the default cap"
     )
     _add_common(p)
 
@@ -558,12 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="party count")
     p.add_argument("--poly", type=float, required=True, help="expression value at the target")
     p.add_argument("--samples", type=_POSITIVE, default=100000, help="Monte Carlo samples")
-    p.add_argument(
-        "--threads",
-        type=_POSITIVE,
-        default=None,
-        help="worker cap (default and ceiling: the usable cores, at most one per chunk)",
-    )
     _add_common(p)
 
     p = sub.add_parser("gamma", help="sampled block-ratio minima over random vectors")

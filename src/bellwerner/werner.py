@@ -465,12 +465,7 @@ def usable_cores() -> int:
 
 
 def measure_monte_carlo(
-    parties: int,
-    poly_value: float,
-    samples: int,
-    seed: int = 0,
-    *,
-    threads: Optional[int] = None,
+    parties: int, poly_value: float, samples: int, seed: int = 0
 ) -> MonteCarloEstimate:
     """Fraction of uniform pure states whose reference pair outweighs c^2.
 
@@ -486,25 +481,21 @@ def measure_monte_carlo(
     share is 0.0076 and the "bound" 0.0133).
 
     Sampling is chunked with substreams keyed by (seed, chunk index) and hit
-    counts are integers, so the estimate is identical for any thread count.
-    It runs min(threads or usable cores, usable cores, chunk count) workers,
-    the caller one of them (threads below 1 raise), so no request starts
-    more threads than cores or chunks.  A chunk of min(samples, 4096)
-    vectors of 2^m amplitudes is drawn in blocks of at most 2^16 values
-    (512 KiB, or one row of 2^m values when longer) into its worker's one
-    buffer, kept for all that worker's chunks and rechecks; the 256 MiB cap
-    on a (min(samples, 4096), 2^m) float64 draw bounds the work per chunk
-    and the rows its exact recheck may keep.
+    counts are integers, so the estimate is identical for any worker count.
+    It runs min(usable cores, chunk count) workers, the caller one of them,
+    so the CPU affinity sets the count (`taskset -c 0` starts no thread).
+    A chunk of min(samples, 4096) vectors of 2^m amplitudes is drawn in
+    blocks of at most 2^16 values (512 KiB, or one row of 2^m values when
+    longer) into its worker's one buffer, kept for all that worker's chunks
+    and rechecks; the 256 MiB cap on a (min(samples, 4096), 2^m) float64
+    draw bounds the work per chunk and the rows its exact recheck may keep.
     """
     if parties < 1:
         raise ValueError("parties must be at least 1")
-    if threads is not None and threads < 1:
-        raise ValueError("threads must be at least 1")
     _check_sampler_size(parties, samples)
     c = (poly_value + 1.0) / 2 ** parties
     chunks = math.ceil(samples / _MC_CHUNK)
-    cores = usable_cores()
-    workers = min(threads or cores, cores, chunks)
+    workers = min(usable_cores(), chunks)
     chunk_hits = partial(_mc_chunk_hits, parties, c * c, seed, samples)
     block = max(_MC_BLOCK, 2 ** parties)
     hits = summed(lambda: partial(chunk_hits, np.empty(block)), chunks, workers)

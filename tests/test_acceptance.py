@@ -12,6 +12,7 @@ from bellwerner import block, builtin
 from bellwerner.classical import closed_form_classical, lhv_bound
 from bellwerner.cli import main
 import bellwerner.gamma as gamma_module
+import bellwerner.werner as werner_module
 from bellwerner.gamma import GammaScanConfig, gamma_scan
 from bellwerner.quantum import seesaw_lower
 from bellwerner.werner import (
@@ -210,8 +211,8 @@ def test_worker_count_and_rerun_determinism(monkeypatch):
                 )
                 assert np.array_equal(a.witness_coefficients, b.witness_coefficients)
 
-        runs = [
-            measure_monte_carlo(3, 3.0, 100_000, seed=0, threads=t)
-            for t in (1, 4, 1)
-        ]
+        runs = []
+        for cores in (1, 4, 1):
+            monkeypatch.setattr(werner_module, "usable_cores", lambda c=cores: c)
+            runs.append(measure_monte_carlo(3, 3.0, 100_000, seed=0))
         assert runs[0] == runs[1] == runs[2]

@@ -58,7 +58,7 @@ def test_bounds_ch(capsys, ch_file):
 def test_bounds_closed_form_and_seesaw(capsys, chsh_file):
     rep = _structured(
         capsys,
-        ["bounds", chsh_file, "--closed-form", "--seesaw", "--restarts", "6"],
+        ["bounds", chsh_file, "--seesaw", "--restarts", "6"],
     )
     res = rep.results
     assert res["closed_form"] == 2.0
@@ -66,16 +66,11 @@ def test_bounds_closed_form_and_seesaw(capsys, chsh_file):
     assert res["seesaw_lower"] == pytest.approx(2 * math.sqrt(2), abs=1e-3)
 
 
-def test_bounds_closed_form_rejected_for_marginal_terms(capsys, monkeypatch, ch_file):
-    code, _, err = _run(capsys, ["bounds", ch_file, "--closed-form"])
-    assert code == 3
-    assert "full-correlation" in err
-
-    def fault(*args, **kwargs):
-        raise AssertionError("the see-saw ran")
-
-    monkeypatch.setattr(cli, "seesaw_lower", fault)  # rejected before any see-saw
-    assert _run(capsys, ["bounds", ch_file, "--closed-form", "--seesaw"]) == (3, "", err)
+def test_bounds_reports_no_closed_form_for_marginal_terms(capsys, ch_file):
+    res = _structured(capsys, ["bounds", ch_file]).results
+    assert res["homogeneous"] is False
+    for key in ("closed_form", "analytic_upper", "anticommuting_upper"):
+        assert key not in res
 
 
 def test_bounds_missing_file(capsys, tmp_path):
@@ -154,10 +149,11 @@ def test_tables_ii_zero_samples(capsys):
     assert exc.value.code == 2
 
 
-def test_tables_ii_cap(capsys):
-    code, _, err = _run(capsys, ["tables", "II", "--max-m", "5"])
-    assert code == 4
-    assert "--force" in err
+def test_tables_ii_runs_past_the_default_max_m(capsys):
+    # the paper's table runs to six parties; no option guards the time it takes
+    code, out, err = _run(capsys, ["tables", "II", "--max-m", "5"])
+    assert (code, err) == (0, "")
+    assert "| 5 | 1000 |" in out
 
 
 @pytest.mark.parametrize(
@@ -458,18 +454,14 @@ def test_overflowing_seesaw_is_one_error_line(capsys, tmp_path, argv):
     assert (code, out, err, caught) == (3, "", "error: see-saw update is not finite\n", [])
 
 
-def test_seed_reproducibility_across_threads(capsys):
-    def run(threads):
-        rep = _structured(
-            capsys,
-            [
-                "measure", "--m", "2", "--poly", "2", "--samples", "3000",
-                "--seed", "3", "--threads", str(threads),
-            ],
-        )
-        return {k: v for k, v in rep.results.items()}
+def test_seed_reproducibility_across_threads(capsys, monkeypatch):
+    # 3 chunks, on 1, 2 and 3 workers and on more cores than chunks
+    def run(cores):
+        monkeypatch.setattr(werner, "usable_cores", lambda: cores)
+        argv = ["measure", "--m", "2", "--poly", "2", "--samples", "9000", "--seed", "3"]
+        return _structured(capsys, argv).results
 
-    assert run(1) == run(4)
+    assert run(1) == run(2) == run(3) == run(8)
 
 
 def test_gamma_reproducibility(capsys):
@@ -538,14 +530,10 @@ _EVERY_COMMAND = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [a for a in _EVERY_COMMAND if a[0] != "measure"],
-    ids=lambda a: " ".join(a[:2]),
-)
+@pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=lambda a: " ".join(a[:2]))
 def test_seesaw_commands_take_no_thread_count(capsys, argv):
     # the see-saw runs its restarts as stacks and the gamma scan one sub-batch
-    # after another, with no worker pool to size; only measure takes --threads
+    # after another; measure sizes its workers by the usable cores
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--threads", "2"])
     assert exc.value.code == 2
@@ -554,17 +542,37 @@ def test_seesaw_commands_take_no_thread_count(capsys, argv):
         quantum.seesaw_lower,
         quantum.seesaw_fixed_state,
         werner.detect_visibility,
+        werner.measure_monte_carlo,
         gamma.gamma_scan,
     ):
         assert "threads" not in inspect.signature(fn).parameters
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["bounds", "expr.json", "--closed-form"], ["tables", "II", "--force"]],
+    ids=["bounds --closed-form", "tables --force"],
+)
+def test_options_that_change_no_result_are_refused(capsys, argv):
+    # bounds reports the closed form whenever it applies, and tables II runs
+    # every --max-m it accepts
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
+
+
+def test_restarts_default_is_the_seesaw_default():
+    parser = cli.build_parser()
+    for argv in (["bounds", "expr.json"], ["werner", "ghz", "--m", "2", "--theta", "1"],
+                 ["examples"]):
+        assert parser.parse_args(argv).restarts == quantum.DEFAULT_RESTARTS
+
+
+@pytest.mark.parametrize(
     "argv, flag, value",
     [pytest.param(argv, "--seed", "-3", id=" ".join(argv[:2])) for argv in _EVERY_COMMAND]
     + [
-        pytest.param(["measure", "--m", "3", "--poly", "3"], "--threads", "-5", id="threads"),
-        pytest.param(["measure", "--m", "3", "--poly", "3"], "--threads", "0", id="threads 0"),
         pytest.param(["gamma", "--m", "2"], "--samples", "-5", id="samples"),
         pytest.param(["bounds", "expr.json", "--seesaw"], "--restarts", "-1", id="restarts"),
     ],
@@ -631,11 +639,10 @@ def _argvs(draw, expr_file, state_file):
     command = draw(st.sampled_from(commands * 2 + ["nope"]))
     argv = command.split()
     if command == "bounds":
-        argv += [expr_file] + draw(st.sampled_from([[], ["--closed-form"], ["--seesaw"]]))
+        argv += [expr_file] + draw(st.sampled_from([[], ["--seesaw"]]))
     elif command == "tables":
         argv += [draw(st.sampled_from(["I", "ii", "III", "IV"]))]
         argv += ["--samples", draw(_count("1", "20")), "--max-m", draw(_option("2", "5", "6"))]
-        argv += draw(st.sampled_from([[], ["--force"]]))
     elif command == "werner ghz":
         argv += ["--m", draw(_option("2", "3", "8", "16")), "--theta", draw(_option("0.6", "1.5"))]
         argv += draw(st.sampled_from([[], ["--expr", expr_file]]))
@@ -644,7 +651,6 @@ def _argvs(draw, expr_file, state_file):
     elif command == "measure":
         argv += ["--m", draw(_option("1", "3", "13", "64")), "--poly", draw(_option("3", "5.5"))]
         argv += ["--samples", draw(_count("1", "100"))]
-        argv += draw(st.sampled_from([[], ["--threads", draw(_count("1", "2"))]]))
     elif command == "gamma":
         argv += ["--m", draw(_option("1", "2", "4", "8")), "--samples", draw(_count("1", "30"))]
     if command in ("bounds", "werner ghz", "werner pure", "examples"):

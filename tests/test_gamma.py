@@ -397,7 +397,7 @@ def _table_ii_scans(monkeypatch, argv):
 
 
 @pytest.mark.parametrize("seed", [0, 2**33 + 1])
-@pytest.mark.parametrize("argv", [[], ["--force", "--max-m", "6"]], ids=["default", "max-m 6"])
+@pytest.mark.parametrize("argv", [[], ["--max-m", "6"]], ids=["default", "max-m 6"])
 def test_table_ii_scans_equal_separate_scans(monkeypatch, capsys, seed, argv):
     # one draw for every party count against a draw per scan; at --max-m 6
     # the five- and six-party scans stop at 1000 of the 10000 samples

@@ -286,18 +286,13 @@ def test_monte_carlo_matches_exact_fraction():
         assert abs(est.fraction - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / samples)
 
 
-def test_monte_carlo_partition_independent():
-    runs = [measure_monte_carlo(6, 3.0, 3 * _MC_CHUNK + 17, seed=9, threads=t)
-            for t in (None, 1, 2, 4)]
+def test_monte_carlo_partition_independent(monkeypatch):
+    # 4 chunks: this machine's cores, then 1, 2, 3 and more workers than chunks
+    runs = [measure_monte_carlo(6, 3.0, 3 * _MC_CHUNK + 17, seed=9)]
+    for cores in (1, 2, 3, 16):
+        monkeypatch.setattr(werner, "usable_cores", lambda c=cores: c)
+        runs.append(measure_monte_carlo(6, 3.0, 3 * _MC_CHUNK + 17, seed=9))
     assert all(run == runs[0] for run in runs)
-
-
-def test_monte_carlo_rejects_fewer_than_one_thread():
-    # threads=0 once meant every core and threads=-3 one thread; None, 1 and
-    # 2 agreeing is test_monte_carlo_partition_independent
-    for threads in (0, -1):
-        with pytest.raises(ValueError, match="threads must be at least 1"):
-            measure_monte_carlo(6, 3.0, 2 * _MC_CHUNK, 1, threads=threads)
 
 
 def _block_buffer(parties):
@@ -358,7 +353,8 @@ def test_recheck_decides_the_samples_inside_the_margin(monkeypatch):
 
 def test_monte_carlo_defaults_to_the_usable_cores(monkeypatch):
     run = partial(measure_monte_carlo, 6, 3.0, 3 * _MC_CHUNK + 17, 4)  # 4 chunks
-    serial = run(threads=1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    serial = run()
     workers = []
 
     def spy(make_work, count, threads):
@@ -366,17 +362,15 @@ def test_monte_carlo_defaults_to_the_usable_cores(monkeypatch):
         return summed(make_work, count, threads)
 
     monkeypatch.setattr(werner, "summed", spy)
-    for cores in ({0}, set(range(16))):
+    for cores in ({0}, set(range(16)), {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cores: c, raising=False)
         assert run() == serial
-    # a request above the cores is cut to them (the spy sees 2, no pool of 10 000)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert run(threads=10_000) == serial
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert run() == serial
-    assert run(threads=1) == serial
-    # one core, then no more workers than chunks, then two cores, then the CPU count
+    for count in (2, None):  # os.cpu_count() may not know
+        monkeypatch.setattr(os, "cpu_count", lambda c=count: c)
+        assert run() == serial
+    # one core, then no more workers than chunks (no pool of 16), then two
+    # cores, then the CPU count, then one worker when it is unknown
     assert workers == [1, 4, 2, 2, 1]
 
 
@@ -390,10 +384,12 @@ def test_monte_carlo_workers_each_keep_one_block_buffer(monkeypatch):
 
     chunk_hits = werner._mc_chunk_hits
     monkeypatch.setattr(werner, "_mc_chunk_hits", spy)
-    serial = measure_monte_carlo(6, 3.0, 12 * _MC_CHUNK, threads=1)
+    monkeypatch.setattr(werner, "usable_cores", lambda: 1)
+    serial = measure_monte_carlo(6, 3.0, 12 * _MC_CHUNK)
     assert len(buffers) == 12 and len({id(b) for b in buffers}) == 1
     buffers.clear()
-    assert measure_monte_carlo(6, 3.0, 12 * _MC_CHUNK, threads=2) == serial
+    monkeypatch.setattr(werner, "usable_cores", lambda: 2)
+    assert measure_monte_carlo(6, 3.0, 12 * _MC_CHUNK) == serial
     assert len(buffers) == 12 and len({id(b) for b in buffers}) <= 2
     assert all(b.shape == (_MC_BLOCK,) for b in buffers)
 

@@ -108,15 +108,15 @@ def test_cli_import_leaves_the_thread_pool_unloaded():
         "    return sorted(m for m in sys.modules if m == top or m.startswith(top + '.'))\n"
         "import numpy\n"
         "bare = names('numpy.random')\n"
-        "import bellwerner.cli\n"
+        "import bellwerner.cli, bellwerner.werner\n"
+        "bellwerner.werner.usable_cores = lambda: 2\n"
         "def run(*argv):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        return bellwerner.cli.main([*argv, '--format', 'structured'])\n"
         "print(names('concurrent'), sorted(set(names('numpy.random')) - set(bare)))\n"
         "code = run('gamma', '--m', '2', '--samples', '10')\n"
         "print(code, 'numpy.random' in sys.modules)\n"
-        "code = run('measure', '--m', '3', '--poly', '3', '--samples', '10000',\n"
-        "           '--threads', '2')\n"
+        "code = run('measure', '--m', '3', '--poly', '3', '--samples', '10000')\n"
         "print(code, names('concurrent'))\n"
     )
     assert loaded.splitlines() == ["[] []", "0 True", "0 []"]
