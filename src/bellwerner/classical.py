@@ -32,14 +32,13 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import check_cap
 from .expressions import (
-    ABSENT,
     BellExpression,
+    _pattern_slots,
     block_sizes,
     canonical_patterns,
     coefficient_tensor,
@@ -114,21 +113,6 @@ class ClassicalBoundResult:
     achieved_sign: int
 
 
-@lru_cache(maxsize=None)
-def _sign_table(parties: int) -> np.ndarray:
-    """(parties, 2, 4^m) int8 array of outcomes per strategy encoding.
-
-    Cached and shared; callers must not mutate.
-    """
-    codes = np.arange(4 ** parties, dtype=np.int64)
-    table = np.empty((parties, 2, codes.size), dtype=np.int8)
-    for j in range(parties):
-        for x in range(2):
-            bits = (codes >> (2 * j + x)) & 1
-            table[j, x] = (1 - 2 * bits).astype(np.int8)
-    return table
-
-
 def _check_enumeration(parties: int) -> None:
     check_cap(_ENUMERATION, parties, MAX_PARTIES)
 
@@ -170,12 +154,20 @@ def _strategy_values(coeffs: np.ndarray, parties: int) -> np.ndarray:
     return np.moveaxis(t.reshape((4**parties,) + batch), 0, -1)
 
 
+def _parity_signs(bits: np.ndarray) -> np.ndarray:
+    """(-1)^popcount(x) as float64 for every x in bits, 16 bits at a time."""
+    signs = np.take(_PARITY_SIGN, bits, mode="wrap")  # the low 16 bits
+    for shift in range(16, int(bits.max()).bit_length(), 16):
+        signs *= np.take(_PARITY_SIGN, bits >> shift, mode="wrap")
+    return signs
+
+
 def _ordered_values(slots: np.ndarray, coeffs: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Term-ordered values at the strategy encodings `codes`, bit for bit.
 
     slots and coeffs are those of `term_slots`.  The sign of term t at
-    strategy k is (-1)^popcount(k & mask_t), where slot 1 ("0") of party j
-    reads bit 2j and slot 2 ("1") bit 2j + 1: the slot, shifted by 2j.  A
+    strategy k is `_parity_signs(k & mask_t)`, where slot 1 ("0") of party
+    j reads bit 2j and slot 2 ("1") bit 2j + 1: the slot, shifted by 2j.  A
     block of strategies becomes a (terms, strategies) array of signed
     coefficients, summed down axis 0 by np.add.reduce: along an axis that
     is not the fast one NumPy adds row after row, in term order (pairwise
@@ -185,13 +177,9 @@ def _ordered_values(slots: np.ndarray, coeffs: np.ndarray, codes: np.ndarray) ->
     masks = (slots << (2 * np.arange(slots.shape[1]))).sum(axis=1)
     step = max(2, _EXACT_BLOCK // coeffs.size)
     padded = np.append(codes, codes[-1:]) if codes.size % step == 1 else codes
-    high_bits = int(masks.max()).bit_length()
     out = np.empty(padded.size)
     for lo in range(0, padded.size, step):
-        bits = masks[:, None] & padded[None, lo : lo + step]
-        signed = np.take(_PARITY_SIGN, bits, mode="wrap")  # the low 16 bits
-        for shift in range(16, high_bits, 16):
-            signed *= np.take(_PARITY_SIGN, bits >> shift, mode="wrap")
+        signed = _parity_signs(masks[:, None] & padded[None, lo : lo + step])
         signed *= coeffs[:, None]
         out[lo : lo + step] = np.add.reduce(signed, axis=0)
     return out[: codes.size]
@@ -279,15 +267,12 @@ def strategy_matrix(parties: int) -> np.ndarray:
     present in slot s's pattern; every entry is +-1 (int8).
     """
     _check_enumeration(parties)
-    table = _sign_table(parties)
-    patterns = canonical_patterns(parties)
-    out = np.empty((4 ** parties, len(patterns)), dtype=np.int8)
-    for col, pattern in enumerate(patterns):
-        acc = np.ones(4 ** parties, dtype=np.int8)
-        for j, ch in enumerate(pattern):
-            if ch != ABSENT:
-                acc = acc * table[j, 0 if ch == "0" else 1]
-        out[:, col] = acc
+    slots = _pattern_slots(canonical_patterns(parties), parties)
+    masks = (slots << (2 * np.arange(parties))).sum(axis=1)  # as in _ordered_values
+    codes = np.arange(4**parties)
+    out = np.empty((codes.size, masks.size), dtype=np.int8)
+    for col, mask in enumerate(masks):
+        out[:, col] = _parity_signs(codes & mask)
     return out
 
 

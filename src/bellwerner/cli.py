@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: bounds, tables, werner, measure, gamma, examples.  Each run
-builds a Report (see reports.py) and prints it as markdown (default), csv,
-or structured JSON.
+Subcommands: bounds, tables, werner, measure, gamma, examples.  Each
+command returns its results and warnings; `main` builds the run's Report
+(see reports.py), whose inputs echo every option the command parsed, and
+prints it as markdown (default), csv, or structured JSON.
 
 Exit status: 0 success, 2 parse errors (bad files, bad arguments, a
 negative seed or a non-positive count), 3 domain errors (invalid parameter
@@ -45,7 +46,7 @@ from .quantum import (
     composite_ratio_upper,
     seesaw_lower,
 )
-from .reports import Report, new_report, render
+from .reports import new_report, render
 from .werner import (
     GhzFamily,
     _check_sampler_size,
@@ -139,7 +140,7 @@ def _sweep_cap_warnings(found: SeesawResult) -> list:
     return [("seesaw-sweep-cap", note)] if capped else []
 
 
-def cmd_bounds(args) -> Report:
+def cmd_bounds(args) -> tuple[dict, list]:
     expr = load_expression(args.expr_file)
     restarts = args.restarts if args.seesaw else None
     a = _analyse(expr, restarts=restarts, seed=args.seed)
@@ -169,18 +170,7 @@ def cmd_bounds(args) -> Report:
         results["seesaw_lower"] = a.seesaw.value
         results["seesaw_sweeps"] = len(a.seesaw.sweep_values) - 1
         results["seesaw_restart_index"] = a.seesaw.restart_index
-
-    return new_report(
-        "bounds",
-        seed=args.seed,
-        inputs={
-            "expr_file": str(args.expr_file),
-            "seesaw": args.seesaw,
-            "restarts": args.restarts,
-        },
-        results=results,
-        warnings=a.warnings,
-    )
+    return results, a.warnings
 
 
 def _window_table(kind: str, window, last_column: str, scale: float) -> dict:
@@ -232,31 +222,19 @@ def _table_ii(args) -> tuple[dict, list]:
     return {"tables": [table]}, warnings
 
 
-def cmd_tables(args) -> Report:
-    which = args.which.upper()
-    if which == "I":
+def cmd_tables(args) -> tuple[dict, list]:
+    if args.which == "I":
         results = _window_table(
             "full-correlation expressions", undetectable_range_homogeneous, "r_percent", 100.0
         )
-        warnings = [("table-i-m3-r-cell", _M3_R_CELL_NOTE)]
-    elif which == "II":
-        results, warnings = _table_ii(args)
-    else:
-        def unit(m):  # every block ratio 1
-            return undetectable_range_general(m, [1.0] * (m - 1))
+        return results, [("table-i-m3-r-cell", _M3_R_CELL_NOTE)]
+    if args.which == "II":
+        return _table_ii(args)
 
-        results, warnings = _window_table("unit block ratios", unit, "measure", 1.0), []
-    return new_report(
-        "tables",
-        seed=args.seed,
-        inputs={
-            "which": which,
-            "samples": args.samples,
-            "max_m": args.max_m,
-        },
-        results=results,
-        warnings=warnings,
-    )
+    def unit(m):  # every block ratio 1
+        return undetectable_range_general(m, [1.0] * (m - 1))
+
+    return _window_table("unit block ratios", unit, "measure", 1.0), []
 
 
 def _detection_block(expr_file, family, args) -> tuple[dict, SeesawResult]:
@@ -265,7 +243,7 @@ def _detection_block(expr_file, family, args) -> tuple[dict, SeesawResult]:
     found = detect_visibility(expr, family, args.seed, restarts=args.restarts)
     c1 = found.seesaw.classical.value
     out = {
-        "expr_file": str(expr_file),
+        "expr_file": expr_file,
         "classical_bound": c1,
         "detect_visibility": found.visibility,
     }
@@ -276,7 +254,7 @@ def _detection_block(expr_file, family, args) -> tuple[dict, SeesawResult]:
     return out, found.seesaw
 
 
-def cmd_werner(args) -> Report:
+def cmd_werner(args) -> tuple[dict, list]:
     warnings = []
     if args.family == "ghz":
         family = GhzFamily(args.m, args.theta)
@@ -292,9 +270,8 @@ def cmd_werner(args) -> Report:
             "undetectable_theta_upper": rng.theta_upper,
             "undetectable_measure": rng.measure,
         }
-        inputs = {"family": "ghz", "m": args.m, "theta": args.theta}
     else:
-        family = load_state(args.state)
+        family = load_state(args.state_file)
         amps = family.state_vector()
         results = {
             "parties": family.parties,
@@ -302,9 +279,8 @@ def cmd_werner(args) -> Report:
             "max_pair_product": max_pair_product(amps),
             "necessary_check_first_failure": necessary_check_first_failure(amps),
         }
-        inputs = {"family": "pure", "state_file": str(args.state)}
-    if args.expr:
-        detection, found = _detection_block(args.expr, family, args)
+    if args.expr_file is not None:
+        detection, found = _detection_block(args.expr_file, family, args)
         warnings.extend(_sweep_cap_warnings(found))
         vlb = detection.get("visibility_lower_bound")
         if vlb is not None and "separability_threshold" in results:
@@ -312,14 +288,10 @@ def cmd_werner(args) -> Report:
             # of this strength can flag
             detection["undetectable_window"] = vlb > results["separability_threshold"]
         results["detection"] = detection
-        inputs["expr_file"] = str(args.expr)
-    inputs["restarts"] = args.restarts
-    return new_report(
-        "werner", seed=args.seed, inputs=inputs, results=results, warnings=warnings
-    )
+    return results, warnings
 
 
-def cmd_measure(args) -> Report:
+def cmd_measure(args) -> tuple[dict, list]:
     _check_sampler_size(args.m, args.samples)  # before the closed form overflows
     bound = measure_lower_bound(args.m, args.poly)
     est = measure_monte_carlo(args.m, args.poly, args.samples, args.seed)
@@ -336,16 +308,10 @@ def cmd_measure(args) -> Report:
     warnings = [("membership-pair-weight", _PAIR_WEIGHT_NOTE)]
     if not results["bound_consistent"]:
         warnings.append(("measure-bound-inconsistent", _INCONSISTENT_NOTE))
-    return new_report(
-        "measure",
-        seed=args.seed,
-        inputs={"m": args.m, "poly": args.poly, "samples": args.samples},
-        results=results,
-        warnings=warnings,
-    )
+    return results, warnings
 
 
-def cmd_gamma(args) -> Report:
+def cmd_gamma(args) -> tuple[dict, list]:
     scanned = gamma_scan(GammaScanConfig(parties=args.m, samples=args.samples, seed=args.seed))
     rows = []
     for est in scanned.estimates:
@@ -368,15 +334,10 @@ def cmd_gamma(args) -> Report:
             }
         ],
     }
-    return new_report(
-        "gamma",
-        seed=args.seed,
-        inputs={"m": args.m, "samples": args.samples},
-        results=results,
-    )
+    return results, []
 
 
-def cmd_examples(args) -> Report:
+def cmd_examples(args) -> tuple[dict, list]:
     warnings = []
     bound_rows = []
     ratio_rows = []
@@ -449,13 +410,7 @@ def cmd_examples(args) -> Report:
             },
         ]
     }
-    return new_report(
-        "examples",
-        seed=args.seed,
-        inputs={"restarts": args.restarts},
-        results=results,
-        warnings=warnings,
-    )
+    return results, warnings
 
 
 def _int_at_least(low: int):
@@ -529,12 +484,13 @@ def build_parser() -> argparse.ArgumentParser:
     g = fam.add_parser("ghz", help="GHZ-type family cos(theta)|0..0> + sin(theta)|1..1>")
     g.add_argument("--m", type=int, required=True, help="party count")
     g.add_argument("--theta", type=float, required=True, help="angle in (0, pi/2)")
-    g.add_argument("--expr", default=None, help="optional expression file to test against")
-    _add_common(g, restarts=True)
     q = fam.add_parser("pure", help="arbitrary pure state from a state file")
-    q.add_argument("--state", required=True, help="state JSON file")
-    q.add_argument("--expr", default=None, help="optional expression file to test against")
-    _add_common(q, restarts=True)
+    q.add_argument("--state", dest="state_file", metavar="STATE", required=True,
+                   help="state JSON file")
+    for f in (g, q):
+        f.add_argument("--expr", dest="expr_file", metavar="EXPR",
+                       help="optional expression file to test against")
+        _add_common(f, restarts=True)
 
     p = sub.add_parser("measure", help="sampled share of states past the pair-weight mark")
     p.add_argument("--m", type=int, required=True, help="party count")
@@ -555,9 +511,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the parsed options in parser order, less seed (its own field), format and unset ones
+    skip = ("command", "seed", "format")
+    inputs = {key: v for key, v in vars(args).items() if key not in skip and v is not None}
     try:
         # looked up per call, so a cmd_* rebound on the module is the one run
-        report = globals()[f"cmd_{args.command}"](args)
+        results, warnings = globals()[f"cmd_{args.command}"](args)
+        report = new_report(args.command, seed=args.seed, inputs=inputs,
+                            results=results, warnings=warnings)
         text = render(report, args.format)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

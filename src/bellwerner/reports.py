@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -41,11 +41,8 @@ def clean_value(value):
         return {str(k): clean_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [clean_value(v) for v in value]
-    # numpy scalars and arrays land here
-    if hasattr(value, "tolist"):
+    if hasattr(value, "tolist"):  # numpy scalars and arrays
         return clean_value(value.tolist())
-    if hasattr(value, "item"):
-        return clean_value(value.item())
     raise TypeError(f"cannot put {type(value).__name__} into a report")
 
 
@@ -80,16 +77,7 @@ def new_report(
 
 
 def serialize_report(report: Report) -> str:
-    doc = {
-        "command": report.command,
-        "version": report.version,
-        "seed": report.seed,
-        "timestamp": report.timestamp,
-        "inputs": report.inputs,
-        "results": report.results,
-        "warnings": report.warnings,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(asdict(report), indent=2) + "\n"
 
 
 def _fmt(value) -> str:

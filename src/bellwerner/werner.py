@@ -144,6 +144,13 @@ class PureFamily:
 WernerFamily = Union[GhzFamily, PureFamily]
 
 
+def _two_to(k: int, parties: int) -> float:
+    """2^k as an exact float; a ValueError naming the party count once k > 1023 overflows."""
+    if k > 1023:
+        raise ValueError(f"{parties} parties is too many: 2^{k} does not fit in a float")
+    return 2.0**k
+
+
 def visibility_lower_bound(parties: int, c1: float, c2: float) -> float:
     """Least visibility that any detecting expression can certify.
 
@@ -154,7 +161,7 @@ def visibility_lower_bound(parties: int, c1: float, c2: float) -> float:
         raise ValueError("classical bound must be positive")
     if not c2 > c1:
         raise ValueError("quantum bound must exceed the classical bound")
-    d = float(2 ** parties)
+    d = _two_to(parties, parties)
     value = (d * c1 - c1) / (d * c2 - c1)
     return min(max(value, 0.0), 1.0)
 
@@ -163,7 +170,7 @@ def ghz_separability_threshold(parties: int, theta: float) -> float:
     """Exact full-separability threshold 1/(2^(m-1) sin(2 theta) + 1)."""
     if not 0.0 < theta < math.pi / 2:
         raise ValueError(f"theta must lie strictly inside (0, pi/2), got {theta!r}")
-    return 1.0 / (2 ** (parties - 1) * math.sin(2.0 * theta) + 1.0)
+    return 1.0 / (_two_to(parties - 1, parties) * math.sin(2.0 * theta) + 1.0)
 
 
 def _window(arg: float) -> Optional[ThetaRange]:
@@ -183,7 +190,7 @@ def undetectable_range_homogeneous(parties: int) -> ThetaRange:
     """
     if parties < 2:
         raise ValueError("parties must be at least 2")
-    return _window((2.0 * math.sqrt(3.0) - 2.0) / (2 ** parties - 1))
+    return _window((2.0 * math.sqrt(3.0) - 2.0) / (_two_to(parties, parties) - 1.0))
 
 
 def undetectable_range_general(
@@ -196,7 +203,8 @@ def undetectable_range_general(
     """
     if parties < 2:
         raise ValueError("parties must be at least 2")
-    return _window(2.0 * math.sqrt(3.0) * _sum_inverse_gammas(gammas) / (2 ** parties - 1))
+    scale = _two_to(parties, parties) - 1.0
+    return _window(2.0 * math.sqrt(3.0) * _sum_inverse_gammas(gammas) / scale)
 
 
 def _validated_probabilities(amplitudes) -> np.ndarray:
@@ -313,10 +321,10 @@ def measure_lower_bound(parties: int, poly_value: float) -> float:
     """(1 - c^2)^(2^(m-1)) with c = 2^-m (poly_value + 1); needs 0 < c < 1."""
     if parties < 1:
         raise ValueError("parties must be at least 1")
-    c = (poly_value + 1.0) / 2 ** parties
+    c = (poly_value + 1.0) / _two_to(parties, parties)
     if not 0.0 < c < 1.0:
         raise ValueError(f"derived constant c = {c!r} must lie in (0, 1)")
-    return (1.0 - c * c) ** (2 ** (parties - 1))
+    return (1.0 - c * c) ** _two_to(parties - 1, parties)
 
 
 def max_pair_product(amplitudes) -> float:

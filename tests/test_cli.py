@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from bellwerner import builtin, new_expression
 from bellwerner import cli, gamma, quantum, werner
 from bellwerner.cli import main
-from bellwerner.reports import new_report
 from bellwerner.werner import PureFamily, ghz_amplitudes
 from helpers import parse_report, save_expression, save_state
 
@@ -504,13 +503,55 @@ def test_main_runs_the_command_bound_at_call_time(capsys, monkeypatch, ch_file):
 
     def stand_in(args):
         seen.append(args.expr_file)
-        return new_report("bounds")
+        return {}, []
 
     monkeypatch.setattr(cli, "cmd_bounds", stand_in)
     code, out, _ = _run(capsys, ["bounds", ch_file, "--format", "structured"])
     assert (code, seen) == (0, [ch_file])
     assert parse_report(out).results == {}
     assert cli.build_parser() is cli.build_parser()
+
+
+# argv with EXPR and STATE for the fixture files, and the inputs echoed in order
+_INPUT_ECHOES = [
+    (["bounds", "EXPR"],
+     [("expr_file", "EXPR"), ("seesaw", False), ("restarts", quantum.DEFAULT_RESTARTS)]),
+    (["bounds", "EXPR", "--seesaw", "--restarts", "2"],
+     [("expr_file", "EXPR"), ("seesaw", True), ("restarts", 2)]),
+    (["tables", "i"], [("which", "I"), ("samples", 10000), ("max_m", 4)]),
+    (["tables", "II", "--samples", "100", "--max-m", "3"],
+     [("which", "II"), ("samples", 100), ("max_m", 3)]),
+    (["werner", "ghz", "--m", "2", "--theta", "0.7"],
+     [("family", "ghz"), ("m", 2), ("theta", 0.7), ("restarts", quantum.DEFAULT_RESTARTS)]),
+    (["werner", "ghz", "--m", "2", "--theta", "0.7", "--expr", "EXPR", "--restarts", "1"],
+     [("family", "ghz"), ("m", 2), ("theta", 0.7), ("expr_file", "EXPR"), ("restarts", 1)]),
+    (["werner", "pure", "--state", "STATE", "--expr", "EXPR", "--restarts", "1"],
+     [("family", "pure"), ("state_file", "STATE"), ("expr_file", "EXPR"), ("restarts", 1)]),
+    (["measure", "--m", "3", "--poly", "3", "--samples", "1000"],
+     [("m", 3), ("poly", 3.0), ("samples", 1000)]),
+    (["gamma", "--m", "2", "--samples", "100"], [("m", 2), ("samples", 100)]),
+    (["examples", "--restarts", "1"], [("restarts", 1)]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, inputs", _INPUT_ECHOES, ids=[" ".join(argv) for argv, _ in _INPUT_ECHOES]
+)
+def test_report_inputs_echo_the_parsed_options(capsys, tmp_path, ch_file, argv, inputs):
+    # every option but --seed and --format, in parser order; an unset --expr is left out
+    state = tmp_path / "ghz2.json"
+    save_state(PureFamily(ghz_amplitudes(2, math.pi / 4)), state)
+    files = {"EXPR": ch_file, "STATE": str(state)}
+    rep = _structured(capsys, [files.get(a, a) for a in argv] + ["--seed", "3"])
+    assert rep.seed == 3
+    assert list(rep.inputs.items()) == [(key, files.get(v, v)) for key, v in inputs]
+
+
+def test_werner_empty_expression_path_is_an_input_error(capsys):
+    # an empty --expr names a file like any other, rather than no expression
+    code, out, err = _run(capsys, ["werner", "ghz", "--m", "3", "--theta", "0.6", "--expr", ""])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unknown_subcommand(capsys):

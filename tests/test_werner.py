@@ -129,6 +129,28 @@ def test_homogeneous_tighter_than_unit_ratio_window():
         assert hom.theta_lower < gen.theta_lower
 
 
+@pytest.mark.parametrize("parties", [1023, 1024, 1100])
+@pytest.mark.parametrize(
+    "call, first_too_many",
+    [
+        (lambda m: ghz_separability_threshold(m, 0.6), 1025),  # scales by 2^(m-1)
+        (undetectable_range_homogeneous, 1024),
+        (lambda m: undetectable_range_general(m, [1.0] * (m - 1)), 1024),
+        (lambda m: visibility_lower_bound(m, 1.0, 1.5), 1024),
+        (lambda m: measure_lower_bound(m, 3.0), 1024),
+    ],
+    ids=["ghz_threshold", "range_homogeneous", "range_general", "visibility", "measure"],
+)
+def test_party_counts_past_the_float_range_are_value_errors(call, first_too_many, parties):
+    # 2^m no longer fits in a float from m = 1024 on: a domain error naming
+    # the party count, not an OverflowError
+    if parties < first_too_many:
+        assert np.isfinite(np.asarray(call(parties), dtype=float)).all()
+    else:
+        with pytest.raises(ValueError, match=f"^{parties} parties is too many"):
+            call(parties)
+
+
 # -- pair-based separability bound (pure states) -------------------------------
 
 
