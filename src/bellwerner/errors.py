@@ -9,12 +9,11 @@ class ParseError(ValueError):
     """An expression or state document is malformed."""
 
 
-def check_cap(quantity: str, requested: int, cap: int, remedy: str = "") -> None:
+def check_cap(quantity: str, requested: int, cap: int) -> None:
     """Raise CapExceeded when requested > cap; call it before allocating.
 
     Every cap in the package reports through here, so each message names the
-    quantity, the requested size and the cap, plus an optional remedy.
+    quantity, the requested size and the cap.
     """
     if requested > cap:
-        suffix = f"; {remedy}" if remedy else ""
-        raise CapExceeded(f"{quantity}: {requested} exceeds the cap of {cap}{suffix}")
+        raise CapExceeded(f"{quantity}: {requested} exceeds the cap of {cap}")

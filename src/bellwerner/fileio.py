@@ -112,6 +112,8 @@ def expression_from_document(doc) -> BellExpression:
 
 def _read_json(path: PathLike, kind: str):
     """The decoded JSON document of a `kind` ("expression" or "state") file."""
+    if path == "":  # Path("") would name the current directory
+        raise ParseError(f"cannot read {kind} file: the path is empty")
     try:
         text = Path(path).read_text()
     except OSError as exc:

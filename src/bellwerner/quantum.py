@@ -33,24 +33,27 @@ operators come from one contraction that skips party j, from a layout of
 C with slot j last built once per call, and two products with the states.
 A sweep is thus about m^2 NumPy calls for all R restarts plus R O(8^m)
 eigensolves, which dominate from about six parties on.  Stacked matmul and
-eigh give each restart the floats it would get alone; a restart leaves the
-stack when it stops.  Observables are plain (axis, eig_plus, eig_minus)
-triples from the drawn start on; only the best restart's 2m become
-QubitObservable objects, for the witness.  Diagonal +-1 observables, such
-as the classical warm start, give a diagonal operator of strategy values,
-summed term by term like the classical bound.  A group takes as many
-restarts as fit in _GROUP_BYTES (64 MiB) at _RESTART_MATRICES = 8 complex
-2^m x 2^m matrices each (measured: about 2, a 10.97 MiB tracemalloc peak
-for MERMIN(7) with 21 restarts): all 21 default restarts up to seven
-parties, 8 at the cap.  Starts are drawn one group at a time.
+eigh on one OpenBLAS thread (_openblas_threads) give each restart the floats
+it would get alone; a restart leaves the stack when it stops.  Observables
+are plain (axis, eig_plus, eig_minus) triples from the drawn start on; only
+the best restart's 2m become QubitObservable objects, for the witness.
+Diagonal +-1 observables, such as the classical warm start, give a diagonal
+operator of strategy values, summed term by term like the classical bound.
+A group takes max(1, _GROUP_ENTRIES // 4^m) restarts: all 21 default
+restarts up to seven parties, 8 at the cap, each restart peaking at about
+two complex 2^m x 2^m matrices (10.97 MiB for MERMIN(7) at 21 restarts).
+Starts are drawn one group at a time; runs return in start order.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -64,9 +67,10 @@ DEFAULT_RESTARTS = 20
 _TOL = 1e-9
 _MAX_SWEEPS = 500
 _BOUNDED_AFTER = 10  # sweeps a restart runs before the "bounded" stop may end it
-_GROUP_BYTES = 2 ** 26  # working memory of one group of restarts: 64 MiB
-_RESTART_MATRICES = 8  # complex 2^m x 2^m matrices a restart holds at its peak
+_GROUP_ENTRIES = 2 ** 19  # a group's restarts times 4^m, the entries of a 2^m x 2^m matrix
 _OPERATOR = "parties for a 2^m x 2^m operator"
+_BLAS_THREADS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads")  # OpenBLAS thread-count functions, {} get or set
 
 _IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
 
@@ -100,19 +104,6 @@ class QubitObservable:
         object.__setattr__(self, "axis", ax)
         object.__setattr__(self, "eig_plus", float(self.eig_plus))
         object.__setattr__(self, "eig_minus", float(self.eig_minus))
-
-    @classmethod
-    def projective(cls, axis) -> "QubitObservable":
-        """The +-1-outcome observable n.sigma along the given axis."""
-        return cls(tuple(axis), 1.0, -1.0)
-
-    @classmethod
-    def constant(cls, value: float) -> "QubitObservable":
-        """A multiple of the identity (a deterministic assignment)."""
-        return cls((0.0, 0.0, 1.0), value, value)
-
-    def matrix(self) -> np.ndarray:
-        return np.array(_entries(self.axis, self.eig_plus, self.eig_minus), dtype=complex)
 
 
 def _entries(axis, eig_plus: float, eig_minus: float) -> list:
@@ -283,15 +274,32 @@ def _finite(h: np.ndarray) -> np.ndarray:
     return h
 
 
+@functools.cache
+def _openblas_threads() -> Optional[tuple]:
+    """(get, set) of this process's OpenBLAS thread count by ctypes, found once; else None."""
+    with contextlib.suppress(OSError), open("/proc/self/maps") as fh:
+        libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and "/" in ln})
+        for lib, name in itertools.product(libs, _BLAS_THREADS):
+            with contextlib.suppress(AttributeError, OSError):
+                get, put = (getattr(ctypes.CDLL(lib), name.format(verb)) for verb in ("get", "set"))
+                get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+                return get, put
+
+
 def _dominant_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signed eigenvalues of largest magnitude and their eigenvectors.
 
     One np.linalg.eigh serves a matrix or a (R, n, n) stack, reading one
     triangle: the operators come from _bell_matrix, exactly Hermitian by
     construction, so only finiteness is checked.  A tie in magnitude goes
-    to the largest eigenvalue.
+    to the largest eigenvalue.  eigh runs on one OpenBLAS thread if it can.
     """
-    w, v = np.linalg.eigh(_finite(h))
+    get, put = _openblas_threads() or (lambda: None, lambda threads: None)
+    threads, _ = get(), put(1)
+    try:
+        w, v = np.linalg.eigh(_finite(h))
+    finally:
+        put(threads)
     top = np.abs(w[..., -1]) >= np.abs(w[..., 0])
     return np.where(top, w[..., -1], w[..., 0]), np.where(top[..., None], v[..., -1], v[..., 0])
 
@@ -371,14 +379,14 @@ def _objective(expr, coeffs, stacks, psi) -> tuple[list, np.ndarray]:
 
 def _seesaw_runs(
     expr: BellExpression, starts: Iterable, c1: float, fixed_state: Optional[np.ndarray] = None
-) -> Iterator[tuple[int, _Run]]:
-    """(index, run) for every start (per party, a pair of triples), in the order restarts stop.
+) -> list[_Run]:
+    """One run per start (per party, a pair of triples), in start order.
 
     With fixed_state the objective is |<psi|B|psi>| for that state, which is
     also the returned state; otherwise the state is refreshed each sweep to
     the extreme eigenvector of the current operator and the objective is the
     spectral radius.  c1 is the classical bound that "bounded" compares
-    with; _MAX_SWEEPS and _GROUP_BYTES are read at call time.
+    with; _MAX_SWEEPS and _GROUP_ENTRIES are read at call time.
     """
     m = expr.parties
     psi = None if fixed_state is None else np.asarray(fixed_state, dtype=complex).reshape(-1)
@@ -386,26 +394,25 @@ def _seesaw_runs(
         raise ValueError(f"state must have dimension 2^{m}")
     coeffs = coefficient_tensor(expr, complex)
     layouts = [np.ascontiguousarray(np.moveaxis(coeffs, j, -1)[..., 1:]) for j in range(m)]
-    size = max(1, _GROUP_BYTES // (_RESTART_MATRICES * 16 * 4 ** m))
-    starts, offset = iter(starts), 0
+    size = max(1, _GROUP_ENTRIES // 4 ** m)
+    starts, runs = iter(starts), []
     while group := [list(start) for start in itertools.islice(starts, size)]:
-        yield from _advance(expr, coeffs, layouts, group, offset, c1, psi)
-        offset += len(group)
+        runs += _advance(expr, coeffs, layouts, group, c1, psi)
+    return runs
 
 
-def _advance(expr, coeffs, layouts, obs, offset, c1, psi) -> Iterator[tuple[int, _Run]]:
-    """Sweeps of one group, obs[r] being restart offset + r's observables, as stacks."""
+def _advance(expr, coeffs, layouts, obs, c1, psi) -> list[_Run]:
+    """Sweeps of one group, obs[r] being restart r's observables, as stacks; runs in order."""
     m = expr.parties
     active = list(range(len(obs)))
+    runs = [None] * len(obs)
     stacks = [_stacks([pairs[j] for pairs in obs]) for j in range(m)]
     signed, states = _objective(expr, coeffs, stacks, psi)
     values = [[abs(s)] for s in signed]
 
-    def stopped(i: int, reason: str) -> tuple[int, _Run]:
+    def stop(i: int, reason: str) -> None:
         state = states[i] if psi is None else psi
-        return offset + active[i], _Run(
-            values[i][-1], obs[active[i]], state, tuple(values[i]), reason
-        )
+        runs[active[i]] = _Run(values[i][-1], obs[active[i]], state, tuple(values[i]), reason)
 
     for _ in range(_MAX_SWEEPS):
         sign = np.array([_sign(s) for s in signed])[:, None, None, None]
@@ -422,19 +429,20 @@ def _advance(expr, coeffs, layouts, obs, offset, c1, psi) -> Iterator[tuple[int,
             if abs(s) < value - 1e-9 * max(1.0, value):
                 raise RuntimeError("see-saw objective decreased; eigensolver or update fault")
             if abs(s) - value < _TOL:
-                yield stopped(i, _stop_label(values[i]))
+                stop(i, _stop_label(values[i]))
             elif _bounded(values[i], c1):
-                yield stopped(i, "bounded")
+                stop(i, "bounded")
             else:
                 keep.append(i)
         if not keep:
-            return
+            return runs
         if len(keep) < len(active):  # the stopped restarts leave the stack
             stacks, states = [s[keep] for s in stacks], states[keep]
             signed, values = [signed[i] for i in keep], [values[i] for i in keep]
             active = [active[i] for i in keep]
     for i in range(len(active)):
-        yield stopped(i, "max_sweeps")
+        stop(i, "max_sweeps")
+    return runs
 
 
 def _random_assignment(parties: int, rng: np.random.Generator) -> list:
@@ -468,15 +476,11 @@ def _best_of_restarts(
     randoms = (_random_assignment(expr.parties, np.random.default_rng([seed, r]))
                for r in range(restarts))
     starts = itertools.chain(randoms, [_witness_assignment(classical)])
-    ends, best = {}, None
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite sweeps raise ValueError
-        for idx, run in _seesaw_runs(expr, starts, classical.value, fixed_state):
-            ends[idx] = run.stop_reason, len(run.sweep_values) - 1
-            # ties go to the lowest index, whatever order the restarts stop in
-            if best is None or (run.value, -idx) > (best[1].value, -best[0]):
-                best = idx, run
-    reasons, sweeps = zip(*(ends[idx] for idx in range(restarts + 1)))
-    idx, run = best
+        runs = _seesaw_runs(expr, starts, classical.value, fixed_state)
+    idx, run = max(enumerate(runs), key=lambda item: (item[1].value, -item[0]))  # ties: lowest
+    reasons = tuple(r.stop_reason for r in runs)
+    sweeps = tuple(len(r.sweep_values) - 1 for r in runs)
     witness = ObservableAssignment(
         tuple(tuple(QubitObservable(*o) for o in pair) for pair in run.witness)
     )

@@ -296,9 +296,18 @@ def kron_effective_operator(expr, mats, j, setting, psi):
     return np.einsum("apbaqb->pq", g)
 
 
+_PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def observable_matrix(o):
+    """((l+ + l-)/2) I + ((l+ - l-)/2) n.sigma of a QubitObservable, from the Pauli matrices."""
+    mean, half = (o.eig_plus + o.eig_minus) / 2.0, (o.eig_plus - o.eig_minus) / 2.0
+    return mean * np.eye(2) + half * np.tensordot(np.array(o.axis), _PAULIS, axes=1)
+
+
 def stack_reference(pair):
     """The (3, 2, 2) stack [I, A_0, A_1] of a pair of QubitObservables."""
-    return np.stack([np.eye(2, dtype=complex), pair[0].matrix(), pair[1].matrix()])
+    return np.stack([np.eye(2, dtype=complex), *(observable_matrix(o) for o in pair)])
 
 
 def contract_tensordot(coeffs, stacks):
@@ -376,8 +385,18 @@ def bounded_reference(values, c1):
 
 
 def dominant_eig_reference(h):
-    """The signed eigenvalue of largest magnitude of one matrix, ties to the largest."""
-    w, v = np.linalg.eigh(h)
+    """The signed eigenvalue of largest magnitude of one matrix, ties to the largest.
+
+    eigh runs on one OpenBLAS thread, as in the see-saw: from 128 x 128 on,
+    its last bits follow the thread count.
+    """
+    get, put = quantum._openblas_threads() or (lambda: None, lambda threads: None)
+    threads = get()
+    put(1)
+    try:
+        w, v = np.linalg.eigh(h)
+    finally:
+        put(threads)
     if abs(w[-1]) >= abs(w[0]):
         return float(w[-1]), v[:, -1]
     return float(w[0]), v[:, 0]

@@ -223,7 +223,7 @@ def test_party_cap():
 
 _NINE = new_expression(9, [("0" * 9, 1.0)])
 _NINE_OBSERVABLES = ObservableAssignment(
-    ((QubitObservable.projective((0.0, 0.0, 1.0)),) * 2,) * 9
+    ((QubitObservable((0.0, 0.0, 1.0), 1.0, -1.0),) * 2,) * 9
 )
 
 

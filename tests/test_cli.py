@@ -548,10 +548,13 @@ def test_report_inputs_echo_the_parsed_options(capsys, tmp_path, ch_file, argv, 
 
 
 def test_werner_empty_expression_path_is_an_input_error(capsys):
-    # an empty --expr names a file like any other, rather than no expression
-    code, out, err = _run(capsys, ["werner", "ghz", "--m", "3", "--theta", "0.6", "--expr", ""])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    # an empty --expr names a file like any other, rather than no expression;
+    # so does an empty bounds argument, which Path would read as "."
+    for argv in (["werner", "ghz", "--m", "3", "--theta", "0.6", "--expr", ""], ["bounds", ""]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "the path is empty" in err
 
 
 def test_unknown_subcommand(capsys):

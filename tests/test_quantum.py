@@ -28,6 +28,7 @@ from helpers import (
     kron_bell_operator,
     kron_effective_operator,
     max_abs_eigenvalue,
+    observable_matrix,
     random_expression,
     run_python,
     seesaw_run_reference,
@@ -87,15 +88,20 @@ def test_eigensolver_stack_matches_single_calls():
             assert np.array_equal(vector, single_vector)
 
 
+def _one_party_operator(obs):
+    """The observable's matrix, as the Bell operator of the one-party expression "0"."""
+    return bell_operator(new_expression(1, [("0", 1.0)]), ObservableAssignment(((obs, obs),)))
+
+
 def test_observable_validation():
     with pytest.raises(ValueError):
         QubitObservable((1.0, 1.0, 0.0), 1.0, -1.0)  # axis not unit
     with pytest.raises(ValueError):
         QubitObservable((0.0, 0.0, 1.0), 2.0, -1.0)  # eigenvalue out of range
-    obs = QubitObservable.projective((0.0, 0.0, 1.0))
-    assert np.allclose(obs.matrix(), np.diag([1.0, -1.0]))
-    const = QubitObservable.constant(-1.0)
-    assert np.allclose(const.matrix(), -np.eye(2))
+    obs = QubitObservable((0.0, 0.0, 1.0), 1.0, -1.0)
+    assert np.allclose(_one_party_operator(obs), np.diag([1.0, -1.0]))
+    const = QubitObservable((0.0, 0.0, 1.0), -1.0, -1.0)
+    assert np.allclose(_one_party_operator(const), -np.eye(2))
 
 
 def test_observable_matrix_spectrum():
@@ -104,7 +110,7 @@ def test_observable_matrix_spectrum():
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
         obs = QubitObservable(tuple(axis), 1.0, -1.0)
-        w = np.linalg.eigvalsh(obs.matrix())
+        w = np.linalg.eigvalsh(_one_party_operator(obs))
         assert np.allclose(w, [-1.0, 1.0], atol=1e-12)
 
 
@@ -115,8 +121,8 @@ def _chsh_optimal_assignment():
     zm = (-1 / ROOT2, 0.0, 1 / ROOT2)
     return ObservableAssignment(
         (
-            (QubitObservable.projective(z), QubitObservable.projective(x)),
-            (QubitObservable.projective(zp), QubitObservable.projective(zm)),
+            (QubitObservable(z, 1.0, -1.0), QubitObservable(x, 1.0, -1.0)),
+            (QubitObservable(zp, 1.0, -1.0), QubitObservable(zm, 1.0, -1.0)),
         )
     )
 
@@ -171,7 +177,7 @@ def test_contraction_matches_kron_reference():
                 eig_plus, eig_minus = rng.uniform(-1.0, 1.0, 2)
                 pair.append(QubitObservable(tuple(axis), eig_plus, eig_minus))
             pairs.append(tuple(pair))
-        mats = [[o.matrix() for o in pair] for pair in pairs]
+        mats = [[observable_matrix(o) for o in pair] for pair in pairs]
         psi = rng.standard_normal(2 ** m) + 1j * rng.standard_normal(2 ** m)
         psi /= np.linalg.norm(psi)
 
@@ -184,7 +190,7 @@ def test_contraction_matches_kron_reference():
             tuple(QubitObservable((0.0, 0.0, z), p, q) for z, p, q in row) for row in signs
         ]
         exact = bell_operator(expr, ObservableAssignment(tuple(diagonal)))
-        diagonal_mats = [[o.matrix() for o in pair] for pair in diagonal]
+        diagonal_mats = [[observable_matrix(o) for o in pair] for pair in diagonal]
         assert np.array_equal(exact, kron_bell_operator(expr, diagonal_mats))
 
         coeffs = coefficient_tensor(expr, complex)
@@ -438,12 +444,11 @@ def test_seesaw_run_matches_reference(fixed, monkeypatch):
         ]
         refs = [seesaw_run_reference(expr, start, c1, fixed_state=psi) for start in starts]
         # one stack of both restarts, then one group per restart
-        for budget in (quantum._GROUP_BYTES, quantum._RESTART_MATRICES * 16 * 4 ** m):
-            monkeypatch.setattr(quantum, "_GROUP_BYTES", budget)
-            runs = dict(quantum._seesaw_runs(expr, iter(starts), c1, fixed_state=psi))
-            assert sorted(runs) == [0, 1]
-            for idx, ref in enumerate(refs):
-                got = runs[idx]
+        for budget in (quantum._GROUP_ENTRIES, 4 ** m):
+            monkeypatch.setattr(quantum, "_GROUP_ENTRIES", budget)
+            runs = quantum._seesaw_runs(expr, iter(starts), c1, fixed_state=psi)
+            assert len(runs) == 2
+            for got, ref in zip(runs, refs):
                 assert got.value == ref.value
                 assert got.sweep_values == ref.sweep_values
                 assert np.array_equal(got.state, ref.state)
@@ -454,26 +459,31 @@ def test_seesaw_run_matches_reference(fixed, monkeypatch):
 def test_restarts_are_drawn_one_group_at_a_time(monkeypatch):
     expr, m = builtin("CH"), 2
     starts = [quantum._random_assignment(m, np.random.default_rng([0, r])) for r in range(5)]
-    whole = dict(quantum._seesaw_runs(expr, starts, 4.0))
-    monkeypatch.setattr(quantum, "_GROUP_BYTES", 2 * quantum._RESTART_MATRICES * 16 * 4 ** m)
-    drawn = []
+    whole = quantum._seesaw_runs(expr, starts, 4.0)
+    monkeypatch.setattr(quantum, "_GROUP_ENTRIES", 2 * 4 ** m)
+    drawn, drawn_at_advance = [], []
+    advance = quantum._advance
+
+    def spy(*args):
+        drawn_at_advance.append(list(drawn))
+        return advance(*args)
 
     def draw():
         for r, start in enumerate(starts):
             drawn.append(r)
             yield start
 
-    runs = quantum._seesaw_runs(expr, draw(), 4.0)
-    first = next(runs)
-    assert first[0] in (0, 1) and drawn == [0, 1]  # the second group is not drawn yet
-    grouped = dict([first, *runs])
-    assert drawn == list(range(5)) and sorted(grouped) == list(range(5))
-    for idx, run in whole.items():  # groups of two, two and one: the same runs
-        assert grouped[idx].value == run.value
-        assert grouped[idx].sweep_values == run.sweep_values
-        assert np.array_equal(grouped[idx].state, run.state)
-        assert grouped[idx].witness == run.witness
-        assert grouped[idx].stop_reason == run.stop_reason
+    monkeypatch.setattr(quantum, "_advance", spy)
+    grouped = quantum._seesaw_runs(expr, draw(), 4.0)
+    # the second group is not drawn before the first runs
+    assert drawn_at_advance == [[0, 1], [0, 1, 2, 3], [0, 1, 2, 3, 4]]
+    assert len(grouped) == len(whole) == 5
+    for got, run in zip(grouped, whole):  # groups of two, two and one: the same runs
+        assert got.value == run.value
+        assert got.sweep_values == run.sweep_values
+        assert np.array_equal(got.state, run.state)
+        assert got.witness == run.witness
+        assert got.stop_reason == run.stop_reason
 
 
 @pytest.mark.parametrize("fixed", [False, True], ids=["lower", "fixed_state"])
@@ -496,9 +506,9 @@ def test_witness_observables_are_built_once(fixed, monkeypatch):
     assert [o for pair in res.witness.observables for o in pair] == built
 
 
-def test_seesaw_does_not_follow_blas_threads_up_to_six_parties():
-    # eigh of a 2^m x 2^m operator is bit-identical on one OpenBLAS thread
-    # for m <= 6 (the last bits follow the thread count from 128 x 128 on)
+def test_seesaw_does_not_follow_blas_threads():
+    # eigh of a 128 x 128 operator or larger gives other last bits on other
+    # OpenBLAS thread counts; the see-saw's eigensolve runs on one thread
     code = """
 import hashlib
 import numpy as np
@@ -515,10 +525,46 @@ for expr in exprs:
     for res in (seesaw_lower(expr, restarts=2), seesaw_fixed_state(expr, psi, restarts=2)):
         print(expr.parties, [v.hex() for v in res.sweep_values], res.stop_reasons,
               hashlib.sha256(res.state.tobytes()).hexdigest(), repr(res.witness))
+# seesaw_lower alone from seven parties on: the fixed-state see-saw solves no eigenproblem
+dense = np.random.default_rng([42, 1]).standard_normal(2 ** 8)
+patterns = [format(i, "b").zfill(8) for i in range(2 ** 8)]
+for expr, restarts in ((builtin("MERMIN(7)"), 2), (new_expression(8, zip(patterns, dense)), 1)):
+    res = seesaw_lower(expr, restarts=restarts)
+    print(expr.parties, [v.hex() for v in res.sweep_values], res.stop_reasons,
+          hashlib.sha256(res.state.tobytes()).hexdigest(), repr(res.witness))
 """
     default = run_python(code)
-    assert len(default.splitlines()) == 10
+    assert len(default.splitlines()) == 12
     assert run_python(code, OPENBLAS_NUM_THREADS="1") == default
+
+
+def test_seesaw_restores_the_blas_thread_count(monkeypatch):
+    blas = quantum._openblas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread setter in this process")
+    get, put = blas
+    before = get()
+    eigh = np.linalg.eigh
+    inside = []
+
+    def spy(h):
+        inside.append(get())
+        return eigh(h)
+
+    def fails(h):
+        raise np.linalg.LinAlgError("eigh failed")
+
+    try:
+        put(2)
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        seesaw_lower(builtin("MERMIN(3)"), restarts=1)
+        assert get() == 2 and inside and set(inside) == {1}
+        monkeypatch.setattr(np.linalg, "eigh", fails)
+        with pytest.raises(np.linalg.LinAlgError):
+            seesaw_lower(builtin("MERMIN(3)"), restarts=1)
+        assert get() == 2
+    finally:
+        put(before)
 
 
 def test_nonfinite_update_raises_in_its_sweep(monkeypatch):
