@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: bounds, tables, werner, measure, gamma, examples.  Each
-command returns its results and warnings; `main` builds the run's Report
-(see reports.py), whose inputs echo every option the command parsed, and
-prints it as markdown (default), csv, or structured JSON.
+command returns its results and warnings; `main` builds the run's report
+(the dict of reports.py), whose inputs echo every option the command
+parsed, and prints it as markdown (default), csv, or structured JSON.
 
 Exit status: 0 success, 2 parse errors (bad files, bad arguments, a
 negative seed or a non-positive count), 3 domain errors (invalid parameter
@@ -523,7 +523,7 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    sys.stdout.write(text)
     return 0
 
 

@@ -38,12 +38,13 @@ full expressions as (3,)*m tensors, batched over the rows (`_bounds`): the
 block bounds from slices taken before each party is contracted, the full
 bound in place of the last contraction.  So a sample costs about 70% of
 one full transform, O(m 4^m), and its 4^m values are never formed.  The
-products go into two buffers allocated once per call (`_workspace`), so
-the heap does not shrink and regrow between sub-batches, faulting its
-pages in afresh each time (7k faults a 2000-sample scan at five parties),
-and memory is the workspace, one sub-batch and m witness rows whatever
-the sample count (under 8 MiB at eight parties).  Ratios, skips, the
-gamma_1 self-check and the minima are array operations on the sub-batch.
+transform's input and products go into two buffers allocated once per
+call (`_workspace`), so the heap does not shrink and regrow between
+sub-batches, faulting its pages in afresh each time (7k faults a
+2000-sample scan at five parties), and memory is the workspace, one
+sub-batch and m witness rows whatever the sample count (under 8 MiB at
+eight parties).  Ratios, skips, the gamma_1 self-check and the minima
+are array operations on the sub-batch.
 What remains per sample is its draw: on one core of a 2 GHz Xeon about
 5 us at four parties (80 coefficients), of which about 1 us derives the
 words, 0.2 us takes the norm and the rest builds the generator and draws.
@@ -233,10 +234,12 @@ def _unit_rows(x: np.ndarray, states: np.ndarray) -> np.ndarray:
 def _workspace(scans) -> tuple[np.ndarray, np.ndarray]:
     """`_bounds`'s buffers for up to `rows` samples of each (m, rows) in scans.
 
-    Product k goes into buffer k % 2, so each is sized for the largest it takes.
+    Product k goes into buffer k % 2, and the transform's input into buffer
+    1, so each is sized for the largest it takes.
     """
     sizes = ([0], [0])
     for m, rows in scans:
+        sizes[1].append(3**m * rows)
         for k in range(m - 1):  # products 0..m-2
             sizes[k % 2].append(4 ** (k + 1) * 3 ** (m - 1 - k) * rows)
     return np.empty(max(sizes[0])), np.empty(max(sizes[1]))
@@ -254,10 +257,17 @@ def _bounds(x: np.ndarray, m: int, workspace: tuple) -> tuple[np.ndarray, np.nda
     and b, which its contraction would round as (c + u a) + v b for signs
     u, v; rounding is odd and monotone, so the full bound is
     max((|c| + |a|) + |b|) bit for bit, summed in place in the last product.
+    The input, the full tensors with parties reversed and the batch last as
+    `_contraction_steps` reads them, is gathered once into the head of
+    buffer 1, which product 0 reads before product 1 overwrites it.
     """
     n = len(x)
     blocks = np.empty((n, m))
-    steps = _contraction_steps(canonical_tensor(x, m), m, workspace)
+    full = workspace[1][: 3**m * n].reshape((3,) * m + (n,))
+    order = canonical_tensor(np.arange(3**m - 1), m).T.astype(np.intp)
+    np.take(x.T, order, axis=0, out=full, mode="clip")  # clip: "raise" would buffer out
+    full[(0,) * m] = 0.0  # the constant slot, gathered from column 0
+    steps = _contraction_steps(full.T, m, workspace)
     for done, t in enumerate(itertools.islice(steps, m - 1)):
         a = np.abs(t[:, 1, :n])
         blocks[:, m - 1 - done] = np.add(a, np.abs(t[:, 2, :n]), out=a).max(axis=0)

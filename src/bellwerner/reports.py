@@ -1,10 +1,10 @@
 """Structured run reports and their renderings.
 
-A Report is a plain-data record of one CLI invocation: command name, package
-version, seed, UTC timestamp, an echo of the inputs, a results mapping, and
-a list of named warnings.  Everything stored is JSON-plain (str, int, float,
-bool, None, list, dict), so a serialized report round-trips through JSON
-exactly.
+A report is the JSON object it prints: a dict with the keys command,
+package version, seed, UTC timestamp, inputs (an echo of the options),
+results and warnings (a list of {"name", "message"} mappings), in that
+order.  Everything stored is JSON-plain (str, int, float, bool, None, list,
+dict), so a structured report round-trips through JSON exactly.
 
 Floats are rounded to 12 significant digits when the report is built, not at
 render time, so every output format and the machine-readable form agree.
@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -46,17 +45,6 @@ def clean_value(value):
     raise TypeError(f"cannot put {type(value).__name__} into a report")
 
 
-@dataclass(frozen=True)
-class Report:
-    command: str
-    version: str
-    seed: Optional[int]
-    timestamp: str
-    inputs: dict
-    results: dict
-    warnings: list = field(default_factory=list)
-
-
 def new_report(
     command: str,
     *,
@@ -64,20 +52,20 @@ def new_report(
     inputs: Optional[dict] = None,
     results: Optional[dict] = None,
     warnings=(),
-) -> Report:
-    return Report(
-        command=command,
-        version=__version__,
-        seed=seed,
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        inputs=clean_value(inputs or {}),
-        results=clean_value(results or {}),
-        warnings=[{"name": str(n), "message": str(m)} for n, m in warnings],
-    )
+) -> dict:
+    return {
+        "command": command,
+        "version": __version__,
+        "seed": seed,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "inputs": clean_value(inputs or {}),
+        "results": clean_value(results or {}),
+        "warnings": [{"name": str(n), "message": str(m)} for n, m in warnings],
+    }
 
 
-def serialize_report(report: Report) -> str:
-    return json.dumps(asdict(report), indent=2) + "\n"
+def serialize_report(report: dict) -> str:
+    return json.dumps(report, indent=2) + "\n"
 
 
 def _fmt(value) -> str:
@@ -94,16 +82,16 @@ def _split_tables(results: dict):
     return scalars, tables
 
 
-def render_markdown(report: Report) -> str:
-    out = [f"# {report.command}", ""]
-    out.append(f"- version: {report.version}")
-    if report.seed is not None:
-        out.append(f"- seed: {report.seed}")
-    out.append(f"- timestamp: {report.timestamp}")
-    for key, value in report.inputs.items():
+def render_markdown(report: dict) -> str:
+    out = [f"# {report['command']}", ""]
+    out.append(f"- version: {report['version']}")
+    if report["seed"] is not None:
+        out.append(f"- seed: {report['seed']}")
+    out.append(f"- timestamp: {report['timestamp']}")
+    for key, value in report["inputs"].items():
         out.append(f"- {key}: {_fmt(value)}")
     out.append("")
-    scalars, tables = _split_tables(report.results)
+    scalars, tables = _split_tables(report["results"])
     if scalars:
         out.append("## Results")
         out.append("")
@@ -111,47 +99,47 @@ def render_markdown(report: Report) -> str:
             out.append(f"- {key}: {_fmt(value)}")
         out.append("")
     for table in tables:
-        out.append(f"## {table.get('title', 'Table')}")
+        out.append(f"## {table['title']}")
         out.append("")
-        cols = [str(c) for c in table.get("columns", [])]
+        cols = [str(c) for c in table["columns"]]
         out.append("| " + " | ".join(cols) + " |")
         out.append("|" + "|".join(" --- " for _ in cols) + "|")
-        for row in table.get("rows", []):
+        for row in table["rows"]:
             out.append("| " + " | ".join(_fmt(v) for v in row) + " |")
         out.append("")
-    if report.warnings:
+    if report["warnings"]:
         out.append("## Warnings")
         out.append("")
-        for w in report.warnings:
-            out.append(f"- **{w.get('name', 'warning')}**: {w.get('message', '')}")
+        for w in report["warnings"]:
+            out.append(f"- **{w['name']}**: {w['message']}")
         out.append("")
     return "\n".join(out)
 
 
-def render_csv(report: Report) -> str:
+def render_csv(report: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["command", report.command])
-    writer.writerow(["version", report.version])
-    writer.writerow(["seed", "" if report.seed is None else report.seed])
-    writer.writerow(["timestamp", report.timestamp])
-    for key, value in report.inputs.items():
+    writer.writerow(["command", report["command"]])
+    writer.writerow(["version", report["version"]])
+    writer.writerow(["seed", "" if report["seed"] is None else report["seed"]])
+    writer.writerow(["timestamp", report["timestamp"]])
+    for key, value in report["inputs"].items():
         writer.writerow([key, _fmt(value)])
-    scalars, tables = _split_tables(report.results)
+    scalars, tables = _split_tables(report["results"])
     for key, value in scalars.items():
         writer.writerow([key, _fmt(value)])
     for table in tables:
         writer.writerow([])
-        writer.writerow(["table", table.get("title", "")])
-        writer.writerow([str(c) for c in table.get("columns", [])])
-        for row in table.get("rows", []):
+        writer.writerow(["table", table["title"]])
+        writer.writerow([str(c) for c in table["columns"]])
+        for row in table["rows"]:
             writer.writerow([_fmt(v) for v in row])
-    for w in report.warnings:
-        writer.writerow(["warning", w.get("name", ""), w.get("message", "")])
+    for w in report["warnings"]:
+        writer.writerow(["warning", w["name"], w["message"]])
     return buf.getvalue()
 
 
-def render(report: Report, fmt: str) -> str:
+def render(report: dict, fmt: str) -> str:
     if fmt == "structured":
         return serialize_report(report)
     if fmt == "markdown":

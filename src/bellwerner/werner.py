@@ -129,7 +129,7 @@ class PureFamily:
         if n < 2 or 2 ** parties != n:
             raise ValueError(f"amplitude count must be a power of two >= 2, got {n}")
         norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:  # a NaN norm fails this too
             raise ValueError(f"amplitudes must be unit norm, got {norm!r}")
         object.__setattr__(self, "amplitudes", vec)
 
@@ -329,7 +329,7 @@ def measure_lower_bound(parties: int, poly_value: float) -> float:
 
 def max_pair_product(amplitudes) -> float:
     """max_j p_j p_jc over complementary index pairs."""
-    p = np.abs(np.asarray(amplitudes, dtype=complex).reshape(-1)) ** 2
+    p = _validated_probabilities(amplitudes)
     return float((p * p[::-1]).max())
 
 
@@ -500,6 +500,8 @@ def measure_monte_carlo(
     """
     if parties < 1:
         raise ValueError("parties must be at least 1")
+    if not math.isfinite(poly_value):
+        raise ValueError(f"poly_value must be finite, got {poly_value!r}")
     _check_sampler_size(parties, samples)
     c = (poly_value + 1.0) / 2 ** parties
     chunks = math.ceil(samples / _MC_CHUNK)

@@ -28,7 +28,6 @@ from bellwerner.fileio import _require_dict, _require_parties
 from bellwerner.gamma import _BLOCK_EPS
 from bellwerner.classical import MAX_PARTIES, _strategy_values
 from bellwerner.quantum import _OPERATOR, _dominant_eig
-from bellwerner.reports import Report
 from bellwerner.werner import _MC_CHUNK, _necessary_holds, _validated_probabilities
 
 _MIN_NORM = 1e-12  # sample_vector redraws below this norm
@@ -692,7 +691,7 @@ def expression_from_document_loop(doc):
 
 
 def parse_report(text):
-    """The Report of a structured (JSON) rendering; ParseError if malformed."""
+    """The report dict of a structured (JSON) rendering; ParseError if malformed."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -706,15 +705,7 @@ def parse_report(text):
         raise ParseError("report fields 'inputs' and 'results' must be objects")
     if not isinstance(doc["warnings"], list):
         raise ParseError("report field 'warnings' must be an array")
-    return Report(
-        command=str(doc["command"]),
-        version=str(doc["version"]),
-        seed=doc["seed"],
-        timestamp=str(doc["timestamp"]),
-        inputs=doc["inputs"],
-        results=doc["results"],
-        warnings=doc["warnings"],
-    )
+    return doc
 
 
 def expression_to_document(expr):

@@ -65,7 +65,7 @@ def test_homogeneous_window_table(capsys):
     # The m=3 row is flagged, never silently corrected.
     assert main(["tables", "I", "--format", "structured"]) == 0
     report = parse_report(capsys.readouterr().out)
-    assert "table-i-m3-r-cell" in {w["name"] for w in report.warnings}
+    assert "table-i-m3-r-cell" in {w["name"] for w in report["warnings"]}
 
 
 def test_unit_ratio_window_table():

@@ -45,7 +45,7 @@ def _structured(capsys, argv):
 
 def test_bounds_ch(capsys, ch_file):
     rep = _structured(capsys, ["bounds", ch_file])
-    res = rep.results
+    res = rep["results"]
     assert res["lhv_bound"] == 4.0
     assert res["homogeneous"] is False
     rows = res["tables"][0]["rows"]
@@ -59,14 +59,14 @@ def test_bounds_closed_form_and_seesaw(capsys, chsh_file):
         capsys,
         ["bounds", chsh_file, "--seesaw", "--restarts", "6"],
     )
-    res = rep.results
+    res = rep["results"]
     assert res["closed_form"] == 2.0
     assert res["analytic_upper"] == pytest.approx(2 * math.sqrt(3), abs=1e-9)
     assert res["seesaw_lower"] == pytest.approx(2 * math.sqrt(2), abs=1e-3)
 
 
 def test_bounds_reports_no_closed_form_for_marginal_terms(capsys, ch_file):
-    res = _structured(capsys, ["bounds", ch_file]).results
+    res = _structured(capsys, ["bounds", ch_file])["results"]
     assert res["homogeneous"] is False
     for key in ("closed_form", "analytic_upper", "anticommuting_upper"):
         assert key not in res
@@ -114,17 +114,17 @@ def test_mermin_closed_form_warning(capsys, tmp_path):
     path = tmp_path / "mermin.json"
     save_expression(builtin("MERMIN"), path)
     rep = _structured(capsys, ["bounds", str(path)])
-    names = {w["name"] for w in rep.warnings}
+    names = {w["name"] for w in rep["warnings"]}
     assert "closed-form-exceeds-enumeration" in names
 
 
 def test_tables_i(capsys):
     rep = _structured(capsys, ["tables", "I"])
-    rows = rep.results["tables"][0]["rows"]
+    rows = rep["results"]["tables"][0]["rows"]
     assert [r[0] for r in rows] == [2, 3, 4, 5, 6]
     assert rows[0][1] == pytest.approx(0.0811, abs=5e-5)
     assert rows[2][3] == pytest.approx(96.89, abs=0.02)
-    assert {w["name"] for w in rep.warnings} == {"table-i-m3-r-cell"}
+    assert {w["name"] for w in rep["warnings"]} == {"table-i-m3-r-cell"}
 
 
 def test_tables_iii_m2_empty(capsys):
@@ -135,7 +135,7 @@ def test_tables_iii_m2_empty(capsys):
 
 def test_tables_ii_small(capsys):
     rep = _structured(capsys, ["tables", "II", "--samples", "400", "--max-m", "3"])
-    rows = rep.results["tables"][0]["rows"]
+    rows = rep["results"]["tables"][0]["rows"]
     assert len(rows) == 2
     for row in rows:
         assert row[2] >= 1.0 - 1e-12  # gamma_1 column
@@ -190,7 +190,7 @@ def test_tables_bad_selector(capsys):
 
 def test_werner_ghz(capsys):
     rep = _structured(capsys, ["werner", "ghz", "--m", "2", "--theta", "0.7854"])
-    res = rep.results
+    res = rep["results"]
     assert res["separability_threshold"] == pytest.approx(1 / 3, abs=1e-9)
     assert res["separability_upper_bound"] == pytest.approx(1 / math.sqrt(3), abs=1e-9)
 
@@ -208,7 +208,7 @@ def test_werner_ghz_with_expression(capsys, chsh_file):
             "--expr", chsh_file, "--restarts", "5",
         ],
     )
-    detection = rep.results["detection"]
+    detection = rep["results"]["detection"]
     assert detection["classical_bound"] == 2.0
     assert detection["detect_visibility"] == pytest.approx(0.7071, abs=1e-3)
     assert detection["visibility_lower_bound"] == pytest.approx(
@@ -221,7 +221,7 @@ def test_werner_pure(capsys, tmp_path):
     path = tmp_path / "ghz2.json"
     save_state(PureFamily(ghz_amplitudes(2, math.pi / 4)), path)
     rep = _structured(capsys, ["werner", "pure", "--state", str(path)])
-    res = rep.results
+    res = rep["results"]
     assert res["separability_upper_bound"] == pytest.approx(0.5774, abs=1e-4)
     assert res["max_pair_product"] == pytest.approx(0.25, abs=1e-12)
 
@@ -238,18 +238,18 @@ def test_werner_pure_bad_norm(capsys, tmp_path):
 
 def test_measure_command(capsys):
     rep = _structured(capsys, ["measure", "--m", "3", "--poly", "3", "--samples", "5000"])
-    res = rep.results
+    res = rep["results"]
     assert res["lower_bound"] == 0.31640625
     assert res["bound_consistent"] is True
-    assert {w["name"] for w in rep.warnings} == {"membership-pair-weight"}
+    assert {w["name"] for w in rep["warnings"]} == {"membership-pair-weight"}
 
 
 def test_measure_warns_when_the_bound_is_inconsistent(capsys):
     # fraction 0.00091 + 3 std errors stays below the bound 0.0030; the
     # report says so by name and still exits 0
     rep = _structured(capsys, ["measure", "--m", "3", "--poly", "6", "--samples", "200000"])
-    assert rep.results["bound_consistent"] is False
-    assert [w["name"] for w in rep.warnings] == [
+    assert rep["results"]["bound_consistent"] is False
+    assert [w["name"] for w in rep["warnings"]] == [
         "membership-pair-weight",
         "measure-bound-inconsistent",
     ]
@@ -262,7 +262,7 @@ def test_measure_rejects_saturated_constant(capsys):
 
 def test_gamma_command(capsys):
     rep = _structured(capsys, ["gamma", "--m", "2", "--samples", "500", "--seed", "7"])
-    rows = rep.results["tables"][0]["rows"]
+    rows = rep["results"]["tables"][0]["rows"]
     assert rows[0][0] == 1
     assert 1.0 - 1e-12 <= rows[0][1] <= 1.05
 
@@ -271,14 +271,14 @@ def test_gamma_eight_parties(capsys):
     # eight parties are under the enumeration cap; the scan must not need a
     # dense 4^8 x 3^8 matrix (3.2 GiB as float64) to run
     rep = _structured(capsys, ["gamma", "--m", "8", "--samples", "2"])
-    rows = rep.results["tables"][0]["rows"]
+    rows = rep["results"]["tables"][0]["rows"]
     assert [row[0] for row in rows] == list(range(1, 9))
     assert all(row[3] == 0 for row in rows)
 
 
 def test_examples_command(capsys):
     rep = _structured(capsys, ["examples", "--restarts", "2"])
-    tables = {t["title"]: t for t in rep.results["tables"]}
+    tables = {t["title"]: t for t in rep["results"]["tables"]}
     bounds = {row[0]: row for row in tables["Bounds"]["rows"]}
     assert bounds["CH"][2] == 4.0
     assert bounds["CH"][6] == pytest.approx(1 + math.sqrt(3), abs=1e-9)
@@ -286,24 +286,24 @@ def test_examples_command(capsys):
     assert ratios[("CH", 1)] == pytest.approx(4 / 3)
     assert ratios[("CH", 2)] == 4.0
     assert ratios[("CHSH", 2)] == "inf"
-    names = {w["name"] for w in rep.warnings}
+    names = {w["name"] for w in rep["warnings"]}
     assert "closed-form-exceeds-enumeration" in names
     assert "loose-threshold-variant" in names
 
 
 def test_seesaw_sweep_cap_warning(capsys, monkeypatch, tmp_path, chsh_file):
     rep = _structured(capsys, ["bounds", chsh_file, "--seesaw", "--restarts", "2"])
-    assert "seesaw-sweep-cap" not in {w["name"] for w in rep.warnings}
-    results = rep.results
+    assert "seesaw-sweep-cap" not in {w["name"] for w in rep["warnings"]}
+    results = rep["results"]
 
     monkeypatch.setattr(quantum, "_MAX_SWEEPS", 1)
     rep = _structured(capsys, ["bounds", chsh_file, "--seesaw", "--restarts", "2"])
-    assert "seesaw-sweep-cap" in {w["name"] for w in rep.warnings}
-    assert rep.results.keys() == results.keys()
+    assert "seesaw-sweep-cap" in {w["name"] for w in rep["warnings"]}
+    assert rep["results"].keys() == results.keys()
     rep = _structured(capsys, ["examples", "--restarts", "1"])
-    assert "seesaw-sweep-cap" in {w["name"] for w in rep.warnings}
+    assert "seesaw-sweep-cap" in {w["name"] for w in rep["warnings"]}
     # per expression: closed form, then sweep cap, then (examples only) the variant
-    assert [(w["message"].split(":")[0], w["name"]) for w in rep.warnings] == [
+    assert [(w["message"].split(":")[0], w["name"]) for w in rep["warnings"]] == [
         ("CHSH", "seesaw-sweep-cap"),
         ("MERMIN", "closed-form-exceeds-enumeration"),
         ("MERMIN", "seesaw-sweep-cap"),
@@ -314,7 +314,7 @@ def test_seesaw_sweep_cap_warning(capsys, monkeypatch, tmp_path, chsh_file):
     path = tmp_path / "mermin.json"
     save_expression(builtin("MERMIN"), path)
     rep = _structured(capsys, ["bounds", str(path), "--seesaw"])
-    assert [w["name"] for w in rep.warnings] == [
+    assert [w["name"] for w in rep["warnings"]] == [
         "closed-form-exceeds-enumeration",
         "seesaw-sweep-cap",
     ]
@@ -329,8 +329,8 @@ def test_werner_warns_when_its_seesaw_hits_the_sweep_cap(capsys, tmp_path):
     argv = ["werner", "pure", "--state", str(state), "--expr", str(expr)]
     for restarts, capped in (("3", "3 of 4"), ("20", "18 of 21")):
         rep = _structured(capsys, argv + ["--restarts", restarts])
-        assert rep.results["detection"]["detect_visibility"] == 0.651329994202
-        assert rep.warnings == [{
+        assert rep["results"]["detection"]["detect_visibility"] == 0.651329994202
+        assert rep["warnings"] == [{
             "name": "seesaw-sweep-cap",
             "message": f"{capped} see-saw restarts stopped at the sweep cap before "
             "converging; the lower bound may not be the best reachable",
@@ -458,14 +458,14 @@ def test_seed_reproducibility_across_threads(capsys, monkeypatch):
     def run(cores):
         monkeypatch.setattr(werner, "usable_cores", lambda: cores)
         argv = ["measure", "--m", "2", "--poly", "2", "--samples", "9000", "--seed", "3"]
-        return _structured(capsys, argv).results
+        return _structured(capsys, argv)["results"]
 
     assert run(1) == run(2) == run(3) == run(8)
 
 
 def test_gamma_reproducibility(capsys):
     def run():
-        return _structured(capsys, ["gamma", "--m", "2", "--samples", "600"]).results
+        return _structured(capsys, ["gamma", "--m", "2", "--samples", "600"])["results"]
 
     assert run() == run()
 
@@ -485,9 +485,9 @@ def test_csv_format(capsys, ch_file):
 def test_structured_roundtrip_and_timestamp_exclusion(capsys, ch_file):
     first = _structured(capsys, ["bounds", ch_file])
     second = _structured(capsys, ["bounds", ch_file])
-    assert first.results == second.results
-    assert first.inputs == second.inputs
-    assert first.warnings == second.warnings
+    assert first["results"] == second["results"]
+    assert first["inputs"] == second["inputs"]
+    assert first["warnings"] == second["warnings"]
 
 
 def test_version_flag(capsys):
@@ -508,7 +508,7 @@ def test_main_runs_the_command_bound_at_call_time(capsys, monkeypatch, ch_file):
     monkeypatch.setattr(cli, "cmd_bounds", stand_in)
     code, out, _ = _run(capsys, ["bounds", ch_file, "--format", "structured"])
     assert (code, seen) == (0, [ch_file])
-    assert parse_report(out).results == {}
+    assert parse_report(out)["results"] == {}
     assert cli.build_parser() is cli.build_parser()
 
 
@@ -543,8 +543,8 @@ def test_report_inputs_echo_the_parsed_options(capsys, tmp_path, ch_file, argv, 
     save_state(PureFamily(ghz_amplitudes(2, math.pi / 4)), state)
     files = {"EXPR": ch_file, "STATE": str(state)}
     rep = _structured(capsys, [files.get(a, a) for a in argv] + ["--seed", "3"])
-    assert rep.seed == 3
-    assert list(rep.inputs.items()) == [(key, files.get(v, v)) for key, v in inputs]
+    assert rep["seed"] == 3
+    assert list(rep["inputs"].items()) == [(key, files.get(v, v)) for key, v in inputs]
 
 
 def test_werner_empty_expression_path_is_an_input_error(capsys):

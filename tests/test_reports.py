@@ -1,12 +1,12 @@
 import json
 import math
+from datetime import datetime
 
 import numpy as np
 import pytest
 
-from bellwerner import ParseError
+from bellwerner import ParseError, __version__, reports
 from bellwerner.reports import (
-    Report,
     clean_value,
     new_report,
     render,
@@ -49,8 +49,8 @@ def test_report_roundtrip():
     )
     back = parse_report(serialize_report(rep))
     assert back == rep
-    assert back.results["gamma"] == "inf"
-    assert back.warnings == [{"name": "some-name", "message": "some message"}]
+    assert back["results"]["gamma"] == "inf"
+    assert back["warnings"] == [{"name": "some-name", "message": "some message"}]
 
 
 def test_parse_report_rejects_malformed():
@@ -113,5 +113,101 @@ def test_render_structured_is_serialization():
 
 def test_timestamp_format():
     rep = new_report("demo")
-    assert rep.timestamp.endswith("+00:00")
-    assert isinstance(rep, Report)
+    assert rep["timestamp"].endswith("+00:00")
+    assert list(rep) == [
+        "command", "version", "seed", "timestamp", "inputs", "results", "warnings",
+    ]
+
+
+_PINNED_STRUCTURED = """\
+{
+  "command": "demo",
+  "version": "VERSION",
+  "seed": 0,
+  "timestamp": "2017-01-02T03:04:05+00:00",
+  "inputs": {
+    "n": 2
+  },
+  "results": {
+    "scalar": 1.25,
+    "tables": [
+      {
+        "title": "Stuff",
+        "columns": [
+          "a",
+          "b"
+        ],
+        "rows": [
+          [
+            1,
+            0.5
+          ],
+          [
+            2,
+            "inf"
+          ]
+        ]
+      }
+    ]
+  },
+  "warnings": [
+    {
+      "name": "w-name",
+      "message": "w message"
+    }
+  ]
+}
+"""
+
+_PINNED_MARKDOWN = """\
+# demo
+
+- version: VERSION
+- seed: 0
+- timestamp: 2017-01-02T03:04:05+00:00
+- n: 2
+
+## Results
+
+- scalar: 1.25
+
+## Stuff
+
+| a | b |
+| --- | --- |
+| 1 | 0.5 |
+| 2 | inf |
+
+## Warnings
+
+- **w-name**: w message
+"""
+
+_PINNED_CSV = """\
+command,demo
+version,VERSION
+seed,0
+timestamp,2017-01-02T03:04:05+00:00
+n,2
+scalar,1.25
+
+table,Stuff
+a,b
+1,0.5
+2,inf
+warning,w-name,w message
+"""
+
+
+_PINNED = {"structured": _PINNED_STRUCTURED, "markdown": _PINNED_MARKDOWN, "csv": _PINNED_CSV}
+
+
+@pytest.mark.parametrize("fmt", list(_PINNED))
+def test_rendering_bytes_are_pinned(monkeypatch, fmt):
+    class FixedClock:
+        @staticmethod
+        def now(tz):
+            return datetime(2017, 1, 2, 3, 4, 5, 678, tzinfo=tz)
+
+    monkeypatch.setattr(reports, "datetime", FixedClock)
+    assert render(_table_report(), fmt) == _PINNED[fmt].replace("VERSION", __version__)

@@ -290,6 +290,12 @@ def test_monte_carlo_zero_above_saturation():
     assert est.fraction == 0.0 and est.std_error == 0.0
 
 
+@pytest.mark.parametrize("poly", [math.nan, math.inf, -math.inf])
+def test_monte_carlo_rejects_non_finite_poly_value(poly):
+    with pytest.raises(ValueError, match="poly_value must be finite"):
+        measure_monte_carlo(2, poly, 1000, seed=0)
+
+
 def test_monte_carlo_dominates_closed_form():
     for m in (2, 3, 4):
         est = measure_monte_carlo(m, float(m), 20000, seed=0)
@@ -451,6 +457,13 @@ def test_family_validation():
     assert fam.parties == 2
 
 
+def test_pure_family_rejects_non_finite_amplitudes():
+    vec = np.array([math.nan, 0.0, 0.0, 1.0])
+    for check in (PureFamily, separability_upper_bound, necessary_check_first_failure):
+        with pytest.raises(ValueError, match="unit norm"):
+            check(vec)
+
+
 def test_werner_density_properties():
     fam = GhzFamily(2, math.pi / 4)
     for v in (0.0, 0.35, 1.0):
@@ -476,6 +489,12 @@ def test_max_pair_product():
     vec = np.zeros(4)
     vec[0] = 1.0
     assert max_pair_product(vec) == 0.0
+
+
+@pytest.mark.parametrize("amplitudes", [[1, 2], [1, 0, 0, 5], [math.nan, 0, 0, 1], [1, 0]])
+def test_max_pair_product_validates_amplitudes(amplitudes):
+    with pytest.raises(ValueError):
+        max_pair_product(np.array(amplitudes, dtype=float))
 
 
 # -- empirical detection -----------------------------------------------------------
