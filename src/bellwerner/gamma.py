@@ -12,8 +12,10 @@ each sample as a self-check.
 
 Determinism: sample k draws from the substream keyed by (seed, k), which
 is NumPy's default_rng([seed, k]): standard normals from that stream,
-redrawn while the norm is below 1e-12, then divided by the norm.  Rather
-than build a SeedSequence per sample, the scan derives the words
+redrawn while the norm is below 1e-12, then divided by the norm.  A scan
+takes at most 2^32 samples (CapExceeded when its config is built, as is
+ValueError for a negative seed), so k is one uint32 word.  Rather than
+build a SeedSequence per sample, the scan derives the words
 SeedSequence([seed, k]).generate_state(4, uint64) of 4096 samples in one
 pass, running its seed_seq_fe hash as uint32 array operations over their
 indices, and hands each sample's words to PCG64 through NumPy's
@@ -65,6 +67,7 @@ from typing import Optional
 import numpy as np
 
 from .classical import _check_enumeration, _contraction_steps
+from .errors import check_cap
 from .expressions import canonical_tensor
 
 _BLOCK_EPS = 1e-9
@@ -74,6 +77,7 @@ _VALUE_BYTES = 1 << 20  # sub-batch rows: this many bytes of 4^m doubles,
 _MIN_ROWS = 8  # but at least this many (fewer slow the matmuls at m = 8)
 _MAX_ROWS = 256  # and at most this many (more gain no time at m <= 4 and fault a fresh workspace)
 _STATE_ROWS = 4096  # substream states derived per pass
+_MAX_SAMPLES = 2**32  # so that every sample index is one uint32 entropy word
 
 # NumPy's SeedSequence (seed_seq_fe, pool of four uint32 words)
 _MASK32 = 0xFFFFFFFF
@@ -94,6 +98,9 @@ class GammaScanConfig:
             raise ValueError("parties must be at least 2")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
+        check_cap("samples per gamma scan", self.samples, _MAX_SAMPLES)
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,9 +123,7 @@ class GammaScanResult:
 
 
 def _uint32_words(n: int) -> list[int]:
-    """n as SeedSequence reads it: uint32 words, least significant first."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
+    """n >= 0 as SeedSequence reads it: uint32 words, least significant first."""
     words = [n & _MASK32]
     n >>= 32
     while n:
@@ -169,23 +174,10 @@ def _seed_seq_words(entropy: list[np.ndarray]) -> np.ndarray:
 def _substream_states(seed: int, indices: np.ndarray) -> np.ndarray:
     """SeedSequence([seed, k]).generate_state(4, uint64) for each k in indices, one row each.
 
-    The entropy words are the seed's, then k's; indices of one word and of
-    two are hashed as separate groups.
+    The entropy words are the seed's, then k's one word (k < _MAX_SAMPLES).
     """
-    head = _uint32_words(seed)
-    indices = np.asarray(indices, dtype=np.uint64)
-    wide = (indices >> np.uint64(32)) != 0
-    words = np.empty((len(indices), 4), dtype=np.uint64)
-    for group, two in ((~wide, False), (wide, True)):
-        k = indices[group]
-        if not k.size:
-            continue
-        entropy = [np.full(k.size, w, dtype=np.uint32) for w in head]
-        entropy.append((k & np.uint64(_MASK32)).astype(np.uint32))
-        if two:
-            entropy.append((k >> np.uint64(32)).astype(np.uint32))
-        words[group] = _seed_seq_words(entropy)
-    return words
+    entropy = [np.full(len(indices), w, dtype=np.uint32) for w in _uint32_words(seed)]
+    return _seed_seq_words(entropy + [np.asarray(indices, dtype=np.uint32)])
 
 
 # built at first use: on NumPy 2 and later, subclassing ISeedSequence is what imports numpy.random

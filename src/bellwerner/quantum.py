@@ -21,7 +21,11 @@ stops as "converged" or "stalled" once a sweep gains less than 1e-9 (_TOL):
 stalled when the last two gains shrink too slowly for the geometric tail
 to stay under _TOL.  It stops as "bounded" (_bounded) once its gains show
 it cannot beat the classical bound c1, known before any restart runs, and
-as "max_sweeps" at the fixed cap of 500 sweeps (_MAX_SWEEPS).
+as "max_sweeps" at the fixed cap of 500 sweeps (_MAX_SWEEPS).  These
+thresholds and the 1e-14 test for a vanishing axis are absolute, so with
+c1 below 1 the restarts run on the expression times the power of two 2^e
+that puts c1 in [1, 2), exact for finite coefficients, and the values
+they return are scaled back by 2^-e.
 
 Cost model.  An expression is held once as a (3,)*m coefficient tensor C
 (slot 0 for "_", 1 for "0", 2 for "1"), and each party's observables as a
@@ -392,6 +396,9 @@ def _seesaw_runs(
     psi = None if fixed_state is None else np.asarray(fixed_state, dtype=complex).reshape(-1)
     if psi is not None and psi.shape[0] != 2 ** m:
         raise ValueError(f"state must have dimension 2^{m}")
+    norm = 1.0 if psi is None else float(np.linalg.norm(psi))
+    if not abs(norm - 1.0) <= 1e-12:  # a NaN or infinite norm fails this too
+        raise ValueError(f"state must be a finite unit vector, got norm {norm!r}")
     coeffs = coefficient_tensor(expr, complex)
     layouts = [np.ascontiguousarray(np.moveaxis(coeffs, j, -1)[..., 1:]) for j in range(m)]
     size = max(1, _GROUP_ENTRIES // 4 ** m)
@@ -473,20 +480,23 @@ def _best_of_restarts(
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
 
+    # the stop tests are absolute, so a c1 below 1 runs at 2^e c1 in [1, 2)
+    e = 0 if classical.value >= 1.0 else 1 - math.frexp(classical.value)[1]
+    slots, coeffs = term_slots(expr)
+    scaled = BellExpression(expr.parties, slots, np.ldexp(coeffs, e))
     randoms = (_random_assignment(expr.parties, np.random.default_rng([seed, r]))
                for r in range(restarts))
     starts = itertools.chain(randoms, [_witness_assignment(classical)])
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite sweeps raise ValueError
-        runs = _seesaw_runs(expr, starts, classical.value, fixed_state)
+        runs = _seesaw_runs(scaled, starts, math.ldexp(classical.value, e), fixed_state)
     idx, run = max(enumerate(runs), key=lambda item: (item[1].value, -item[0]))  # ties: lowest
     reasons = tuple(r.stop_reason for r in runs)
     sweeps = tuple(len(r.sweep_values) - 1 for r in runs)
     witness = ObservableAssignment(
         tuple(tuple(QubitObservable(*o) for o in pair) for pair in run.witness)
     )
-    return SeesawResult(
-        run.value, witness, run.state, run.sweep_values, idx, reasons, sweeps, classical
-    )
+    values = tuple(math.ldexp(v, -e) for v in run.sweep_values)
+    return SeesawResult(values[-1], witness, run.state, values, idx, reasons, sweeps, classical)
 
 
 def seesaw_lower(
@@ -509,6 +519,7 @@ def seesaw_fixed_state(
     """Best |<psi|B|psi>| over assignments for a fixed pure state.
 
     Same restart discipline as seesaw_lower; the warm start pins the result at
-    or above the classical bound for any state.
+    or above the classical bound for any state.  The state must have 2^m
+    entries and a norm within 1e-12 of 1; any other raises ValueError first.
     """
     return _best_of_restarts(expr, restarts, seed, fixed_state=state)

@@ -77,9 +77,14 @@ def _fmt(value) -> str:
 
 
 def _split_tables(results: dict):
-    tables = results.get("tables", [])
-    scalars = {k: v for k, v in results.items() if k != "tables"}
-    return scalars, tables
+    """The results but tables as (key, value) pairs, a mapping's as (key.sub, value); tables."""
+    scalars = []
+    for key, value in results.items():
+        if isinstance(value, dict):
+            scalars += [(f"{key}.{k}", v) for k, v in value.items()]
+        elif key != "tables":
+            scalars.append((key, value))
+    return scalars, results.get("tables", [])
 
 
 def render_markdown(report: dict) -> str:
@@ -95,7 +100,7 @@ def render_markdown(report: dict) -> str:
     if scalars:
         out.append("## Results")
         out.append("")
-        for key, value in scalars.items():
+        for key, value in scalars:
             out.append(f"- {key}: {_fmt(value)}")
         out.append("")
     for table in tables:
@@ -126,7 +131,7 @@ def render_csv(report: dict) -> str:
     for key, value in report["inputs"].items():
         writer.writerow([key, _fmt(value)])
     scalars, tables = _split_tables(report["results"])
-    for key, value in scalars.items():
+    for key, value in scalars:
         writer.writerow([key, _fmt(value)])
     for table in tables:
         writer.writerow([])

@@ -182,6 +182,20 @@ def test_oversize_inputs_hit_a_cap(capsys, tmp_path, argv):
     assert "exceeds the cap of" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["gamma", "--m", "2", "--samples", "4294967297"], ["tables", "II", "--samples", "4294967297"]],
+)
+def test_gamma_sample_cap_exits_before_drawing(capsys, monkeypatch, argv):
+    def no_draws(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(gamma, "_substream_states", no_draws)
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (4, "")
+    assert err == "error: samples per gamma scan: 4294967297 exceeds the cap of 4294967296\n"
+
+
 def test_tables_bad_selector(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["tables", "IV"])

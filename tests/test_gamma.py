@@ -87,6 +87,17 @@ def test_scan_config_validation():
         gamma_scan(GammaScanConfig(parties=9, samples=10))
 
 
+def test_scan_config_caps_samples_and_rejects_negative_seed():
+    # every sample index must be one uint32 entropy word; both checks run
+    # when the config is built, before anything is drawn
+    assert GammaScanConfig(2, 2**32).samples == 2**32
+    cap = "^samples per gamma scan: 4294967297 exceeds the cap of 4294967296$"
+    with pytest.raises(CapExceeded, match=cap):
+        GammaScanConfig(2, 2**32 + 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        GammaScanConfig(2, 10, -1)
+
+
 def test_scan_basic_output_shape():
     res = gamma_scan(GammaScanConfig(parties=2, samples=400, seed=0))
     assert res.parties == 2 and res.samples == 400 and res.seed == 0
@@ -280,8 +291,8 @@ def _bits(x):
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**70 + 3, 2**100 + 1])
 def test_substream_states_match_numpy(seed):
-    # seeds of one to four uint32 words, indices of one word and of two
-    indices = np.concatenate([np.arange(4096), [2**32 - 1, 2**32, 2**40 + 3]])
+    # seeds of one to four uint32 words, indices up to the last one a scan can take
+    indices = np.concatenate([np.arange(4096), [2**32 - 1]])
     got = _substream_states(seed, indices)
     assert got.dtype == np.uint64 and got.shape == (len(indices), 4) and got.flags.c_contiguous
     for k, words in zip(indices.tolist(), got):
@@ -312,7 +323,7 @@ def test_substream_seed_refuses_any_other_request(monkeypatch, capsys):
 
 
 def test_negative_seed_is_rejected():
-    # as default_rng rejects it: the state derivation raises before any draw
+    # as default_rng rejects it, before any draw
     with pytest.raises(ValueError, match="non-negative"):
         gamma_scan(GammaScanConfig(parties=2, samples=10, seed=-3))
 

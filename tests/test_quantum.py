@@ -609,6 +609,48 @@ def test_fixed_state_dimension_check():
         seesaw_fixed_state(builtin("CHSH"), np.ones(3) / math.sqrt(3.0))
 
 
+@pytest.mark.parametrize("state", [np.zeros(8), 5 * np.ones(8), np.full(8, np.nan)])
+def test_fixed_state_must_be_a_unit_vector(state, monkeypatch):
+    # a zero state gave 0.0, 5 * ones 400.0 (above MERMIN's quantum maximum
+    # of 4) and NaN a misleading "see-saw update is not finite"
+    monkeypatch.setattr(quantum, "_advance", None)  # no sweep may run
+    with pytest.raises(ValueError, match="^state must be a finite unit vector, got norm"):
+        seesaw_fixed_state(builtin("MERMIN"), state)
+
+
+def _ldexp(expr, k):
+    return new_expression(expr.parties, [(p, math.ldexp(c, k)) for p, c in expr.terms()])
+
+
+def test_seesaw_scales_exactly_with_its_expression():
+    # the stop tolerances are absolute, so an expression with c1 below 1 runs
+    # as its power-of-two multiple with c1 in [1, 2): 2^-k E takes E's path
+    from bellwerner.werner import GhzFamily, detect_visibility
+
+    expr = random_expression(np.random.default_rng(3), 3, max_terms=27)
+    expr = _ldexp(expr, 1 - math.frexp(lhv_bound(expr).value)[1])
+    assert 1.0 <= lhv_bound(expr).value < 2.0
+    family = GhzFamily(3, 0.6)
+    psi = family.state_vector()
+    runs = (lambda e: seesaw_lower(e, restarts=3, seed=2),
+            lambda e: seesaw_fixed_state(e, psi, restarts=3, seed=2))
+    want = [run(expr) for run in runs]
+    visibility = detect_visibility(expr, family, 2, restarts=3).visibility
+    assert visibility is not None
+    for k in (1, 10, 40, 1000):
+        scaled = _ldexp(expr, -k)
+        for a, b in zip(want, (run(scaled) for run in runs)):
+            assert b.value == math.ldexp(a.value, -k)
+            assert b.sweep_values == tuple(math.ldexp(v, -k) for v in a.sweep_values)
+            assert b.classical.value == math.ldexp(a.classical.value, -k)
+            assert b.witness == a.witness and np.array_equal(b.state, a.state)
+            assert (b.restart_index, b.stop_reasons, b.sweeps) == (
+                a.restart_index, a.stop_reasons, a.sweeps
+            )
+        assert detect_visibility(scaled, family, 2, restarts=3).visibility == visibility
+
+
+
 def test_composite_ratio():
     assert composite_ratio_upper([]) == 1.0
     assert composite_ratio_upper([4 / 3, 4.0]) == pytest.approx(

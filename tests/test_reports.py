@@ -211,3 +211,50 @@ def test_rendering_bytes_are_pinned(monkeypatch, fmt):
 
     monkeypatch.setattr(reports, "datetime", FixedClock)
     assert render(_table_report(), fmt) == _PINNED[fmt].replace("VERSION", __version__)
+
+
+def _nested_report():
+    report = new_report("werner", results={
+        "parties": 3,
+        "detection": {"expr_file": "e.json", "classical_bound": 2 / 3, "detect_visibility": None,
+                      "undetectable_window": True},
+    })
+    report["timestamp"] = "T"
+    return report
+
+
+_PINNED_NESTED = {
+    "markdown": """\
+# werner
+
+- version: VERSION
+- timestamp: T
+
+## Results
+
+- parties: 3
+- detection.expr_file: e.json
+- detection.classical_bound: 0.666666666667
+- detection.detect_visibility: None
+- detection.undetectable_window: True
+""",
+    "csv": """\
+command,werner
+version,VERSION
+seed,
+timestamp,T
+parties,3
+detection.expr_file,e.json
+detection.classical_bound,0.666666666667
+detection.detect_visibility,None
+detection.undetectable_window,True
+""",
+}
+
+
+@pytest.mark.parametrize("fmt", list(_PINNED_NESTED))
+def test_nested_mapping_renders_key_by_key(fmt):
+    # a nested mapping in results, such as a werner report's detection, was
+    # printed as one Python repr
+    want = _PINNED_NESTED[fmt].replace("VERSION", __version__)
+    assert render(_nested_report(), fmt) == want
