@@ -21,10 +21,8 @@ from .expressions import (
 from .classical import (
     ClassicalBoundResult,
     DeterministicStrategy,
-    block_strategy_matrix,
     closed_form_classical,
     lhv_bound,
-    strategy_matrix,
 )
 from .quantum import (
     ObservableAssignment,
@@ -87,7 +85,6 @@ __all__ = [
     "bell_operator",
     "block",
     "block_sizes",
-    "block_strategy_matrix",
     "builtin",
     "canonical_patterns",
     "closed_form_classical",
@@ -105,7 +102,6 @@ __all__ = [
     "new_expression",
     "seesaw_lower",
     "separability_upper_bound",
-    "strategy_matrix",
     "undetectable_measure_condition",
     "undetectable_range_general",
     "undetectable_range_homogeneous",

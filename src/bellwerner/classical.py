@@ -57,16 +57,12 @@ _PARTY_SIGNS = np.array(
 _EXACT_BLOCK = 1 << 15
 
 
-def _sign_lookup(bits: int) -> np.ndarray:
-    """(-1)^popcount(x) for every bits-wide x: sign(x + 2^b) = -sign(x)."""
-    table = np.ones(1)
-    for _ in range(bits):
-        table = np.concatenate([table, -table])
-    return table
-
-
-# the sign of a term at a strategy, 16 bits at a time
-_PARITY_SIGN = _sign_lookup(16)
+# (-1)^popcount(x) for every 16-bit x, as sign(x + 2^b) = -sign(x): the sign of
+# term t at strategy k is _PARITY_SIGN[mask_t & k].  Under the 8-party cap every
+# code and mask is below 2^16, and a wider one raises IndexError.
+_PARITY_SIGN = np.ones(1)
+for _ in range(16):
+    _PARITY_SIGN = np.concatenate([_PARITY_SIGN, -_PARITY_SIGN])
 
 
 @dataclass(frozen=True)
@@ -86,13 +82,7 @@ class DeterministicStrategy:
 
     @property
     def encoding(self) -> int:
-        code = 0
-        for j, (a0, a1) in enumerate(self.assignments):
-            if a0 == -1:
-                code |= 1 << (2 * j)
-            if a1 == -1:
-                code |= 1 << (2 * j + 1)
-        return code
+        return int(_strategy_codes(np.reshape(self.assignments, (-1, 2))))
 
     @classmethod
     def from_encoding(cls, parties: int, encoding: int) -> "DeterministicStrategy":
@@ -154,32 +144,41 @@ def _strategy_values(coeffs: np.ndarray, parties: int) -> np.ndarray:
     return np.moveaxis(t.reshape((4**parties,) + batch), 0, -1)
 
 
-def _parity_signs(bits: np.ndarray) -> np.ndarray:
-    """(-1)^popcount(x) as float64 for every x in bits, 16 bits at a time."""
-    signs = np.take(_PARITY_SIGN, bits, mode="wrap")  # the low 16 bits
-    for shift in range(16, int(bits.max()).bit_length(), 16):
-        signs *= np.take(_PARITY_SIGN, bits >> shift, mode="wrap")
-    return signs
+def _base4(digits: np.ndarray) -> np.ndarray:
+    """Sum over j of digits[..., j] << 2j: a strategy's code from its per-party b0 + 2 b1,
+    a term's mask from its slots, so slot 1 ("0") reads bit 2j and slot 2 ("1") bit 2j + 1."""
+    return (digits << (2 * np.arange(digits.shape[-1]))).sum(axis=-1)
+
+
+def _strategy_codes(outcomes: np.ndarray) -> np.ndarray:
+    """Encodings of the strategies whose +-1 outcomes[..., j, x] party j gives to setting x."""
+    bits = (outcomes < 0).astype(np.int64)
+    return _base4(bits[..., 0] + 2 * bits[..., 1])
+
+
+def _outcome_values(expr: BellExpression, outcomes: np.ndarray) -> np.ndarray:
+    """Term-ordered values of the strategies outcomes[n] ((m, 2) arrays of +-1), bit
+    for bit those that `lhv_bound` compares."""
+    return _ordered_values(*term_slots(expr), _strategy_codes(outcomes))
 
 
 def _ordered_values(slots: np.ndarray, coeffs: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Term-ordered values at the strategy encodings `codes`, bit for bit.
 
     slots and coeffs are those of `term_slots`.  The sign of term t at
-    strategy k is `_parity_signs(k & mask_t)`, where slot 1 ("0") of party
-    j reads bit 2j and slot 2 ("1") bit 2j + 1: the slot, shifted by 2j.  A
+    strategy k is `_PARITY_SIGN[k & mask_t]`, with mask_t = `_base4(slots[t])`.  A
     block of strategies becomes a (terms, strategies) array of signed
     coefficients, summed down axis 0 by np.add.reduce: along an axis that
     is not the fast one NumPy adds row after row, in term order (pairwise
     summation is used only along the fast axis).  A block therefore never
     holds a single strategy, which would make axis 0 the fast one.
     """
-    masks = (slots << (2 * np.arange(slots.shape[1]))).sum(axis=1)
+    masks = _base4(slots)
     step = max(2, _EXACT_BLOCK // coeffs.size)
     padded = np.append(codes, codes[-1:]) if codes.size % step == 1 else codes
     out = np.empty(padded.size)
     for lo in range(0, padded.size, step):
-        signed = _parity_signs(masks[:, None] & padded[None, lo : lo + step])
+        signed = _PARITY_SIGN[masks[:, None] & padded[None, lo : lo + step]]
         signed *= coeffs[:, None]
         out[lo : lo + step] = np.add.reduce(signed, axis=0)
     return out[: codes.size]
@@ -260,6 +259,8 @@ def closed_form_classical(expr: BellExpression) -> float:
     return max(odd, even)
 
 
+# Not package API: the two strategy matrices keep these names in this module
+# only because bench/spans.py looks them up here.
 def strategy_matrix(parties: int) -> np.ndarray:
     """The 4^m x (3^m - 1) matrix of strategy values per canonical slot.
 
@@ -267,12 +268,11 @@ def strategy_matrix(parties: int) -> np.ndarray:
     present in slot s's pattern; every entry is +-1 (int8).
     """
     _check_enumeration(parties)
-    slots = _pattern_slots(canonical_patterns(parties), parties)
-    masks = (slots << (2 * np.arange(parties))).sum(axis=1)  # as in _ordered_values
+    masks = _base4(_pattern_slots(canonical_patterns(parties), parties))
     codes = np.arange(4**parties)
     out = np.empty((codes.size, masks.size), dtype=np.int8)
     for col, mask in enumerate(masks):
-        out[:, col] = _parity_signs(codes & mask)
+        out[:, col] = _PARITY_SIGN[codes & mask]
     return out
 
 

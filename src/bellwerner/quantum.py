@@ -62,13 +62,14 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .classical import (
-    MAX_PARTIES, ClassicalBoundResult, _ordered_values, closed_form_classical, lhv_bound
+    MAX_PARTIES, ClassicalBoundResult, _outcome_values, closed_form_classical, lhv_bound
 )
 from .errors import check_cap
 from .expressions import BellExpression, coefficient_tensor, term_slots
 
 DEFAULT_RESTARTS = 20
 _TOL = 1e-9
+_NORM_TOL = 1e-12  # how far a unit vector's norm may stray from 1
 _MAX_SWEEPS = 500
 _BOUNDED_AFTER = 10  # sweeps a restart runs before the "bounded" stop may end it
 _GROUP_ENTRIES = 2 ** 19  # a group's restarts times 4^m, the entries of a 2^m x 2^m matrix
@@ -100,7 +101,7 @@ class QubitObservable:
         if len(ax) != 3 or not all(math.isfinite(v) for v in ax):
             raise ValueError("axis must be a finite 3-vector")
         norm = math.sqrt(sum(v * v for v in ax))
-        if abs(norm - 1.0) > 1e-12:
+        if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"axis must be a unit vector, got norm {norm!r}")
         for eig in (self.eig_plus, self.eig_minus):
             if not math.isfinite(eig) or abs(eig) > 1.0 + 1e-12:
@@ -226,12 +227,8 @@ def _classical_diagonal(expr: BellExpression, outcomes: np.ndarray) -> np.ndarra
     bound's term-ordered sum, bit for bit.
     """
     m = expr.parties
-    bits = (np.arange(2 ** m) >> np.arange(m - 1, -1, -1)[:, None]) & 1
-    codes = np.zeros(2 ** m, dtype=np.int64)
-    for k in range(m):
-        for x in range(2):
-            codes |= (outcomes[k, x, bits[k]] < 0).astype(np.int64) << (2 * k + x)
-    return _ordered_values(*term_slots(expr), codes)
+    bits = (np.arange(2 ** m) >> np.arange(m - 1, -1, -1)[:, None]) & 1  # party 0 leads
+    return _outcome_values(expr, outcomes[np.arange(m)[:, None], :, bits].swapaxes(0, 1))
 
 
 def _bell_matrix(expr: BellExpression, coeffs: np.ndarray, stacks: Sequence) -> np.ndarray:
@@ -397,7 +394,7 @@ def _seesaw_runs(
     if psi is not None and psi.shape[0] != 2 ** m:
         raise ValueError(f"state must have dimension 2^{m}")
     norm = 1.0 if psi is None else float(np.linalg.norm(psi))
-    if not abs(norm - 1.0) <= 1e-12:  # a NaN or infinite norm fails this too
+    if not abs(norm - 1.0) <= _NORM_TOL:  # a NaN or infinite norm fails this too
         raise ValueError(f"state must be a finite unit vector, got norm {norm!r}")
     coeffs = coefficient_tensor(expr, complex)
     layouts = [np.ascontiguousarray(np.moveaxis(coeffs, j, -1)[..., 1:]) for j in range(m)]

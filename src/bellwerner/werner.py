@@ -29,6 +29,7 @@ from .classical import MAX_PARTIES
 from .errors import check_cap
 from .expressions import BellExpression
 from .quantum import (
+    _NORM_TOL,
     _OPERATOR,
     DEFAULT_RESTARTS,
     SeesawResult,
@@ -38,7 +39,6 @@ from .quantum import (
 )
 
 _BISECTION_TOL = 1e-6
-_NORM_TOL = 1e-12
 _MC_CHUNK = 4096
 _MC_CHUNK_BYTES = 2 ** 28
 _MC_BLOCK = 2 ** 16  # values per streamed draw: each worker's one 512 KiB float64 buffer
@@ -97,6 +97,11 @@ def ghz_amplitudes(parties: int, theta: float) -> np.ndarray:
     return vec
 
 
+def _check_theta(theta: float) -> None:
+    if not 0.0 < theta < math.pi / 2:
+        raise ValueError(f"theta must lie strictly inside (0, pi/2), got {theta!r}")
+
+
 @dataclass(frozen=True)
 class GhzFamily:
     """Generalized GHZ family with theta strictly inside (0, pi/2)."""
@@ -107,10 +112,7 @@ class GhzFamily:
     def __post_init__(self):
         if self.parties < 2:
             raise ValueError("parties must be at least 2")
-        if not 0.0 < self.theta < math.pi / 2:
-            raise ValueError(
-                f"theta must lie strictly inside (0, pi/2), got {self.theta!r}"
-            )
+        _check_theta(self.theta)
 
     def state_vector(self) -> np.ndarray:
         return ghz_amplitudes(self.parties, self.theta)
@@ -168,8 +170,7 @@ def visibility_lower_bound(parties: int, c1: float, c2: float) -> float:
 
 def ghz_separability_threshold(parties: int, theta: float) -> float:
     """Exact full-separability threshold 1/(2^(m-1) sin(2 theta) + 1)."""
-    if not 0.0 < theta < math.pi / 2:
-        raise ValueError(f"theta must lie strictly inside (0, pi/2), got {theta!r}")
+    _check_theta(theta)
     return 1.0 / (_two_to(parties - 1, parties) * math.sin(2.0 * theta) + 1.0)
 
 

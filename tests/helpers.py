@@ -15,18 +15,18 @@ from bellwerner import (
     QubitObservable,
     block,
     block_sizes,
-    block_strategy_matrix,
     canonical_patterns,
     lhv_bound,
     new_expression,
     quantum,
-    strategy_matrix,
 )
 from bellwerner.errors import ParseError, check_cap
 from bellwerner.expressions import _from_lists, canonical_tensor, coefficient_tensor
 from bellwerner.fileio import _require_dict, _require_parties
 from bellwerner.gamma import _BLOCK_EPS
-from bellwerner.classical import MAX_PARTIES, _strategy_values
+from bellwerner.classical import (
+    MAX_PARTIES, _strategy_values, block_strategy_matrix, strategy_matrix
+)
 from bellwerner.quantum import _OPERATOR, _dominant_eig
 from bellwerner.werner import _MC_CHUNK, _necessary_holds, _validated_probabilities
 

@@ -4,6 +4,7 @@ and runtime budgets.  Tolerances are stated inline next to each assertion."""
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +86,18 @@ def test_ch_block_ratios_exact():
         assert lhv_bound(block(ch, 2)).value == 1.0
         assert gamma_for(ch, 1) == 4.0 / 3.0
         assert gamma_for(ch, 2) == 4.0
+
+
+def test_readme_library_example_prints_its_values(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5
+    assert lines[0] == lines[4] == "2.0"
+    assert float(lines[1]) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
+    assert lines[2] == "converged 1"
+    assert float(lines[3]) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)  # a bisection step
 
 
 def test_enumeration_matches_strategy_matrix_exactly():

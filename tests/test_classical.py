@@ -12,7 +12,6 @@ from bellwerner import (
     ObservableAssignment,
     QubitObservable,
     bell_operator,
-    block_strategy_matrix,
     block_sizes,
     builtin,
     closed_form_classical,
@@ -21,11 +20,13 @@ from bellwerner import (
     lhv_bound,
     new_expression,
     seesaw_lower,
-    strategy_matrix,
 )
+import bellwerner
 from bellwerner import classical
-from bellwerner.classical import _strategy_values
-from bellwerner.expressions import canonical_tensor
+from bellwerner.classical import (
+    _ordered_values, _outcome_values, _strategy_values, block_strategy_matrix, strategy_matrix
+)
+from bellwerner.expressions import canonical_tensor, term_slots
 from bellwerner.quantum import seesaw_fixed_state
 from helpers import (
     brute_force_bound,
@@ -289,7 +290,7 @@ def _bound_triple(expr):
     return res.value, res.witness.encoding, res.achieved_sign
 
 
-def test_lhv_bound_matches_full_loop_exactly(monkeypatch):
+def test_lhv_bound_matches_full_loop_exactly():
     # value, witness and sign of the shortlist-then-exact kernel equal the
     # full term-ordered 4^m loop bit for bit, ties included
     rng = np.random.default_rng(31)
@@ -309,9 +310,33 @@ def test_lhv_bound_matches_full_loop_exactly(monkeypatch):
     for name in ("CH", "CHSH", "SASA", "MERMIN", "MERMIN(5)", "MERMIN(7)"):
         expr = builtin(name)
         assert _bound_triple(expr) == lhv_bound_loop(expr)
-    nine = random_expression(rng, 9, max_terms=40)
-    monkeypatch.setattr(classical, "MAX_PARTIES", 9)
-    assert _bound_triple(nine) == lhv_bound_loop(nine)
+
+
+def test_sign_table_stops_at_eight_parties():
+    # one 2^16-entry sign table serves every code and mask under the 8-party
+    # cap; a ninth party's term at a code of 2^16 or more is not folded
+    slots, coeffs = term_slots(new_expression(9, [("_" * 8 + "0", 1.0), ("0" + "_" * 8, 2.0)]))
+    assert _ordered_values(slots, coeffs, np.array([0, 1, 2**16 - 1])).tolist() == [3.0, -1.0, -1.0]
+    with pytest.raises(IndexError):
+        _ordered_values(slots, coeffs, np.array([0, 2**16]))
+
+
+def test_outcomes_give_the_encoded_strategy_values():
+    rng = np.random.default_rng(33)
+    expr = random_expression(rng, 3)
+    codes = rng.permutation(64)[:10]
+    outcomes = np.array([DeterministicStrategy.from_encoding(3, int(k)).assignments for k in codes])
+    expected = _ordered_values(*term_slots(expr), codes)
+    assert np.array_equal(_outcome_values(expr, outcomes), expected)
+    assert [strategy_value(expr, DeterministicStrategy.from_encoding(3, int(k))) for k in codes] \
+        == pytest.approx(expected.tolist(), abs=1e-12)
+
+
+def test_strategy_matrices_are_not_package_names():
+    assert not hasattr(bellwerner, "strategy_matrix")
+    assert not hasattr(bellwerner, "block_strategy_matrix")
+    assert {"strategy_matrix", "block_strategy_matrix"}.isdisjoint(bellwerner.__all__)
+    assert classical.strategy_matrix is strategy_matrix
 
 
 def test_lhv_bound_integer_coefficients_skip_the_term_order(monkeypatch):

@@ -12,9 +12,8 @@ from bellwerner import (
     builtin,
     gamma_scan,
     new_expression,
-    strategy_matrix,
-    block_strategy_matrix,
 )
+from bellwerner.classical import block_strategy_matrix, strategy_matrix
 import bellwerner.gamma as gamma_module
 from bellwerner.gamma import (
     _bounds,

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import tracemalloc
 from functools import partial
 
@@ -228,6 +229,15 @@ def test_first_failure_ordering_on_grid():
             assert v >= ghz_separability_threshold(m, theta) - 1e-9
 
 
+@pytest.mark.parametrize("theta", [0.1, 0.3, 0.6, math.pi / 4, 1.2, 1.5])
+def test_first_failure_is_one_bisection_step_above_the_ghz_threshold(theta):
+    # the bisection stops at an absolute 1e-6, however small the threshold:
+    # at m = 16 and theta = 0.6 that is 3.33786e-05 against 3.27417e-05
+    for m in range(2, 17):
+        v = necessary_check_first_failure(ghz_amplitudes(m, theta))
+        assert 0.0 <= v - ghz_separability_threshold(m, theta) <= 1e-6
+
+
 def test_first_failure_none_for_product_state():
     vec = np.zeros(4)
     vec[0] = 1.0
@@ -445,8 +455,12 @@ def test_ghz_amplitudes_layout():
 
 
 def test_family_validation():
-    with pytest.raises(ValueError):
-        GhzFamily(2, 0.0)
+    for theta in (0.0, math.pi / 2, math.nan):
+        message = f"theta must lie strictly inside (0, pi/2), got {theta!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GhzFamily(2, theta)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ghz_separability_threshold(2, theta)
     with pytest.raises(ValueError):
         GhzFamily(1, 0.5)
     with pytest.raises(ValueError):
