@@ -227,7 +227,7 @@ def _classical_diagonal(expr: BellExpression, outcomes: np.ndarray) -> np.ndarra
     bound's term-ordered sum, bit for bit.
     """
     m = expr.parties
-    bits = (np.arange(2 ** m) >> np.arange(m - 1, -1, -1)[:, None]) & 1  # party 0 leads
+    bits = (np.arange(2 ** m) >> np.arange(m - 1, -1, -1)[:, None]) & 1  # party 0 the leading bit
     return _outcome_values(expr, outcomes[np.arange(m)[:, None], :, bits].swapaxes(0, 1))
 
 

@@ -326,10 +326,8 @@ def test_outcomes_give_the_encoded_strategy_values():
     expr = random_expression(rng, 3)
     codes = rng.permutation(64)[:10]
     outcomes = np.array([DeterministicStrategy.from_encoding(3, int(k)).assignments for k in codes])
-    expected = _ordered_values(*term_slots(expr), codes)
-    assert np.array_equal(_outcome_values(expr, outcomes), expected)
-    assert [strategy_value(expr, DeterministicStrategy.from_encoding(3, int(k))) for k in codes] \
-        == pytest.approx(expected.tolist(), abs=1e-12)
+    assert np.array_equal(classical._strategy_codes(outcomes), codes)
+    assert np.array_equal(_outcome_values(expr, outcomes), _ordered_values(*term_slots(expr), codes))
 
 
 def test_strategy_matrices_are_not_package_names():
