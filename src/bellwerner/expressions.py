@@ -39,7 +39,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .errors import check_cap
+
 ABSENT = "_"
+STATE_MAX_PARTIES = 16  # the parties of a 2^m state vector
 
 # slot of each character code below 128: "_" 0, "0" 1, "1" 2, any other 3
 _SLOT_OF = np.full(128, 3, dtype=np.intp)
@@ -269,7 +272,7 @@ def _mermin_terms(parties: int) -> list[tuple[str, float]]:
 def builtin(name: str) -> BellExpression:
     """Well-known expressions by name: CHSH, CH, SASA, MERMIN or MERMIN(m).
 
-    MERMIN defaults to three parties; MERMIN(m) accepts odd m >= 3.
+    MERMIN defaults to three parties; MERMIN(m) accepts odd m in [3, STATE_MAX_PARTIES].
     CH uses party order (A, B); SASA is the four-party cluster-state
     witness with party order (A, B, C, D).
     """
@@ -303,5 +306,6 @@ def builtin(name: str) -> BellExpression:
             raise ValueError(f"unknown builtin expression {name!r}") from None
         if m < 3 or m % 2 == 0:
             raise ValueError("MERMIN(m) requires odd m >= 3")
+        check_cap("parties of MERMIN(m)", m, STATE_MAX_PARTIES)  # before its 2^m settings
         return new_expression(m, _mermin_terms(m))
     raise ValueError(f"unknown builtin expression {name!r}")

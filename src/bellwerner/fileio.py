@@ -22,8 +22,8 @@ from typing import Union
 import numpy as np
 
 from .errors import ParseError, check_cap
-from .expressions import BellExpression, _from_lists, term_slots
-from .werner import STATE_MAX_PARTIES, PureFamily
+from .expressions import STATE_MAX_PARTIES, BellExpression, _from_lists, term_slots
+from .werner import PureFamily
 
 PathLike = Union[str, Path]
 

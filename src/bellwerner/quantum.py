@@ -16,16 +16,16 @@ objective is nondecreasing by construction.
 Each sweep refreshes the state with a dense Hermitian eigensolve
 (np.linalg.eigh) of the current operator, at most 256 x 256 under the
 8-party cap; the extreme eigenpair of larger magnitude gives the objective.
-An operator that is not finite raises ValueError.  A restart
-stops as "converged" or "stalled" once a sweep gains less than 1e-9 (_TOL):
-stalled when the last two gains shrink too slowly for the geometric tail
-to stay under _TOL.  It stops as "bounded" (_bounded) once its gains show
-it cannot beat the classical bound c1, known before any restart runs, and
-as "max_sweeps" at the fixed cap of 500 sweeps (_MAX_SWEEPS).  These
-thresholds and the 1e-14 test for a vanishing axis are absolute, so with
-c1 below 1 the restarts run on the expression times the power of two 2^e
-that puts c1 in [1, 2), exact for finite coefficients, and the values
-they return are scaled back by 2^-e.
+An operator that is not finite raises ValueError.  After each sweep one rule,
+_stop_reason, stops a restart as "converged" or "stalled" once a sweep gains
+less than 1e-9 (_TOL): stalled when the last two gains shrink too slowly for
+the geometric tail to stay under _TOL.  It stops as "bounded" once its gains
+show it cannot beat the classical bound c1, known before any restart runs,
+and as "max_sweeps" at the fixed cap of 500 sweeps (_MAX_SWEEPS).  These
+thresholds and the 1e-14 test for a vanishing axis are absolute, so with c1
+below 1 the restarts run on the expression times the power of two 2^e that
+puts c1 in [1, 2), exact for finite coefficients, and the values they
+return are scaled back by 2^-e.
 
 Cost model.  An expression is held once as a (3,)*m coefficient tensor C
 (slot 0 for "_", 1 for "0", 2 for "1"), and each party's observables as a
@@ -43,10 +43,11 @@ are plain (axis, eig_plus, eig_minus) triples from the drawn start on; only
 the best restart's 2m become QubitObservable objects, for the witness.
 Diagonal +-1 observables, such as the classical warm start, give a diagonal
 operator of strategy values, summed term by term like the classical bound.
-A group takes max(1, _GROUP_ENTRIES // 4^m) restarts: all 21 default
-restarts up to seven parties, 8 at the cap, each restart peaking at about
-two complex 2^m x 2^m matrices (10.97 MiB for MERMIN(7) at 21 restarts).
-Starts are drawn one group at a time; runs return in start order.
+A group takes _GROUP_ENTRIES // max(4^m, 2^11) restarts: 256 up to five
+parties, 8 at the cap, each peaking at about two complex 2^m x 2^m matrices
+(10.97 MiB for MERMIN(7) at 21 restarts).  Starts are drawn one group at a
+time and each restart is handed back as it stops, so a call keeps only the
+best run and, per restart, a stop reason and a sweep count.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -72,7 +73,7 @@ _TOL = 1e-9
 _NORM_TOL = 1e-12  # how far a unit vector's norm may stray from 1
 _MAX_SWEEPS = 500
 _BOUNDED_AFTER = 10  # sweeps a restart runs before the "bounded" stop may end it
-_GROUP_ENTRIES = 2 ** 19  # a group's restarts times 4^m, the entries of a 2^m x 2^m matrix
+_GROUP_ENTRIES = 2 ** 19  # a group's restarts times max(4^m, 2^11); a 2^m x 2^m matrix has 4^m
 _OPERATOR = "parties for a 2^m x 2^m operator"
 _BLAS_THREADS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
                  "openblas_{}_num_threads")  # OpenBLAS thread-count functions, {} get or set
@@ -339,25 +340,29 @@ def _optimal_observable(f: list, axis: tuple) -> tuple:
     return (fx / norm, fy / norm, fz / norm), _sign(f0 + norm), _sign(f0 - norm)
 
 
-def _stop_label(values: list[float]) -> str:
-    """Stop label: "stalled" if the last two gains are positive and, with r =
-    last / previous, r >= 1 or last * r / (1 - r) > _TOL; else "converged"."""
-    if len(values) < 3 or not values[-1] > values[-2] > values[-3]:
-        return "converged"
-    last = values[-1] - values[-2]
-    r = last / (values[-2] - values[-3])
-    return "stalled" if r >= 1.0 or last * r / (1.0 - r) > _TOL else "converged"
+def _stop_reason(values: list[float], c1: float) -> Optional[str]:
+    """Why a restart stops after its latest sweep (see the module docstring), or None.
 
-
-def _bounded(values: list[float], c1: float) -> bool:
-    """Stop as "bounded": after _BOUNDED_AFTER sweeps or more, the last three
-    gains are positive, their ratios r0 then r agree to within 0.1 r0 with
-    r < 1, and the geometric limit v + last * r / (1 - r) is <= c1 + _TOL."""
-    if len(values) <= _BOUNDED_AFTER or not values[-1] > values[-2] > values[-3] > values[-4]:
-        return False
-    last, middle = values[-1] - values[-2], values[-2] - values[-3]
-    r0, r = middle / (values[-3] - values[-4]), last / middle
-    return r < 1.0 and abs(r - r0) <= 0.1 * r0 and values[-1] + last * r / (1.0 - r) <= c1 + _TOL
+    values holds the objective before the first sweep and after each since;
+    a fall of more than 1e-9 max(1, v) below the one before, v, raises
+    RuntimeError.  A tail is last * r / (1 - r), r the ratio of the last two gains.
+    """
+    v, previous = values[-1], values[-2]
+    if v < previous - 1e-9 * max(1.0, previous):
+        raise RuntimeError("see-saw objective decreased; eigensolver or update fault")
+    last = v - previous
+    if last < _TOL:
+        if len(values) < 3 or not v > previous > values[-3]:
+            return "converged"
+        r = last / (previous - values[-3])
+        return "stalled" if r >= 1.0 or last * r / (1.0 - r) > _TOL else "converged"
+    sweeps = len(values) - 1
+    if sweeps >= _BOUNDED_AFTER and previous > values[-3] > values[-4]:
+        middle = previous - values[-3]
+        r0, r = middle / (values[-3] - values[-4]), last / middle
+        if r < 1.0 and abs(r - r0) <= 0.1 * r0 and v + last * r / (1.0 - r) <= c1 + _TOL:
+            return "bounded"
+    return "max_sweeps" if sweeps >= _MAX_SWEEPS else None
 
 
 class _Run(NamedTuple):
@@ -380,14 +385,15 @@ def _objective(expr, coeffs, stacks, psi) -> tuple[list, np.ndarray]:
 
 def _seesaw_runs(
     expr: BellExpression, starts: Iterable, c1: float, fixed_state: Optional[np.ndarray] = None
-) -> list[_Run]:
-    """One run per start (per party, a pair of triples), in start order.
+) -> Iterator[tuple[int, _Run]]:
+    """(start index, run) for every start (per party, a pair of triples), as each stops.
 
     With fixed_state the objective is |<psi|B|psi>| for that state, which is
     also the returned state; otherwise the state is refreshed each sweep to
     the extreme eigenvector of the current operator and the objective is the
     spectral radius.  c1 is the classical bound that "bounded" compares
-    with; _MAX_SWEEPS and _GROUP_ENTRIES are read at call time.
+    with; _MAX_SWEEPS and _GROUP_ENTRIES are read at call time.  A group's
+    runs come back before the next group's starts are drawn.
     """
     m = expr.parties
     psi = None if fixed_state is None else np.asarray(fixed_state, dtype=complex).reshape(-1)
@@ -398,55 +404,39 @@ def _seesaw_runs(
         raise ValueError(f"state must be a finite unit vector, got norm {norm!r}")
     coeffs = coefficient_tensor(expr, complex)
     layouts = [np.ascontiguousarray(np.moveaxis(coeffs, j, -1)[..., 1:]) for j in range(m)]
-    size = max(1, _GROUP_ENTRIES // 4 ** m)
-    starts, runs = iter(starts), []
-    while group := [list(start) for start in itertools.islice(starts, size)]:
-        runs += _advance(expr, coeffs, layouts, group, c1, psi)
-    return runs
+    size = max(1, _GROUP_ENTRIES // max(4 ** m, 2 ** 11))
+    starts = enumerate(starts)
+    while group := [(i, list(start)) for i, start in itertools.islice(starts, size)]:
+        yield from _advance(expr, coeffs, layouts, group, c1, psi)
 
 
-def _advance(expr, coeffs, layouts, obs, c1, psi) -> list[_Run]:
-    """Sweeps of one group, obs[r] being restart r's observables, as stacks; runs in order."""
+def _advance(expr, coeffs, layouts, group, c1, psi) -> Iterator[tuple[int, _Run]]:
+    """Sweeps of one group of (start index, observables), as stacks; yields each run as it stops."""
     m = expr.parties
-    active = list(range(len(obs)))
-    runs = [None] * len(obs)
+    ids, obs = [i for i, _ in group], [pairs for _, pairs in group]
     stacks = [_stacks([pairs[j] for pairs in obs]) for j in range(m)]
     signed, states = _objective(expr, coeffs, stacks, psi)
     values = [[abs(s)] for s in signed]
-
-    def stop(i: int, reason: str) -> None:
-        state = states[i] if psi is None else psi
-        runs[active[i]] = _Run(values[i][-1], obs[active[i]], state, tuple(values[i]), reason)
-
-    for _ in range(_MAX_SWEEPS):
+    while obs:
         sign = np.array([_sign(s) for s in signed])[:, None, None, None]
         for j in range(m):
             f = (sign * _effective_pair(layouts[j], stacks, j, states)).tolist()
-            for i, r in enumerate(active):
-                obs[r][j] = [_optimal_observable(f[i][x], obs[r][j][x][0]) for x in (0, 1)]
-            stacks[j] = _stacks([obs[r][j] for r in active])
+            for pairs, fr in zip(obs, f):
+                pairs[j] = [_optimal_observable(fr[x], pairs[j][x][0]) for x in (0, 1)]
+            stacks[j] = _stacks([pairs[j] for pairs in obs])
         signed, states = _objective(expr, coeffs, stacks, psi)
         keep = []
         for i, s in enumerate(signed):
-            value = values[i][-1]
             values[i].append(abs(s))
-            if abs(s) < value - 1e-9 * max(1.0, value):
-                raise RuntimeError("see-saw objective decreased; eigensolver or update fault")
-            if abs(s) - value < _TOL:
-                stop(i, _stop_label(values[i]))
-            elif _bounded(values[i], c1):
-                stop(i, "bounded")
-            else:
+            reason = _stop_reason(values[i], c1)
+            if reason is None:
                 keep.append(i)
-        if not keep:
-            return runs
-        if len(keep) < len(active):  # the stopped restarts leave the stack
+            else:
+                state = states[i] if psi is None else psi
+                yield ids[i], _Run(values[i][-1], obs[i], state, tuple(values[i]), reason)
+        if len(keep) < len(obs):  # the stopped restarts leave the stack
             stacks, states = [s[keep] for s in stacks], states[keep]
-            signed, values = [signed[i] for i in keep], [values[i] for i in keep]
-            active = [active[i] for i in keep]
-    for i in range(len(active)):
-        stop(i, "max_sweeps")
-    return runs
+            ids, obs, values, signed = ([a[i] for i in keep] for a in (ids, obs, values, signed))
 
 
 def _random_assignment(parties: int, rng: np.random.Generator) -> list:
@@ -484,16 +474,21 @@ def _best_of_restarts(
     randoms = (_random_assignment(expr.parties, np.random.default_rng([seed, r]))
                for r in range(restarts))
     starts = itertools.chain(randoms, [_witness_assignment(classical)])
+    idx, run, reasons, sweeps = None, None, [], []
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite sweeps raise ValueError
-        runs = _seesaw_runs(scaled, starts, math.ldexp(classical.value, e), fixed_state)
-    idx, run = max(enumerate(runs), key=lambda item: (item[1].value, -item[0]))  # ties: lowest
-    reasons = tuple(r.stop_reason for r in runs)
-    sweeps = tuple(len(r.sweep_values) - 1 for r in runs)
+        for i, stopped in _seesaw_runs(scaled, starts, math.ldexp(classical.value, e), fixed_state):
+            reasons += [None] * (i + 1 - len(reasons))  # a group's runs stop in any order
+            sweeps += [None] * (i + 1 - len(sweeps))
+            reasons[i], sweeps[i] = stopped.stop_reason, len(stopped.sweep_values) - 1
+            if run is None or (stopped.value, -i) > (run.value, -idx):  # ties: lowest index
+                idx, run = i, stopped
     witness = ObservableAssignment(
         tuple(tuple(QubitObservable(*o) for o in pair) for pair in run.witness)
     )
     values = tuple(math.ldexp(v, -e) for v in run.sweep_values)
-    return SeesawResult(values[-1], witness, run.state, values, idx, reasons, sweeps, classical)
+    return SeesawResult(
+        values[-1], witness, run.state, values, idx, tuple(reasons), tuple(sweeps), classical
+    )
 
 
 def seesaw_lower(

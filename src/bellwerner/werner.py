@@ -27,7 +27,7 @@ import numpy as np
 
 from .classical import MAX_PARTIES
 from .errors import check_cap
-from .expressions import BellExpression
+from .expressions import STATE_MAX_PARTIES, BellExpression
 from .quantum import (
     _NORM_TOL,
     _OPERATOR,
@@ -42,7 +42,6 @@ _BISECTION_TOL = 1e-6
 _MC_CHUNK = 4096
 _MC_CHUNK_BYTES = 2 ** 28
 _MC_BLOCK = 2 ** 16  # values per streamed draw: each worker's one 512 KiB float64 buffer
-STATE_MAX_PARTIES = 16
 
 
 class ThetaRange(NamedTuple):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from bellwerner import (
     ABSENT,
     BellExpression,
+    CapExceeded,
     block,
     block_sizes,
     builtin,
@@ -13,6 +14,7 @@ from bellwerner import (
     is_homogeneous,
     new_expression,
 )
+from bellwerner import expressions
 from bellwerner.expressions import canonical_tensor, coefficient_tensor, term_slots
 from helpers import (
     BlockView,
@@ -231,6 +233,19 @@ def test_mermin_term_structure():
         ones = pattern.count("1")
         assert ones % 2 == 1
         assert coeff == (1.0 if ones % 4 == 1 else -1.0)
+
+
+def test_mermin_parties_are_capped_before_its_settings(monkeypatch):
+    # MERMIN(21) enumerated its 2^21 settings (7.6 s, about 1 GB) before any
+    # cap applied; int() reads "5_1" as 51
+    with monkeypatch.context() as patched:
+        patched.setattr(expressions, "_mermin_terms", None)  # nothing may be enumerated
+        for name in ("MERMIN(17)", "MERMIN(5_1)"):
+            with pytest.raises(CapExceeded, match=r"^parties of MERMIN\(m\): \d+ exceeds the cap"):
+                builtin(name)
+    e = builtin("MERMIN(15)")
+    assert e.parties == 15
+    assert len(term_slots(e)[1]) == 2 ** 14
 
 
 def test_equality_and_repr():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from helpers import (
     random_expression,
     run_python,
     seesaw_run_reference,
+    stop_label_reference,
 )
 
 ROOT2 = math.sqrt(2.0)
@@ -361,24 +363,9 @@ def test_seesaw_stop_reasons(monkeypatch):
     assert len(capped.sweep_values) <= 2
 
 
-@pytest.mark.parametrize(
-    "values, label",
-    [
-        ([1.0], "converged"),
-        ([1.0, 1.0], "converged"),
-        ([1.0, 1.5, 1.5 + 5e-10], "converged"),  # tail 5e-10 * 1e-9 / (1 - 1e-9)
-        ([1.0, 1.0 + 1e-9, 1.0 + 1e-9 + 9e-10], "stalled"),  # r = 0.9, tail 8.1e-9
-        ([1.0, 1.0 + 2e-10, 1.0 + 5e-10], "stalled"),  # r >= 1
-        ([1.0, 1.0, 1.0 + 5e-10], "converged"),  # one positive gain
-        ([1.0, 1.0 + 5e-10, 1.0 + 5e-10], "converged"),  # last gain zero
-    ],
-)
-def test_stop_label(values, label):
-    assert quantum._stop_label(values) == label
-
-
 _CREEP = [0.5] * 7  # six sweeps that gained nothing, then a tail of four values
 _TAIL = [0.75, 0.875, 0.9375, 0.96875]  # gains 1/8, 1/16, 1/32: r = 0.5, limit 1.0
+_GAINING = [1.0 + k / 1024 for k in range(quantum._MAX_SWEEPS + 1)]  # r = 1 exactly
 
 
 def _limit_at_c1_plus_tol(values):
@@ -393,6 +380,41 @@ def _limit_at_c1_plus_tol(values):
         c1 = np.nextafter(c1, math.inf)
     assert c1 + quantum._TOL == limit
     return float(c1)
+
+
+def _reference_reason(values, c1):
+    """The stop reason from the independent label and "bounded" references."""
+    if values[-1] - values[-2] < quantum._TOL:
+        return stop_label_reference(values)
+    if bounded_reference(values, c1):
+        return "bounded"
+    return "max_sweeps" if len(values) > quantum._MAX_SWEEPS else None
+
+
+def _check_stop_reason(values, c1, reason):
+    if reason is RuntimeError:
+        with pytest.raises(RuntimeError, match="^see-saw objective decreased"):
+            quantum._stop_reason(values, c1)
+        return
+    assert quantum._stop_reason(values, c1) == reason
+    assert _reference_reason(values, c1) == reason
+
+
+@pytest.mark.parametrize(
+    "values, label",
+    [
+        ([1.0, 1.0 - 5e-10], "converged"),  # a fall within 1e-9 max(1, v) is no gain
+        ([1.0, 1.0], "converged"),
+        ([1.0, 1.5, 1.5 + 5e-10], "converged"),  # tail 5e-10 * 1e-9 / (1 - 1e-9)
+        ([1.0, 1.0 + 1e-9, 1.0 + 1e-9 + 9e-10], "stalled"),  # r = 0.9, tail 8.1e-9
+        ([1.0, 1.0 + 2e-10, 1.0 + 5e-10], "stalled"),  # r >= 1
+        ([1.0, 1.0, 1.0 + 5e-10], "converged"),  # one positive gain
+        ([1.0, 1.0 + 5e-10, 1.0 + 5e-10], "converged"),  # last gain zero
+    ],
+)
+def test_stop_label(values, label):
+    # a gain below _TOL: the label does not depend on c1
+    _check_stop_reason(values, 9.0, label)
 
 
 @pytest.mark.parametrize(
@@ -412,10 +434,25 @@ def _limit_at_c1_plus_tol(values):
     ],
 )
 def test_bounded_stop(values, c1, bounded):
+    # every last gain here is at least _TOL, so the restart either stops as
+    # "bounded" or sweeps on
     if c1 is None:
         c1 = _limit_at_c1_plus_tol(values)
-    assert quantum._bounded(values, c1) == bounded
-    assert bounded_reference(values, c1) == bounded
+    _check_stop_reason(values, c1, "bounded" if bounded else None)
+
+
+@pytest.mark.parametrize(
+    "values, reason",
+    [
+        ([1.0, 1.0 - 2e-9], RuntimeError),
+        ([1000.0, 1000.0 - 5e-7], "converged"),
+        ([1000.0, 1000.0 - 2e-6], RuntimeError),
+        (_GAINING, "max_sweeps"),  # still gaining 1/1024 a sweep at the cap
+        (_GAINING[:-1], None),
+    ],
+)
+def test_stop_reason(values, reason):
+    _check_stop_reason(values, 1.0, reason)
 
 
 def _reference_cases():
@@ -444,11 +481,12 @@ def test_seesaw_run_matches_reference(fixed, monkeypatch):
         ]
         refs = [seesaw_run_reference(expr, start, c1, fixed_state=psi) for start in starts]
         # one stack of both restarts, then one group per restart
-        for budget in (quantum._GROUP_ENTRIES, 4 ** m):
+        for budget in (quantum._GROUP_ENTRIES, 1):
             monkeypatch.setattr(quantum, "_GROUP_ENTRIES", budget)
-            runs = quantum._seesaw_runs(expr, iter(starts), c1, fixed_state=psi)
-            assert len(runs) == 2
-            for got, ref in zip(runs, refs):
+            runs = dict(quantum._seesaw_runs(expr, iter(starts), c1, fixed_state=psi))
+            assert sorted(runs) == [0, 1]
+            for i, ref in enumerate(refs):
+                got = runs[i]
                 assert got.value == ref.value
                 assert got.sweep_values == ref.sweep_values
                 assert np.array_equal(got.state, ref.state)
@@ -459,8 +497,8 @@ def test_seesaw_run_matches_reference(fixed, monkeypatch):
 def test_restarts_are_drawn_one_group_at_a_time(monkeypatch):
     expr, m = builtin("CH"), 2
     starts = [quantum._random_assignment(m, np.random.default_rng([0, r])) for r in range(5)]
-    whole = quantum._seesaw_runs(expr, starts, 4.0)
-    monkeypatch.setattr(quantum, "_GROUP_ENTRIES", 2 * 4 ** m)
+    whole = dict(quantum._seesaw_runs(expr, starts, 4.0))
+    monkeypatch.setattr(quantum, "_GROUP_ENTRIES", 2 * 2 ** 11)  # two restarts per group
     drawn, drawn_at_advance = [], []
     advance = quantum._advance
 
@@ -474,16 +512,37 @@ def test_restarts_are_drawn_one_group_at_a_time(monkeypatch):
             yield start
 
     monkeypatch.setattr(quantum, "_advance", spy)
-    grouped = quantum._seesaw_runs(expr, draw(), 4.0)
-    # the second group is not drawn before the first runs
+    grouped = {}
+    for i, run in quantum._seesaw_runs(expr, draw(), 4.0):
+        grouped[i] = run, len(drawn)
+    # the second group is not drawn before the first runs, and its runs come
+    # back before the third is drawn
     assert drawn_at_advance == [[0, 1], [0, 1, 2, 3], [0, 1, 2, 3, 4]]
-    assert len(grouped) == len(whole) == 5
-    for got, run in zip(grouped, whole):  # groups of two, two and one: the same runs
+    assert {i: at for i, (_, at) in grouped.items()} == {0: 2, 1: 2, 2: 4, 3: 4, 4: 5}
+    assert sorted(grouped) == sorted(whole) == list(range(5))
+    for i, run in whole.items():  # groups of two, two and one: the same runs
+        got = grouped[i][0]
         assert got.value == run.value
         assert got.sweep_values == run.sweep_values
         assert np.array_equal(got.state, run.state)
         assert got.witness == run.witness
         assert got.stop_reason == run.stop_reason
+
+
+def test_seesaw_memory_does_not_grow_with_restarts():
+    # only the best run is kept, and a group holds at most 256 restarts;
+    # keeping every finished run peaked at 3.59 MiB for 1000 restarts
+    # against 0.91 MiB for 250
+    expr = builtin("CHSH")
+    peaks = []
+    for restarts in (250, 1000):
+        tracemalloc.start()
+        try:
+            seesaw_lower(expr, restarts=restarts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 @pytest.mark.parametrize("fixed", [False, True], ids=["lower", "fixed_state"])
