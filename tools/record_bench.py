@@ -7,7 +7,7 @@ Run from anywhere inside the repository.  It drives bench/run.py unchanged,
 always with --trace 0.  For each workload a first calibration run makes one
 pass per input set on this tree; its mean pass time sets --seconds (through
 workloads.NOMINAL_PASS_S) so that every recorded run makes a whole number of
-rounds over the input sets and measures at least --min-work seconds of
+rounds over the input sets and measures at least MIN_WORK_S seconds of
 operations.  Then seeds 0 .. N-1 each give one run per side.  With --parent,
 REV is checked out with `git worktree` under a temporary directory, which is
 removed at the end, and the side that runs first alternates from seed to
@@ -36,6 +36,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
 
 METRICS = ("ok_ops_per_s", "peak_rss_mb", "setup_s")
+MIN_WORK_S = 5.0  # seconds of operations each recorded run measures at least
 
 
 def _git(*args) -> str:
@@ -56,12 +57,12 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(path.read_text())
 
 
-def calibrate(tree: Path, workload: str, min_work: float) -> tuple[float, int]:
-    """(--seconds, passes) for runs of at least min_work seconds of operations."""
+def calibrate(tree: Path, workload: str) -> tuple[float, int]:
+    """(--seconds, passes) for runs of at least MIN_WORK_S seconds of operations."""
     nominal = workloads.NOMINAL_PASS_S[workload]
     first = run_bench(tree, workload, 0, workloads.SETS * nominal)
     mean = statistics.fmean(first["pass_times"])
-    rounds = max(1, math.ceil(min_work / (workloads.SETS * mean)))
+    rounds = max(1, math.ceil(MIN_WORK_S / (workloads.SETS * mean)))
     passes = rounds * workloads.SETS
     return passes * nominal, passes
 
@@ -106,11 +107,11 @@ def record(args, parent) -> dict:
     trees = {"change": ROOT} if parent is None else {"change": ROOT, "parent": parent}
     doc = {"sides": {"change": {"commit": _git("rev-parse", "HEAD"), "dirty": bool(
         _git("status", "--porcelain", "--untracked-files=no"))}},
-        "seeds": list(range(args.seeds)), "min_work_s": args.min_work, "workloads": {}}
+        "seeds": list(range(args.seeds)), "min_work_s": MIN_WORK_S, "workloads": {}}
     if parent is not None:
         doc["sides"]["parent"] = {"rev": args.parent, "commit": _git("rev-parse", args.parent)}
-    for workload in args.workloads:
-        seconds, passes = calibrate(ROOT, workload, args.min_work)
+    for workload in workloads.WORKLOADS:
+        seconds, passes = calibrate(ROOT, workload)
         runs = {side: [] for side in trees}
         for seed in range(args.seeds):
             order = list(trees) if seed % 2 else list(reversed(trees))
@@ -136,13 +137,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--parent", help="revision to measure against, in alternating runs")
     parser.add_argument("--seeds", type=int, default=10)
-    parser.add_argument("--min-work", type=float, default=5.0,
-                        help="seconds of operations each run measures at least")
-    parser.add_argument("--workloads", nargs="+", choices=workloads.WORKLOADS,
-                        default=list(workloads.WORKLOADS))
     args = parser.parse_args(argv)
-    if args.seeds < 2 or args.min_work <= 0:
-        parser.error("--seeds must be at least 2 and --min-work positive")
+    if args.seeds < 2:
+        parser.error("--seeds must be at least 2")
     with contextlib.ExitStack() as stack:
         parent = None if args.parent is None else stack.enter_context(checkout(args.parent))
         doc = record(args, parent)
