@@ -168,20 +168,17 @@ def _ordered_values(slots: np.ndarray, coeffs: np.ndarray, codes: np.ndarray) ->
     slots and coeffs are those of `term_slots`.  The sign of term t at
     strategy k is `_PARITY_SIGN[k & mask_t]`, with mask_t = `_base4(slots[t])`.  A
     block of strategies becomes a (terms, strategies) array of signed
-    coefficients, summed down axis 0 by np.add.reduce: along an axis that
-    is not the fast one NumPy adds row after row, in term order (pairwise
-    summation is used only along the fast axis).  A block therefore never
-    holds a single strategy, which would make axis 0 the fast one.
+    coefficients, summed down axis 0 by np.add.accumulate, which adds row
+    after row in term order (np.sum is pairwise), as `closed_form_classical` sums.
     """
     masks = _base4(slots)
-    step = max(2, _EXACT_BLOCK // coeffs.size)
-    padded = np.append(codes, codes[-1:]) if codes.size % step == 1 else codes
-    out = np.empty(padded.size)
-    for lo in range(0, padded.size, step):
-        signed = _PARITY_SIGN[masks[:, None] & padded[None, lo : lo + step]]
+    step = max(1, _EXACT_BLOCK // coeffs.size)
+    out = np.empty(codes.size)
+    for lo in range(0, codes.size, step):
+        signed = _PARITY_SIGN[masks[:, None] & codes[None, lo : lo + step]]
         signed *= coeffs[:, None]
-        out[lo : lo + step] = np.add.reduce(signed, axis=0)
-    return out[: codes.size]
+        out[lo : lo + step] = np.add.accumulate(signed, axis=0, out=signed)[-1]
+    return out
 
 
 def lhv_bound(expr: BellExpression) -> ClassicalBoundResult:

@@ -174,7 +174,7 @@ def _from_lists(parties: int, patterns: list, coeffs: list) -> BellExpression:
     Rows sort by block (the first present party), then by slot party by
     party, which is the canonical order.  Each coefficient is added onto
     its row's zero in input order, so a merged duplicate is the same sum
-    as accumulating the entries one by one.
+    as accumulating the entries one by one.  The merged |coeff| sum must be finite.
     """
     slots = _pattern_slots(patterns, parties)
     values = np.fromiter(map(float, coeffs), dtype=float, count=len(patterns))
@@ -192,17 +192,25 @@ def _from_lists(parties: int, patterns: list, coeffs: list) -> BellExpression:
     group = np.empty(len(order), dtype=np.intp)
     group[order] = np.cumsum(starts) - 1
     sums = np.zeros(int(starts.sum()))
-    np.add.at(sums, group, values)
-    keep = sums != 0.0
-    return BellExpression(parties, ordered[starts][keep], sums[keep])
+    with np.errstate(over="ignore"):  # an overflowing merge or sum is reported below
+        np.add.at(sums, group, values)
+        keep = sums != 0.0
+        merged = sums[keep]
+        total = np.abs(merged).sum()
+    if not np.isfinite(total):  # the bounds' rounding margins scale with it
+        raise ValueError("the sum of |coeff| overflows the float range")
+    return BellExpression(parties, ordered[starts][keep], merged)
 
 
 def new_expression(parties: int, terms: Iterable[tuple[str, float]]) -> BellExpression:
     """Build an expression, merging duplicate patterns and dropping zero sums.
 
-    A ValueError for a bad pattern or coefficient names its entry as terms[i].
+    Raises ValueError for a party count that is not a positive int (a bool
+    is not one), for a bad pattern or a non-finite coefficient, naming its
+    entry as terms[i], and when the sum of |coeff| after merging overflows
+    the float range.
     """
-    if not isinstance(parties, int) or parties < 1:
+    if isinstance(parties, bool) or not isinstance(parties, int) or parties < 1:
         raise ValueError("parties must be a positive integer")
     pairs = list(terms)
     return _from_lists(parties, [p for p, _ in pairs], [c for _, c in pairs])

@@ -4,9 +4,10 @@ Expression documents: {"parties": m, "terms": [{"pattern": "...", "coeff": x}]}
 with patterns over {_, 0, 1}.  State documents: {"parties": m, "amplitudes":
 [{"index": "<m bits>", "re": x, "im": y}]}; omitted indices are zero.
 
-Structural problems (malformed JSON, missing or mistyped fields, bad
-patterns, a sum of |coeff| beyond the float range) raise ParseError; domain
-problems a well-formed document can still have (for states, a non-unit norm) keep their ValueError
+Structural problems (malformed JSON, missing or mistyped fields, and every
+ValueError of the expression constructor: bad patterns, a sum of |coeff|
+beyond the float range) raise ParseError; domain problems a well-formed
+document can still have (for states, a non-unit norm) keep their ValueError
 so callers can distinguish the two.  A state document with more than
 STATE_MAX_PARTIES (16) parties raises CapExceeded before its 2^m amplitude
 vector is allocated.
@@ -22,7 +23,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ParseError, check_cap
-from .expressions import STATE_MAX_PARTIES, BellExpression, _from_lists, term_slots
+from .expressions import STATE_MAX_PARTIES, BellExpression, _from_lists
 from .werner import PureFamily
 
 PathLike = Union[str, Path]
@@ -99,15 +100,10 @@ def expression_from_document(doc) -> BellExpression:
     if not isinstance(terms, list) or not terms:
         raise ParseError("expression document: field 'terms' must be a non-empty array")
     patterns, coeffs = _term_lists(terms) or _walk_terms(terms)
-    with np.errstate(over="ignore"):  # an overflowing sum is reported below
-        try:
-            expr = _from_lists(parties, patterns, coeffs)
-        except ValueError as exc:  # a bad pattern, named as terms[i]
-            raise ParseError(str(exc)) from exc
-        total = float(np.abs(term_slots(expr)[1]).sum())
-    if not math.isfinite(total):  # the bounds' rounding margins scale with it
-        raise ParseError("expression document: the sum of |coeff| overflows the float range")
-    return expr
+    try:
+        return _from_lists(parties, patterns, coeffs)
+    except ValueError as exc:  # a bad pattern, named as terms[i], or an overflowing |coeff| sum
+        raise ParseError(str(exc)) from exc
 
 
 def _read_json(path: PathLike, kind: str):

@@ -408,6 +408,7 @@ def _seesaw_runs(
     starts = enumerate(starts)
     while group := [(i, list(start)) for i, start in itertools.islice(starts, size)]:
         yield from _advance(expr, coeffs, layouts, group, c1, psi)
+        del group  # its observables go before the next group is drawn
 
 
 def _advance(expr, coeffs, layouts, group, c1, psi) -> Iterator[tuple[int, _Run]]:
@@ -462,7 +463,9 @@ def _best_of_restarts(
     expr: BellExpression, restarts: int, seed: int, fixed_state: Optional[np.ndarray] = None
 ) -> SeesawResult:
     """The restart loop shared by seesaw_lower and seesaw_fixed_state."""
-    # rejects a zero expression and checks the party cap before anything is allocated
+    # the operator cap first, as bell_operator checks it; lhv_bound then rejects
+    # a zero expression, all before any 2^m x 2^m matrix is allocated
+    check_cap(_OPERATOR, expr.parties, MAX_PARTIES)
     classical = lhv_bound(expr)
     if restarts < 1:
         raise ValueError("restarts must be at least 1")

@@ -25,12 +25,10 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .classical import MAX_PARTIES
 from .errors import check_cap
 from .expressions import STATE_MAX_PARTIES, BellExpression
 from .quantum import (
     _NORM_TOL,
-    _OPERATOR,
     DEFAULT_RESTARTS,
     SeesawResult,
     _sum_inverse_gammas,
@@ -70,19 +68,15 @@ class MonteCarloEstimate(NamedTuple):
 class MeasureConditionVerdict:
     """Outcome of the block-ratio smallness test for measure arguments.
 
-    satisfied mirrors strict_form (the tighter threshold); the looser
+    strict_form (the tighter threshold) is the verdict; the looser
     rearranged form is reported alongside, never used for the verdict.
     """
 
-    satisfied: bool
     strict_form: bool
     loose_form: bool
     sum_inverse_gammas: float
     threshold_strict: float
     threshold_loose: float
-
-    def __bool__(self) -> bool:
-        return self.satisfied
 
 
 def ghz_amplitudes(parties: int, theta: float) -> np.ndarray:
@@ -306,10 +300,8 @@ def undetectable_measure_condition(
     total = _sum_inverse_gammas(gammas)
     threshold_strict = poly_value / math.sqrt(3.0) - 1.0
     threshold_loose = (poly_value - 1.0) / math.sqrt(3.0)
-    strict = total < threshold_strict
     return MeasureConditionVerdict(
-        satisfied=strict,
-        strict_form=strict,
+        strict_form=total < threshold_strict,
         loose_form=total < threshold_loose,
         sum_inverse_gammas=total,
         threshold_strict=threshold_strict,
@@ -528,10 +520,10 @@ def detect_visibility(
     (1-v) Tr(B)/2^m + v <Psi|B|Psi> against the classical bound c1, which
     the see-saw computed for its warm start.  The visibility is None when
     even v = 1 shows no violation.  The maximally mixed end never violates,
-    so the crossing is bracketed whenever it exists.
+    so the crossing is bracketed whenever it exists.  A family with another
+    party count raises ValueError first; the see-saw then checks the
+    operator cap (CapExceeded) before it builds any operator.
     """
-    # first, so an expression over the cap is a cap violation whatever the family
-    check_cap(_OPERATOR, expr.parties, MAX_PARTIES)
     if family.parties != expr.parties:
         raise ValueError(f"family has {family.parties} parties, expression has {expr.parties}")
     psi = family.state_vector()

@@ -65,7 +65,8 @@ def reference_terms(parties, terms):
 
     The construction the term arrays replaced: validate each entry, add
     duplicates in input order as acc.get(p, 0.0) + c, drop zero sums and
-    sort by canonical_key.
+    sort by canonical_key.  The sum of |coeff| over the result, as np.sum
+    takes it in that order, must be finite.
     """
     if not isinstance(parties, int) or parties < 1:
         raise ValueError("parties must be a positive integer")
@@ -76,7 +77,12 @@ def reference_terms(parties, terms):
         if not math.isfinite(c):
             raise ValueError(f"coefficient for {pattern!r} is not finite")
         acc[pattern] = acc.get(pattern, 0.0) + c
-    return tuple(sorted(((p, c) for p, c in acc.items() if c != 0.0), key=canonical_key))
+    result = tuple(sorted(((p, c) for p, c in acc.items() if c != 0.0), key=canonical_key))
+    with np.errstate(over="ignore"):
+        total = np.abs([c for _, c in result]).sum()
+    if not math.isfinite(total):
+        raise ValueError("the sum of |coeff| overflows the float range")
+    return result
 
 
 class BlockView:

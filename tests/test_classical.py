@@ -321,6 +321,19 @@ def test_sign_table_stops_at_eight_parties():
         _ordered_values(slots, coeffs, np.array([0, 2**16]))
 
 
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_ordered_values_add_term_by_term(monkeypatch, m):
+    # np.add.accumulate down the terms is the term-by-term loop bit for bit,
+    # for one code and with every block holding a single strategy
+    expr = _dense_expression(np.random.default_rng(40 + m), m)
+    codes = np.random.default_rng(m).permutation(4**m)[:17]
+    loop = [strategy_value(expr, DeterministicStrategy.from_encoding(m, int(k))) for k in codes]
+    slots, coeffs = term_slots(expr)
+    assert _ordered_values(slots, coeffs, codes[:1]).tolist() == loop[:1]
+    monkeypatch.setattr(classical, "_EXACT_BLOCK", 1)
+    assert _ordered_values(slots, coeffs, codes).tolist() == loop
+
+
 def test_outcomes_give_the_encoded_strategy_values():
     rng = np.random.default_rng(33)
     expr = random_expression(rng, 3)

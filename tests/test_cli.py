@@ -418,10 +418,17 @@ def test_overflowing_coefficient_sum_is_an_input_error(capsys, overflow_file, ar
         code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == "" and caught == []
-    assert err == (
-        "error: expression document: the sum of |coeff| "
-        "overflows the float range\n"
-    )
+    assert err == "error: the sum of |coeff| overflows the float range\n"
+
+
+def test_nine_parties_name_the_operator_cap(capsys, tmp_path):
+    # bounds --seesaw and werner --expr reach the see-saw's own cap check
+    path = tmp_path / "nine.json"
+    save_expression(builtin("MERMIN(9)"), path)
+    seesaw = _run(capsys, ["bounds", str(path), "--seesaw"])
+    werner = _run(capsys, ["werner", "ghz", "--m", "9", "--theta", "0.6", "--expr", str(path)])
+    line = "error: parties for a 2^m x 2^m operator: 9 exceeds the cap of 8\n"
+    assert seesaw == werner == (4, "", line)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -96,6 +98,19 @@ def test_new_expression_merges_and_drops():
         new_expression(0, [])
 
 
+def test_new_expression_rejects_a_bool_party_count():
+    with pytest.raises(ValueError, match="^parties must be a positive integer$"):
+        new_expression(True, [("0", 1.0)])
+
+
+@pytest.mark.parametrize("patterns", [("00", "00"), ("00", "11")], ids=["merged", "distinct"])
+def test_overflowing_coefficient_sum_is_rejected(patterns):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^the sum of \|coeff\| overflows the float range$"):
+            new_expression(2, [(p, 1e308) for p in patterns])
+
+
 def test_vector_roundtrip():
     rng = np.random.default_rng(11)
     for _ in range(30):
@@ -183,13 +198,18 @@ def _valid(pattern, parties):
 @example((1, [("\ud800", 1.0)]))
 @example((3, [("010", 1.0), ("___", 1.0)]))
 @example((2, [("00", 1.0), (None, 1.0)]))
+@example((1, [("0", 1.0)] * 11 + [("0", 8.988465674311579e307), ("0", 8.98846567431158e307)]))
+@example((2, [("00", 1e308), ("11", 1e308)]))
 def test_array_construction_matches_reference(case):
     m, terms = case
     try:
         expected = reference_terms(m, terms)
-    except ValueError:
+    except ValueError as exc:
         with pytest.raises(ValueError) as err:
             new_expression(m, terms)
+        if all(_valid(p, m) for p, _ in terms):  # only the |coeff| sum is at fault
+            assert str(err.value) == str(exc)
+            return
         first = next(i for i, (p, _) in enumerate(terms) if not _valid(p, m))
         assert str(err.value).startswith(f"terms[{first}]: ")
         return

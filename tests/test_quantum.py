@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bellwerner import (
+    CapExceeded,
     ObservableAssignment,
     QubitObservable,
     analytic_quantum_upper,
@@ -732,3 +733,12 @@ def test_analytic_uppers():
     assert uppers.anticommuting < uppers.general
     with pytest.raises(ValueError):
         analytic_quantum_upper(builtin("CH"))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda expr: seesaw_lower(expr, restarts=1),
+    lambda expr: seesaw_fixed_state(expr, np.eye(2**9)[0], restarts=1),
+], ids=["seesaw_lower", "seesaw_fixed_state"])
+def test_seesaw_states_the_operator_cap(solve):
+    with pytest.raises(CapExceeded, match=r"^parties for a 2\^m x 2\^m operator: 9 exceeds"):
+        solve(builtin("MERMIN(9)"))

@@ -249,18 +249,18 @@ def test_first_failure_none_for_product_state():
 
 def test_measure_condition_examples():
     yes = undetectable_measure_condition(3, (1.0, 1.0), 6.0)
-    assert yes.satisfied and bool(yes)
+    assert yes.strict_form is True
     assert yes.sum_inverse_gammas == 2.0
     no = undetectable_measure_condition(3, (1.0, 1.0), 3.0)
-    assert not no.satisfied and not bool(no)
+    assert no.strict_form is False
     inf_case = undetectable_measure_condition(3, (math.inf, math.inf), 1.74)
-    assert inf_case.satisfied  # S = 0 passes any poly > sqrt(3)
+    assert inf_case.strict_form is True  # S = 0 passes any poly > sqrt(3)
 
 
 def test_measure_condition_variant_is_looser():
     verdict = undetectable_measure_condition(2, (1.1,), 2.65)
     assert verdict.threshold_loose > verdict.threshold_strict
-    assert verdict.strict_form is verdict.satisfied
+    assert (verdict.strict_form, verdict.loose_form) == (False, True)
 
 
 def test_measure_condition_validation():
@@ -546,6 +546,11 @@ def test_detect_visibility_party_cap():
         detect_visibility(
             builtin("MERMIN(9)"), GhzFamily(9, math.pi / 4), 0, restarts=1
         )
+
+
+def test_detect_visibility_checks_the_family_before_the_cap():
+    with pytest.raises(ValueError, match="^family has 3 parties, expression has 9$"):
+        detect_visibility(builtin("MERMIN(9)"), GhzFamily(3, 0.6))
 
 
 def _werner_detect_ghz_expressions(sets):
