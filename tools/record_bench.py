@@ -2,6 +2,7 @@
 against a parent revision measured on the same host in alternating runs.
 
     python3 tools/record_bench.py --out BENCH.json [--parent REV] [--seeds N]
+    python3 tools/record_bench.py --compare OLD.json NEW.json
 
 Run from anywhere inside the repository.  It drives bench/run.py unchanged,
 always with --trace 0.  For each workload a first calibration run makes one
@@ -9,9 +10,9 @@ pass per input set on this tree; its mean pass time sets --seconds (through
 workloads.NOMINAL_PASS_S) so that every recorded run makes a whole number of
 rounds over the input sets and measures at least MIN_WORK_S seconds of
 operations.  Then seeds 0 .. N-1 each give one run per side.  With --parent,
-REV is checked out with `git worktree` under a temporary directory, which is
-removed at the end, and the side that runs first alternates from seed to
-seed, so that host drift falls on both sides alike.
+REV's committed files are extracted with `git archive` into a temporary
+directory, which is removed at the end, and the side that runs first
+alternates from seed to seed, so that host drift falls on both sides alike.
 
 The output holds the machine block (cores, Python, NumPy, BLAS), and per
 workload and side the median and quartiles of ok_ops_per_s, peak_rss_mb and
@@ -19,6 +20,11 @@ setup_s, every run's values, whether every run was correct, and the failed
 and attempted operation counts.  With --parent it also holds, per metric,
 the number of pairs in which this tree did better than the parent, by the
 direction that BENCHMARK.json gives for the metric.
+
+--compare reads two such records and runs nothing.  Per workload and
+metric it prints the two change-side medians, their ratio NEW/OLD, and
+whether NEW is within the bound that BENCHMARK.json gives for the metric in
+its better direction.  It exits 0 either way.
 """
 
 import argparse
@@ -79,13 +85,17 @@ def summary(runs: list) -> dict:
     return out
 
 
+def end_to_end() -> dict:
+    """BENCHMARK.json's end-to-end metrics by name: unit, better direction and bound."""
+    return {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+
+
 def pairs_won(change: list, parent: list) -> dict:
     """Per metric, in how many seed pairs this tree beat the parent."""
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = end_to_end()
     won = {}
     for name in METRICS:
-        sign = 1.0 if better[name] == "higher" else -1.0
+        sign = 1.0 if metrics[name]["better"] == "higher" else -1.0
         won[name] = sum(sign * (c["metrics"][name]["value"] - p["metrics"][name]["value"]) > 0
                         for c, p in zip(change, parent))
     return won
@@ -93,14 +103,12 @@ def pairs_won(change: list, parent: list) -> dict:
 
 @contextlib.contextmanager
 def checkout(rev: str):
-    """A detached worktree of rev in a temporary directory, removed on exit."""
+    """The committed files of rev in a temporary directory, removed on exit."""
     with tempfile.TemporaryDirectory(prefix="record-bench-") as tmp:
-        tree = Path(tmp) / "parent"
-        _git("worktree", "add", "--detach", str(tree), rev)
-        try:
-            yield tree
-        finally:
-            _git("worktree", "remove", "--force", str(tree))
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True,
+                                 check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        yield Path(tmp)
 
 
 def record(args, parent) -> dict:
@@ -132,12 +140,36 @@ def record(args, parent) -> dict:
     return doc
 
 
+def compare(old_path: Path, new_path: Path) -> None:
+    """Print the change-side medians of two records, their ratio and the bound check."""
+    old, new = (json.loads(Path(p).read_text())["workloads"] for p in (old_path, new_path))
+    metrics = end_to_end()
+    print(f"{'workload':<18}{'metric':<14}{'old':>12}{'new':>12}{'new/old':>9}  within bound")
+    for workload in (w for w in workloads.WORKLOADS if w in old and w in new):
+        for name in METRICS:
+            before = old[workload]["change"][name]["median"]
+            after = new[workload]["change"][name]["median"]
+            bound = metrics[name]["bound"]
+            if metrics[name]["better"] == "higher":
+                within, rule = after >= before * (1.0 - bound), f">= {1.0 - bound:g}"
+            else:
+                within, rule = after <= before * (1.0 + bound), f"<= {1.0 + bound:g}"
+            print(f"{workload:<18}{name:<14}{before:>12.5g}{after:>12.5g}{after / before:>9.3f}  "
+                  f"{'yes' if within else 'NO'} (ratio {rule})")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, required=True)
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--out", type=Path)
+    action.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"),
+                        help="print the change-side medians of two records; runs nothing")
     parser.add_argument("--parent", help="revision to measure against, in alternating runs")
     parser.add_argument("--seeds", type=int, default=10)
     args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return 0
     if args.seeds < 2:
         parser.error("--seeds must be at least 2")
     with contextlib.ExitStack() as stack:
