@@ -18,43 +18,33 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 
 
-def _writer():
-    spec = importlib.util.spec_from_file_location("write_golden", ROOT / "tools" / "write_golden.py")
+def _module(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def _digits(value):
-    if isinstance(value, float):
-        return format(value, ".12g")
-    if isinstance(value, list):
-        return [_digits(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _digits(v) for k, v in value.items()}
-    return value
+_digits = _module(ROOT / "bench" / "oracle.py")._digits  # floats as 12-digit strings
 
 
 @pytest.fixture(scope="module")
 def written():
-    return _writer().corpus()
+    return _module(ROOT / "tools" / "write_golden.py").corpus()
 
 
 def test_writer_makes_the_committed_files(written):
     assert sorted(written) == sorted(p.name for p in GOLDEN.iterdir())
 
 
+def _matches(name, text):
+    path = GOLDEN / name
+    if not path.is_file():
+        return False
+    if name.endswith(".json"):
+        return _digits(json.loads(text)) == _digits(json.loads(path.read_text()))
+    return text == path.read_text()
+
+
 def test_reports_match_the_corpus(written):
-    moved = []
-    for name, text in sorted(written.items()):
-        path = GOLDEN / name
-        committed = path.read_text() if path.is_file() else None
-        if committed is None:
-            same = False
-        elif name.endswith(".json"):
-            same = _digits(json.loads(text)) == _digits(json.loads(committed))
-        else:
-            same = text == committed
-        if not same:
-            moved.append(name)
-    assert moved == []
+    assert [name for name, text in sorted(written.items()) if not _matches(name, text)] == []

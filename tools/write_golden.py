@@ -7,8 +7,8 @@ of input set 0 of the three benchmark workloads at seed 0, with inputs from
 bench/workloads.write_inputs in a temporary directory, plus `tables I`,
 `tables III` and three error paths: an empty expression path, a gamma scan
 over its sample cap and a malformed expression file.  Each operation runs
-once through bellwerner.cli.main with --format structured; its markdown and
-csv come from the same report through reports.render.
+once through bellwerner.cli.main with --format structured; its report is
+rendered again as structured, markdown and csv through reports.render.
 
 tests/golden/ then holds, for each successful operation NAME, NAME.json (the
 structured output), NAME.md and NAME.csv, and index.json holds every
@@ -86,11 +86,9 @@ def corpus() -> dict:
             if code != 0:
                 continue
             report = json.loads(out)
-            stamp = f'"timestamp": "{report["timestamp"]}"'
             report["timestamp"] = "<timestamp>"
-            files[f"{name}.json"] = mask(out.replace(stamp, '"timestamp": "<timestamp>"', 1))
-            files[f"{name}.md"] = mask(render(report, "markdown"))
-            files[f"{name}.csv"] = mask(render(report, "csv"))
+            for suffix, fmt in ((".json", "structured"), (".md", "markdown"), (".csv", "csv")):
+                files[name + suffix] = mask(render(report, fmt))
     files["index.json"] = json.dumps(index, indent=1) + "\n"
     return files
 
