@@ -46,7 +46,7 @@ from .quantum import (
     composite_ratio_upper,
     seesaw_lower,
 )
-from .reports import new_report, render
+from .reports import new_report, render, table
 from .werner import (
     GhzFamily,
     _check_sampler_size,
@@ -154,11 +154,11 @@ def cmd_bounds(args) -> tuple[dict, list]:
         "achieved_sign": outcome.achieved_sign,
         "composite_ratio_upper": a.composite,
         "tables": [
-            {
-                "title": "Blocks",
-                "columns": ["i", "block_lhv", "gamma_i"],
-                "rows": [[i, *row] for i, row in enumerate(zip(a.block_values, a.gammas), 1)],
-            }
+            table(
+                "Blocks",
+                ["i", "block_lhv", "gamma_i"],
+                [[i, *row] for i, row in enumerate(zip(a.block_values, a.gammas), 1)],
+            )
         ],
         "homogeneous": a.uppers is not None,
     }
@@ -173,18 +173,22 @@ def cmd_bounds(args) -> tuple[dict, list]:
     return results, a.warnings
 
 
+def _window_cells(window) -> list:
+    """theta_lower/pi and theta_upper/pi of a GHZ window; None for both when there is none."""
+    if window is None:
+        return [None, None]
+    return [window.theta_lower / math.pi, window.theta_upper / math.pi]
+
+
 def _window_table(kind: str, window, last_column: str, scale: float) -> dict:
     """Table I or III: the GHZ window window(m) of each m, its measure times scale."""
     rows = []
     for m in _TABLE_MS:
         w = window(m)
-        if w is None:
-            rows.append([m, "-", "-", "-"])
-        else:
-            rows.append([m, w.theta_lower / math.pi, w.theta_upper / math.pi, scale * w.measure])
+        rows.append([m, *_window_cells(w), None if w is None else scale * w.measure])
     title = f"Undetectable GHZ windows ({kind})"
     columns = ["m", "theta_lower/pi", "theta_upper/pi", last_column]
-    return {"tables": [{"title": title, "columns": columns, "rows": rows}]}
+    return {"tables": [table(title, columns, rows)]}
 
 
 def _table_ii(args) -> tuple[dict, list]:
@@ -196,16 +200,9 @@ def _table_ii(args) -> tuple[dict, list]:
     ]
     for scanned in gamma_scans(configs):
         m = scanned.parties
-        row = [m, scanned.samples]
-        skipped = 0
-        for i in range(1, 7):
-            if i > m:
-                row.append("-")
-                continue
-            est = scanned.estimates[i - 1]
-            skipped += est.skipped
-            row.append("-" if est.gamma_min is None else est.gamma_min)
-        rows.append(row)
+        minima = [est.gamma_min for est in scanned.estimates]  # one per block index 1..m
+        rows.append([m, scanned.samples, *minima] + [None] * (6 - m))
+        skipped = sum(est.skipped for est in scanned.estimates)
         if skipped:
             warnings.append(
                 (
@@ -214,12 +211,8 @@ def _table_ii(args) -> tuple[dict, list]:
                     "magnitude floor and were skipped",
                 )
             )
-    table = {
-        "title": "Sampled block-ratio minima",
-        "columns": ["m", "samples"] + [f"gamma_{i}" for i in range(1, 7)],
-        "rows": rows,
-    }
-    return {"tables": [table]}, warnings
+    columns = ["m", "samples"] + [f"gamma_{i}" for i in range(1, 7)]
+    return {"tables": [table("Sampled block-ratio minima", columns, rows)]}, warnings
 
 
 def cmd_tables(args) -> tuple[dict, list]:
@@ -313,26 +306,12 @@ def cmd_measure(args) -> tuple[dict, list]:
 
 def cmd_gamma(args) -> tuple[dict, list]:
     scanned = gamma_scan(GammaScanConfig(parties=args.m, samples=args.samples, seed=args.seed))
-    rows = []
-    for est in scanned.estimates:
-        rows.append(
-            [
-                est.index,
-                "-" if est.gamma_min is None else est.gamma_min,
-                "-" if est.witness_sample is None else est.witness_sample,
-                est.skipped,
-            ]
-        )
+    rows = [[e.index, e.gamma_min, e.witness_sample, e.skipped] for e in scanned.estimates]
+    columns = ["i", "gamma_min", "witness_sample", "skipped"]
     results = {
         "parties": scanned.parties,
         "samples": scanned.samples,
-        "tables": [
-            {
-                "title": "Sampled block-ratio minima",
-                "columns": ["i", "gamma_min", "witness_sample", "skipped"],
-                "rows": rows,
-            }
-        ],
+        "tables": [table("Sampled block-ratio minima", columns, rows)],
     }
     return results, []
 
@@ -352,9 +331,9 @@ def cmd_examples(args) -> tuple[dict, list]:
                 name,
                 m,
                 a.outcome.value,
-                "-" if a.closed_form is None else a.closed_form,
+                a.closed_form,
                 a.seesaw.value,
-                "-" if a.uppers is None else a.uppers.general,
+                None if a.uppers is None else a.uppers.general,
                 a.composite,
             ]
         )
@@ -369,48 +348,22 @@ def cmd_examples(args) -> tuple[dict, list]:
                 condition.sum_inverse_gammas,
                 condition.strict_form,
                 condition.loose_form,
-                "-" if window is None else window.theta_lower / math.pi,
-                "-" if window is None else window.theta_upper / math.pi,
+                *_window_cells(window),
             ]
         )
         if condition.strict_form != condition.loose_form:
             warnings.append(("loose-threshold-variant", f"{name}: {_VARIANT_NOTE}"))
 
-    results = {
-        "tables": [
-            {
-                "title": "Bounds",
-                "columns": [
-                    "example",
-                    "m",
-                    "lhv",
-                    "closed_form",
-                    "seesaw",
-                    "analytic_upper",
-                    "composite_ratio_upper",
-                ],
-                "rows": bound_rows,
-            },
-            {
-                "title": "Block ratios",
-                "columns": ["example", "i", "gamma_i"],
-                "rows": ratio_rows,
-            },
-            {
-                "title": "Condition verdicts",
-                "columns": [
-                    "example",
-                    "sum_inverse_gammas",
-                    "measure_condition",
-                    "measure_condition_variant",
-                    "theta_lower/pi",
-                    "theta_upper/pi",
-                ],
-                "rows": verdict_rows,
-            },
-        ]
-    }
-    return results, warnings
+    bound_columns = ["example", "m", "lhv", "closed_form", "seesaw", "analytic_upper",
+                     "composite_ratio_upper"]
+    verdict_columns = ["example", "sum_inverse_gammas", "measure_condition",
+                       "measure_condition_variant", "theta_lower/pi", "theta_upper/pi"]
+    tables = [
+        table("Bounds", bound_columns, bound_rows),
+        table("Block ratios", ["example", "i", "gamma_i"], ratio_rows),
+        table("Condition verdicts", verdict_columns, verdict_rows),
+    ]
+    return {"tables": tables}, warnings
 
 
 def _int_at_least(low: int):

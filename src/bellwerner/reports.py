@@ -12,6 +12,7 @@ Infinities become the strings "inf"/"-inf" (JSON has no literal for them).
 
 Results may carry a "tables" entry: a list of {"title", "columns", "rows"}
 mappings that the markdown and csv renderers lay out as actual tables.
+Tables are built by `table`, which prints a missing (None) cell as "-".
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ def clean_value(value):
     if hasattr(value, "tolist"):  # numpy scalars and arrays
         return clean_value(value.tolist())
     raise TypeError(f"cannot put {type(value).__name__} into a report")
+
+
+def table(title: str, columns, rows) -> dict:
+    """A results table: its title, column names and rows, a None cell as "-"."""
+    rows = [["-" if v is None else v for v in row] for row in rows]
+    return {"title": title, "columns": list(columns), "rows": rows}
 
 
 def new_report(
