@@ -82,8 +82,8 @@ _INCONSISTENT_NOTE = (
     "sample contradicts the bound for these inputs (see bound_consistent)"
 )
 _VARIANT_NOTE = (
-    "the looser threshold (poly - 1)/sqrt(3) changes the verdict; the stricter "
-    "poly/sqrt(3) - 1 form decides `satisfied`"
+    "the looser threshold (poly - 1)/sqrt(3) in `measure_condition_variant` changes the "
+    "verdict; the stricter poly/sqrt(3) - 1 form decides `measure_condition`"
 )
 _CLOSED_FORM_NOTE = (
     "closed form exceeds the enumerated bound; it is an upper envelope, not "

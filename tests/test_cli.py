@@ -302,7 +302,11 @@ def test_examples_command(capsys):
     assert ratios[("CHSH", 2)] == "inf"
     names = {w["name"] for w in rep["warnings"]}
     assert "closed-form-exceeds-enumeration" in names
-    assert "loose-threshold-variant" in names
+    variant = [w["message"] for w in rep["warnings"] if w["name"] == "loose-threshold-variant"]
+    assert [m.split(":")[0] for m in variant] == ["CH"]
+    # the verdict columns the note names exist; no `satisfied` field does
+    assert "`measure_condition`" in variant[0] and "`measure_condition_variant`" in variant[0]
+    assert "satisfied" not in variant[0]
 
 
 def test_seesaw_sweep_cap_warning(capsys, monkeypatch, tmp_path, chsh_file):
