@@ -1,6 +1,7 @@
 import json
 import math
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from bellwerner.reports import (
     serialize_report,
 )
 from helpers import parse_report
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_clean_value_significant_digits():
@@ -258,3 +261,24 @@ def test_nested_mapping_renders_key_by_key(fmt):
     # printed as one Python repr
     want = _PINNED_NESTED[fmt].replace("VERSION", __version__)
     assert render(_nested_report(), fmt) == want
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_table_prints_a_missing_cell_as_a_dash(position):
+    kept = [0, False, "inf", 2.5]
+    row = list(kept)
+    row[position] = None
+    built = reports.table("T", ("a", "b", "c", "d"), [kept, row])
+    assert built["title"] == "T" and built["columns"] == ["a", "b", "c", "d"]
+    first, second = built["rows"]
+    # 0 and False are values, not missing cells, and keep their types
+    assert [(type(v), v) for v in first] == [(int, 0), (bool, False), (str, "inf"), (float, 2.5)]
+    assert second == [("-" if i == position else v) for i, v in enumerate(kept)]
+
+
+def test_golden_tables_have_no_null_cell():
+    tables = [t for path in sorted(GOLDEN.glob("*.json"))
+              for t in json.loads(path.read_text()).get("results", {}).get("tables", [])]
+    assert len(tables) >= 10
+    assert ["-", "-", "-"] in [row[1:] for t in tables for row in t["rows"]]  # Table III, m = 2
+    assert not [row for t in tables for row in t["rows"] if None in row]
