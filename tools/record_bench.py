@@ -17,14 +17,20 @@ alternates from seed to seed, so that host drift falls on both sides alike.
 The output holds the machine block (cores, Python, NumPy, BLAS), and per
 workload and side the median and quartiles of ok_ops_per_s, peak_rss_mb and
 setup_s, every run's values, whether every run was correct, and the failed
-and attempted operation counts.  With --parent it also holds, per metric,
+and attempted operation counts.  Under "commands" it holds, per command
+label (such as bounds_seesaw_s), the median and quartiles of the command's
+seconds per pass: the seconds of the run's operations with that label,
+read from the result file's ops and divided by its pass count as
+bench/run.py's command_times does.  With --parent it also holds, per metric,
 the number of pairs in which this tree did better than the parent, by the
 direction that BENCHMARK.json gives for the metric.
 
 --compare reads two such records and runs nothing.  Per workload and
 metric it prints the two change-side medians, their ratio NEW/OLD, and
 whether NEW is within the bound that BENCHMARK.json gives for the metric in
-its better direction.  It exits 0 either way.
+its better direction.  Below those rows it prints, per workload and command
+that both records hold, the two change-side medians of seconds per pass and
+their ratio; no bound applies to them.  It exits 0 either way.
 """
 
 import argparse
@@ -73,15 +79,27 @@ def calibrate(tree: Path, workload: str) -> tuple[float, int]:
     return passes * nominal, passes
 
 
-def summary(runs: list) -> dict:
+def quartiles(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def command_seconds(result: dict) -> dict:
+    """Seconds per pass of each command label in one result file, in order of first use."""
     out = {}
-    for name in METRICS:
-        values = [r["metrics"][name]["value"] for r in runs]
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        out[name] = {"median": median, "q1": q1, "q3": q3, "runs": values}
+    for op in result["ops"]:
+        out[op["label"]] = out.get(op["label"], 0.0) + op["seconds"] / len(result["pass_times"])
+    return out
+
+
+def summary(runs: list) -> dict:
+    out = {name: quartiles([r["metrics"][name]["value"] for r in runs]) for name in METRICS}
     out["correct"] = all(r["correct"] for r in runs)
     out["failed"] = [r["failed"] for r in runs]
     out["attempted"] = [r["attempted"] for r in runs]
+    times = [command_seconds(r) for r in runs]
+    labels = dict.fromkeys(label for t in times for label in t)
+    out["commands"] = {label: quartiles([t.get(label, 0.0) for t in times]) for label in labels}
     return out
 
 
@@ -156,6 +174,15 @@ def compare(old_path: Path, new_path: Path) -> None:
                 within, rule = after <= before * (1.0 + bound), f"<= {1.0 + bound:g}"
             print(f"{workload:<18}{name:<14}{before:>12.5g}{after:>12.5g}{after / before:>9.3f}  "
                   f"{'yes' if within else 'NO'} (ratio {rule})")
+    rows = []
+    for workload in (w for w in workloads.WORKLOADS if w in old and w in new):
+        before, after = (r[workload]["change"].get("commands", {}) for r in (old, new))
+        for label in (label for label in after if label in before):
+            rows.append((workload, label, before[label]["median"], after[label]["median"]))
+    if rows:
+        print(f"\n{'workload':<18}{'command s/pass':<18}{'old':>12}{'new':>12}{'new/old':>9}")
+        for workload, label, before, after in rows:
+            print(f"{workload:<18}{label:<18}{before:>12.5g}{after:>12.5g}{after / before:>9.3f}")
 
 
 def main(argv=None) -> int:
