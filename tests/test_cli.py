@@ -303,7 +303,7 @@ def test_examples_command(capsys):
     names = {w["name"] for w in rep["warnings"]}
     assert "closed-form-exceeds-enumeration" in names
     variant = [w["message"] for w in rep["warnings"] if w["name"] == "loose-threshold-variant"]
-    assert [m.split(":")[0] for m in variant] == ["CH"]
+    assert [message.split(":")[0] for message in variant] == ["CH"]
     # the verdict columns the note names exist; no `satisfied` field does
     assert "`measure_condition`" in variant[0] and "`measure_condition_variant`" in variant[0]
     assert "satisfied" not in variant[0]
