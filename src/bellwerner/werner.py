@@ -341,20 +341,25 @@ def _check_sampler_size(parties: int, samples: int) -> None:
     check_cap(f"parties for Monte Carlo chunks of {count} samples", parties, limit)
 
 
-def _squared_blocks(rng: np.random.Generator, count: int, dim: int, buf: np.ndarray):
-    """(start, rows) blocks of the squares of a (count, dim) normal draw.
+def _chunk_squares(parties: int, seed: int, chunk_index: int, count: int, buf: np.ndarray):
+    """(start, rows) blocks of the squares of one Monte Carlo chunk's stream.
 
-    Row blocks hold at most _MC_BLOCK values (one row when a row is longer)
-    in buf, max(_MC_BLOCK, dim) doubles that each block overwrites.  Draws
-    continue the Generator's stream, so the blocks are exactly the rows of
-    rng.standard_normal((count, dim)) ** 2.
+    The stream, np.random.default_rng([seed, chunk_index]), draws the real
+    parts, (count, 2^m) standard normals, then the imaginary parts; each part
+    comes squared, in row blocks of at most _MC_BLOCK values (one row when a
+    row is longer) that overwrite buf, max(_MC_BLOCK, 2^m) doubles.  The hit
+    count and its exact recheck both read it here, so a recheck redraws
+    exactly what the count drew.
     """
+    dim = 2 ** parties
+    rng = np.random.default_rng([seed, chunk_index])
     step = max(1, _MC_BLOCK // dim)
-    for start in range(0, count, step):
-        rows = buf[: min(step, count - start) * dim].reshape(-1, dim)
-        rng.standard_normal(out=rows)
-        np.square(rows, out=rows)
-        yield start, rows
+    for _part in range(2):  # the real parts, then the imaginary parts
+        for start in range(0, count, step):
+            rows = buf[: min(step, count - start) * dim].reshape(-1, dim)
+            rng.standard_normal(out=rows)
+            np.square(rows, out=rows)
+            yield start, rows
 
 
 def _mc_chunk_hits(
@@ -362,10 +367,9 @@ def _mc_chunk_hits(
 ) -> int:
     """Samples of one chunk whose pair weight exceeds threshold, streamed.
 
-    The chunk's stream is the real parts, a (count, 2^m) draw, then the
-    imaginary parts.  Their squares a, b come in row blocks drawn into buf
-    (`_squared_blocks`); per sample only w_0 = a_0 + b_0, w_last and the
-    two row sums A = sum a, B = sum b are kept.  The numerator
+    The squares a, b of the chunk's real and imaginary parts come in row
+    blocks (`_chunk_squares`); per sample only w_0 = a_0 + b_0, w_last and
+    the two row sums A = sum a, B = sum b are kept.  The numerator
     N = w_0 + w_last is the dense one bit for bit; T' = A + B differs from
     the dense T = sum (a + b) by rounding only.
 
@@ -386,14 +390,12 @@ def _mc_chunk_hits(
     """
     count = min(_MC_CHUNK, samples - chunk_index * _MC_CHUNK)
     dim = 2 ** parties
-    rng = np.random.default_rng([seed, chunk_index])
     head, tail, total = np.zeros((3, count))
-    for _part in range(2):  # the real parts, then the imaginary parts
-        for start, rows in _squared_blocks(rng, count, dim, buf):
-            span = slice(start, start + rows.shape[0])
-            head[span] += rows[:, 0]
-            tail[span] += rows[:, -1]
-            total[span] += np.einsum("ij->i", rows)  # no BLAS call, so no BLAS threads
+    for start, rows in _chunk_squares(parties, seed, chunk_index, count, buf):
+        span = slice(start, start + rows.shape[0])
+        head[span] += rows[:, 0]
+        tail[span] += rows[:, -1]
+        total[span] += np.einsum("ij->i", rows)  # no BLAS call, so no BLAS threads
     pair = (head + tail) / total
     margin = (2 * dim + 8) * 2.0**-52 * pair + 2.0**-1022
     above = pair - margin > threshold
@@ -410,17 +412,14 @@ def _mc_recheck(
 ) -> int:
     """Hits among the sorted sample rows `picked`, decided as the dense code.
 
-    Redraws the chunk's stream block by block into buf and keeps only the picked
+    Redraws the chunk's stream (`_chunk_squares`) and keeps only the picked
     rows of the weights w = a + b, in one C-contiguous array whose row sums
     do not depend on how many rows it has; pair = (w_0 + w_last) / sum w.
     """
-    dim = 2 ** parties
-    rng = np.random.default_rng([seed, chunk_index])
-    weights = np.zeros((picked.size, dim))
-    for _part in range(2):
-        for start, rows in _squared_blocks(rng, count, dim, buf):
-            lo, hi = np.searchsorted(picked, [start, start + rows.shape[0]])
-            weights[lo:hi] += rows[picked[lo:hi] - start]
+    weights = np.zeros((picked.size, 2 ** parties))
+    for start, rows in _chunk_squares(parties, seed, chunk_index, count, buf):
+        lo, hi = np.searchsorted(picked, [start, start + rows.shape[0]])
+        weights[lo:hi] += rows[picked[lo:hi] - start]
     pair = (weights[:, 0] + weights[:, -1]) / weights.sum(axis=1)
     return int(np.count_nonzero(pair > threshold))
 
