@@ -41,6 +41,7 @@ from .werner import (
     PureFamily,
     ThetaRange,
     detect_visibility,
+    exact_pair_fraction,
     ghz_amplitudes,
     ghz_separability_threshold,
     max_pair_product,
@@ -90,6 +91,7 @@ __all__ = [
     "closed_form_classical",
     "composite_ratio_upper",
     "detect_visibility",
+    "exact_pair_fraction",
     "gamma_scan",
     "ghz_amplitudes",
     "ghz_separability_threshold",

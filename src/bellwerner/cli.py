@@ -51,6 +51,7 @@ from .werner import (
     GhzFamily,
     _check_sampler_size,
     detect_visibility,
+    exact_pair_fraction,
     ghz_separability_threshold,
     max_pair_product,
     measure_lower_bound,
@@ -76,10 +77,6 @@ _PAIR_WEIGHT_NOTE = (
     "sampled membership uses the reference pair weight p(0..0) + p(1..1) > c^2, "
     "which the closed-form lower bound covers; the per-pair product variant is "
     "vacuous whenever poly + 1 >= 2^(m-1)"
-)
-_INCONSISTENT_NOTE = (
-    "fraction + 3 std_error lies below the closed-form lower bound, so the "
-    "sample contradicts the bound for these inputs (see bound_consistent)"
 )
 _VARIANT_NOTE = (
     "the looser threshold (poly - 1)/sqrt(3) in `measure_condition_variant` changes the "
@@ -288,19 +285,21 @@ def cmd_measure(args) -> tuple[dict, list]:
     _check_sampler_size(args.m, args.samples)  # before the closed form overflows
     bound = measure_lower_bound(args.m, args.poly)
     est = measure_monte_carlo(args.m, args.poly, args.samples, args.seed)
-    high = est.fraction + 3.0 * est.std_error
+    exact = exact_pair_fraction(args.m, args.poly)
     results = {
         "lower_bound": bound,
         "fraction": est.fraction,
         "std_error": est.std_error,
         "hits": est.hits,
         "samples": est.samples,
-        "fraction_plus_3se": high,
-        "bound_consistent": bool(high >= bound),
+        "fraction_plus_3se": est.fraction + 3.0 * est.std_error,
+        "bound_consistent": exact >= bound,
     }
     warnings = [("membership-pair-weight", _PAIR_WEIGHT_NOTE)]
     if not results["bound_consistent"]:
-        warnings.append(("measure-bound-inconsistent", _INCONSISTENT_NOTE))
+        note = (f"the exact share {exact:.4g} lies below the closed-form lower bound "
+                f"{bound:.4g}, so the bound fails for these inputs (see bound_consistent)")
+        warnings.append(("measure-bound-inconsistent", note))
     return results, warnings
 
 

@@ -57,6 +57,7 @@ import ctypes
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -77,6 +78,7 @@ _GROUP_ENTRIES = 2 ** 19  # a group's restarts times max(4^m, 2^11); a 2^m x 2^m
 _OPERATOR = "parties for a 2^m x 2^m operator"
 _BLAS_THREADS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
                  "openblas_{}_num_threads")  # OpenBLAS thread-count functions, {} get or set
+_BLAS_LOCK = threading.Lock()  # the thread count is process-wide: one save-solve-restore at a time
 
 _IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
 
@@ -297,11 +299,12 @@ def _dominant_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     to the largest eigenvalue.  eigh runs on one OpenBLAS thread if it can.
     """
     get, put = _openblas_threads() or (lambda: None, lambda threads: None)
-    threads, _ = get(), put(1)
-    try:
-        w, v = np.linalg.eigh(_finite(h))
-    finally:
-        put(threads)
+    with _BLAS_LOCK:
+        threads, _ = get(), put(1)
+        try:
+            w, v = np.linalg.eigh(_finite(h))
+        finally:
+            put(threads)
     top = np.abs(w[..., -1]) >= np.abs(w[..., 0])
     return np.where(top, w[..., -1], w[..., 0]), np.where(top[..., None], v[..., -1], v[..., 0])
 

@@ -319,6 +319,19 @@ def measure_lower_bound(parties: int, poly_value: float) -> float:
     return (1.0 - c * c) ** _two_to(parties - 1, parties)
 
 
+def exact_pair_fraction(parties: int, poly_value: float) -> float:
+    """The share of uniform pure states with p_{0...0} + p_{1...1} > t = c^2, c as above.
+
+    The pair weight is Beta(2, d - 2), d = 2^m, so the share is (1 - t)^(d-2) (1 + (d - 2) t),
+    0 once t >= 1.  measure_lower_bound bounds it from below exactly when
+    (d/2 - 2) ln(1 - t) + ln(1 + (d - 2) t) >= 0: at m = 3 when t <= 1/2, that is
+    poly_value <= 4 sqrt(2) - 1 (at 5.5 the share is 0.0076 and the "bound" 0.0133).
+    """
+    d = 2 ** parties
+    t = ((poly_value + 1.0) / d) ** 2
+    return 0.0 if t >= 1.0 else (1.0 - t) ** (d - 2) * (1.0 + (d - 2) * t)
+
+
 def max_pair_product(amplitudes) -> float:
     """max_j p_j p_jc over complementary index pairs."""
     p = _validated_probabilities(amplitudes)
@@ -473,11 +486,7 @@ def measure_monte_carlo(
     The per-pair product form of the test is unattainable once poly_value + 1
     >= 2^(m-1) (pair products never exceed 1/4), so it is not used.  By
     symmetry of the uniform measure, any fixed complementary pair gives the
-    same distribution.  With d = 2^m and t = c^2 the exact share is
-    (1 - t)^(d-2) (1 + (d - 2) t), and measure_lower_bound's (1 - t)^(d/2)
-    bounds it from below exactly when (d/2 - 2) ln(1 - t) + ln(1 + (d - 2) t) >= 0:
-    at m = 3 when t <= 1/2, that is poly_value <= 4 sqrt(2) - 1 (at 5.5 the
-    share is 0.0076 and the "bound" 0.0133).
+    same distribution, whose exact share exact_pair_fraction gives.
 
     Sampling is chunked with substreams keyed by (seed, chunk index) and hit
     counts are integers, so the estimate is identical for any worker count.

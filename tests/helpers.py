@@ -647,20 +647,6 @@ def mc_chunk_pairs_dense(parties, seed, samples, chunk_index):
     return (re[:, 0] + re[:, -1]) / total
 
 
-def exact_pair_fraction(parties, poly_value):
-    """P(p_{0...0} + p_{1...1} > c^2) under the uniform pure-state measure.
-
-    The pair weight of a uniform unit vector in C^d is Beta(2, d - 2), whose
-    upper tail at t = c^2 is (1 - t)^(d - 2) (1 + (d - 2) t); d = 2^m and
-    c = 2^-m (poly_value + 1).  (For d = 2 the weight is 1.)
-    """
-    d = 2**parties
-    t = ((poly_value + 1.0) / d) ** 2
-    if t >= 1.0:
-        return 0.0
-    return (1.0 - t) ** (d - 2) * (1.0 + (d - 2) * t)
-
-
 def expression_from_document_loop(doc):
     """expression_from_document by its per-entry loop over `terms`.
 

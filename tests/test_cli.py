@@ -259,14 +259,35 @@ def test_measure_command(capsys):
 
 
 def test_measure_warns_when_the_bound_is_inconsistent(capsys):
-    # fraction 0.00091 + 3 std errors stays below the bound 0.0030; the
-    # report says so by name and still exits 0
+    # the exact share 0.00093 lies below the bound 0.0030; the report says
+    # so by name and still exits 0
     rep = _structured(capsys, ["measure", "--m", "3", "--poly", "6", "--samples", "200000"])
     assert rep["results"]["bound_consistent"] is False
     assert [w["name"] for w in rep["warnings"]] == [
         "membership-pair-weight",
         "measure-bound-inconsistent",
     ]
+
+
+@pytest.mark.parametrize("samples", [100, 20000])
+@pytest.mark.parametrize("m, poly, consistent", [
+    (3, 4.7, False), (3, 4.6, True), (3, 3.0, True), (6, 3.0, True), (10, 3.0, True),
+])
+def test_measure_decides_bound_consistent_from_the_exact_share(capsys, samples, m, poly,
+                                                                consistent):
+    # at m = 3, poly 4.6 and 4.7 sit on either side of 4 sqrt(2) - 1, where t = c^2 = 1/2:
+    # exact shares 0.0693 and 0.0576 against bounds 0.0677 and 0.0588, whatever the sample
+    argv = ["measure", "--m", str(m), "--poly", str(poly), "--samples", str(samples)]
+    rep = _structured(capsys, argv)
+    assert rep["results"]["bound_consistent"] is consistent
+    inconsistent = [w["message"] for w in rep["warnings"]
+                    if w["name"] == "measure-bound-inconsistent"]
+    if consistent:
+        assert inconsistent == []
+    else:
+        assert inconsistent == ["the exact share 0.05763 lies below the closed-form lower "
+                                "bound 0.05876, so the bound fails for these inputs "
+                                "(see bound_consistent)"]
 
 
 def test_measure_rejects_saturated_constant(capsys):

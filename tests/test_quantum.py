@@ -1,5 +1,7 @@
+import contextlib
 import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -626,6 +628,42 @@ def test_seesaw_restores_the_blas_thread_count(monkeypatch):
         assert get() == 2
     finally:
         put(before)
+
+
+def test_concurrent_eigensolves_leave_the_blas_thread_count_as_found(monkeypatch):
+    # two threads' eigensolves try to overlap; unguarded, the second saves the
+    # first's 1 and restores it after the first restored 2
+    count = [2]
+    eigh = np.linalg.eigh
+    seen, arrivals = [], itertools.count()
+    overlap = threading.Barrier(2, timeout=0.5)
+    first_restored = threading.Event()
+
+    def fake_eigh(h):
+        second = next(arrivals) == 1
+        seen.append(count[0])
+        with contextlib.suppress(threading.BrokenBarrierError):
+            overlap.wait()
+        if second:  # let the first caller restore its count before this one returns
+            first_restored.wait(timeout=5.0)
+        return eigh(h)
+
+    def put_spy(n):
+        count[0] = n
+        if n != 1:
+            first_restored.set()
+
+    monkeypatch.setattr(quantum, "_openblas_threads", lambda: (lambda: count[0], put_spy))
+    monkeypatch.setattr(np.linalg, "eigh", fake_eigh)
+    threads = [threading.Thread(target=quantum._dominant_eig, args=(np.eye(2),))
+               for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10.0)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [1, 1]
+    assert count[0] == 2
 
 
 def test_nonfinite_update_raises_in_its_sweep(monkeypatch):

@@ -32,10 +32,9 @@ from bellwerner import (
 )
 
 from bellwerner import werner
-from bellwerner.werner import _MC_BLOCK, _MC_CHUNK, _mc_chunk_hits, summed
+from bellwerner.werner import _MC_BLOCK, _MC_CHUNK, _mc_chunk_hits, exact_pair_fraction, summed
 from helpers import (
     equatorial_lower,
-    exact_pair_fraction,
     mc_chunk_pairs_dense,
     separability_necessary_check,
     separability_upper_bound_loop,
