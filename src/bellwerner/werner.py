@@ -320,7 +320,7 @@ def measure_lower_bound(parties: int, poly_value: float) -> float:
 
 
 def exact_pair_fraction(parties: int, poly_value: float) -> float:
-    """The share of uniform pure states with p_{0...0} + p_{1...1} > t = c^2, c as above.
+    """Share of uniform pure states with p_{0...0} + p_{1...1} > t = c^2, c = 2^-m (poly_value + 1).
 
     The pair weight is Beta(2, d - 2), d = 2^m, so the share is (1 - t)^(d-2) (1 + (d - 2) t),
     0 once t >= 1.  measure_lower_bound bounds it from below exactly when
