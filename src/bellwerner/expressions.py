@@ -44,7 +44,7 @@ from .errors import check_cap
 ABSENT = "_"
 STATE_MAX_PARTIES = 16  # the parties of a 2^m state vector
 
-# slot of each character code below 128: "_" 0, "0" 1, "1" 2, any other 3
+# slot of each ASCII code: "_" 0, "0" 1, "1" 2, any other 3
 _SLOT_OF = np.full(128, 3, dtype=np.intp)
 _SLOT_OF[[ord(ABSENT), ord("0"), ord("1")]] = [0, 1, 2]
 _SYMBOLS = np.frombuffer(b"_01", dtype=np.uint8)
@@ -69,20 +69,15 @@ def _pattern_slots(patterns: list, parties: int) -> np.ndarray:
 
     Raises ValueError naming the first invalid entry as terms[i].
     """
-    count = len(patterns)
     try:
-        encoded = "".join(patterns).encode("utf-32-le", "surrogatepass")
-        codes = np.frombuffer(encoded, dtype="<u4")
-    except TypeError:  # a pattern is not a string
+        codes = np.frombuffer("".join(patterns).encode("ascii"), dtype=np.uint8)
+    except (TypeError, UnicodeEncodeError):  # a pattern is not an ASCII string
         pass
     else:
-        slots = _SLOT_OF[np.minimum(codes, len(_SLOT_OF) - 1)]
-        lengths = np.fromiter(map(len, patterns), dtype=np.intp, count=count)
-        owner = np.repeat(np.arange(count), lengths)
-        invalid = np.bincount(owner, slots == 3, count) > 0
-        present = np.bincount(owner, slots != 0, count)
-        if not ((lengths != parties) | invalid | (present == 0)).any():
-            return slots.reshape(count, parties)
+        if set(map(len, patterns)) <= {parties}:
+            slots = _SLOT_OF[codes].reshape(len(patterns), parties)
+            if not (slots == 3).any() and (slots != 0).any(axis=1).all():
+                return slots
     first = next(i for i, p in enumerate(patterns) if _pattern_problem(p, parties))
     raise ValueError(f"terms[{first}]: {_pattern_problem(patterns[first], parties)}")
 

@@ -198,6 +198,8 @@ def _valid(pattern, parties):
 @example((1, [("\ud800", 1.0)]))
 @example((3, [("010", 1.0), ("___", 1.0)]))
 @example((2, [("00", 1.0), (None, 1.0)]))
+@example((2, [("0", 1.0), ("000", 1.0)]))  # ragged, yet its total length is count * parties
+@example((2, [("0\x00", 1.0)]))  # an ASCII control character
 @example((1, [("0", 1.0)] * 11 + [("0", 8.988465674311579e307), ("0", 8.98846567431158e307)]))
 @example((2, [("00", 1e308), ("11", 1e308)]))
 def test_array_construction_matches_reference(case):
