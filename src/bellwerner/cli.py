@@ -50,6 +50,7 @@ from .reports import new_report, render, table
 from .werner import (
     GhzFamily,
     _check_sampler_size,
+    _pair_bound_root,
     detect_visibility,
     exact_pair_fraction,
     ghz_separability_threshold,
@@ -296,9 +297,11 @@ def cmd_measure(args) -> tuple[dict, list]:
         "bound_consistent": exact >= bound,
     }
     warnings = [("membership-pair-weight", _PAIR_WEIGHT_NOTE)]
-    if not results["bound_consistent"]:
-        note = (f"the exact share {exact:.4g} lies below the closed-form lower bound "
-                f"{bound:.4g}, so the bound fails for these inputs (see bound_consistent)")
+    if not results["bound_consistent"]:  # only when t > t*(m), so m >= 3
+        root = _pair_bound_root(args.m)
+        note = (f"the exact share {exact:.4g} lies below the closed-form lower bound {bound:.4g}, "
+                f"so the bound fails for these inputs (see bound_consistent); it holds up to "
+                f"t*({args.m}) = {root:.6g}, poly = {2 ** args.m * math.sqrt(root) - 1:.6g}")
         warnings.append(("measure-bound-inconsistent", note))
     return results, warnings
 

@@ -4,7 +4,7 @@ Expression documents: {"parties": m, "terms": [{"pattern": "...", "coeff": x}]}
 with patterns over {_, 0, 1}.  State documents: {"parties": m, "amplitudes":
 [{"index": "<m bits>", "re": x, "im": y}]}; omitted indices are zero.
 
-Structural problems (malformed JSON, missing or mistyped fields, and every
+Structural problems (a file that is not UTF-8, malformed JSON, missing or mistyped fields, and every
 ValueError of the expression constructor: bad patterns, a sum of |coeff|
 beyond the float range) raise ParseError; domain problems a well-formed
 document can still have (for states, a non-unit norm) keep their ValueError
@@ -111,9 +111,11 @@ def _read_json(path: PathLike, kind: str):
     if path == "":  # Path("") would name the current directory
         raise ParseError(f"cannot read {kind} file: the path is empty")
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")  # JSON is UTF-8 (RFC 8259)
     except OSError as exc:
         raise ParseError(f"cannot read {kind} file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{kind} file {path}: not UTF-8 at byte {exc.start}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

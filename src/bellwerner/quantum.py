@@ -282,7 +282,8 @@ def _finite(h: np.ndarray) -> np.ndarray:
 def _openblas_threads() -> Optional[tuple]:
     """(get, set) of this process's OpenBLAS thread count by ctypes, found once; else None."""
     with contextlib.suppress(OSError), open("/proc/self/maps") as fh:
-        libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and "/" in ln})
+        libs = sorted({ln.split(maxsplit=5)[-1].strip()  # the pathname may hold spaces
+                       for ln in fh if "openblas" in ln.lower() and "/" in ln})
         for lib, name in itertools.product(libs, _BLAS_THREADS):
             with contextlib.suppress(AttributeError, OSError):
                 get, put = (getattr(ctypes.CDLL(lib), name.format(verb)) for verb in ("get", "set"))

@@ -323,13 +323,22 @@ def exact_pair_fraction(parties: int, poly_value: float) -> float:
     """Share of uniform pure states with p_{0...0} + p_{1...1} > t = c^2, c = 2^-m (poly_value + 1).
 
     The pair weight is Beta(2, d - 2), d = 2^m, so the share is (1 - t)^(d-2) (1 + (d - 2) t),
-    0 once t >= 1.  measure_lower_bound bounds it from below exactly when
-    (d/2 - 2) ln(1 - t) + ln(1 + (d - 2) t) >= 0: at m = 3 when t <= 1/2, that is
-    poly_value <= 4 sqrt(2) - 1 (at 5.5 the share is 0.0076 and the "bound" 0.0133).
+    0 once t >= 1.  measure_lower_bound bounds it from below exactly when t <= _pair_bound_root(m).
     """
     d = 2 ** parties
     t = ((poly_value + 1.0) / d) ** 2
     return 0.0 if t >= 1.0 else (1.0 - t) ** (d - 2) * (1.0 + (d - 2) * t)
+
+
+def _pair_bound_root(parties: int) -> Optional[float]:
+    """t*(m), the root of (d/2 - 2) log1p(-t) + log1p((d - 2) t), d = 2^m; None if m <= 2."""
+    if parties <= 2:  # the function is positive on all of (0, 1)
+        return None
+    d, lo, hi = 2.0 ** parties, 0.0, 1.0
+    while lo < (mid := (lo + hi) / 2) < hi:  # bisect on floats down to adjacent ends
+        f = (d / 2 - 2) * math.log1p(-mid) + math.log1p((d - 2) * mid)
+        lo, hi = (mid, hi) if f >= 0.0 else (lo, mid)
+    return lo
 
 
 def max_pair_product(amplitudes) -> float:

@@ -85,6 +85,14 @@ def test_bounds_bad_json(capsys, tmp_path):
     assert "line" in err
 
 
+def test_bounds_file_not_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"parties": 1, "terms": [{"pattern": "\xff", "coeff": 1}]}')
+    code, out, err = _run(capsys, ["bounds", str(path)])
+    assert code == 2 and out == ""
+    assert err == f"error: expression file {path}: not UTF-8 at byte 38\n"
+
+
 @pytest.mark.parametrize(
     "pattern, problem",
     [
@@ -287,7 +295,23 @@ def test_measure_decides_bound_consistent_from_the_exact_share(capsys, samples, 
     else:
         assert inconsistent == ["the exact share 0.05763 lies below the closed-form lower "
                                 "bound 0.05876, so the bound fails for these inputs "
-                                "(see bound_consistent)"]
+                                "(see bound_consistent); it holds up to t*(3) = 0.5, "
+                                "poly = 4.65685"]
+
+
+@pytest.mark.parametrize("m", range(3, 14))
+def test_measure_bound_consistent_flips_at_the_pair_bound_root(capsys, m):
+    # poly*(m) = 2^m sqrt(t*(m)) - 1; a relative step of 1e-9 either side decides the verdict
+    root = werner._pair_bound_root(m)
+    poly = 2 ** m * math.sqrt(root) - 1
+    for step, consistent in ((-1e-9, True), (1e-9, False)):
+        argv = ["measure", "--m", str(m), "--poly", repr(poly * (1 + step)), "--samples", "100"]
+        rep = _structured(capsys, argv)
+        assert rep["results"]["bound_consistent"] is consistent
+        inconsistent = [w["message"] for w in rep["warnings"]
+                        if w["name"] == "measure-bound-inconsistent"]
+        assert len(inconsistent) == (not consistent)
+        assert all(f"t*({m}) = {root:.6g}, poly = {poly:.6g}" in w for w in inconsistent)
 
 
 def test_measure_rejects_saturated_constant(capsys):

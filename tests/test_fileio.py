@@ -182,6 +182,23 @@ def test_load_expression_missing_file(tmp_path):
         load_expression(tmp_path / "absent.json")
 
 
+@pytest.mark.parametrize(
+    "load, kind, data",
+    [
+        (load_expression, "expression",
+         b'{"parties": 1, "terms": [{"pattern": "\xff", "coeff": 1}]}'),
+        (load_state, "state", b'{"parties": 1, "amplitudes": [{"index": "\xff", "re": 1}]}'),
+    ],
+    ids=["expression", "state"],
+)
+def test_load_file_not_utf8(tmp_path, load, kind, data):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert str(err.value) == f"{kind} file {path}: not UTF-8 at byte {data.index(0xFF)}"
+
+
 def test_state_roundtrip(tmp_path):
     fam = PureFamily(ghz_amplitudes(3, 0.7))
     path = tmp_path / "ghz3.json"

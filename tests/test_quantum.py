@@ -1,6 +1,8 @@
 import contextlib
+import io
 import itertools
 import math
+import os
 import threading
 import tracemalloc
 
@@ -628,6 +630,24 @@ def test_seesaw_restores_the_blas_thread_count(monkeypatch):
         assert get() == 2
     finally:
         put(before)
+
+
+def test_openblas_is_found_under_a_path_with_spaces(monkeypatch, tmp_path):
+    with open("/proc/self/maps") as fh:
+        lines = [ln for ln in fh if "openblas" in ln.lower() and "/" in ln]
+    if not lines:
+        pytest.skip("no OpenBLAS loaded in this process")
+    lib = lines[0].split(maxsplit=5)[-1].strip()
+    link = tmp_path / "dir with space" / os.path.basename(lib)
+    link.parent.mkdir()
+    link.symlink_to(lib)
+    maps = lines[0].replace(lib, str(link))
+
+    def fake_open(path, *args, **kwargs):
+        return io.StringIO(maps) if path == "/proc/self/maps" else open(path, *args, **kwargs)
+
+    monkeypatch.setattr(quantum, "open", fake_open, raising=False)
+    assert len(quantum._openblas_threads.__wrapped__()) == 2
 
 
 def test_concurrent_eigensolves_leave_the_blas_thread_count_as_found(monkeypatch):

@@ -283,6 +283,14 @@ def test_measure_lower_bound_values():
         measure_lower_bound(2, 5.0)  # c > 1
 
 
+def test_pair_bound_root():
+    # at m = 3, (1 - t)^2 (1 + 6t) = 1 has the root t = 1/2; for m <= 2 the bound always holds
+    assert werner._pair_bound_root(3) == 0.5
+    assert werner._pair_bound_root(1) is None and werner._pair_bound_root(2) is None
+    roots = [werner._pair_bound_root(m) for m in range(3, 14)]
+    assert roots == sorted(roots, reverse=True) and roots[-1] > 0.0
+
+
 def test_monte_carlo_basics():
     est = measure_monte_carlo(2, 2.0, 5000, seed=3)
     assert 0.0 <= est.fraction <= 1.0
