@@ -4,13 +4,13 @@ Expression documents: {"parties": m, "terms": [{"pattern": "...", "coeff": x}]}
 with patterns over {_, 0, 1}.  State documents: {"parties": m, "amplitudes":
 [{"index": "<m bits>", "re": x, "im": y}]}; omitted indices are zero.
 
-Structural problems (a file that is not UTF-8, malformed JSON, missing or mistyped fields, and every
-ValueError of the expression constructor: bad patterns, a sum of |coeff|
-beyond the float range) raise ParseError; domain problems a well-formed
-document can still have (for states, a non-unit norm) keep their ValueError
-so callers can distinguish the two.  A state document with more than
-STATE_MAX_PARTIES (16) parties raises CapExceeded before its 2^m amplitude
-vector is allocated.
+Structural problems (a file that is not UTF-8, malformed JSON, missing or
+mistyped fields, and every ValueError of the expression constructor: bad
+patterns, a sum of |coeff| beyond the float range) raise ParseError; domain
+problems a well-formed document can still have (for states, a non-unit norm)
+keep their ValueError so callers can distinguish the two.  A state document
+with more than STATE_MAX_PARTIES (16) parties raises CapExceeded before its
+2^m amplitude vector is allocated.
 """
 
 from __future__ import annotations
