@@ -286,7 +286,8 @@ def cmd_measure(args) -> tuple[dict, list]:
     _check_sampler_size(args.m, args.samples)  # before the closed form overflows
     bound = measure_lower_bound(args.m, args.poly)
     est = measure_monte_carlo(args.m, args.poly, args.samples, args.seed)
-    exact = exact_pair_fraction(args.m, args.poly)
+    c = (args.poly + 1.0) / 2 ** args.m  # the sampler's own threshold is t = c * c
+    root = _pair_bound_root(args.m)
     results = {
         "lower_bound": bound,
         "fraction": est.fraction,
@@ -294,11 +295,11 @@ def cmd_measure(args) -> tuple[dict, list]:
         "hits": est.hits,
         "samples": est.samples,
         "fraction_plus_3se": est.fraction + 3.0 * est.std_error,
-        "bound_consistent": exact >= bound,
+        "bound_consistent": root is None or c * c <= root,
     }
     warnings = [("membership-pair-weight", _PAIR_WEIGHT_NOTE)]
-    if not results["bound_consistent"]:  # only when t > t*(m), so m >= 3
-        root = _pair_bound_root(args.m)
+    if not results["bound_consistent"]:
+        exact = exact_pair_fraction(args.m, args.poly)
         note = (f"the exact share {exact:.4g} lies below the closed-form lower bound {bound:.4g}, "
                 f"so the bound fails for these inputs (see bound_consistent); it holds up to "
                 f"t*({args.m}) = {root:.6g}, poly = {2 ** args.m * math.sqrt(root) - 1:.6g}")

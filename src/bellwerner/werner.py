@@ -254,19 +254,13 @@ def _necessary_holds(p: np.ndarray, v: float) -> bool:
     return lhs >= rhs
 
 
-def _first_true(predicate) -> float:
-    """Bisect [0, 1] to _BISECTION_TOL for where a monotone predicate turns true.
-
-    predicate(1.0) must hold; returns the upper end of the final bracket.
-    """
+def _bisect(turns_true, tol: float) -> tuple[float, float]:
+    """(lo, hi) from halving [0, 1] to width tol, or to adjacent floats, around where the
+    monotone turns_true turns true; turns_true(1.0) must hold."""
     lo, hi = 0.0, 1.0
-    while hi - lo > _BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if turns_true(mid) else (mid, hi)
+    return lo, hi
 
 
 def necessary_check_first_failure(amplitudes) -> Optional[float]:
@@ -279,7 +273,7 @@ def necessary_check_first_failure(amplitudes) -> Optional[float]:
     p = _validated_probabilities(amplitudes)
     if _necessary_holds(p, 1.0):
         return None
-    return _first_true(lambda v: not _necessary_holds(p, v))
+    return _bisect(lambda v: not _necessary_holds(p, v), _BISECTION_TOL)[1]
 
 
 def undetectable_measure_condition(
@@ -326,19 +320,17 @@ def exact_pair_fraction(parties: int, poly_value: float) -> float:
     0 once t >= 1.  measure_lower_bound bounds it from below exactly when t <= _pair_bound_root(m).
     """
     d = 2 ** parties
-    t = ((poly_value + 1.0) / d) ** 2
+    c = (poly_value + 1.0) / d
+    t = c * c
     return 0.0 if t >= 1.0 else (1.0 - t) ** (d - 2) * (1.0 + (d - 2) * t)
 
 
 def _pair_bound_root(parties: int) -> Optional[float]:
-    """t*(m), the root of (d/2 - 2) log1p(-t) + log1p((d - 2) t), d = 2^m; None if m <= 2."""
-    if parties <= 2:  # the function is positive on all of (0, 1)
+    """t*(m), the last float t with (d/2 - 2) log1p(-t) + log1p((d - 2) t) >= 0, d = 2^m."""
+    if parties <= 2:  # the sum is positive on all of (0, 1): no root, None
         return None
-    d, lo, hi = 2.0 ** parties, 0.0, 1.0
-    while lo < (mid := (lo + hi) / 2) < hi:  # bisect on floats down to adjacent ends
-        f = (d / 2 - 2) * math.log1p(-mid) + math.log1p((d - 2) * mid)
-        lo, hi = (mid, hi) if f >= 0.0 else (lo, mid)
-    return lo
+    d = 2.0 ** parties
+    return _bisect(lambda t: (d / 2 - 2) * math.log1p(-t) + math.log1p((d - 2) * t) < 0.0, 0.0)[0]
 
 
 def max_pair_product(amplitudes) -> float:
@@ -553,4 +545,4 @@ def detect_visibility(
     def violates(v: float) -> bool:
         return abs((1.0 - v) * mixed_value + v * pure_value) > c1
 
-    return Detection(_first_true(violates) if violates(1.0) else None, result)
+    return Detection(_bisect(violates, _BISECTION_TOL)[1] if violates(1.0) else None, result)

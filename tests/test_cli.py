@@ -283,8 +283,8 @@ def test_measure_warns_when_the_bound_is_inconsistent(capsys):
 ])
 def test_measure_decides_bound_consistent_from_the_exact_share(capsys, samples, m, poly,
                                                                 consistent):
-    # at m = 3, poly 4.6 and 4.7 sit on either side of 4 sqrt(2) - 1, where t = c^2 = 1/2:
-    # exact shares 0.0693 and 0.0576 against bounds 0.0677 and 0.0588, whatever the sample
+    # at m = 3, poly 4.6 and 4.7 sit on either side of 4 sqrt(2) - 1, where t = c^2 = 1/2 = t*(3),
+    # whatever the sample; the warning names the exact share 0.0576 against the bound 0.0588
     argv = ["measure", "--m", str(m), "--poly", str(poly), "--samples", str(samples)]
     rep = _structured(capsys, argv)
     assert rep["results"]["bound_consistent"] is consistent
@@ -312,6 +312,28 @@ def test_measure_bound_consistent_flips_at_the_pair_bound_root(capsys, m):
                         if w["name"] == "measure-bound-inconsistent"]
         assert len(inconsistent) == (not consistent)
         assert all(f"t*({m}) = {root:.6g}, poly = {poly:.6g}" in w for w in inconsistent)
+
+
+@pytest.mark.parametrize("m", range(3, 14))
+def test_measure_bound_consistent_flips_once_within_30_ulps_of_the_root(capsys, monkeypatch, m):
+    # the verdict is t = c * c <= t*(m), with c as the sampler computes it, so it turns false
+    # exactly once in poly; a stub sampler draws nothing
+    estimate = werner.MonteCarloEstimate(0.5, 0.05, 50, 100)
+    monkeypatch.setattr(cli, "measure_monte_carlo", lambda m, poly, samples, seed: estimate)
+    root = werner._pair_bound_root(m)
+    polys = [2 ** m * math.sqrt(root) - 1]
+    for _ in range(30):
+        polys = [math.nextafter(polys[0], 0.0), *polys, math.nextafter(polys[-1], math.inf)]
+    verdicts = []
+    for poly in polys:
+        argv = ["measure", "--m", str(m), "--poly", repr(poly), "--samples", "100"]
+        rep = _structured(capsys, argv)
+        verdicts.append(rep["results"]["bound_consistent"])
+        notes = [w["message"] for w in rep["warnings"] if w["name"] == "measure-bound-inconsistent"]
+        assert len(notes) == (not verdicts[-1])
+        assert all(f"t*({m}) = {root:.6g}, poly = " in note for note in notes)
+    assert verdicts[0] and not verdicts[-1]
+    assert sum(a != b for a, b in zip(verdicts, verdicts[1:])) == 1
 
 
 def test_measure_rejects_saturated_constant(capsys):
