@@ -4,11 +4,12 @@ Expression documents: {"parties": m, "terms": [{"pattern": "...", "coeff": x}]}
 with patterns over {_, 0, 1}.  State documents: {"parties": m, "amplitudes":
 [{"index": "<m bits>", "re": x, "im": y}]}; omitted indices are zero.
 
-Structural problems (a file that is not UTF-8, malformed JSON, missing or
-mistyped fields, and every ValueError of the expression constructor: bad
-patterns, a sum of |coeff| beyond the float range) raise ParseError; domain
-problems a well-formed document can still have (for states, a non-unit norm)
-keep their ValueError so callers can distinguish the two.  A state document
+Structural problems (a file that is not UTF-8, malformed or too deeply
+nested JSON, missing or mistyped fields, and every ValueError of the
+expression constructor: bad patterns, a sum of |coeff| beyond the float
+range) raise ParseError; domain problems a well-formed document can still
+have (for states, a non-unit norm) keep their ValueError so callers can
+distinguish the two.  A state document
 with more than STATE_MAX_PARTIES (16) parties raises CapExceeded before its
 2^m amplitude vector is allocated.
 """
@@ -123,6 +124,8 @@ def _read_json(path: PathLike, kind: str):
             f"{kind} file {path}: invalid JSON at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:  # a RuntimeError, which would exit as a failed self-check
+        raise ParseError(f"{kind} file {path}: JSON nested too deeply") from exc
 
 
 def load_expression(path: PathLike) -> BellExpression:

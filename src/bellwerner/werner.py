@@ -342,13 +342,15 @@ def max_pair_product(amplitudes) -> float:
 def _check_sampler_size(parties: int, samples: int) -> None:
     """Check the sample count and the chunk size before anything is drawn.
 
-    At least 100 samples; one chunk's (min(samples, 4096), 2^m) float64
-    draw may take at most 256 MiB.  The streamed sampler never holds that
-    draw, but the cap bounds the values drawn per chunk and the rows a
+    At least 100 samples and at most 2^53, the largest count a float holds
+    exactly (std_error divides by it); one chunk's (min(samples, 4096), 2^m)
+    float64 draw may take at most 256 MiB.  The streamed sampler never holds
+    that draw, but the cap bounds the values drawn per chunk and the rows a
     chunk's exact recheck may keep in the worst case.
     """
     if samples < 100:
         raise ValueError("at least 100 samples are required")
+    check_cap("samples per Monte Carlo run", samples, 2 ** 53)
     count = min(samples, _MC_CHUNK)
     # the largest m whose chunk draw fits in _MC_CHUNK_BYTES
     limit = (_MC_CHUNK_BYTES // (8 * count)).bit_length() - 1

@@ -93,6 +93,17 @@ def test_bounds_file_not_utf8(capsys, tmp_path):
     assert err == f"error: expression file {path}: not UTF-8 at byte 38\n"
 
 
+@pytest.mark.parametrize("argv, kind", [(["bounds"], "expression"),
+                                         (["werner", "pure", "--state"], "state")],
+                         ids=["bounds", "werner pure"])
+def test_file_nested_too_deeply_exits_2(capsys, tmp_path, argv, kind):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = _run(capsys, argv + [str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {kind} file {path}: JSON nested too deeply\n"
+
+
 @pytest.mark.parametrize(
     "pattern, problem",
     [
@@ -202,6 +213,18 @@ def test_gamma_sample_cap_exits_before_drawing(capsys, monkeypatch, argv):
     code, out, err = _run(capsys, argv)
     assert (code, out) == (4, "")
     assert err == "error: samples per gamma scan: 4294967297 exceeds the cap of 4294967296\n"
+
+
+@pytest.mark.parametrize("samples", [2 ** 53 + 1, 10 ** 312], ids=["2^53+1", "10^312"])
+def test_measure_sample_cap_exits_before_drawing(capsys, monkeypatch, samples):
+    # 2^53 is the largest count a float holds exactly; 10^312 does not convert to one at all
+    def no_draws(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(werner, "summed", no_draws)
+    code, out, err = _run(capsys, ["measure", "--m", "3", "--poly", "3", "--samples", str(samples)])
+    assert (code, out) == (4, "")
+    assert err == f"error: samples per Monte Carlo run: {samples} exceeds the cap of {2 ** 53}\n"
 
 
 def test_tables_bad_selector(capsys):

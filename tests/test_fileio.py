@@ -199,6 +199,28 @@ def test_load_file_not_utf8(tmp_path, load, kind, data):
     assert str(err.value) == f"{kind} file {path}: not UTF-8 at byte {data.index(0xFF)}"
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "load, kind, text",
+    [
+        (load_expression, "expression", "[" * 100_000),
+        (load_expression, "expression", '{"parties": 1, "terms": %s}' % _DEEP),
+        (load_state, "state", "[" * 100_000),
+        (load_state, "state", '{"parties": 1, "amplitudes": %s}' % _DEEP),
+    ],
+    ids=["expression", "expression-terms", "state", "state-amplitudes"],
+)
+def test_load_file_nested_too_deeply(tmp_path, load, kind, text):
+    # json.loads raises RecursionError, a RuntimeError, which the CLI keeps for failed self-checks
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert str(err.value) == f"{kind} file {path}: JSON nested too deeply"
+
+
 def test_state_roundtrip(tmp_path):
     fam = PureFamily(ghz_amplitudes(3, 0.7))
     path = tmp_path / "ghz3.json"

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bellwerner import (
+    CapExceeded,
     GhzFamily,
     PureFamily,
     bell_operator,
@@ -448,6 +449,16 @@ def test_monte_carlo_memory_is_a_block_not_a_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_monte_carlo_sample_cap_is_checked_before_drawing(monkeypatch):
+    # past 2^53 samples a float no longer holds the count, and std_error divides by it
+    def no_draws(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(werner, "summed", no_draws)
+    with pytest.raises(CapExceeded, match="samples per Monte Carlo run"):
+        measure_monte_carlo(3, 3.0, 2 ** 53 + 1)
 
 
 # -- families and densities ------------------------------------------------------
