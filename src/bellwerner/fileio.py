@@ -9,9 +9,9 @@ nested JSON, missing or mistyped fields, and every ValueError of the
 expression constructor: bad patterns, a sum of |coeff| beyond the float
 range) raise ParseError; domain problems a well-formed document can still
 have (for states, a non-unit norm) keep their ValueError so callers can
-distinguish the two.  A state document
-with more than STATE_MAX_PARTIES (16) parties raises CapExceeded before its
-2^m amplitude vector is allocated.
+distinguish the two.  A state document with more than STATE_MAX_PARTIES
+(16) parties raises CapExceeded before its 2^m amplitude vector is
+allocated.
 """
 
 from __future__ import annotations

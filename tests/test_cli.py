@@ -359,6 +359,15 @@ def test_measure_bound_consistent_flips_once_within_30_ulps_of_the_root(capsys, 
     assert sum(a != b for a, b in zip(verdicts, verdicts[1:])) == 1
 
 
+def test_measure_bound_inconsistent_where_share_and_bound_underflow(capsys):
+    # at t = (1801/2048)^2 > t*(11) both the exact share and the bound round to 0.0, which
+    # compared as floats would read consistent
+    rep = _structured(capsys, ["measure", "--m", "11", "--poly", "1800", "--samples", "100"])
+    assert rep["results"]["lower_bound"] == 0.0
+    assert werner.exact_pair_fraction(11, 1800.0) == 0.0
+    assert rep["results"]["bound_consistent"] is False
+
+
 def test_measure_rejects_saturated_constant(capsys):
     code, _, err = _run(capsys, ["measure", "--m", "2", "--poly", "3", "--samples", "5000"])
     assert code == 3
