@@ -254,13 +254,14 @@ def _necessary_holds(p: np.ndarray, v: float) -> bool:
     return lhs >= rhs
 
 
-def _bisect(turns_true, tol: float) -> tuple[float, float]:
-    """(lo, hi) from halving [0, 1] to width tol, or to adjacent floats, around where the
-    monotone turns_true turns true; turns_true(1.0) must hold."""
+def _bisect(turns_true) -> float:
+    """The upper end of [0, 1] halved to width _BISECTION_TOL around where the monotone
+    turns_true turns true; turns_true(1.0) must hold."""
     lo, hi = 0.0, 1.0
-    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+    while hi - lo > _BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if turns_true(mid) else (mid, hi)
-    return lo, hi
+    return hi
 
 
 def necessary_check_first_failure(amplitudes) -> Optional[float]:
@@ -273,7 +274,7 @@ def necessary_check_first_failure(amplitudes) -> Optional[float]:
     p = _validated_probabilities(amplitudes)
     if _necessary_holds(p, 1.0):
         return None
-    return _bisect(lambda v: not _necessary_holds(p, v), _BISECTION_TOL)[1]
+    return _bisect(lambda v: not _necessary_holds(p, v))
 
 
 def undetectable_measure_condition(
@@ -325,12 +326,18 @@ def exact_pair_fraction(parties: int, poly_value: float) -> float:
     return 0.0 if t >= 1.0 else (1.0 - t) ** (d - 2) * (1.0 + (d - 2) * t)
 
 
+_PAIR_BOUND_ROOTS = tuple(map(float.fromhex, """0x1p-1 0x1.97859440fd196p-3 0x1.69cf8327a3596p-4
+    0x1.550b2b2af38e6p-5 0x1.4b2d3b1c6bc75p-6 0x1.465eb13c612f2p-7 0x1.43ff6f0847101p-8
+    0x1.42d1cb474029fp-9 0x1.423b784ee4c31p-10 0x1.41f06e7ecb427p-11 0x1.41caf18001c26p-12
+    0x1.41b834fab5687p-13 0x1.41aed7368e44cp-14 0x1.41aa287419930p-15 0x1.41a7d11ac6d5ep-16
+    0x1.41a6a570175abp-17""".split()))
+
+
 def _pair_bound_root(parties: int) -> Optional[float]:
-    """t*(m), the last float t with (d/2 - 2) log1p(-t) + log1p((d - 2) t) >= 0, d = 2^m."""
-    if parties <= 2:  # the sum is positive on all of (0, 1): no root, None
-        return None
-    d = 2.0 ** parties
-    return _bisect(lambda t: (d / 2 - 2) * math.log1p(-t) + math.log1p((d - 2) * t) < 0.0, 0.0)[0]
+    """t*(m), m = 3...18 (measure's chunk cap at 100 samples): the largest float t = a/2^e with
+    (2^e - a)^(d/2 - 2) (2^e + (d - 2) a) >= 2^(e (d/2 - 1)), d = 2^m, i.e. (1 - t)^(d/2 - 2)
+    (1 + (d - 2) t) >= 1 exactly, found stepping down from a float root; None for m <= 2."""
+    return None if parties <= 2 else _PAIR_BOUND_ROOTS[parties - 3]
 
 
 def max_pair_product(amplitudes) -> float:
@@ -547,4 +554,4 @@ def detect_visibility(
     def violates(v: float) -> bool:
         return abs((1.0 - v) * mixed_value + v * pure_value) > c1
 
-    return Detection(_bisect(violates, _BISECTION_TOL)[1] if violates(1.0) else None, result)
+    return Detection(_bisect(violates) if violates(1.0) else None, result)

@@ -529,6 +529,20 @@ def separability_upper_bound_loop(amplitudes):
     return best
 
 
+def pair_bound_holds(parties, t):
+    """(1 - t)^(d/2 - 2) (1 + (d - 2) t) >= 1, d = 2^m, decided in integers.
+
+    The float t in (0, 1) is a/2^e exactly, so the test is
+    (2^e - a)^(d/2 - 2) (2^e + (d - 2) a) >= 2^(e (d/2 - 1)): the closed-form
+    measure bound (1 - t)^(d/2) lies below the exact share
+    (1 - t)^(d - 2) (1 + (d - 2) t).  werner._pair_bound_root's table holds
+    the largest float for which it is true.
+    """
+    a, b = t.as_integer_ratio()
+    d = 2 ** parties
+    return (b - a) ** (d // 2 - 2) * (b + (d - 2) * a) >= b ** (d // 2 - 1)
+
+
 def separability_necessary_check(amplitudes, v):
     """Diagonal-dominance condition every fully separable mixture satisfies.
 

@@ -14,7 +14,7 @@ from bellwerner import builtin, new_expression
 from bellwerner import cli, gamma, quantum, werner
 from bellwerner.cli import main
 from bellwerner.werner import PureFamily, ghz_amplitudes
-from helpers import parse_report, save_expression, save_state
+from helpers import pair_bound_holds, parse_report, save_expression, save_state
 
 
 @pytest.fixture
@@ -357,6 +357,25 @@ def test_measure_bound_consistent_flips_once_within_30_ulps_of_the_root(capsys, 
         assert all(f"t*({m}) = {root:.6g}, poly = " in note for note in notes)
     assert verdicts[0] and not verdicts[-1]
     assert sum(a != b for a, b in zip(verdicts, verdicts[1:])) == 1
+    # the flip is where the exact integer test turns false
+    last = verdicts.index(False) - 1
+    for poly, holds in ((polys[last], True), (polys[last + 1], False)):
+        c = (poly + 1.0) / 2 ** m
+        assert pair_bound_holds(m, c * c) is holds
+
+
+@pytest.mark.parametrize("m, poly", [
+    (4, "6.137242056848778"), (4, "6.137242056848779"), (4, "6.1372420568487795"),
+    (7, "17.198260444684788"), (8, "24.54877264780327"), (8, "24.548772647803272"),
+    (11, "70.8033207596543"), (13, "142.50866120158034"),
+])
+def test_measure_bound_inconsistent_just_above_the_exact_root(capsys, m, poly):
+    # t = c * c lies above t*(m) by the exact integer test; a float root of the log1p form,
+    # a few ulps above the exact one, read these as consistent
+    c = (float(poly) + 1.0) / 2 ** m
+    assert not pair_bound_holds(m, c * c)
+    rep = _structured(capsys, ["measure", "--m", str(m), "--poly", poly, "--samples", "100"])
+    assert rep["results"]["bound_consistent"] is False
 
 
 def test_measure_bound_inconsistent_where_share_and_bound_underflow(capsys):

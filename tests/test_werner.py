@@ -37,6 +37,7 @@ from bellwerner.werner import _MC_BLOCK, _MC_CHUNK, _mc_chunk_hits, exact_pair_f
 from helpers import (
     equatorial_lower,
     mc_chunk_pairs_dense,
+    pair_bound_holds,
     separability_necessary_check,
     separability_upper_bound_loop,
     werner_density,
@@ -288,8 +289,24 @@ def test_pair_bound_root():
     # at m = 3, (1 - t)^2 (1 + 6t) = 1 has the root t = 1/2; for m <= 2 the bound always holds
     assert werner._pair_bound_root(3) == 0.5
     assert werner._pair_bound_root(1) is None and werner._pair_bound_root(2) is None
-    roots = [werner._pair_bound_root(m) for m in range(3, 14)]
+    roots = [werner._pair_bound_root(m) for m in range(3, 19)]
     assert roots == sorted(roots, reverse=True) and roots[-1] > 0.0
+
+
+@pytest.mark.parametrize("m", range(3, 16))
+def test_pair_bound_root_is_the_last_float_of_the_exact_test(m):
+    # the integer test holds at t*(m) and fails one float up; CI checks m = 16-18 (about 4 s)
+    root = werner._pair_bound_root(m)
+    assert pair_bound_holds(m, root)
+    assert not pair_bound_holds(m, math.nextafter(root, 1.0))
+
+
+def test_pair_bound_roots_cover_the_chunk_cap():
+    # measure checks its chunk cap first, and at 100 samples that cap is m = 18
+    werner._check_sampler_size(18, 100)
+    with pytest.raises(CapExceeded):
+        werner._check_sampler_size(19, 100)
+    assert len(werner._PAIR_BOUND_ROOTS) == 16
 
 
 def test_monte_carlo_basics():
