@@ -52,7 +52,6 @@ from .werner import (
     _check_sampler_size,
     _pair_bound_root,
     detect_visibility,
-    exact_pair_fraction,
     ghz_separability_threshold,
     max_pair_product,
     measure_lower_bound,
@@ -299,11 +298,10 @@ def cmd_measure(args) -> tuple[dict, list]:
     }
     warnings = [("membership-pair-weight", _PAIR_WEIGHT_NOTE)]
     if not results["bound_consistent"]:
-        exact = exact_pair_fraction(args.m, args.poly)
-        note = (f"the exact share {exact:.4g} lies below the closed-form lower bound {bound:.4g}, "
-                f"so the bound fails for these inputs (see bound_consistent); it holds up to "
-                f"t*({args.m}) = {root:.6g}, poly = {2 ** args.m * math.sqrt(root) - 1:.6g}")
-        warnings.append(("measure-bound-inconsistent", note))
+        warnings.append(("measure-bound-inconsistent",
+                         f"t = c * c = {c * c!r} exceeds t*({args.m}) = {root!r}, so the exact "
+                         f"share lies below the closed-form lower bound (see bound_consistent); "
+                         f"the bound holds up to poly = {2 ** args.m * math.sqrt(root) - 1:.6g}"))
     return results, warnings
 
 

@@ -307,7 +307,7 @@ def test_measure_warns_when_the_bound_is_inconsistent(capsys):
 def test_measure_decides_bound_consistent_from_the_exact_share(capsys, samples, m, poly,
                                                                 consistent):
     # at m = 3, poly 4.6 and 4.7 sit on either side of 4 sqrt(2) - 1, where t = c^2 = 1/2 = t*(3),
-    # whatever the sample; the warning names the exact share 0.0576 against the bound 0.0588
+    # whatever the sample; the warning names t = c * c against t*(3), not the exact share
     argv = ["measure", "--m", str(m), "--poly", str(poly), "--samples", str(samples)]
     rep = _structured(capsys, argv)
     assert rep["results"]["bound_consistent"] is consistent
@@ -316,10 +316,9 @@ def test_measure_decides_bound_consistent_from_the_exact_share(capsys, samples, 
     if consistent:
         assert inconsistent == []
     else:
-        assert inconsistent == ["the exact share 0.05763 lies below the closed-form lower "
-                                "bound 0.05876, so the bound fails for these inputs "
-                                "(see bound_consistent); it holds up to t*(3) = 0.5, "
-                                "poly = 4.65685"]
+        assert inconsistent == ["t = c * c = 0.50765625 exceeds t*(3) = 0.5, so the exact share "
+                                "lies below the closed-form lower bound (see bound_consistent); "
+                                "the bound holds up to poly = 4.65685"]
 
 
 @pytest.mark.parametrize("m", range(3, 14))
@@ -328,13 +327,15 @@ def test_measure_bound_consistent_flips_at_the_pair_bound_root(capsys, m):
     root = werner._pair_bound_root(m)
     poly = 2 ** m * math.sqrt(root) - 1
     for step, consistent in ((-1e-9, True), (1e-9, False)):
+        c = (poly * (1 + step) + 1.0) / 2 ** m
         argv = ["measure", "--m", str(m), "--poly", repr(poly * (1 + step)), "--samples", "100"]
         rep = _structured(capsys, argv)
         assert rep["results"]["bound_consistent"] is consistent
         inconsistent = [w["message"] for w in rep["warnings"]
                         if w["name"] == "measure-bound-inconsistent"]
         assert len(inconsistent) == (not consistent)
-        assert all(f"t*({m}) = {root:.6g}, poly = {poly:.6g}" in w for w in inconsistent)
+        assert all(f"t = c * c = {c * c!r} exceeds t*({m}) = {root!r}, " in w
+                   and w.endswith(f"poly = {poly:.6g}") for w in inconsistent)
 
 
 @pytest.mark.parametrize("m", range(3, 14))
@@ -354,7 +355,9 @@ def test_measure_bound_consistent_flips_once_within_30_ulps_of_the_root(capsys, 
         verdicts.append(rep["results"]["bound_consistent"])
         notes = [w["message"] for w in rep["warnings"] if w["name"] == "measure-bound-inconsistent"]
         assert len(notes) == (not verdicts[-1])
-        assert all(f"t*({m}) = {root:.6g}, poly = " in note for note in notes)
+        c = (poly + 1.0) / 2 ** m
+        assert all(f"t = c * c = {c * c!r} exceeds t*({m}) = {root!r}, " in note
+                   for note in notes)
     assert verdicts[0] and not verdicts[-1]
     assert sum(a != b for a, b in zip(verdicts, verdicts[1:])) == 1
     # the flip is where the exact integer test turns false
@@ -380,11 +383,15 @@ def test_measure_bound_inconsistent_just_above_the_exact_root(capsys, m, poly):
 
 def test_measure_bound_inconsistent_where_share_and_bound_underflow(capsys):
     # at t = (1801/2048)^2 > t*(11) both the exact share and the bound round to 0.0, which
-    # compared as floats would read consistent
+    # compared as floats would read consistent; the warning names t and t*(11), not the two 0s
     rep = _structured(capsys, ["measure", "--m", "11", "--poly", "1800", "--samples", "100"])
     assert rep["results"]["lower_bound"] == 0.0
     assert werner.exact_pair_fraction(11, 1800.0) == 0.0
     assert rep["results"]["bound_consistent"] is False
+    [note] = [w["message"] for w in rep["warnings"] if w["name"] == "measure-bound-inconsistent"]
+    t, root = (1801 / 2048) ** 2, werner._pair_bound_root(11)
+    assert note.startswith(f"t = c * c = {t!r} exceeds t*(11) = {root!r}, ")
+    assert "0 lies below" not in note
 
 
 def test_measure_rejects_saturated_constant(capsys):
