@@ -321,7 +321,7 @@ def test_measure_decides_bound_consistent_from_the_exact_share(capsys, samples, 
                                 "the bound holds up to poly = 4.65685"]
 
 
-@pytest.mark.parametrize("m", range(3, 14))
+@pytest.mark.parametrize("m", range(3, 16))
 def test_measure_bound_consistent_flips_at_the_pair_bound_root(capsys, m):
     # poly*(m) = 2^m sqrt(t*(m)) - 1; a relative step of 1e-9 either side decides the verdict
     root = werner._pair_bound_root(m)
@@ -338,7 +338,7 @@ def test_measure_bound_consistent_flips_at_the_pair_bound_root(capsys, m):
                    and w.endswith(f"poly = {poly:.6g}") for w in inconsistent)
 
 
-@pytest.mark.parametrize("m", range(3, 14))
+@pytest.mark.parametrize("m", range(3, 16))
 def test_measure_bound_consistent_flips_once_within_30_ulps_of_the_root(capsys, monkeypatch, m):
     # the verdict is t = c * c <= t*(m), with c as the sampler computes it, so it turns false
     # exactly once in poly; a stub sampler draws nothing
