@@ -4,37 +4,30 @@ against a parent revision measured on the same host in alternating runs.
     python3 tools/record_bench.py --out BENCH.json [--parent REV] [--seeds N]
     python3 tools/record_bench.py --compare OLD.json NEW.json
 
-Run from anywhere inside the repository.  It drives bench/run.py unchanged,
-always with --trace 0.  For each workload a first calibration run makes one
-pass per input set on this tree; its mean pass time sets --seconds (through
-workloads.NOMINAL_PASS_S) so that every recorded run makes a whole number of
-rounds over the input sets and measures at least MIN_WORK_S seconds of
-operations.  Then seeds 0 .. N-1 each give one run per side.  With --parent,
-REV's committed files are extracted with `git archive` into a temporary
-directory, which is removed at the end, and the side that runs first
-alternates from seed to seed, so that host drift falls on both sides alike.
+Run from anywhere inside the repository.  Each side runs its own
+bench/run.py unchanged, with --trace 0, in a temporary `git archive` extract
+(see sides); nothing runs in the working tree.  Per workload a calibration
+run of one pass per input set on the change side sets the pass count of
+every run: whole rounds over the input sets, of at least MIN_WORK_S seconds.
+Seeds 0 .. N-1 then give one run per side, alternating which side runs
+first, so that host drift falls on both sides alike.
 
-The output holds the machine block (cores, Python, NumPy, BLAS), and per
-workload and side the median and quartiles of ok_ops_per_s, peak_rss_mb and
-setup_s, every run's values, whether every run was correct, and the failed
-and attempted operation counts.  Under "commands" it holds, per command
-label (such as bounds_seesaw_s), the median and quartiles of the command's
-seconds per pass: the seconds of the run's operations with that label,
-read from the result file's ops and divided by its pass count as
-bench/run.py's command_times does.  With --parent it also holds, per metric,
-the number of pairs in which this tree did better than the parent, by the
-direction that BENCHMARK.json gives for the metric.
+Per workload and side the record holds the quartiles of each metric in
+METRICS and of each command's seconds per pass (as bench/run.py's
+command_times computes them), whether every run was correct, and the failed
+and attempted counts; with --parent, per metric, the pairs in which the
+change side did better by BENCHMARK.json's direction.  It also holds each
+side's rev and commit, and the machine (cores, Python, NumPy, BLAS).
 
---compare reads two such records and runs nothing.  Per workload and
-metric it prints the two change-side medians, their ratio NEW/OLD, and
-whether NEW is within the bound that BENCHMARK.json gives for the metric in
-its better direction.  Below those rows it prints, per workload and command
-that both records hold, the two change-side medians of seconds per pass and
-their ratio; no bound applies to them.  It exits 0 either way.
+--compare reads two records and runs nothing.  Per workload and metric it
+prints the two change-side medians, their ratio NEW/OLD and whether NEW is
+within BENCHMARK.json's bound; then the change-side medians of seconds per
+pass of the commands both records hold, and their ratio.  It always exits 0.
 """
 
 import argparse
 import contextlib
+import importlib.util
 import json
 import math
 import statistics
@@ -44,9 +37,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "bench"))
-import workloads  # noqa: E402
-
 METRICS = ("ok_ops_per_s", "peak_rss_mb", "setup_s")
 MIN_WORK_S = 5.0  # seconds of operations each recorded run measures at least
 
@@ -55,6 +45,14 @@ def _git(*args) -> str:
     done = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True,
                           check=True)
     return done.stdout.strip()
+
+
+def load_workloads(tree: Path):
+    """tree's bench/workloads.py, imported from its file."""
+    spec = importlib.util.spec_from_file_location("workloads", tree / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -71,11 +69,10 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def calibrate(tree: Path, workload: str) -> tuple[float, int]:
     """(--seconds, passes) for runs of at least MIN_WORK_S seconds of operations."""
+    workloads = load_workloads(tree)
     nominal = workloads.NOMINAL_PASS_S[workload]
     first = run_bench(tree, workload, 0, workloads.SETS * nominal)
-    mean = statistics.fmean(first["pass_times"])
-    rounds = max(1, math.ceil(MIN_WORK_S / (workloads.SETS * mean)))
-    passes = rounds * workloads.SETS
+    passes = workloads.SETS * max(1, math.ceil(MIN_WORK_S / sum(first["pass_times"])))
     return passes * nominal, passes
 
 
@@ -109,7 +106,7 @@ def end_to_end() -> dict:
 
 
 def pairs_won(change: list, parent: list) -> dict:
-    """Per metric, in how many seed pairs this tree beat the parent."""
+    """Per metric, in how many seed pairs the change side beat the parent."""
     metrics = end_to_end()
     won = {}
     for name in METRICS:
@@ -123,38 +120,39 @@ def pairs_won(change: list, parent: list) -> dict:
 def checkout(rev: str):
     """The committed files of rev in a temporary directory, removed on exit."""
     with tempfile.TemporaryDirectory(prefix="record-bench-") as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True,
-                                 check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        yield Path(tmp)
+        _git("archive", "--prefix", "tree/", "--output", f"{tmp}/tree.tar", rev)
+        subprocess.run(["tar", "-xf", "tree.tar"], cwd=tmp, check=True)
+        yield Path(tmp) / "tree"
 
 
-def record(args, parent) -> dict:
-    trees = {"change": ROOT} if parent is None else {"change": ROOT, "parent": parent}
-    doc = {"sides": {"change": {"commit": _git("rev-parse", "HEAD"), "dirty": bool(
-        _git("status", "--porcelain", "--untracked-files=no"))}},
-        "seeds": list(range(args.seeds)), "min_work_s": MIN_WORK_S, "workloads": {}}
-    if parent is not None:
-        doc["sides"]["parent"] = {"rev": args.parent, "commit": _git("rev-parse", args.parent)}
-    for workload in workloads.WORKLOADS:
-        seconds, passes = calibrate(ROOT, workload)
+def sides(parent) -> dict:
+    """Each side's rev and commit: the change side's is the commit `git stash create` makes of
+    edited tracked files, or HEAD if none are.  Untracked files under src/ or bench/ stop it."""
+    untracked = _git("ls-files", "--others", "--exclude-standard", "--", "src", "bench")
+    if untracked:
+        sys.exit(f"record_bench: untracked files would be left out: {untracked.splitlines()}")
+    revs = {"change": _git("stash", "create") or "HEAD", "parent": parent}
+    return {side: {"rev": rev, "commit": _git("rev-parse", rev)} for side, rev in revs.items()
+            if rev is not None}
+
+
+def record(trees: dict, seeds: int) -> dict:
+    """Calibrate each workload on trees["change"], then run every seed once per side."""
+    doc = {"seeds": list(range(seeds)), "min_work_s": MIN_WORK_S, "workloads": {}}
+    for workload in load_workloads(trees["change"]).WORKLOADS:
+        seconds, passes = calibrate(trees["change"], workload)
         runs = {side: [] for side in trees}
-        for seed in range(args.seeds):
-            order = list(trees) if seed % 2 else list(reversed(trees))
-            for side in order:
+        for seed in range(seeds):
+            for side in (list(trees) if seed % 2 else list(reversed(trees))):
                 result = run_bench(trees[side], workload, seed, seconds)
                 runs[side].append(result)
-                doc.setdefault("machine", {k: result["meta"][k]
-                                           for k in ("nproc", "machine", "python", "numpy",
-                                                     "blas")})
                 ok = result["metrics"]["ok_ops_per_s"]["value"]
                 print(f"{workload} seed {seed} {side}: ok_ops_per_s {ok:.4g}", file=sys.stderr)
-        entry = {"seconds": seconds, "passes": passes}
+        entry = doc["workloads"][workload] = {"seconds": seconds, "passes": passes}
         entry.update({side: summary(side_runs) for side, side_runs in runs.items()})
-        if parent is not None:
-            entry["pairs"] = args.seeds
+        if "parent" in trees:
             entry["pairs_won"] = pairs_won(runs["change"], runs["parent"])
-        doc["workloads"][workload] = entry
+    doc["machine"] = {k: result["meta"][k] for k in ("nproc", "machine", "python", "numpy", "blas")}
     return doc
 
 
@@ -162,8 +160,9 @@ def compare(old_path: Path, new_path: Path) -> None:
     """Print the change-side medians of two records, their ratio and the bound check."""
     old, new = (json.loads(Path(p).read_text())["workloads"] for p in (old_path, new_path))
     metrics = end_to_end()
+    rows = []
     print(f"{'workload':<18}{'metric':<14}{'old':>12}{'new':>12}{'new/old':>9}  within bound")
-    for workload in (w for w in workloads.WORKLOADS if w in old and w in new):
+    for workload in (w for w in new if w in old):
         for name in METRICS:
             before = old[workload]["change"][name]["median"]
             after = new[workload]["change"][name]["median"]
@@ -174,8 +173,6 @@ def compare(old_path: Path, new_path: Path) -> None:
                 within, rule = after <= before * (1.0 + bound), f"<= {1.0 + bound:g}"
             print(f"{workload:<18}{name:<14}{before:>12.5g}{after:>12.5g}{after / before:>9.3f}  "
                   f"{'yes' if within else 'NO'} (ratio {rule})")
-    rows = []
-    for workload in (w for w in workloads.WORKLOADS if w in old and w in new):
         before, after = (r[workload]["change"].get("commands", {}) for r in (old, new))
         for label in (label for label in after if label in before):
             rows.append((workload, label, before[label]["median"], after[label]["median"]))
@@ -199,9 +196,11 @@ def main(argv=None) -> int:
         return 0
     if args.seeds < 2:
         parser.error("--seeds must be at least 2")
+    doc = {"sides": sides(args.parent)}
     with contextlib.ExitStack() as stack:
-        parent = None if args.parent is None else stack.enter_context(checkout(args.parent))
-        doc = record(args, parent)
+        trees = {side: stack.enter_context(checkout(rev["commit"]))
+                 for side, rev in doc["sides"].items()}
+        doc.update(record(trees, args.seeds))
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
