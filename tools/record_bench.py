@@ -9,15 +9,19 @@ bench/run.py unchanged, with --trace 0, in a temporary `git archive` extract
 (see sides); nothing runs in the working tree.  Per workload a calibration
 run of one pass per input set on the change side sets the pass count of
 every run: whole rounds over the input sets, of at least MIN_WORK_S seconds.
-Seeds 0 .. N-1 then give one run per side, alternating which side runs
-first, so that host drift falls on both sides alike.
+Each side turns that count into --seconds with its own
+bench/workloads.NOMINAL_PASS_S, and a pair whose sides made unequal passes
+or attempted counts stops the recorder.  Seeds 0 .. N-1 give one run per
+side, alternating which side runs first, so that host drift falls on both
+sides alike.
 
 Per workload and side the record holds the quartiles of each metric in
 METRICS and of each command's seconds per pass (as bench/run.py's
-command_times computes them), whether every run was correct, and the failed
-and attempted counts; with --parent, per metric, the pairs in which the
-change side did better by BENCHMARK.json's direction.  It also holds each
-side's rev and commit, and the machine (cores, Python, NumPy, BLAS).
+command_times computes them), whether every run was correct, the failed,
+attempted and pass counts and the --seconds given; with --parent, per
+metric, the pairs in which the change side did better by BENCHMARK.json's
+direction.  It also holds each side's rev and commit, and the machine
+(cores, Python, NumPy, BLAS).
 
 --compare reads two records and runs nothing.  Per workload and metric it
 prints the two change-side medians, their ratio NEW/OLD and whether NEW is
@@ -67,13 +71,11 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(path.read_text())
 
 
-def calibrate(tree: Path, workload: str) -> tuple[float, int]:
-    """(--seconds, passes) for runs of at least MIN_WORK_S seconds of operations."""
+def calibrate(tree: Path, workload: str) -> int:
+    """Passes per run: whole rounds over the input sets of at least MIN_WORK_S seconds."""
     workloads = load_workloads(tree)
-    nominal = workloads.NOMINAL_PASS_S[workload]
-    first = run_bench(tree, workload, 0, workloads.SETS * nominal)
-    passes = workloads.SETS * max(1, math.ceil(MIN_WORK_S / sum(first["pass_times"])))
-    return passes * nominal, passes
+    first = run_bench(tree, workload, 0, workloads.SETS * workloads.NOMINAL_PASS_S[workload])
+    return workloads.SETS * max(1, math.ceil(MIN_WORK_S / sum(first["pass_times"])))
 
 
 def quartiles(values: list) -> dict:
@@ -94,6 +96,8 @@ def summary(runs: list) -> dict:
     out["correct"] = all(r["correct"] for r in runs)
     out["failed"] = [r["failed"] for r in runs]
     out["attempted"] = [r["attempted"] for r in runs]
+    out["seconds"] = runs[0]["seconds"]
+    out["passes"] = [r["notes"]["passes"] for r in runs]
     times = [command_seconds(r) for r in runs]
     labels = dict.fromkeys(label for t in times for label in t)
     out["commands"] = {label: quartiles([t.get(label, 0.0) for t in times]) for label in labels}
@@ -140,15 +144,22 @@ def record(trees: dict, seeds: int) -> dict:
     """Calibrate each workload on trees["change"], then run every seed once per side."""
     doc = {"seeds": list(range(seeds)), "min_work_s": MIN_WORK_S, "workloads": {}}
     for workload in load_workloads(trees["change"]).WORKLOADS:
-        seconds, passes = calibrate(trees["change"], workload)
+        passes = calibrate(trees["change"], workload)
+        # bench/run.py makes round(--seconds / NOMINAL_PASS_S) passes with its own constant
+        seconds = {side: passes * load_workloads(tree).NOMINAL_PASS_S[workload]
+                   for side, tree in trees.items()}
         runs = {side: [] for side in trees}
         for seed in range(seeds):
             for side in (list(trees) if seed % 2 else list(reversed(trees))):
-                result = run_bench(trees[side], workload, seed, seconds)
+                result = run_bench(trees[side], workload, seed, seconds[side])
                 runs[side].append(result)
                 ok = result["metrics"]["ok_ops_per_s"]["value"]
                 print(f"{workload} seed {seed} {side}: ok_ops_per_s {ok:.4g}", file=sys.stderr)
-        entry = doc["workloads"][workload] = {"seconds": seconds, "passes": passes}
+            work = {s: (r[-1]["notes"]["passes"], r[-1]["attempted"]) for s, r in runs.items()}
+            if len(set(work.values())) > 1:
+                sys.exit(f"record_bench: {workload} seed {seed}: the sides made unequal work, "
+                         f"(passes, attempted) = {work}")
+        entry = doc["workloads"][workload] = {"passes": passes}
         entry.update({side: summary(side_runs) for side, side_runs in runs.items()})
         if "parent" in trees:
             entry["pairs_won"] = pairs_won(runs["change"], runs["parent"])
