@@ -320,10 +320,14 @@ def exact_pair_fraction(parties: int, poly_value: float) -> float:
     The pair weight is Beta(2, d - 2), d = 2^m, so the share is (1 - t)^(d-2) (1 + (d - 2) t),
     0 once t >= 1.  measure_lower_bound bounds it from below exactly when t <= _pair_bound_root(m).
     """
-    d = 2 ** parties
+    if parties < 1:
+        raise ValueError("parties must be at least 1")
+    if not math.isfinite(poly_value):
+        raise ValueError(f"poly_value must be finite, got {poly_value!r}")
+    d = _two_to(parties, parties)
     c = (poly_value + 1.0) / d
     t = c * c
-    return 0.0 if t >= 1.0 else (1.0 - t) ** (d - 2) * (1.0 + (d - 2) * t)
+    return 0.0 if t >= 1.0 else (1.0 - t) ** (d - 2.0) * (1.0 + (d - 2.0) * t)
 
 
 _PAIR_BOUND_ROOTS = tuple(map(float.fromhex, """0x1p-1 0x1.97859440fd196p-3 0x1.69cf8327a3596p-4

@@ -140,8 +140,10 @@ def test_homogeneous_tighter_than_unit_ratio_window():
         (lambda m: undetectable_range_general(m, [1.0] * (m - 1)), 1024),
         (lambda m: visibility_lower_bound(m, 1.0, 1.5), 1024),
         (lambda m: measure_lower_bound(m, 3.0), 1024),
+        (lambda m: exact_pair_fraction(m, 3.0), 1024),
     ],
-    ids=["ghz_threshold", "range_homogeneous", "range_general", "visibility", "measure"],
+    ids=["ghz_threshold", "range_homogeneous", "range_general", "visibility", "measure",
+         "exact_pair"],
 )
 def test_party_counts_past_the_float_range_are_value_errors(call, first_too_many, parties):
     # 2^m no longer fits in a float from m = 1024 on: a domain error naming
@@ -329,6 +331,19 @@ def test_monte_carlo_zero_above_saturation():
 def test_monte_carlo_rejects_non_finite_poly_value(poly):
     with pytest.raises(ValueError, match="poly_value must be finite"):
         measure_monte_carlo(2, poly, 1000, seed=0)
+
+
+@pytest.mark.parametrize(
+    "parties, poly, message",
+    [(0, 3.0, "parties must be at least 1"), (3, math.nan, "poly_value must be finite"),
+     (3, math.inf, "poly_value must be finite")],
+)
+def test_exact_pair_fraction_rejects_what_monte_carlo_rejects(parties, poly, message):
+    # the sampler's own checks, not 0.0 for no parties or nan for a nan poly
+    with pytest.raises(ValueError, match=message):
+        measure_monte_carlo(parties, poly, 1000, seed=0)
+    with pytest.raises(ValueError, match=message):
+        exact_pair_fraction(parties, poly)
 
 
 def test_monte_carlo_dominates_closed_form():
