@@ -129,7 +129,7 @@ def checkout(rev: str):
         yield Path(tmp) / "tree"
 
 
-def sides(parent) -> dict:
+def sides(parent: str | None) -> dict:
     """Each side's rev and commit: the change side's is the commit `git stash create` makes of
     edited tracked files, or HEAD if none are.  Untracked files under src/ or bench/ stop it."""
     untracked = _git("ls-files", "--others", "--exclude-standard", "--", "src", "bench")
