@@ -1,7 +1,8 @@
-"""tools/record_bench.py without bench/run.py: --compare on committed records, pairs_won,
-the sides and their checkout, and record() over fake trees with a fake run_bench."""
+"""tools/record_bench.py without bench/run.py: the verdict on committed and synthetic records,
+pairs_won, the sides and their checkout, and record() over fake trees with a fake run_bench."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -10,17 +11,6 @@ ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("record_bench", ROOT / "tools" / "record_bench.py")
 record_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(record_bench)
-
-
-def test_compare_prints_every_metric_and_shared_command(capsys):
-    assert record_bench.main(["--compare", str(ROOT / "BENCH_40.json"),
-                              str(ROOT / "BENCH_41.json")]) == 0
-    metric_table, command_table = capsys.readouterr().out.strip().split("\n\n")
-    metric_rows = metric_table.splitlines()[1:]
-    assert len(metric_rows) == 9
-    assert all(row.split()[1] in record_bench.METRICS and row.split()[5] == "yes"
-               for row in metric_rows)
-    assert len(command_table.splitlines()[1:]) == 8
 
 
 def _result(ok=1.0, rss=40.0, setup=0.1, passes=8, attempted=56, seconds=1.0):
@@ -42,6 +32,84 @@ def test_pairs_won_counts_wins_in_each_metrics_better_direction():
         "ok_ops_per_s": 2, "peak_rss_mb": 1, "setup_s": 0}
 
 
+def _verdict(workloads):
+    """verdict's judged rows, split into fields, and its command rows."""
+    judged, _, timed = record_bench.verdict(workloads).partition("\n\n")
+    return [row.split() for row in judged.splitlines()[1:]], timed.splitlines()[1:]
+
+
+def _committed(name):
+    return json.loads((ROOT / name).read_text())["workloads"]
+
+
+@pytest.mark.parametrize("name", ["BENCH_41.json", "BENCH_42.json"])
+def test_verdict_on_a_settled_record_reads_yes_on_every_row(name):
+    rows, commands = _verdict(_committed(name))
+    assert len([row for row in rows if row[1] in record_bench.METRICS]) == 9
+    assert [row[1] for row in rows if row[1] not in record_bench.METRICS] == ["failed_share"] * 3
+    assert all(row[6] == "yes" for row in rows)
+    assert len(commands) == 8
+
+
+@pytest.mark.parametrize("name, unresolved", [
+    ("BENCH_42_AA.json", {("enumeration_scan", "ok_ops_per_s")}),
+    ("BENCH_40.json", {("enumeration_scan", "ok_ops_per_s"), ("enumeration_scan", "setup_s"),
+                       ("werner_detect", "setup_s")}),
+])
+def test_verdict_reads_unresolved_where_the_parent_spreads_past_the_bound(name, unresolved):
+    rows, _ = _verdict(_committed(name))
+    assert {(row[0], row[1]) for row in rows if row[6] == "unresolved"} == unresolved
+    assert all(row[6] == "yes" for row in rows if (row[0], row[1]) not in unresolved)
+
+
+def test_verdict_on_the_unresolved_row_of_the_aa_record():
+    rows, _ = _verdict(_committed("BENCH_42_AA.json"))
+    row = next(row for row in rows if row[6] == "unresolved")
+    # parent q1, median, q3: 42.83, 47.79, 56.48 ok ops/s; the change side is ahead in 3 of 6 pairs
+    assert row[5] == "3/6" and " ".join(row[6:]) == "unresolved (parent spread 0.286 > 0.25)"
+
+
+@pytest.mark.parametrize("name", ["BENCH_33.json", "BENCH_35.json"])
+def test_verdict_skips_command_rows_a_record_does_not_hold(name):
+    rows, commands = _verdict(_committed(name))
+    assert len(rows) == 12 and commands == []
+    assert "command s/pass" not in record_bench.verdict(_committed(name))
+
+
+def _workload(change, parent):
+    """A record's workloads entry from fake change and parent results, as record() builds it."""
+    return {"w": {"change": record_bench.summary(change), "parent": record_bench.summary(parent),
+                  "pairs_won": record_bench.pairs_won(change, parent)}}
+
+
+def _readings(workloads):
+    return {row[1]: row[6] for row in _verdict(workloads)[0]}
+
+
+def test_verdict_reads_no_for_a_change_thirty_percent_slower_with_tight_spreads():
+    parent = [_result(ok=10.0 + 0.01 * i) for i in range(10)]
+    change = [_result(ok=7.0 + 0.01 * i) for i in range(10)]
+    assert _readings(_workload(change, parent)) == {
+        "ok_ops_per_s": "NO", "peak_rss_mb": "yes", "setup_s": "yes", "failed_share": "yes"}
+
+
+def test_verdict_reads_yes_for_wide_spreads_with_every_change_run_ahead():
+    parent = [_result(ok=ok) for ok in (5.0, 8.0, 10.0, 12.0, 15.0)]
+    change = [_result(ok=ok) for ok in (16.0, 20.0, 24.0, 28.0, 32.0)]
+    assert _readings(_workload(change, parent))["ok_ops_per_s"] == "yes"
+    # the same spread with one change run behind the best parent run is unresolved
+    change[0] = _result(ok=14.0)
+    assert _readings(_workload(change, parent))["ok_ops_per_s"] == "unresolved"
+
+
+def test_verdict_reads_no_for_a_larger_failed_share():
+    parent = [_result() for _ in range(4)]
+    change = [_result() for _ in range(4)]
+    change[2]["failed"] = 1
+    assert _readings(_workload(change, parent))["failed_share"] == "NO"
+    assert _readings(_workload(parent, change))["failed_share"] == "yes"
+
+
 def _fake_git(untracked="", stash=""):
     answers = {"ls-files": untracked, "stash": stash}
     return lambda *args: f"commit-of-{args[1]}" if args[0] == "rev-parse" else answers[args[0]]
@@ -50,17 +118,24 @@ def _fake_git(untracked="", stash=""):
 @pytest.mark.parametrize("stash, rev", [("", "HEAD"), ("f00d", "f00d")])
 def test_change_side_is_the_stash_commit_or_head(monkeypatch, stash, rev):
     monkeypatch.setattr(record_bench, "_git", _fake_git(stash=stash))
-    assert record_bench.sides(None) == {"change": {"rev": rev, "commit": f"commit-of-{rev}"}}
     both = record_bench.sides("HEAD~1")
+    assert both["change"] == {"rev": rev, "commit": f"commit-of-{rev}"}
     assert both["parent"] == {"rev": "HEAD~1", "commit": "commit-of-HEAD~1"}
-    assert both["change"].keys() == both["parent"].keys()
 
 
 def test_untracked_source_stops_the_recorder_before_any_checkout(monkeypatch, tmp_path):
     monkeypatch.setattr(record_bench, "_git", _fake_git(untracked="src/bellwerner/new.py"))
     monkeypatch.setattr(record_bench, "checkout", lambda rev: pytest.fail("checked out"))
     with pytest.raises(SystemExit, match="src/bellwerner/new.py"):
+        record_bench.main(["--out", str(tmp_path / "BENCH.json"), "--parent", "HEAD"])
+    assert not (tmp_path / "BENCH.json").exists()
+
+
+def test_parent_is_required_before_any_git_call(monkeypatch, tmp_path):
+    monkeypatch.setattr(record_bench, "_git", lambda *args: pytest.fail(f"git {args}"))
+    with pytest.raises(SystemExit) as stop:
         record_bench.main(["--out", str(tmp_path / "BENCH.json")])
+    assert stop.value.code == 2
     assert not (tmp_path / "BENCH.json").exists()
 
 

@@ -1,8 +1,7 @@
-"""Record the benchmark's end-to-end metrics as one JSON file, optionally
-against a parent revision measured on the same host in alternating runs.
+"""Record the benchmark's end-to-end metrics of a change against a parent revision, measured
+on the same host in alternating runs, as one JSON file, and print the record's verdict.
 
-    python3 tools/record_bench.py --out BENCH.json [--parent REV] [--seeds N]
-    python3 tools/record_bench.py --compare OLD.json NEW.json
+    python3 tools/record_bench.py --out BENCH.json --parent REV [--seeds N]
 
 Run from anywhere inside the repository.  Each side runs its own
 bench/run.py unchanged, with --trace 0, in a temporary `git archive` extract
@@ -18,15 +17,10 @@ sides alike.
 Per workload and side the record holds the quartiles of each metric in
 METRICS and of each command's seconds per pass (as bench/run.py's
 command_times computes them), whether every run was correct, the failed,
-attempted and pass counts and the --seconds given; with --parent, per
-metric, the pairs in which the change side did better by BENCHMARK.json's
-direction.  It also holds each side's rev and commit, and the machine
-(cores, Python, NumPy, BLAS).
-
---compare reads two records and runs nothing.  Per workload and metric it
-prints the two change-side medians, their ratio NEW/OLD and whether NEW is
-within BENCHMARK.json's bound; then the change-side medians of seconds per
-pass of the commands both records hold, and their ratio.  It always exits 0.
+attempted and pass counts and the --seconds given; per metric, the pairs in
+which the change side did better by BENCHMARK.json's direction.  It also
+holds each side's rev and commit, and the machine (cores, Python, NumPy,
+BLAS).  The printed verdict is computed from the record alone (see verdict).
 """
 
 import argparse
@@ -129,15 +123,14 @@ def checkout(rev: str):
         yield Path(tmp) / "tree"
 
 
-def sides(parent: str | None) -> dict:
+def sides(parent: str) -> dict:
     """Each side's rev and commit: the change side's is the commit `git stash create` makes of
     edited tracked files, or HEAD if none are.  Untracked files under src/ or bench/ stop it."""
     untracked = _git("ls-files", "--others", "--exclude-standard", "--", "src", "bench")
     if untracked:
         sys.exit(f"record_bench: untracked files would be left out: {untracked.splitlines()}")
     revs = {"change": _git("stash", "create") or "HEAD", "parent": parent}
-    return {side: {"rev": rev, "commit": _git("rev-parse", rev)} for side, rev in revs.items()
-            if rev is not None}
+    return {side: {"rev": rev, "commit": _git("rev-parse", rev)} for side, rev in revs.items()}
 
 
 def record(trees: dict, seeds: int) -> dict:
@@ -161,50 +154,53 @@ def record(trees: dict, seeds: int) -> dict:
                          f"(passes, attempted) = {work}")
         entry = doc["workloads"][workload] = {"passes": passes}
         entry.update({side: summary(side_runs) for side, side_runs in runs.items()})
-        if "parent" in trees:
-            entry["pairs_won"] = pairs_won(runs["change"], runs["parent"])
+        entry["pairs_won"] = pairs_won(runs["change"], runs["parent"])
     doc["machine"] = {k: result["meta"][k] for k in ("nproc", "machine", "python", "numpy", "blas")}
     return doc
 
 
-def compare(old_path: Path, new_path: Path) -> None:
-    """Print the change-side medians of two records, their ratio and the bound check."""
-    old, new = (json.loads(Path(p).read_text())["workloads"] for p in (old_path, new_path))
+def verdict(workloads: dict) -> str:
+    """One record's judgement of its change side against its parent side, as printed rows.
+    A metric reads yes or NO by BENCHMARK.json's bound and direction, or unresolved where the
+    parent's (q3 - q1) / median exceeds the bound and some change run does not beat every
+    parent run; failed / attempted reads NO where the change side's is larger."""
     metrics = end_to_end()
-    rows = []
-    print(f"{'workload':<18}{'metric':<14}{'old':>12}{'new':>12}{'new/old':>9}  within bound")
-    for workload in (w for w in new if w in old):
+    columns = f"{'parent':>12}{'change':>12}{'change/parent':>15}"
+    judged, timed = [f"{'workload':<18}{'metric':<16}{columns}{'won':>7}  verdict"], []
+    for workload, entry in workloads.items():
+        parent, change = entry["parent"], entry["change"]
         for name in METRICS:
-            before = old[workload]["change"][name]["median"]
-            after = new[workload]["change"][name]["median"]
-            bound = metrics[name]["bound"]
-            if metrics[name]["better"] == "higher":
-                within, rule = after >= before * (1.0 - bound), f">= {1.0 - bound:g}"
+            p, c, bound = parent[name], change[name], metrics[name]["bound"]
+            sign = 1.0 if metrics[name]["better"] == "higher" else -1.0
+            spread = (p["q3"] - p["q1"]) / p["median"]
+            overlap = min(sign * v for v in c["runs"]) <= max(sign * v for v in p["runs"])
+            if spread > bound and overlap:
+                reading = f"unresolved (parent spread {spread:.3f} > {bound:g})"
             else:
-                within, rule = after <= before * (1.0 + bound), f"<= {1.0 + bound:g}"
-            print(f"{workload:<18}{name:<14}{before:>12.5g}{after:>12.5g}{after / before:>9.3f}  "
-                  f"{'yes' if within else 'NO'} (ratio {rule})")
-        before, after = (r[workload]["change"].get("commands", {}) for r in (old, new))
+                within = sign * (c["median"] - p["median"]) >= -bound * p["median"]
+                rule = f"ratio {'>=' if sign > 0 else '<='} {1.0 - sign * bound:g}"
+                reading = f"{'yes' if within else 'NO'} ({rule})"
+            won = f"{entry['pairs_won'][name]}/{len(c['runs'])}"
+            judged.append(f"{workload:<18}{name:<16}{p['median']:>12.5g}{c['median']:>12.5g}"
+                          f"{c['median'] / p['median']:>15.3f}{won:>7}  {reading}")
+        b, a = (sum(s["failed"]) / sum(s["attempted"]) for s in (parent, change))
+        judged.append(f"{workload:<18}{'failed_share':<16}{b:>12.5g}{a:>12.5g}{'-':>15}{'-':>7}"
+                      f"  {'NO' if a > b else 'yes'}")
+        before, after = parent.get("commands", {}), change.get("commands", {})
         for label in (label for label in after if label in before):
-            rows.append((workload, label, before[label]["median"], after[label]["median"]))
-    if rows:
-        print(f"\n{'workload':<18}{'command s/pass':<18}{'old':>12}{'new':>12}{'new/old':>9}")
-        for workload, label, before, after in rows:
-            print(f"{workload:<18}{label:<18}{before:>12.5g}{after:>12.5g}{after / before:>9.3f}")
+            b, a = before[label]["median"], after[label]["median"]
+            timed.append(f"{workload:<18}{label:<16}{b:>12.5g}{a:>12.5g}{a / b:>15.3f}")
+    if timed:
+        judged += ["", f"{'workload':<18}{'command s/pass':<16}{columns}", *timed]
+    return "\n".join(judged)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    action = parser.add_mutually_exclusive_group(required=True)
-    action.add_argument("--out", type=Path)
-    action.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"),
-                        help="print the change-side medians of two records; runs nothing")
-    parser.add_argument("--parent", help="revision to measure against, in alternating runs")
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--parent", required=True, help="revision to measure against")
     parser.add_argument("--seeds", type=int, default=10)
     args = parser.parse_args(argv)
-    if args.compare:
-        compare(*args.compare)
-        return 0
     if args.seeds < 2:
         parser.error("--seeds must be at least 2")
     doc = {"sides": sides(args.parent)}
@@ -213,6 +209,7 @@ def main(argv=None) -> int:
                  for side, rev in doc["sides"].items()}
         doc.update(record(trees, args.seeds))
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    print(verdict(doc["workloads"]))
     return 0
 
 
