@@ -1,6 +1,7 @@
 """tools/record_bench.py without bench/run.py: the verdict on committed and synthetic records,
 pairs_won, the sides and their checkout, and record() over fake trees with a fake run_bench."""
 
+import contextlib
 import importlib.util
 import json
 from pathlib import Path
@@ -125,7 +126,7 @@ def test_change_side_is_the_stash_commit_or_head(monkeypatch, stash, rev):
 
 def test_untracked_source_stops_the_recorder_before_any_checkout(monkeypatch, tmp_path):
     monkeypatch.setattr(record_bench, "_git", _fake_git(untracked="src/bellwerner/new.py"))
-    monkeypatch.setattr(record_bench, "checkout", lambda rev: pytest.fail("checked out"))
+    monkeypatch.setattr(record_bench, "checkout", lambda rev, side: pytest.fail("checked out"))
     with pytest.raises(SystemExit, match="src/bellwerner/new.py"):
         record_bench.main(["--out", str(tmp_path / "BENCH.json"), "--parent", "HEAD"])
     assert not (tmp_path / "BENCH.json").exists()
@@ -140,7 +141,8 @@ def test_parent_is_required_before_any_git_call(monkeypatch, tmp_path):
 
 
 def test_checkout_holds_the_committed_tree_and_removes_it():
-    with record_bench.checkout("HEAD") as tree:
+    with record_bench.checkout("HEAD", "parent") as tree:
+        assert tree.name == "parent"
         assert (tree / "bench" / "run.py").is_file()
         assert (tree / "src" / "bellwerner" / "cli.py").is_file()
     assert not tree.exists()
@@ -190,3 +192,28 @@ def test_a_pair_of_unequal_work_stops_the_recorder(monkeypatch, tmp_path, skew):
     monkeypatch.setattr(record_bench, "run_bench", _fake_run_bench([], skew))
     with pytest.raises(SystemExit, match="^record_bench: w seed 0: the sides made unequal work"):
         record_bench.record(_fake_trees(tmp_path), 2)
+
+
+FAKE_RUN = """import json, pathlib, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+out = pathlib.Path("bench", "out")
+out.mkdir(exist_ok=True)
+name = f"result-{args['--workload']}-{args['--seed']}-trace0.json"
+(out / name).write_text(json.dumps({"correct": False, "pass_times": [1.0]}))
+"""
+
+
+def test_an_incorrect_run_stops_the_recorder_before_the_record_is_written(monkeypatch, tmp_path):
+    trees = _fake_trees(tmp_path)
+    for tree in trees.values():
+        (tree / "bench" / "run.py").write_text(FAKE_RUN)
+    monkeypatch.setattr(record_bench, "_git", _fake_git())
+    monkeypatch.setattr(record_bench, "checkout",
+                        lambda rev, side: contextlib.nullcontext(trees[side]))
+    out = tmp_path / "BENCH.json"
+    # the calibration run is the first to stop it
+    with pytest.raises(SystemExit, match="^record_bench: w seed 0 on the change side: incorrect"):
+        record_bench.main(["--out", str(out), "--parent", "HEAD~1"])
+    assert not out.exists()
+    with pytest.raises(SystemExit, match="^record_bench: w seed 3 on the parent side: incorrect"):
+        record_bench.run_bench(trees["parent"], "w", 3, 1.0)

@@ -16,9 +16,10 @@ sides alike.
 
 Per workload and side the record holds the quartiles of each metric in
 METRICS and of each command's seconds per pass (as bench/run.py's
-command_times computes them), whether every run was correct, the failed,
-attempted and pass counts and the --seconds given; per metric, the pairs in
-which the change side did better by BENCHMARK.json's direction.  It also
+command_times computes them), whether every run was correct (an incorrect
+run stops the recorder), the failed, attempted and pass counts and the
+--seconds given; per metric, the pairs in which the change side did better by
+BENCHMARK.json's direction.  It also
 holds each side's rev and commit, and the machine (cores, Python, NumPy,
 BLAS).  The printed verdict is computed from the record alone (see verdict).
 """
@@ -54,7 +55,7 @@ def load_workloads(tree: Path):
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One bench/run.py run in tree; its full result document."""
+    """One bench/run.py run in a side's extract; its result document, which must be correct."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", repr(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=False)
@@ -62,7 +63,10 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"{' '.join(argv)} in {tree} exited {done.returncode}: "
                            f"{done.stderr.strip()[-2000:]}")
     path = tree / "bench" / "out" / f"result-{workload}-{seed}-trace0.json"
-    return json.loads(path.read_text())
+    result = json.loads(path.read_text())
+    if not result["correct"]:
+        sys.exit(f"record_bench: {workload} seed {seed} on the {tree.name} side: incorrect results")
+    return result
 
 
 def calibrate(tree: Path, workload: str) -> int:
@@ -105,22 +109,18 @@ def end_to_end() -> dict:
 
 def pairs_won(change: list, parent: list) -> dict:
     """Per metric, in how many seed pairs the change side beat the parent."""
-    metrics = end_to_end()
-    won = {}
-    for name in METRICS:
-        sign = 1.0 if metrics[name]["better"] == "higher" else -1.0
-        won[name] = sum(sign * (c["metrics"][name]["value"] - p["metrics"][name]["value"]) > 0
-                        for c, p in zip(change, parent))
-    return won
+    sign = {name: 1.0 if m["better"] == "higher" else -1.0 for name, m in end_to_end().items()}
+    return {name: sum(sign[name] * (c["metrics"][name]["value"] - p["metrics"][name]["value"]) > 0
+                      for c, p in zip(change, parent)) for name in METRICS}
 
 
 @contextlib.contextmanager
-def checkout(rev: str):
-    """The committed files of rev in a temporary directory, removed on exit."""
+def checkout(rev: str, side: str):
+    """The committed files of rev in a temporary directory named side, removed on exit."""
     with tempfile.TemporaryDirectory(prefix="record-bench-") as tmp:
-        _git("archive", "--prefix", "tree/", "--output", f"{tmp}/tree.tar", rev)
+        _git("archive", "--prefix", f"{side}/", "--output", f"{tmp}/tree.tar", rev)
         subprocess.run(["tar", "-xf", "tree.tar"], cwd=tmp, check=True)
-        yield Path(tmp) / "tree"
+        yield Path(tmp) / side
 
 
 def sides(parent: str) -> dict:
@@ -205,7 +205,7 @@ def main(argv=None) -> int:
         parser.error("--seeds must be at least 2")
     doc = {"sides": sides(args.parent)}
     with contextlib.ExitStack() as stack:
-        trees = {side: stack.enter_context(checkout(rev["commit"]))
+        trees = {side: stack.enter_context(checkout(rev["commit"], side))
                  for side, rev in doc["sides"].items()}
         doc.update(record(trees, args.seeds))
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
