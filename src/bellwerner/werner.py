@@ -308,6 +308,8 @@ def measure_lower_bound(parties: int, poly_value: float) -> float:
     """(1 - c^2)^(2^(m-1)) with c = 2^-m (poly_value + 1); needs 0 < c < 1."""
     if parties < 1:
         raise ValueError("parties must be at least 1")
+    if not math.isfinite(poly_value):
+        raise ValueError(f"poly_value must be finite, got {poly_value!r}")
     c = (poly_value + 1.0) / _two_to(parties, parties)
     if not 0.0 < c < 1.0:
         raise ValueError(f"derived constant c = {c!r} must lie in (0, 1)")

@@ -339,11 +339,14 @@ def test_monte_carlo_rejects_non_finite_poly_value(poly):
      (3, math.inf, "poly_value must be finite")],
 )
 def test_exact_pair_fraction_rejects_what_monte_carlo_rejects(parties, poly, message):
-    # the sampler's own checks, not 0.0 for no parties or nan for a nan poly
+    # the sampler's own checks, not 0.0 for no parties, nan for a nan poly or a complaint
+    # about the derived constant c
     with pytest.raises(ValueError, match=message):
         measure_monte_carlo(parties, poly, 1000, seed=0)
     with pytest.raises(ValueError, match=message):
         exact_pair_fraction(parties, poly)
+    with pytest.raises(ValueError, match=message):
+        measure_lower_bound(parties, poly)
 
 
 def test_monte_carlo_dominates_closed_form():
