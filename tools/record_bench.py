@@ -1,27 +1,29 @@
-"""Record the benchmark's end-to-end metrics of a change against a parent revision, measured
-on the same host in alternating runs, as one JSON file, and print the record's verdict.
+"""Record the benchmark's end-to-end metrics of a change against a parent revision, measured on
+the same host in alternating runs, as one JSON file, and print the record's verdict.
 
     python3 tools/record_bench.py --out BENCH.json --parent REV [--seeds N]
 
-Run from anywhere inside the repository.  Each side runs its own
-bench/run.py unchanged, with --trace 0, in a temporary `git archive` extract
-(see sides); nothing runs in the working tree.  Per workload a calibration
-run of one pass per input set on the change side sets the pass count of
-every run: whole rounds over the input sets, of at least MIN_WORK_S seconds.
-Each side turns that count into --seconds with its own
-bench/workloads.NOMINAL_PASS_S, and a pair whose sides made unequal passes
-or attempted counts stops the recorder.  Seeds 0 .. N-1 give one run per
-side, alternating which side runs first, so that host drift falls on both
-sides alike.
+Run from anywhere inside the repository; --parent is required.  Each side runs its own
+bench/run.py unchanged, with --trace 0, in a temporary `git archive` extract (see sides);
+nothing runs in the working tree.  Per workload a calibration run of one pass per input set on
+the change side sets the pass count of every run: whole rounds over the input sets, of at
+least MIN_WORK_S seconds.  Each side turns that count into --seconds with its own
+bench/workloads.NOMINAL_PASS_S, and a pair whose sides made unequal passes or attempted counts
+stops the recorder.  Seeds 0 .. N-1 give one run per side, alternating which side runs first,
+so that host drift falls on both sides alike.
 
-Per workload and side the record holds the quartiles of each metric in
-METRICS and of each command's seconds per pass (as bench/run.py's
-command_times computes them), whether every run was correct (an incorrect
-run stops the recorder), the failed, attempted and pass counts and the
---seconds given; per metric, the pairs in which the change side did better by
-BENCHMARK.json's direction.  It also
-holds each side's rev and commit, and the machine (cores, Python, NumPy,
-BLAS).  The printed verdict is computed from the record alone (see verdict).
+Per workload and side the record holds the quartiles of each metric in METRICS and of each
+command's seconds per pass (as bench/run.py's command_times computes them), whether every run
+was correct (an incorrect run stops the recorder), the failed, attempted and pass counts and
+the --seconds given; per metric, the pairs in which the change side did better by
+BENCHMARK.json's direction.  It also holds each side's rev and commit, and the machine (cores,
+Python, NumPy, BLAS).
+
+After writing the record it prints its verdict, computed from the record alone.  Per workload,
+each end-to-end metric reads yes or NO by BENCHMARK.json's bound and direction, or unresolved
+where the parent's (q3 - q1) / median exceeds the bound and not every change run beats every
+parent run; the failed share (failed / attempted) reads NO where the change side's is larger.
+Below, each command's seconds per pass, where the record holds them.
 """
 
 import argparse
@@ -160,10 +162,8 @@ def record(trees: dict, seeds: int) -> dict:
 
 
 def verdict(workloads: dict) -> str:
-    """One record's judgement of its change side against its parent side, as printed rows.
-    A metric reads yes or NO by BENCHMARK.json's bound and direction, or unresolved where the
-    parent's (q3 - q1) / median exceeds the bound and some change run does not beat every
-    parent run; failed / attempted reads NO where the change side's is larger."""
+    """A record's judgement of its change side against its parent side, as printed rows
+    (see the module docstring)."""
     metrics = end_to_end()
     columns = f"{'parent':>12}{'change':>12}{'change/parent':>15}"
     judged, timed = [f"{'workload':<18}{'metric':<16}{columns}{'won':>7}  verdict"], []
