@@ -111,9 +111,13 @@ def end_to_end() -> dict:
 
 def pairs_won(change: list, parent: list) -> dict:
     """Per metric, in how many seed pairs the change side beat the parent."""
-    sign = {name: 1.0 if m["better"] == "higher" else -1.0 for name, m in end_to_end().items()}
-    return {name: sum(sign[name] * (c["metrics"][name]["value"] - p["metrics"][name]["value"]) > 0
-                      for c, p in zip(change, parent)) for name in METRICS}
+    metrics = end_to_end()
+    won = {}
+    for name in METRICS:
+        sign = 1.0 if metrics[name]["better"] == "higher" else -1.0
+        won[name] = sum(sign * (c["metrics"][name]["value"] - p["metrics"][name]["value"]) > 0
+                        for c, p in zip(change, parent))
+    return won
 
 
 @contextlib.contextmanager
