@@ -74,7 +74,6 @@ def test_verdict_on_the_unresolved_row_of_the_aa_record():
 def test_verdict_skips_command_rows_a_record_does_not_hold(name):
     rows, commands = _verdict(_committed(name))
     assert len(rows) == 12 and commands == []
-    assert "command s/pass" not in record_bench.verdict(_committed(name))
 
 
 def _workload(change, parent):
