@@ -1,5 +1,5 @@
 """tools/record_bench.py without bench/run.py: the verdict on committed and synthetic records,
-pairs_won, the sides and their checkout, and record() over fake trees with a fake run_bench."""
+the sides and their checkout, and record() over fake trees with a fake run_bench."""
 
 import contextlib
 import importlib.util
@@ -18,19 +18,10 @@ def _result(ok=1.0, rss=40.0, setup=0.1, passes=8, attempted=56, seconds=1.0):
     """A bench/run.py result document with the fields the recorder reads."""
     return {"metrics": {"ok_ops_per_s": {"value": ok}, "peak_rss_mb": {"value": rss},
                         "setup_s": {"value": setup}},
-            "correct": True, "failed": 0, "attempted": attempted, "seconds": seconds,
+            "failed": 0, "attempted": attempted, "seconds": seconds,
             "notes": {"passes": passes}, "pass_times": [1.0] * passes,
             "ops": [{"label": "bounds_s", "seconds": 0.5}] * passes,
             "meta": dict.fromkeys(("nproc", "machine", "python", "numpy", "blas"), "x")}
-
-
-def test_pairs_won_counts_wins_in_each_metrics_better_direction():
-    # ok_ops_per_s is better higher, peak_rss_mb and setup_s lower; a tie counts for neither
-    change = [_result(ok=2.0, rss=41.0, setup=0.1), _result(ok=1.0, rss=39.0, setup=0.2),
-              _result(ok=3.0, rss=40.0, setup=0.3)]
-    parent = [_result(ok=1.0, rss=40.0, setup=0.1)] * 3
-    assert record_bench.pairs_won(change, parent) == {
-        "ok_ops_per_s": 2, "peak_rss_mb": 1, "setup_s": 0}
 
 
 def _verdict(workloads):
@@ -41,6 +32,22 @@ def _verdict(workloads):
 
 def _committed(name):
     return json.loads((ROOT / name).read_text())["workloads"]
+
+
+RECORDS_WITH_PAIRS_WON = ["BENCH_33.json", "BENCH_35.json", "BENCH_37.json", "BENCH_37_AA.json",
+                          "BENCH_38.json", "BENCH_39.json", "BENCH_40.json", "BENCH_41.json",
+                          "BENCH_42.json", "BENCH_42_AA.json", "BENCH_43.json"]
+
+
+@pytest.mark.parametrize("name", RECORDS_WITH_PAIRS_WON)
+def test_verdict_counts_the_pairs_won_these_records_stored(name):
+    # records made before the verdict counted the won pairs from the runs also stored the count
+    workloads = _committed(name)
+    rows, _ = _verdict(workloads)
+    stored = {(workload, metric): f"{won}/{len(entry['change'][metric]['runs'])}"
+              for workload, entry in workloads.items()
+              for metric, won in entry["pairs_won"].items()}
+    assert {(row[0], row[1]): row[5] for row in rows if row[1] in record_bench.METRICS} == stored
 
 
 @pytest.mark.parametrize("name", ["BENCH_41.json", "BENCH_42.json"])
@@ -78,12 +85,21 @@ def test_verdict_skips_command_rows_a_record_does_not_hold(name):
 
 def _workload(change, parent):
     """A record's workloads entry from fake change and parent results, as record() builds it."""
-    return {"w": {"change": record_bench.summary(change), "parent": record_bench.summary(parent),
-                  "pairs_won": record_bench.pairs_won(change, parent)}}
+    return {"w": {"change": record_bench.summary(change), "parent": record_bench.summary(parent)}}
 
 
 def _readings(workloads):
     return {row[1]: row[6] for row in _verdict(workloads)[0]}
+
+
+def test_verdict_counts_wins_in_each_metrics_better_direction():
+    # ok_ops_per_s is better higher, peak_rss_mb and setup_s lower; a tie counts for neither
+    change = [_result(ok=2.0, rss=41.0, setup=0.1), _result(ok=1.0, rss=39.0, setup=0.2),
+              _result(ok=3.0, rss=40.0, setup=0.3)]
+    parent = [_result(ok=1.0, rss=40.0, setup=0.1)] * 3
+    won = {row[1]: row[5] for row in _verdict(_workload(change, parent))[0]}
+    assert won == {"ok_ops_per_s": "2/3", "peak_rss_mb": "1/3", "setup_s": "0/3",
+                   "failed_share": "-"}
 
 
 def test_verdict_reads_no_for_a_change_thirty_percent_slower_with_tight_spreads():
@@ -183,6 +199,10 @@ def test_each_side_gets_the_seconds_for_the_same_pass_count(monkeypatch, tmp_pat
     assert entry["passes"] == 6
     assert calls[1:] == [("parent", 3.0), ("change", 12.0), ("change", 12.0), ("parent", 3.0)]
     assert entry["change"]["passes"] == entry["parent"]["passes"] == [6, 6]
+    # each measured number is held once, in the per-metric runs of each side
+    assert set(entry) == {"passes", "change", "parent"}
+    assert set(entry["change"]) == {*record_bench.METRICS, "failed", "attempted", "seconds",
+                                    "passes", "commands"}
     assert (entry["change"]["seconds"], entry["parent"]["seconds"]) == (12.0, 3.0)
 
 

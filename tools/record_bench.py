@@ -12,18 +12,18 @@ bench/workloads.NOMINAL_PASS_S, and a pair whose sides made unequal passes or at
 stops the recorder.  Seeds 0 .. N-1 give one run per side, alternating which side runs first,
 so that host drift falls on both sides alike.
 
-Per workload and side the record holds the quartiles of each metric in METRICS and of each
-command's seconds per pass (as bench/run.py's command_times computes them), whether every run
-was correct (an incorrect run stops the recorder), the failed, attempted and pass counts and
-the --seconds given; per metric, the pairs in which the change side did better by
-BENCHMARK.json's direction.  It also holds each side's rev and commit, and the machine (cores,
-Python, NumPy, BLAS).
+Per workload and side the record holds each metric in METRICS, run by run in seed order, with
+its quartiles, the quartiles of each command's seconds per pass (as bench/run.py's
+command_times computes them), the failed, attempted and pass counts and the --seconds given.
+Every run it holds was correct: an incorrect run stops the recorder.  It also holds each side's
+rev and commit, and the machine (cores, Python, NumPy, BLAS).
 
 After writing the record it prints its verdict, computed from the record alone.  Per workload,
 each end-to-end metric reads yes or NO by BENCHMARK.json's bound and direction, or unresolved
 where the parent's (q3 - q1) / median exceeds the bound and not every change run beats every
-parent run; the failed share (failed / attempted) reads NO where the change side's is larger.
-Below, each command's seconds per pass, where the record holds them.
+parent run; its won column counts the seed pairs in which the change side did better by that
+direction, from the stored runs.  The failed share (failed / attempted) reads NO where the
+change side's is larger.  Below, each command's seconds per pass, where the record holds them.
 """
 
 import argparse
@@ -93,7 +93,6 @@ def command_seconds(result: dict) -> dict:
 
 def summary(runs: list) -> dict:
     out = {name: quartiles([r["metrics"][name]["value"] for r in runs]) for name in METRICS}
-    out["correct"] = all(r["correct"] for r in runs)
     out["failed"] = [r["failed"] for r in runs]
     out["attempted"] = [r["attempted"] for r in runs]
     out["seconds"] = runs[0]["seconds"]
@@ -102,22 +101,6 @@ def summary(runs: list) -> dict:
     labels = dict.fromkeys(label for t in times for label in t)
     out["commands"] = {label: quartiles([t.get(label, 0.0) for t in times]) for label in labels}
     return out
-
-
-def end_to_end() -> dict:
-    """BENCHMARK.json's end-to-end metrics by name: unit, better direction and bound."""
-    return {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-
-
-def pairs_won(change: list, parent: list) -> dict:
-    """Per metric, in how many seed pairs the change side beat the parent."""
-    metrics = end_to_end()
-    won = {}
-    for name in METRICS:
-        sign = 1.0 if metrics[name]["better"] == "higher" else -1.0
-        won[name] = sum(sign * (c["metrics"][name]["value"] - p["metrics"][name]["value"]) > 0
-                        for c, p in zip(change, parent))
-    return won
 
 
 @contextlib.contextmanager
@@ -160,7 +143,6 @@ def record(trees: dict, seeds: int) -> dict:
                          f"(passes, attempted) = {work}")
         entry = doc["workloads"][workload] = {"passes": passes}
         entry.update({side: summary(side_runs) for side, side_runs in runs.items()})
-        entry["pairs_won"] = pairs_won(runs["change"], runs["parent"])
     doc["machine"] = {k: result["meta"][k] for k in ("nproc", "machine", "python", "numpy", "blas")}
     return doc
 
@@ -168,7 +150,8 @@ def record(trees: dict, seeds: int) -> dict:
 def verdict(workloads: dict) -> str:
     """A record's judgement of its change side against its parent side, as printed rows
     (see the module docstring)."""
-    metrics = end_to_end()
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m for m in benchmark["end_to_end"]}
     columns = f"{'parent':>12}{'change':>12}{'change/parent':>15}"
     judged, timed = [f"{'workload':<18}{'metric':<16}{columns}{'won':>7}  verdict"], []
     for workload, entry in workloads.items():
@@ -184,7 +167,8 @@ def verdict(workloads: dict) -> str:
                 within = sign * (c["median"] - p["median"]) >= -bound * p["median"]
                 rule = f"ratio {'>=' if sign > 0 else '<='} {1.0 - sign * bound:g}"
                 reading = f"{'yes' if within else 'NO'} ({rule})"
-            won = f"{entry['pairs_won'][name]}/{len(c['runs'])}"
+            wins = sum(sign * (a - b) > 0 for a, b in zip(c["runs"], p["runs"]))
+            won = f"{wins}/{len(c['runs'])}"
             judged.append(f"{workload:<18}{name:<16}{p['median']:>12.5g}{c['median']:>12.5g}"
                           f"{c['median'] / p['median']:>15.3f}{won:>7}  {reading}")
         b, a = (sum(s["failed"]) / sum(s["attempted"]) for s in (parent, change))
