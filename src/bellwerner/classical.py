@@ -245,11 +245,15 @@ def closed_form_classical(expr: BellExpression) -> float:
         raise ValueError("zero expression has no classical bound")
     if not is_homogeneous(expr):
         raise ValueError("closed form requires a homogeneous (full-correlation) expression")
-    # the (1|2)^m slice of the coefficient tensor: row p holds a_{p0}, a_{p1}
+    # canonical rows of a homogeneous expression are sorted with the last party
+    # fastest, so a prefix's "0" and "1" terms are adjacent: row g of pairs holds
+    # a_{p0}, a_{p1} of the g-th present prefix p (an absent one would add 0.0)
     slots, coeffs = term_slots(expr)
-    pairs = np.zeros((2,) * expr.parties)
-    pairs[tuple(slots.T - 1)] = coeffs
-    a0, a1 = pairs.reshape(-1, 2).T
+    prefix = slots[:, :-1]
+    starts = np.concatenate([[True], (prefix[1:] != prefix[:-1]).any(axis=1)])
+    pairs = np.zeros((int(starts.sum()), 2))
+    pairs[np.cumsum(starts) - 1, slots[:, -1] - 1] = coeffs
+    a0, a1 = pairs.T
     # accumulate adds prefix after prefix, as the sums are defined (np.sum is pairwise)
     odd = float(np.add.accumulate(np.abs(a0 + a1))[-1])
     even = float(np.add.accumulate(np.abs(a0 - a1))[-1])

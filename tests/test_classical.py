@@ -54,6 +54,8 @@ def test_closed_form_values():
         closed_form_classical(builtin("CH"))  # has single-party terms
     with pytest.raises(ValueError):
         closed_form_classical(new_expression(2, [("00", 0.0)]))
+    # only the terms are read: a (2,)*m table of prefixes would take 8 TiB here
+    assert closed_form_classical(new_expression(40, [("0" * 40, 1.0), ("1" * 40, -1.0)])) == 2.0
 
 
 def test_against_brute_force():
@@ -141,7 +143,7 @@ def test_closed_form_is_upper_envelope():
 
 def test_closed_form_matches_string_loop_exactly():
     rng = np.random.default_rng(28)
-    exprs = [builtin("CHSH")] + [builtin(f"MERMIN({m})") for m in (3, 5, 7)]
+    exprs = [builtin("CHSH")] + [builtin(f"MERMIN({m})") for m in range(3, 16, 2)]
     for m in range(1, 8):
         exprs.append(_dense_expression(rng, m, homogeneous=True))
         exprs.append(random_expression(rng, m, max_terms=2 ** (m - 1), homogeneous=True))
