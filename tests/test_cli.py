@@ -174,6 +174,19 @@ def test_tables_ii_runs_past_the_default_max_m(capsys):
     assert "| 5 | 1000 |" in out
 
 
+def test_tables_ii_warns_of_skipped_block_evaluations(capsys, monkeypatch):
+    # with the magnitude floor above every block bound, each m skips all m blocks of every sample
+    monkeypatch.setattr(gamma, "_BLOCK_EPS", 1e300)
+    rep = _structured(capsys, ["tables", "II", "--samples", "20"])
+    assert rep["results"]["tables"][0]["rows"] == [[m, 20] + ["-"] * 6 for m in (2, 3, 4)]
+    assert rep["warnings"] == [
+        {"name": "skipped-samples",
+         "message": f"m={m}: {20 * m} block evaluations fell below the magnitude floor and "
+                    "were skipped"}
+        for m in (2, 3, 4)
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

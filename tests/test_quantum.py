@@ -579,6 +579,9 @@ import hashlib
 import numpy as np
 from bellwerner import builtin, new_expression
 from bellwerner.quantum import seesaw_fixed_state, seesaw_lower
+def show(parties, res):
+    print(parties, [v.hex() for v in res.sweep_values], res.stop_reasons,
+          hashlib.sha256(res.state.tobytes()).hexdigest(), repr(res.witness))
 rng = np.random.default_rng(41)
 exprs = [builtin(name) for name in ("CH", "MERMIN(3)", "MERMIN(5)")]
 for m in (4, 6):
@@ -588,18 +591,22 @@ for expr in exprs:
     psi = rng.standard_normal(2 ** expr.parties) + 1j * rng.standard_normal(2 ** expr.parties)
     psi /= np.linalg.norm(psi)
     for res in (seesaw_lower(expr, restarts=2), seesaw_fixed_state(expr, psi, restarts=2)):
-        print(expr.parties, [v.hex() for v in res.sweep_values], res.stop_reasons,
-              hashlib.sha256(res.state.tobytes()).hexdigest(), repr(res.witness))
-# seesaw_lower alone from seven parties on: the fixed-state see-saw solves no eigenproblem
+        show(expr.parties, res)
 dense = np.random.default_rng([42, 1]).standard_normal(2 ** 8)
 patterns = [format(i, "b").zfill(8) for i in range(2 ** 8)]
 for expr, restarts in ((builtin("MERMIN(7)"), 2), (new_expression(8, zip(patterns, dense)), 1)):
-    res = seesaw_lower(expr, restarts=restarts)
-    print(expr.parties, [v.hex() for v in res.sweep_values], res.stop_reasons,
-          hashlib.sha256(res.state.tobytes()).hexdigest(), repr(res.witness))
+    show(expr.parties, seesaw_lower(expr, restarts=restarts))
+# the fixed-state see-saw solves no eigenproblem, but its ops @ psi runs on the default thread
+# count; with a random state MERMIN(7) runs every restart to the sweep cap, this expression not
+rng = np.random.default_rng([42, 2])
+patterns = [format(i, "b").zfill(7) for i in range(2 ** 7)]
+expr = new_expression(7, [(p, float(rng.standard_normal())) for p in patterns])
+psi = rng.standard_normal(2 ** 7) + 1j * rng.standard_normal(2 ** 7)
+show(7, seesaw_fixed_state(expr, psi / np.linalg.norm(psi), restarts=2))
 """
     default = run_python(code)
-    assert len(default.splitlines()) == 12
+    assert len(default.splitlines()) == 13
+    assert "('bounded', 'bounded', 'converged')" in default.splitlines()[-1]
     assert run_python(code, OPENBLAS_NUM_THREADS="1") == default
 
 

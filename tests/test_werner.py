@@ -173,6 +173,15 @@ def test_pair_bound_product_state_caps_at_one():
     assert separability_upper_bound(vec) == 1.0
 
 
+def test_pair_bound_without_a_usable_pair_is_one():
+    # the light pairs are 0 and 3 (p_i + p_ic = 1/4); for both, 16 p_j p_jc - 16 p_i p_ic
+    # + 4 (p_i + p_ic) - 1 is zero in exact arithmetic at every j, and |f| <= 1e-12 in floats
+    r = math.sqrt(0.5)
+    amps = np.sqrt([1 / 8, (3 / 4 + r) / 2, (3 / 4 - r) / 2, 1 / 8])
+    assert separability_upper_bound(amps) == 1.0
+    assert separability_upper_bound_loop(amps) == 1.0
+
+
 def test_pair_bound_dominates_exact_threshold():
     for m in (2, 3):
         for theta in np.linspace(0.05, math.pi / 2 - 0.05, 12):
