@@ -34,12 +34,10 @@ def _committed(name):
     return json.loads((ROOT / name).read_text())["workloads"]
 
 
-RECORDS_WITH_PAIRS_WON = ["BENCH_33.json", "BENCH_35.json", "BENCH_37.json", "BENCH_37_AA.json",
-                          "BENCH_38.json", "BENCH_39.json", "BENCH_40.json", "BENCH_41.json",
-                          "BENCH_42.json", "BENCH_42_AA.json", "BENCH_43.json"]
-
-
-@pytest.mark.parametrize("name", RECORDS_WITH_PAIRS_WON)
+@pytest.mark.parametrize("name", [
+    "BENCH_33.json", "BENCH_35.json", "BENCH_37.json", "BENCH_37_AA.json", "BENCH_38.json",
+    "BENCH_39.json", "BENCH_40.json", "BENCH_41.json", "BENCH_42.json", "BENCH_42_AA.json",
+    "BENCH_43.json"])
 def test_verdict_counts_the_pairs_won_these_records_stored(name):
     # records made before the verdict counted the won pairs from the runs also stored the count
     workloads = _committed(name)
