@@ -5,10 +5,11 @@ bound of B over the classical bound of its i-th block (terms whose first
 participating party is i).  The scan draws unit coefficient vectors, reads
 each as a full expression, and tracks the smallest ratio seen per index.
 
-Every sample's gamma_1 is provably at least 1: flipping party 1's two
-outcomes negates exactly the block-1 contribution and fixes the rest, so
-max(|b + r|, |b - r|) >= |b| strategy by strategy.  The scan asserts this for
-each sample as a self-check.
+Every sample's gamma_1 is at least 1, with no rounding slack.  Per strategy
+of parties 2..m, `_bounds` reads the full bound, fl(fl(|c| + |a|) + |b|), and
+block 1's, fl(|a| + |b|), off one product (c the later blocks, a and b block
+1's halves).  Rounding is monotone, so the first is never below the second,
+and the quotient of their maxima rounds to at least 1.  The scan checks this.
 
 Determinism: sample k draws from the substream keyed by (seed, k), which
 is NumPy's default_rng([seed, k]): standard normals from that stream,
@@ -71,7 +72,6 @@ from .errors import check_cap
 from .expressions import canonical_tensor
 
 _BLOCK_EPS = 1e-9
-_GAMMA1_SLACK = 1e-12
 _MIN_NORM = 1e-12  # a draw below this norm is redrawn
 _VALUE_BYTES = 1 << 20  # sub-batch rows: this many bytes of 4^m doubles,
 _MIN_ROWS = 8  # but at least this many (fewer slow the matmuls at m = 8)
@@ -288,7 +288,7 @@ class _Minima:
         total, blocks = _bounds(x, m, workspace)
         skip = blocks < _BLOCK_EPS
         ratios = np.where(skip, np.inf, total[:, None] / np.where(skip, 1.0, blocks))
-        bad = np.flatnonzero(~skip[:, 0] & (ratios[:, 0] < 1.0 - _GAMMA1_SLACK))
+        bad = np.flatnonzero(~skip[:, 0] & (ratios[:, 0] < 1.0))
         if bad.size:
             raise RuntimeError(
                 f"sample {start + int(bad[0])}: first-block ratio {float(ratios[bad[0], 0])!r} "

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -37,6 +38,25 @@ def test_dimension_counts():
 def test_term_index_anchors():
     assert term_index("0_", 2) == 0
     assert term_index("_1", 2) == 7
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: block_sizes(0), "parties must be >= 1"),
+        (lambda: canonical_patterns(0), "parties must be >= 1"),
+        (lambda: builtin("MERMIN(x)"), "unknown builtin expression 'MERMIN(x)'"),
+    ],
+    ids=["block_sizes", "canonical_patterns", "builtin"],
+)
+def test_public_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_expression_does_not_equal_its_name():
+    # __eq__ returns NotImplemented, so Python falls back to identity
+    assert (builtin("CHSH") == "CHSH") is False
 
 
 def test_block_sizes_three_parties():

@@ -271,6 +271,11 @@ def test_state_document_rejects(doc):
         state_from_document(doc)
 
 
+def test_state_document_names_an_entry_that_is_not_an_object():
+    with pytest.raises(ParseError, match=r"^amplitudes\[0\]: must be an object$"):
+        state_from_document({"parties": 1, "amplitudes": [["0", 1.0]]})
+
+
 # half the draws stay within the 16-party state cap, half go up to 64
 _PARTIES = st.integers(1, STATE_MAX_PARTIES) | st.integers(STATE_MAX_PARTIES + 1, 64)
 

@@ -86,6 +86,12 @@ def test_scan_config_validation():
         gamma_scan(GammaScanConfig(parties=9, samples=10))
 
 
+def test_scans_drawn_together_share_one_seed():
+    configs = [GammaScanConfig(2, 10, 0), GammaScanConfig(3, 10, 1)]
+    with pytest.raises(ValueError, match="^scans drawn together must share one seed$"):
+        gamma_module.gamma_scans(configs)
+
+
 def test_scan_config_caps_samples_and_rejects_negative_seed():
     # every sample index must be one uint32 entropy word; both checks run
     # when the config is built, before anything is drawn
@@ -228,6 +234,18 @@ def test_scan_self_check_names_the_first_low_sample(monkeypatch):
     with pytest.raises(RuntimeError, match="^sample 13: first-block ratio 0.5 fell below 1"):
         gamma_scan(GammaScanConfig(parties=2, samples=30, seed=1))
     assert len(done) == 16  # it stops at the sub-batch that fails
+
+
+def test_scan_self_check_takes_no_slack(monkeypatch):
+    # the full bound is never below block 1's in floating point, so a first-block
+    # ratio one rounding step under 1 is a fault, not noise
+    def just_below(x, m, workspace):
+        return np.full(len(x), 1 - 2**-53), np.ones((len(x), m))
+
+    monkeypatch.setattr(gamma_module, "_bounds", just_below)
+    low = r"^sample 0: first-block ratio 0\.9999999999999999 fell below 1"
+    with pytest.raises(RuntimeError, match=low):
+        gamma_scan(GammaScanConfig(parties=2, samples=4, seed=0))
 
 
 # (8, 256) is left out: the reference would hold 128 MiB arrays of 4^8 values

@@ -111,6 +111,24 @@ def test_observable_validation():
     assert np.allclose(_one_party_operator(const), -np.eye(2))
 
 
+_Z = QubitObservable((0.0, 0.0, 1.0), 1.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: QubitObservable((0.0, math.nan, 1.0), 1.0, -1.0),
+         "axis must be a finite 3-vector"),
+        (lambda: ObservableAssignment(()), "assignment needs at least one party"),
+        (lambda: ObservableAssignment(((_Z,),)), "each party needs exactly two observables"),
+    ],
+    ids=["NaN axis", "no party", "one observable"],
+)
+def test_observable_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_observable_matrix_spectrum():
     rng = np.random.default_rng(32)
     for _ in range(20):

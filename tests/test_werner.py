@@ -275,6 +275,20 @@ def test_measure_condition_variant_is_looser():
     assert (verdict.strict_form, verdict.loose_form) == (False, True)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ghz_amplitudes(0, 0.3), "parties must be at least 1"),
+        (lambda: undetectable_range_homogeneous(1), "parties must be at least 2"),
+        (lambda: undetectable_measure_condition(1, [], 3.0), "parties must be at least 2"),
+    ],
+    ids=["ghz_amplitudes", "undetectable_range_homogeneous", "undetectable_measure_condition"],
+)
+def test_party_counts_are_checked(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_measure_condition_validation():
     with pytest.raises(ValueError):
         undetectable_measure_condition(3, (1.0,), 6.0)  # wrong arity
