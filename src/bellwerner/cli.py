@@ -126,6 +126,10 @@ def _analyse(expr: BellExpression, *, seed, restarts=None) -> _Analysis:
             warnings.append(("closed-form-exceeds-enumeration", _CLOSED_FORM_NOTE))
     if found is not None:
         warnings.extend(_sweep_cap_warnings(found))
+        ratio = found.value / outcome.value
+        if ratio > composite * (1 + 1e-9):
+            warnings.append(("seesaw-above-composite", f"seesaw_lower / lhv_bound = {ratio:.12g} "
+                             f"exceeds the paper's composite ratio {composite:.12g}"))
     return _Analysis(outcome, values, gammas, composite, cf, uppers, found, warnings)
 
 

@@ -34,7 +34,10 @@ flattened tensor is the constant slot followed by blocks m, m-1, ..., 1
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import math
+import numbers
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -64,22 +67,27 @@ def _pattern_problem(pattern, parties: int) -> str:
     return ""
 
 
-def _pattern_slots(patterns: list, parties: int) -> np.ndarray:
-    """(terms, m) slots of the patterns, checked all at once.
+def _coeff_problem(coeff, pattern) -> str:
+    """Why coeff is not a finite real coefficient for pattern, or "" if it is."""
+    if isinstance(coeff, bool) or not isinstance(coeff, numbers.Real):
+        return f"coefficient for {pattern!r} must be a real number, got {type(coeff).__name__}"
+    with contextlib.suppress(OverflowError):  # an int or a fraction beyond the float range
+        if math.isfinite(coeff):
+            return ""
+    return f"coefficient for {pattern!r} is not finite"
 
-    Raises ValueError naming the first invalid entry as terms[i].
-    """
+
+def _pattern_slots(patterns: list, parties: int):
+    """(terms, m) slots of the patterns, checked all at once; None if one is invalid."""
     try:
         codes = np.frombuffer("".join(patterns).encode("ascii"), dtype=np.uint8)
     except (TypeError, UnicodeEncodeError):  # a pattern is not an ASCII string
-        pass
-    else:
-        if set(map(len, patterns)) <= {parties}:
-            slots = _SLOT_OF[codes].reshape(len(patterns), parties)
-            if not (slots == 3).any() and (slots != 0).any(axis=1).all():
-                return slots
-    first = next(i for i, p in enumerate(patterns) if _pattern_problem(p, parties))
-    raise ValueError(f"terms[{first}]: {_pattern_problem(patterns[first], parties)}")
+        return None
+    if set(map(len, patterns)) <= {parties}:
+        slots = _SLOT_OF[codes].reshape(len(patterns), parties)
+        if not (slots == 3).any() and (slots != 0).any(axis=1).all():
+            return slots
+    return None
 
 
 def _spell(slots: np.ndarray) -> list[str]:
@@ -166,17 +174,25 @@ class BellExpression:
 def _from_lists(parties: int, patterns: list, coeffs: list) -> BellExpression:
     """The expression of parallel pattern and coefficient lists (see new_expression).
 
+    Every term, from a file or a library call, is checked here; when the array
+    checks fail, one loop names the first bad entry as terms[i].
+
     Rows sort by block (the first present party), then by slot party by
     party, which is the canonical order.  Each coefficient is added onto
     its row's zero in input order, so a merged duplicate is the same sum
     as accumulating the entries one by one.  The merged |coeff| sum must be finite.
     """
     slots = _pattern_slots(patterns, parties)
-    values = np.fromiter(map(float, coeffs), dtype=float, count=len(patterns))
-    finite = np.isfinite(values)
-    if not finite.all():
-        first = int(finite.argmin())
-        raise ValueError(f"terms[{first}]: coefficient for {patterns[first]!r} is not finite")
+    values = None
+    if {type(c) for c in coeffs} <= {int, float}:
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            values = np.array(coeffs, dtype=float)
+    if slots is None or values is None or not np.isfinite(values).all():
+        for i, (pattern, coeff) in enumerate(zip(patterns, coeffs)):
+            problem = _pattern_problem(pattern, parties) or _coeff_problem(coeff, pattern)
+            if problem:
+                raise ValueError(f"terms[{i}]: {problem}")
+        values = np.fromiter(map(float, coeffs), dtype=float, count=len(coeffs))
     # lexsort's last key is the primary one: block, then party 1, 2, ..., m
     # (one base-3 key per row would overflow int64 past 39 parties)
     lead = np.argmax(slots != 0, axis=1)
@@ -200,15 +216,23 @@ def _from_lists(parties: int, patterns: list, coeffs: list) -> BellExpression:
 def new_expression(parties: int, terms: Iterable[tuple[str, float]]) -> BellExpression:
     """Build an expression, merging duplicate patterns and dropping zero sums.
 
-    Raises ValueError for a party count that is not a positive int (a bool
-    is not one), for a bad pattern or a non-finite coefficient, naming its
-    entry as terms[i], and when the sum of |coeff| after merging overflows
-    the float range.
+    Each term is a (pattern, coeff) pair whose coefficient is a finite real
+    number (numbers.Real, such as np.float64 or Fraction; not a bool), checked
+    as a file's terms are.  Raises ValueError naming the first bad term as
+    terms[i], for a party count that is not a positive int (a bool is not
+    one) and when the sum of |coeff| after merging overflows the float range.
     """
     if isinstance(parties, bool) or not isinstance(parties, int) or parties < 1:
         raise ValueError("parties must be a positive integer")
-    pairs = list(terms)
-    return _from_lists(parties, [p for p, _ in pairs], [c for _, c in pairs])
+    patterns, coeffs = [], []
+    for i, term in enumerate(terms):
+        try:
+            pattern, coeff = term
+        except (TypeError, ValueError):
+            raise ValueError(f"terms[{i}]: must be a (pattern, coeff) pair") from None
+        patterns.append(pattern)
+        coeffs.append(coeff)
+    return _from_lists(parties, patterns, coeffs)
 
 
 def term_slots(expr: BellExpression) -> tuple[np.ndarray, np.ndarray]:

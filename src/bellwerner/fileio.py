@@ -4,24 +4,24 @@ Expression documents: {"parties": m, "terms": [{"pattern": "...", "coeff": x}]}
 with patterns over {_, 0, 1}.  State documents: {"parties": m, "amplitudes":
 [{"index": "<m bits>", "re": x, "im": y}]}; omitted indices are zero.
 
+This module checks an expression document's shape; expressions._from_lists
+checks its terms as for new_expression (each x a finite number, not a bool).
 Structural problems (a file that is not UTF-8, malformed or too deeply
-nested JSON, missing or mistyped fields, and every ValueError of the
-expression constructor: bad patterns, a sum of |coeff| beyond the float
-range) raise ParseError; domain problems a well-formed document can still
-have (for states, a non-unit norm) keep their ValueError so callers can
-distinguish the two.  A state document with more than STATE_MAX_PARTIES
-(16) parties raises CapExceeded before its 2^m amplitude vector is
-allocated.
+nested JSON, a wrong shape, and every ValueError of _from_lists: a bad term
+named as terms[i], a sum of |coeff| beyond the float range) raise
+ParseError; domain problems a well-formed document can still have (for
+states, a non-unit norm) keep their ValueError so callers can distinguish
+the two.  A state document with more than STATE_MAX_PARTIES (16) parties
+raises CapExceeded before its 2^m amplitude vector is allocated.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from pathlib import Path
 from typing import Union
-
-import numpy as np
 
 from .errors import ParseError, check_cap
 from .expressions import STATE_MAX_PARTIES, BellExpression, _from_lists
@@ -49,49 +49,10 @@ def _require_number(entry: dict, key: str, where: str) -> float:
     value = entry.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: field {key!r} must be a number")
-    try:
-        value = float(value)
-    except OverflowError:  # an int beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ParseError(f"{where}: field {key!r} must be finite")
-    return value
-
-
-def _term_lists(terms: list):
-    """(patterns, coefficients) of the terms array checked as a whole, else None.
-
-    None means some entry is not a dict with a str pattern and a finite int
-    or float coefficient (or merely of a subclass of those types), and the
-    caller walks the entries to name it.
-    """
-    if any(type(entry) is not dict for entry in terms):
-        return None
-    patterns = [entry.get("pattern") for entry in terms]
-    coeffs = [entry.get("coeff") for entry in terms]
-    if not {type(p) for p in patterns} <= {str} or not {type(c) for c in coeffs} <= {int, float}:
-        return None
-    try:
-        finite = np.isfinite(np.array(coeffs, dtype=float)).all()
-    except OverflowError:  # an int beyond the float range
-        return None
-    return (patterns, coeffs) if finite else None
-
-
-def _walk_terms(terms: list) -> tuple[list, list]:
-    """The entry-by-entry checks, raising ParseError at the first bad entry."""
-    patterns = []
-    coeffs = []
-    for idx, entry in enumerate(terms):
-        where = f"terms[{idx}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where}: must be an object")
-        pattern = entry.get("pattern")
-        if not isinstance(pattern, str):
-            raise ParseError(f"{where}: field 'pattern' must be a string")
-        patterns.append(pattern)
-        coeffs.append(_require_number(entry, "coeff", where))
-    return patterns, coeffs
+    with contextlib.suppress(OverflowError):  # an int beyond the float range
+        if math.isfinite(value):
+            return float(value)
+    raise ParseError(f"{where}: field {key!r} must be finite")
 
 
 def expression_from_document(doc) -> BellExpression:
@@ -100,10 +61,12 @@ def expression_from_document(doc) -> BellExpression:
     terms = doc.get("terms")
     if not isinstance(terms, list) or not terms:
         raise ParseError("expression document: field 'terms' must be a non-empty array")
-    patterns, coeffs = _term_lists(terms) or _walk_terms(terms)
+    for idx, entry in enumerate(terms):
+        if not isinstance(entry, dict):
+            raise ParseError(f"terms[{idx}]: must be an object")
     try:
-        return _from_lists(parties, patterns, coeffs)
-    except ValueError as exc:  # a bad pattern, named as terms[i], or an overflowing |coeff| sum
+        return _from_lists(parties, [t.get("pattern") for t in terms], [t.get("coeff") for t in terms])
+    except ValueError as exc:  # a bad term, named as terms[i], or an overflowing |coeff| sum
         raise ParseError(str(exc)) from exc
 
 

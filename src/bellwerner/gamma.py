@@ -10,6 +10,12 @@ of parties 2..m, `_bounds` reads the full bound, fl(fl(|c| + |a|) + |b|), and
 block 1's, fl(|a| + |b|), off one product (c the later blocks, a and b block
 1's halves).  Rounding is monotone, so the first is never below the second,
 and the quotient of their maxima rounds to at least 1.  The scan checks this.
+In exact arithmetic gamma_i >= 1 at every i >= 2 too.  Write B = B_1 + ... +
+B_m and c for the classical bound.  Averaging B over the strategies of parties
+1..i-1 zeroes every term with one of them, leaving T_i = B_i + ... + B_m, so
+c(B) >= c(T_i); flipping party i's outcomes negates B_i and fixes the later
+blocks, so c(T_i) >= c(B_i).  B = B_i attains 1, so the minima are sample
+statistics whose infimum is 1.
 
 Determinism: sample k draws from the substream keyed by (seed, k), which
 is NumPy's default_rng([seed, k]): standard normals from that stream,

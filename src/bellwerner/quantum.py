@@ -2,8 +2,9 @@
 
 Upper bounds come in two analytic flavors for full-correlation expressions
 (factor sqrt(3) for general single-qubit observables, sqrt(5/2) for
-anticommuting ones, both applied to the closed-form classical value) plus a
-composite bound assembled from block ratios.
+anticommuting ones, both applied to the closed-form classical value).  The
+paper's composite ratio, sqrt(3)/gamma_i over all m blocks plus 1, is none:
+it is 2.732 on MERMIN(5), whose see-saw reaches 16.0 = 4.0 c1.
 
 Lower bounds come from a see-saw: alternate between the optimal state of the
 current Bell operator and, party by party, the optimal pair of observables
@@ -178,10 +179,11 @@ def analytic_quantum_upper(expr: BellExpression) -> AnalyticUppers:
 
 
 def composite_ratio_upper(gammas: Sequence[float]) -> float:
-    """sqrt(3) * sum(1/gamma) + 1 over the supplied block ratios.
+    """The paper's composite ratio: sqrt(3)/gamma_i summed over all m blocks, plus 1.
 
     Infinite entries contribute zero; an empty list gives the homogeneous
-    limit 1.
+    limit 1.  It is no upper bound on the quantum value over c1: MERMIN(5)
+    is one block, so the ratio is 2.732, but the see-saw reaches 16.0 = 4.0 c1.
     """
     return math.sqrt(3.0) * _sum_inverse_gammas(gammas) + 1.0
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import numbers
 import os
 import subprocess
 import sys
@@ -661,35 +662,47 @@ def mc_chunk_pairs_dense(parties, seed, samples, chunk_index):
     return (re[:, 0] + re[:, -1]) / total
 
 
-def expression_from_document_loop(doc):
-    """expression_from_document by its per-entry loop over `terms`.
+def _term_problem(pattern, coeff, parties):
+    """Why a document entry's pattern or coefficient is bad, or "" if neither is."""
+    if not isinstance(pattern, str):
+        return f"pattern must be a string, got {type(pattern).__name__}"
+    if len(pattern) != parties:
+        return f"pattern {pattern!r} does not have length {parties}"
+    if set(pattern) - set("_01"):
+        return f"pattern {pattern!r} contains invalid symbols {sorted(set(pattern) - set('_01'))}"
+    if set(pattern) == {"_"}:
+        return "all-absent pattern (constant term) is not allowed"
+    if isinstance(coeff, bool) or not isinstance(coeff, numbers.Real):
+        return f"coefficient for {pattern!r} must be a real number, got {type(coeff).__name__}"
+    try:
+        finite = math.isfinite(float(coeff))
+    except OverflowError:
+        finite = False
+    return "" if finite else f"coefficient for {pattern!r} is not finite"
 
-    The loader the whole-array check replaced: each entry must be a dict
-    with a str pattern and a finite, non-bool int or float coefficient, and
-    the first bad entry is named as terms[i].  Messages must match.
+
+def expression_from_document_loop(doc):
+    """expression_from_document by per-entry loops over `terms`.
+
+    The loader the whole-array checks replaced.  Each entry must be a dict,
+    and the first that is not is named; then each must have a valid pattern
+    and a finite real, non-bool coefficient, and the first bad entry is named
+    as terms[i], whatever its problem.  Messages must match.
     """
     doc = _require_dict(doc, "expression document")
     parties = _require_parties(doc, "expression document")
     terms = doc.get("terms")
     if not isinstance(terms, list) or not terms:
         raise ParseError("expression document: field 'terms' must be a non-empty array")
-    patterns = []
-    coeffs = []
     for idx, entry in enumerate(terms):
-        where = f"terms[{idx}]"
         if not isinstance(entry, dict):
-            raise ParseError(f"{where}: must be an object")
-        pattern = entry.get("pattern")
-        if not isinstance(pattern, str):
-            raise ParseError(f"{where}: field 'pattern' must be a string")
-        patterns.append(pattern)
-        value = entry.get("coeff")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParseError(f"{where}: field 'coeff' must be a number")
-        value = float(value)
-        if not math.isfinite(value):
-            raise ParseError(f"{where}: field 'coeff' must be finite")
-        coeffs.append(value)
+            raise ParseError(f"terms[{idx}]: must be an object")
+    for idx, entry in enumerate(terms):
+        problem = _term_problem(entry.get("pattern"), entry.get("coeff"), parties)
+        if problem:
+            raise ParseError(f"terms[{idx}]: {problem}")
+    patterns = [entry["pattern"] for entry in terms]
+    coeffs = [float(entry["coeff"]) for entry in terms]
     try:
         return _from_lists(parties, patterns, coeffs)
     except ValueError as exc:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellwerner import builtin, new_expression
+from bellwerner import builtin, canonical_patterns, new_expression
 from bellwerner import cli, gamma, quantum, werner
 from bellwerner.cli import main
 from bellwerner.werner import PureFamily, ghz_amplitudes
@@ -76,6 +76,18 @@ def test_bounds_reports_no_closed_form_for_marginal_terms(capsys, ch_file):
         assert key not in res
 
 
+@pytest.mark.parametrize("m, i", [(m, i) for m in range(2, 7) for i in range(1, m + 1)])
+def test_bounds_gamma_of_an_expression_inside_one_block_is_one(capsys, tmp_path, m, i):
+    # gamma_i >= 1 at every index, and an expression equal to its own block i attains 1
+    rng = np.random.default_rng(100 * m + i)
+    patterns = [p for p in canonical_patterns(m) if len(p) - len(p.lstrip("_")) == i - 1]
+    path = tmp_path / "block.json"
+    save_expression(new_expression(m, zip(patterns, rng.normal(size=len(patterns)))), path)
+    rep = _structured(capsys, ["bounds", str(path)])
+    gammas = [row[2] for row in rep["results"]["tables"][0]["rows"]]
+    assert gammas == ["inf"] * (i - 1) + [1.0] + ["inf"] * (m - i)
+
+
 def test_bounds_missing_file(capsys, tmp_path):
     code, _, err = _run(capsys, ["bounds", str(tmp_path / "nope.json")])
     assert code == 2
@@ -114,7 +126,7 @@ def test_file_nested_too_deeply_exits_2(capsys, tmp_path, argv, kind):
         ("01", "does not have length 3"),
         ("0x1", "contains invalid symbols"),
         ("___", "all-absent pattern"),
-        (7, "field 'pattern' must be a string"),
+        (7, "pattern must be a string, got int"),
     ],
 )
 def test_bounds_bad_pattern_names_its_entry(capsys, tmp_path, pattern, problem):
@@ -139,6 +151,19 @@ def test_mermin_closed_form_warning(capsys, tmp_path):
     rep = _structured(capsys, ["bounds", str(path)])
     names = {w["name"] for w in rep["warnings"]}
     assert "closed-form-exceeds-enumeration" in names
+
+
+def test_seesaw_above_composite_warning(capsys, tmp_path):
+    # MERMIN(5) is one block, so its composite ratio is sqrt(3) + 1; the see-saw reaches 4 c1
+    path = tmp_path / "mermin5.json"
+    save_expression(builtin("MERMIN(5)"), path)
+    rep = _structured(capsys, ["bounds", str(path), "--seesaw", "--restarts", "2"])
+    assert rep["results"]["seesaw_lower"] == pytest.approx(4 * rep["results"]["lhv_bound"])
+    assert [w for w in rep["warnings"] if w["name"] == "seesaw-above-composite"] == [{
+        "name": "seesaw-above-composite",
+        "message": "seesaw_lower / lhv_bound = 4 exceeds the paper's composite ratio "
+                   "2.73205080757",
+    }]
 
 
 def test_tables_i(capsys):
@@ -444,6 +469,7 @@ def test_examples_command(capsys):
     assert ratios[("CHSH", 2)] == "inf"
     names = {w["name"] for w in rep["warnings"]}
     assert "closed-form-exceeds-enumeration" in names
+    assert "seesaw-above-composite" not in names  # no example's see-saw exceeds its composite
     variant = [w["message"] for w in rep["warnings"] if w["name"] == "loose-threshold-variant"]
     assert [message.split(":")[0] for message in variant] == ["CH"]
     # the verdict columns the note names exist; no `satisfied` field does

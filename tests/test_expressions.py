@@ -1,5 +1,6 @@
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -121,6 +122,41 @@ def test_new_expression_merges_and_drops():
 def test_new_expression_rejects_a_bool_party_count():
     with pytest.raises(ValueError, match="^parties must be a positive integer$"):
         new_expression(True, [("0", 1.0)])
+
+
+@pytest.mark.parametrize(
+    "term, problem",
+    [
+        (("11", "1.5"), "coefficient for '11' must be a real number, got str"),
+        (("11", True), "coefficient for '11' must be a real number, got bool"),
+        (("11", np.bool_(True)), "coefficient for '11' must be a real number, got bool"),
+        (("11", b"2"), "coefficient for '11' must be a real number, got bytes"),
+        (("11", None), "coefficient for '11' must be a real number, got NoneType"),
+        (("11", 1 + 0j), "coefficient for '11' must be a real number, got complex"),
+        (("11", 10**400), "coefficient for '11' is not finite"),
+        (("11", Fraction(10**400)), "coefficient for '11' is not finite"),
+        (("11", 1.0, 2.0), "must be a (pattern, coeff) pair"),
+        (None, "must be a (pattern, coeff) pair"),
+    ],
+    ids=["str", "bool", "np.bool_", "bytes", "None", "complex", "int-overflow",
+         "fraction-overflow", "3-tuple", "not-iterable"],
+)
+def test_new_expression_names_a_bad_term(term, problem):
+    # the second entry is bad; a third, also bad, is not the one named
+    terms = [("00", 1.0), term, ("11", "x")]
+    with pytest.raises(ValueError) as err:
+        new_expression(2, terms)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"terms[1]: {problem}"
+
+
+@pytest.mark.parametrize(
+    "coeff", [np.float64(0.5), np.int64(3), np.float32(0.25), Fraction(1, 3), 2**80],
+    ids=["np.float64", "np.int64", "np.float32", "Fraction", "big-int"],
+)
+def test_new_expression_converts_other_reals_with_float(coeff):
+    expr = new_expression(2, [("00", 1.0), ("11", coeff)])
+    assert expr.terms() == (("00", 1.0), ("11", float(coeff)))
 
 
 @pytest.mark.parametrize("patterns", [("00", "00"), ("00", "11")], ids=["merged", "distinct"])

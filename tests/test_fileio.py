@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from bellwerner.fileio import (
     load_state,
     state_from_document,
 )
+from bellwerner.expressions import term_slots
 from bellwerner.werner import STATE_MAX_PARTIES, PureFamily, ghz_amplitudes
 from helpers import (
     expression_from_document_loop,
@@ -165,8 +168,51 @@ def test_expression_document_int_beyond_float_range():
     for value in (10**400, -(2**1024)):
         terms = [{"pattern": "0", "coeff": 1.0}, {"pattern": "1", "coeff": value}]
         doc = {"parties": 1, "terms": terms}
-        with pytest.raises(ParseError, match=r"terms\[1\]: field 'coeff' must be finite"):
+        with pytest.raises(ParseError, match=r"^terms\[1\]: coefficient for '1' is not finite$"):
             expression_from_document(doc)
+
+
+# mostly valid coefficients, with every kind of bad one mixed in
+_DOOR_COEFFS = (
+    st.floats(width=32, allow_nan=False, allow_infinity=False)
+    | st.integers(-3, 3)
+    | st.sampled_from([1e308, -1e308, 2**1023, 10**400, -(2**1100), math.inf, math.nan])
+    | st.sampled_from(["1.5", True, False, None, b"2", 1 + 0j, np.bool_(False)])
+    | st.sampled_from([np.float64(0.5), np.int64(-2), Fraction(1, 3)])
+)
+
+
+@st.composite
+def _door_terms(draw):
+    """(m, terms): (pattern, coeff) pairs, each part drawn from valid and invalid values."""
+    m = draw(st.integers(1, 4))
+    valid = st.text("_01", min_size=m, max_size=m).filter(lambda p: p != "_" * m)
+    invalid = st.sampled_from(["_" * m, "0" * (m + 1), "2" * m, "\u00df" * m, None, 7])
+    pattern = st.one_of(valid, valid, valid, invalid)
+    return m, draw(st.lists(st.tuples(pattern, _DOOR_COEFFS), min_size=1, max_size=8))
+
+
+def _door_outcome(build):
+    """The expression's slot and coefficient bytes, or the error's type and message."""
+    try:
+        expr = build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    slots, coeffs = term_slots(expr)
+    return slots.tobytes(), coeffs.tobytes()
+
+
+@given(_door_terms())
+def test_file_and_library_check_terms_alike(case):
+    m, terms = case
+    doc = {"parties": m, "terms": [{"pattern": p, "coeff": c} for p, c in terms]}
+    library = _door_outcome(lambda: new_expression(m, terms))
+    file = _door_outcome(lambda: expression_from_document(doc))
+    if library[0] is ValueError:
+        assert file == (ParseError, library[1])
+        assert re.match(r"terms\[\d+\]: |the sum of \|coeff\| overflows", library[1])
+    else:
+        assert file == library
 
 
 def test_load_expression_bad_json(tmp_path):

@@ -48,3 +48,16 @@ def _matches(name, text):
 
 def test_reports_match_the_corpus(written):
     assert [name for name, text in sorted(written.items()) if not _matches(name, text)] == []
+
+
+def test_writer_prints_what_it_changed_and_removed(tmp_path, monkeypatch, capsys):
+    writer = _module(ROOT / "tools" / "write_golden.py")
+    (tmp_path / "same.md").write_text("kept\n")
+    (tmp_path / "moved.csv").write_text("old\n")
+    (tmp_path / "stale.json").write_text("{}\n")
+    files = {"same.md": "kept\n", "moved.csv": "new\n", "made.json": "{}\n"}
+    monkeypatch.setattr(writer, "GOLDEN", tmp_path)
+    monkeypatch.setattr(writer, "corpus", lambda: files)
+    assert writer.main() == 0
+    assert capsys.readouterr().out == "removed stale.json\nchanged made.json\nchanged moved.csv\n"
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == files

@@ -5,8 +5,9 @@
 Run from anywhere inside the repository.  The corpus covers every operation
 of input set 0 of the three benchmark workloads at seed 0, with inputs from
 bench/workloads.write_inputs in a temporary directory, plus `tables I`,
-`tables III` and three error paths: an empty expression path, a gamma scan
-over its sample cap and a malformed expression file.  Each operation runs
+`tables III` and four error paths: an empty expression path, a gamma scan
+over its sample cap, a malformed expression file and an expression file
+whose coefficient is a string.  Each operation runs
 once through bellwerner.cli.main with --format structured; its report is
 rendered again as structured, markdown and csv through reports.render.
 
@@ -14,7 +15,9 @@ tests/golden/ then holds, for each successful operation NAME, NAME.json (the
 structured output), NAME.md and NAME.csv, and index.json holds every
 operation's argv, exit code and stderr.  The report's timestamp is written
 as <timestamp> and the inputs directory as <inputs>.  Files of the corpus
-that the writer no longer makes are removed.
+that the writer no longer makes are removed.  The writer prints "changed
+NAME" for each file whose content it changed (or made) and "removed NAME"
+for each file it removed, so a change that moves the corpus can list them.
 """
 
 import contextlib
@@ -53,12 +56,15 @@ def operations(inputs: Path) -> list:
             ops.append((f"{workload}-{i:02d}-{op.label[:-2]}", op.argv))
     malformed = inputs / "malformed.json"
     malformed.write_text('{"parties": 2, "terms": [')
+    bad_term = inputs / "bad_term.json"
+    bad_term.write_text('{"parties": 2, "terms": [{"pattern": "00", "coeff": "1.5"}]}')
     ops += [
         ("tables_i", ["tables", "I"]),
         ("tables_iii", ["tables", "III"]),
         ("error-empty_path", ["bounds", ""]),
         ("error-gamma_cap", ["gamma", "--m", "2", "--samples", "4294967297"]),
         ("error-malformed", ["bounds", str(malformed)]),
+        ("error-bad_term", ["bounds", str(bad_term)]),
     ]
     return ops
 
@@ -96,10 +102,14 @@ def corpus() -> dict:
 def main() -> int:
     files = corpus()
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for stale in set(p.name for p in GOLDEN.iterdir()) - set(files):
+    for stale in sorted(set(p.name for p in GOLDEN.iterdir()) - set(files)):
         (GOLDEN / stale).unlink()
-    for name, text in files.items():
-        (GOLDEN / name).write_text(text)
+        print(f"removed {stale}")
+    for name, text in sorted(files.items()):
+        path = GOLDEN / name
+        if not path.is_file() or path.read_text() != text:
+            path.write_text(text)
+            print(f"changed {name}")
     print(f"wrote {len(files)} files to {GOLDEN}", file=sys.stderr)
     return 0
 
