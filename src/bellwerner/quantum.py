@@ -3,8 +3,8 @@
 Upper bounds come in two analytic flavors for full-correlation expressions
 (factor sqrt(3) for general single-qubit observables, sqrt(5/2) for
 anticommuting ones, both applied to the closed-form classical value).  The
-paper's composite ratio, sqrt(3)/gamma_i over all m blocks plus 1, is none:
-it is 2.732 on MERMIN(5), whose see-saw reaches 16.0 = 4.0 c1.
+paper's composite ratio, sqrt(3)/gamma_i over all m blocks plus 1, is not
+one: it is 2.732 on MERMIN(5), whose see-saw reaches 16.0 = 4.0 c1.
 
 Lower bounds come from a see-saw: alternate between the optimal state of the
 current Bell operator and, party by party, the optimal pair of observables

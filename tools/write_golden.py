@@ -7,9 +7,9 @@ of input set 0 of the three benchmark workloads at seed 0, with inputs from
 bench/workloads.write_inputs in a temporary directory, plus `tables I`,
 `tables III` and four error paths: an empty expression path, a gamma scan
 over its sample cap, a malformed expression file and an expression file
-whose coefficient is a string.  Each operation runs
-once through bellwerner.cli.main with --format structured; its report is
-rendered again as structured, markdown and csv through reports.render.
+whose coefficient is a string.  Each operation runs once through
+bellwerner.cli.main with --format structured; its report is rendered again
+as structured, markdown and csv through reports.render.
 
 tests/golden/ then holds, for each successful operation NAME, NAME.json (the
 structured output), NAME.md and NAME.csv, and index.json holds every
@@ -110,7 +110,7 @@ def main() -> int:
         if not path.is_file() or path.read_text() != text:
             path.write_text(text)
             print(f"changed {name}")
-    print(f"wrote {len(files)} files to {GOLDEN}", file=sys.stderr)
+    print(f"the corpus in {GOLDEN} has {len(files)} files", file=sys.stderr)
     return 0
 
 
