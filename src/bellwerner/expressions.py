@@ -67,14 +67,14 @@ def _pattern_problem(pattern, parties: int) -> str:
     return ""
 
 
-def _coeff_problem(coeff, pattern) -> str:
-    """Why coeff is not a finite real coefficient for pattern, or "" if it is."""
-    if isinstance(coeff, bool) or not isinstance(coeff, numbers.Real):
-        return f"coefficient for {pattern!r} must be a real number, got {type(coeff).__name__}"
+def _number_problem(value, name: str) -> str:
+    """Why value, called name (a coefficient or an amplitude), is not a finite real, or ""."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return f"{name} must be a real number, got {type(value).__name__}"
     with contextlib.suppress(OverflowError):  # an int or a fraction beyond the float range
-        if math.isfinite(coeff):
+        if math.isfinite(value):
             return ""
-    return f"coefficient for {pattern!r} is not finite"
+    return f"{name} is not finite"
 
 
 def _pattern_slots(patterns: list, parties: int):
@@ -189,7 +189,8 @@ def _from_lists(parties: int, patterns: list, coeffs: list) -> BellExpression:
             values = np.array(coeffs, dtype=float)
     if slots is None or values is None or not np.isfinite(values).all():
         for i, (pattern, coeff) in enumerate(zip(patterns, coeffs)):
-            problem = _pattern_problem(pattern, parties) or _coeff_problem(coeff, pattern)
+            name = f"coefficient for {pattern!r}"
+            problem = _pattern_problem(pattern, parties) or _number_problem(coeff, name)
             if problem:
                 raise ValueError(f"terms[{i}]: {problem}")
         values = np.fromiter(map(float, coeffs), dtype=float, count=len(coeffs))
@@ -227,6 +228,8 @@ def new_expression(parties: int, terms: Iterable[tuple[str, float]]) -> BellExpr
     patterns, coeffs = [], []
     for i, term in enumerate(terms):
         try:
+            if isinstance(term, (str, bytes, bytearray)):  # it would unpack into characters
+                raise TypeError
             pattern, coeff = term
         except (TypeError, ValueError):
             raise ValueError(f"terms[{i}]: must be a (pattern, coeff) pair") from None

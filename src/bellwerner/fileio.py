@@ -4,11 +4,13 @@ Expression documents: {"parties": m, "terms": [{"pattern": "...", "coeff": x}]}
 with patterns over {_, 0, 1}.  State documents: {"parties": m, "amplitudes":
 [{"index": "<m bits>", "re": x, "im": y}]}; omitted indices are zero.
 
-This module checks an expression document's shape; expressions._from_lists
-checks its terms as for new_expression (each x a finite number, not a bool).
-Structural problems (a file that is not UTF-8, malformed or too deeply
-nested JSON, a wrong shape, and every ValueError of _from_lists: a bad term
-named as terms[i], a sum of |coeff| beyond the float range) raise
+This module checks a document's shape.  One number rule, in
+expressions._number_problem, holds for both kinds: each coefficient x and each
+re and im is a finite real number, not a bool; _from_lists checks the terms as
+for new_expression.  Structural problems (a file that is not UTF-8, malformed
+or too deeply nested JSON, a wrong shape, a bad amplitude named as
+amplitudes[i], and every ValueError of _from_lists: a bad term named as
+terms[i], a sum of |coeff| beyond the float range) raise
 ParseError; domain problems a well-formed document can still have (for
 states, a non-unit norm) keep their ValueError so callers can distinguish
 the two.  A state document with more than STATE_MAX_PARTIES (16) parties
@@ -17,14 +19,12 @@ raises CapExceeded before its 2^m amplitude vector is allocated.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import math
 from pathlib import Path
 from typing import Union
 
 from .errors import ParseError, check_cap
-from .expressions import STATE_MAX_PARTIES, BellExpression, _from_lists
+from .expressions import STATE_MAX_PARTIES, BellExpression, _from_lists, _number_problem
 from .werner import PureFamily
 
 PathLike = Union[str, Path]
@@ -43,16 +43,6 @@ def _require_parties(doc: dict, what: str) -> int:
     if parties < 1:
         raise ParseError(f"{what}: field 'parties' must be at least 1")
     return parties
-
-
-def _require_number(entry: dict, key: str, where: str) -> float:
-    value = entry.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{where}: field {key!r} must be a number")
-    with contextlib.suppress(OverflowError):  # an int beyond the float range
-        if math.isfinite(value):
-            return float(value)
-    raise ParseError(f"{where}: field {key!r} must be finite")
 
 
 def expression_from_document(doc) -> BellExpression:
@@ -116,9 +106,11 @@ def state_from_document(doc) -> PureFamily:
         if index in seen:
             raise ParseError(f"{where}: duplicate index {index!r}")
         seen.add(index)
-        re = _require_number(entry, "re", where)
-        im = _require_number(entry, "im", where) if "im" in entry else 0.0
-        vec[int(index, 2)] = complex(re, im)
+        re, im = entry.get("re"), entry.get("im", 0.0)
+        problem = _number_problem(re, "field 're'") or _number_problem(im, "field 'im'")
+        if problem:
+            raise ParseError(f"{where}: {problem}")
+        vec[int(index, 2)] = complex(float(re), float(im))
     return PureFamily(vec)  # non-unit norm raises ValueError, by design
 
 

@@ -137,9 +137,13 @@ def test_new_expression_rejects_a_bool_party_count():
         (("11", Fraction(10**400)), "coefficient for '11' is not finite"),
         (("11", 1.0, 2.0), "must be a (pattern, coeff) pair"),
         (None, "must be a (pattern, coeff) pair"),
+        ("00", "must be a (pattern, coeff) pair"),
+        (b"0a", "must be a (pattern, coeff) pair"),
+        (bytearray(b"0a"), "must be a (pattern, coeff) pair"),
     ],
     ids=["str", "bool", "np.bool_", "bytes", "None", "complex", "int-overflow",
-         "fraction-overflow", "3-tuple", "not-iterable"],
+         "fraction-overflow", "3-tuple", "not-iterable", "str-term", "bytes-term",
+         "bytearray-term"],
 )
 def test_new_expression_names_a_bad_term(term, problem):
     # the second entry is bad; a third, also bad, is not the one named

@@ -317,6 +317,43 @@ def test_state_document_rejects(doc):
         state_from_document(doc)
 
 
+# one number rule for both kinds of document: the same values pass, or fail with the same text
+_NUMBERS = [
+    ("1.5", "must be a real number, got str"),
+    (True, "must be a real number, got bool"),
+    (None, "must be a real number, got NoneType"),
+    (math.nan, "is not finite"),
+    (math.inf, "is not finite"),
+    (10**400, "is not finite"),
+    (np.int64(1), ""),
+    (np.float64(0.5), ""),
+    (Fraction(1, 2), ""),
+]
+
+
+@pytest.mark.parametrize("value, problem", _NUMBERS,
+                         ids=["str", "bool", "None", "nan", "inf", "big-int", "np.int64",
+                              "np.float64", "Fraction"])
+@pytest.mark.parametrize("key", ["re", "im"])
+def test_coefficients_and_amplitudes_share_one_number_rule(value, problem, key):
+    expression = {"parties": 1, "terms": [{"pattern": "0", "coeff": value}]}
+    rest = 0.0 if problem else math.sqrt(1.0 - float(value) ** 2)  # a unit vector when valid
+    state = {"parties": 1, "amplitudes": [{"index": "0", "re": 0.0, key: value},
+                                          {"index": "1", "re": rest}]}
+    if problem:
+        with pytest.raises(ParseError) as coeff_err:
+            expression_from_document(expression)
+        with pytest.raises(ParseError) as amp_err:
+            state_from_document(state)
+        assert str(coeff_err.value) == f"terms[0]: coefficient for '0' {problem}"
+        assert str(amp_err.value) == f"amplitudes[0]: field {key!r} {problem}"
+    else:
+        assert expression_from_document(expression).terms() == (("0", float(value)),)
+        amplitude = state_from_document(state).amplitudes[0]
+        assert amplitude == (complex(float(value), 0.0) if key == "re"
+                             else complex(0.0, float(value)))
+
+
 def test_state_document_names_an_entry_that_is_not_an_object():
     with pytest.raises(ParseError, match=r"^amplitudes\[0\]: must be an object$"):
         state_from_document({"parties": 1, "amplitudes": [["0", 1.0]]})

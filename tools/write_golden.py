@@ -5,9 +5,9 @@
 Run from anywhere inside the repository.  The corpus covers every operation
 of input set 0 of the three benchmark workloads at seed 0, with inputs from
 bench/workloads.write_inputs in a temporary directory, plus `tables I`,
-`tables III` and four error paths: an empty expression path, a gamma scan
-over its sample cap, a malformed expression file and an expression file
-whose coefficient is a string.  Each operation runs once through
+`tables III` and five error paths: an empty expression path, a gamma scan
+over its sample cap, a malformed expression file, an expression file whose
+coefficient is a string and a state file whose amplitude is a string.  Each operation runs once through
 bellwerner.cli.main with --format structured; its report is rendered again
 as structured, markdown and csv through reports.render.
 
@@ -58,6 +58,8 @@ def operations(inputs: Path) -> list:
     malformed.write_text('{"parties": 2, "terms": [')
     bad_term = inputs / "bad_term.json"
     bad_term.write_text('{"parties": 2, "terms": [{"pattern": "00", "coeff": "1.5"}]}')
+    bad_amplitude = inputs / "bad_amplitude.json"
+    bad_amplitude.write_text('{"parties": 1, "amplitudes": [{"index": "0", "re": "0.5"}]}')
     ops += [
         ("tables_i", ["tables", "I"]),
         ("tables_iii", ["tables", "III"]),
@@ -65,6 +67,7 @@ def operations(inputs: Path) -> list:
         ("error-gamma_cap", ["gamma", "--m", "2", "--samples", "4294967297"]),
         ("error-malformed", ["bounds", str(malformed)]),
         ("error-bad_term", ["bounds", str(bad_term)]),
+        ("error-bad_amplitude", ["werner", "pure", "--state", str(bad_amplitude)]),
     ]
     return ops
 
