@@ -201,10 +201,11 @@ def lhv_bound(expr: BellExpression) -> ClassicalBoundResult:
     1 / (1 - n u).  Every strategy that ties k* is shortlisted too, so the
     lowest encoding among the exact maxima wins as in a full scan.
 
-    Integer coefficients with S < 2^53 need no shortlist: every partial sum,
-    in either order, is an integer of magnitude at most S and so exact, and
-    fast_k equals v_k.  (A float sum of nonnegative integers that comes out
-    below 2^53 never rounded, so the computed S decides this soundly.)
+    Integer coefficients with S < 2^53 are the case delta = 0: every partial
+    sum, in either order, is an integer of magnitude at most S and so exact,
+    so fast_k equals v_k and the shortlist, the set of exact maxima, needs no
+    term-ordered re-evaluation.  (A float sum of nonnegative integers that
+    comes out below 2^53 never rounded, so the computed S decides this soundly.)
     """
     if len(expr) == 0:
         raise ValueError("zero expression has no classical bound")
@@ -213,18 +214,15 @@ def lhv_bound(expr: BellExpression) -> ClassicalBoundResult:
     slots, coeffs = term_slots(expr)
     fast = _strategy_values(coefficient_tensor(expr), m)
     scale = float(np.abs(coeffs).sum())
-    if scale < 2.0**53 and np.array_equal(coeffs, np.round(coeffs)):
-        witness = int(np.argmax(np.abs(fast)))
-        signed = float(fast[witness])
-    else:
-        magnitude = np.abs(fast)
-        delta = (len(coeffs) + 2 * m + 2) * 2.0**-52 * scale
-        # negated so that a NaN bound keeps every strategy
-        shortlist = np.flatnonzero(~(magnitude < magnitude.max() - 2.0 * delta))
-        values = _ordered_values(slots, coeffs, shortlist)
-        best = int(np.argmax(np.abs(values)))
-        witness = int(shortlist[best])
-        signed = float(values[best])
+    exact = scale < 2.0**53 and np.array_equal(coeffs, np.round(coeffs))
+    delta = 0.0 if exact else (len(coeffs) + 2 * m + 2) * 2.0**-52 * scale
+    magnitude = np.abs(fast)
+    # negated so that a NaN bound keeps every strategy
+    shortlist = np.flatnonzero(~(magnitude < magnitude.max() - 2.0 * delta))
+    values = fast[shortlist] if exact else _ordered_values(slots, coeffs, shortlist)
+    best = int(np.argmax(np.abs(values)))
+    witness = int(shortlist[best])
+    signed = float(values[best])
     return ClassicalBoundResult(
         value=abs(signed),
         witness=DeterministicStrategy.from_encoding(m, witness),

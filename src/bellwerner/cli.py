@@ -4,6 +4,7 @@ Subcommands: bounds, tables, werner, measure, gamma, examples.  Each
 command returns its results and warnings; `main` builds the run's report
 (the dict of reports.py), whose inputs echo every option the command
 parsed, and prints it as markdown (default), csv, or structured JSON.
+Each examples row is what `bounds --seesaw` reports for that built-in.
 
 Exit status: 0 success, 2 parse errors (bad files, bad arguments, a
 negative seed or a non-positive count), 3 domain errors (invalid parameter
@@ -30,17 +31,15 @@ import argparse
 import math
 import sys
 from functools import lru_cache
-from typing import NamedTuple, Optional
 
 from . import __version__
-from .classical import ClassicalBoundResult, closed_form_classical, lhv_bound
+from .classical import closed_form_classical, lhv_bound
 from .errors import CapExceeded, ParseError
 from .expressions import BellExpression, block, builtin, is_homogeneous
 from .fileio import load_expression, load_state
 from .gamma import GammaScanConfig, gamma_scan, gamma_scans
 from .quantum import (
     DEFAULT_RESTARTS,
-    AnalyticUppers,
     SeesawResult,
     analytic_quantum_upper,
     composite_ratio_upper,
@@ -66,6 +65,11 @@ from .werner import (
 
 _TABLE_MS = (2, 3, 4, 5, 6)
 _EXAMPLE_NAMES = ("CHSH", "MERMIN", "CH", "SASA")
+# the examples' Bounds columns after "example", each with the `bounds` result it
+# shows; closed_form and analytic_upper are absent, shown "-", off full correlation
+_BOUND_KEYS = {"m": "parties", "lhv": "lhv_bound", "closed_form": "closed_form",
+               "seesaw": "seesaw_lower", "analytic_upper": "analytic_upper",
+               "composite_ratio_upper": "composite_ratio_upper"}
 # subclasses before their bases: ParseError is a ValueError, CapExceeded a RuntimeError
 _EXIT_CODES = ((ParseError, 2), (CapExceeded, 4), (ValueError, 3), (RuntimeError, 5))
 
@@ -88,21 +92,9 @@ _CLOSED_FORM_NOTE = (
 )
 
 
-class _Analysis(NamedTuple):
-    """One expression's analysis, which `bounds` and `examples` lay out."""
-
-    outcome: ClassicalBoundResult
-    block_values: list  # block i's classical bound; 0.0 for an empty block
-    gammas: list  # total / block value; inf for an empty block
-    composite: float
-    closed_form: Optional[float]  # this and uppers only for full correlation
-    uppers: Optional[AnalyticUppers]
-    seesaw: Optional[SeesawResult]  # only when restarts were given
-    warnings: list  # (name, message) pairs
-
-
-def _analyse(expr: BellExpression, *, seed, restarts=None) -> _Analysis:
-    """The classical bound, block ratios, composite ratio and see-saw of expr.
+def _analyse(expr: BellExpression, *, seed, restarts=None) -> tuple[dict, list]:
+    """The `bounds` results and warnings of expr: its classical bound, block
+    ratios, composite ratio and, when restarts is given, see-saw.
 
     Block i is an expression over parties i..m, so its bound enumerates
     4^(m+1-i) strategies; the absent leading parties cannot change it.
@@ -117,20 +109,42 @@ def _analyse(expr: BellExpression, *, seed, restarts=None) -> _Analysis:
         values.append(lhv_bound(part).value if len(part) else 0.0)
     gammas = [outcome.value / v if v else math.inf for v in values]
     composite = composite_ratio_upper(gammas)
+    homogeneous = is_homogeneous(expr)
+    results = {
+        "parties": expr.parties,
+        "terms": len(expr),
+        "lhv_bound": outcome.value,
+        "witness_encoding": outcome.witness.encoding,
+        "witness_assignments": [list(pair) for pair in outcome.witness.assignments],
+        "achieved_sign": outcome.achieved_sign,
+        "composite_ratio_upper": composite,
+        "tables": [
+            table(
+                "Blocks",
+                ["i", "block_lhv", "gamma_i"],
+                [[i, *row] for i, row in enumerate(zip(values, gammas), 1)],
+            )
+        ],
+        "homogeneous": homogeneous,
+    }
     warnings = []
-    cf = uppers = None
-    if is_homogeneous(expr):
-        cf = closed_form_classical(expr)
+    if homogeneous:
+        results["closed_form"] = closed_form_classical(expr)
         uppers = analytic_quantum_upper(expr)
-        if cf > outcome.value + 1e-9:
+        results["analytic_upper"] = uppers.general
+        results["anticommuting_upper"] = uppers.anticommuting
+        if results["closed_form"] > outcome.value + 1e-9:
             warnings.append(("closed-form-exceeds-enumeration", _CLOSED_FORM_NOTE))
     if found is not None:
+        results["seesaw_lower"] = found.value
+        results["seesaw_sweeps"] = len(found.sweep_values) - 1
+        results["seesaw_restart_index"] = found.restart_index
         warnings.extend(_sweep_cap_warnings(found))
         ratio = found.value / outcome.value
         if ratio > composite * (1 + 1e-9):
             warnings.append(("seesaw-above-composite", f"seesaw_lower / lhv_bound = {ratio:.12g} "
                              f"exceeds the paper's composite ratio {composite:.12g}"))
-    return _Analysis(outcome, values, gammas, composite, cf, uppers, found, warnings)
+    return results, warnings
 
 
 def _sweep_cap_warnings(found: SeesawResult) -> list:
@@ -142,36 +156,8 @@ def _sweep_cap_warnings(found: SeesawResult) -> list:
 
 
 def cmd_bounds(args) -> tuple[dict, list]:
-    expr = load_expression(args.expr_file)
     restarts = args.restarts if args.seesaw else None
-    a = _analyse(expr, restarts=restarts, seed=args.seed)
-    outcome = a.outcome
-    results = {
-        "parties": expr.parties,
-        "terms": len(expr),
-        "lhv_bound": outcome.value,
-        "witness_encoding": outcome.witness.encoding,
-        "witness_assignments": [list(pair) for pair in outcome.witness.assignments],
-        "achieved_sign": outcome.achieved_sign,
-        "composite_ratio_upper": a.composite,
-        "tables": [
-            table(
-                "Blocks",
-                ["i", "block_lhv", "gamma_i"],
-                [[i, *row] for i, row in enumerate(zip(a.block_values, a.gammas), 1)],
-            )
-        ],
-        "homogeneous": a.uppers is not None,
-    }
-    if a.uppers is not None:
-        results["closed_form"] = a.closed_form
-        results["analytic_upper"] = a.uppers.general
-        results["anticommuting_upper"] = a.uppers.anticommuting
-    if a.seesaw is not None:
-        results["seesaw_lower"] = a.seesaw.value
-        results["seesaw_sweeps"] = len(a.seesaw.sweep_values) - 1
-        results["seesaw_restart_index"] = a.seesaw.restart_index
-    return results, a.warnings
+    return _analyse(load_expression(args.expr_file), restarts=restarts, seed=args.seed)
 
 
 def _window_cells(window) -> list:
@@ -231,8 +217,8 @@ def cmd_tables(args) -> tuple[dict, list]:
     return _window_table("unit block ratios", unit, "measure", 1.0), []
 
 
-def _detection_block(expr_file, family, args) -> tuple[dict, SeesawResult]:
-    """The detection entry of a werner report, and the see-saw behind it."""
+def _detection_block(expr_file, family, args) -> tuple[dict, list]:
+    """The detection entry of a werner report, and its see-saw's warnings."""
     expr = load_expression(expr_file)
     found = detect_visibility(expr, family, args.seed, restarts=args.restarts)
     c1 = found.seesaw.classical.value
@@ -245,7 +231,7 @@ def _detection_block(expr_file, family, args) -> tuple[dict, SeesawResult]:
         upper = analytic_quantum_upper(expr).general
         if upper > c1:
             out["visibility_lower_bound"] = visibility_lower_bound(expr.parties, c1, upper)
-    return out, found.seesaw
+    return out, _sweep_cap_warnings(found.seesaw)
 
 
 def cmd_werner(args) -> tuple[dict, list]:
@@ -274,8 +260,7 @@ def cmd_werner(args) -> tuple[dict, list]:
             "necessary_check_first_failure": necessary_check_first_failure(amps),
         }
     if args.expr_file is not None:
-        detection, found = _detection_block(args.expr_file, family, args)
-        warnings.extend(_sweep_cap_warnings(found))
+        detection, warnings = _detection_block(args.expr_file, family, args)
         vlb = detection.get("visibility_lower_bound")
         if vlb is not None and "separability_threshold" in results:
             # a gap between the two certifies Werner states no expression
@@ -327,26 +312,16 @@ def cmd_examples(args) -> tuple[dict, list]:
     ratio_rows = []
     verdict_rows = []
     for name in _EXAMPLE_NAMES:
-        expr = builtin(name)
-        m = expr.parties
-        a = _analyse(expr, restarts=args.restarts, seed=args.seed)
-        warnings.extend((kind, f"{name}: {note}") for kind, note in a.warnings)
-        bound_rows.append(
-            [
-                name,
-                m,
-                a.outcome.value,
-                a.closed_form,
-                a.seesaw.value,
-                None if a.uppers is None else a.uppers.general,
-                a.composite,
-            ]
-        )
-        for i, g in enumerate(a.gammas, start=1):
-            ratio_rows.append([name, i, g])
+        results, notes = _analyse(builtin(name), restarts=args.restarts, seed=args.seed)
+        warnings.extend((kind, f"{name}: {note}") for kind, note in notes)
+        bound_rows.append([name, *(results.get(key) for key in _BOUND_KEYS.values())])
+        blocks = results["tables"][0]["rows"]  # [i, block_lhv, gamma_i]
+        ratio_rows.extend([name, i, gamma] for i, _, gamma in blocks)
 
-        condition = undetectable_measure_condition(m, a.gammas[: m - 1], a.composite)
-        window = undetectable_range_general(m, a.gammas[: m - 1])
+        m = results["parties"]
+        gammas = [gamma for _, _, gamma in blocks[: m - 1]]
+        condition = undetectable_measure_condition(m, gammas, results["composite_ratio_upper"])
+        window = undetectable_range_general(m, gammas)
         verdict_rows.append(
             [
                 name,
@@ -359,12 +334,10 @@ def cmd_examples(args) -> tuple[dict, list]:
         if condition.strict_form != condition.loose_form:
             warnings.append(("loose-threshold-variant", f"{name}: {_VARIANT_NOTE}"))
 
-    bound_columns = ["example", "m", "lhv", "closed_form", "seesaw", "analytic_upper",
-                     "composite_ratio_upper"]
     verdict_columns = ["example", "sum_inverse_gammas", "measure_condition",
                        "measure_condition_variant", "theta_lower/pi", "theta_upper/pi"]
     tables = [
-        table("Bounds", bound_columns, bound_rows),
+        table("Bounds", ["example", *_BOUND_KEYS], bound_rows),
         table("Block ratios", ["example", "i", "gamma_i"], ratio_rows),
         table("Condition verdicts", verdict_columns, verdict_rows),
     ]

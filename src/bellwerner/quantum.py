@@ -194,7 +194,7 @@ def _sum_inverse_gammas(gammas: Sequence[float]) -> float:
     for g in gammas:
         if not g > 0.0:
             raise ValueError(f"ratios must be positive, got {g!r}")
-        total += 0.0 if math.isinf(g) else 1.0 / g
+        total += 1.0 / g
     return total
 
 

@@ -477,6 +477,29 @@ def test_examples_command(capsys):
     assert "satisfied" not in variant[0]
 
 
+def test_examples_rows_are_what_bounds_seesaw_reports(capsys, tmp_path):
+    # each built-in's examples rows are its `bounds --seesaw` results, so a check
+    # added to one command cannot leave the other behind
+    rep = _structured(capsys, ["examples", "--restarts", "2"])
+    tables = {t["title"]: t["rows"] for t in rep["results"]["tables"]}
+    for name in ("CHSH", "MERMIN", "CH", "SASA"):
+        path = tmp_path / f"{name}.json"
+        save_expression(builtin(name), path)
+        bounds = _structured(capsys, ["bounds", str(path), "--seesaw", "--restarts", "2"])
+        res = bounds["results"]
+        assert [row for row in tables["Bounds"] if row[0] == name] == [[
+            name, res["parties"], res["lhv_bound"], res.get("closed_form", "-"),
+            res["seesaw_lower"], res.get("analytic_upper", "-"), res["composite_ratio_upper"],
+        ]]
+        assert [row[1:] for row in tables["Block ratios"] if row[0] == name] == [
+            [i, gamma] for i, _, gamma in res["tables"][0]["rows"]
+        ]
+        assert [
+            w for w in rep["warnings"]
+            if w["message"].startswith(f"{name}: ") and w["name"] != "loose-threshold-variant"
+        ] == [{"name": w["name"], "message": f"{name}: {w['message']}"} for w in bounds["warnings"]]
+
+
 def test_seesaw_sweep_cap_warning(capsys, monkeypatch, tmp_path, chsh_file):
     rep = _structured(capsys, ["bounds", chsh_file, "--seesaw", "--restarts", "2"])
     assert "seesaw-sweep-cap" not in {w["name"] for w in rep["warnings"]}

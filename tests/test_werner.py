@@ -281,8 +281,10 @@ def test_measure_condition_variant_is_looser():
         (lambda: ghz_amplitudes(0, 0.3), "parties must be at least 1"),
         (lambda: undetectable_range_homogeneous(1), "parties must be at least 2"),
         (lambda: undetectable_measure_condition(1, [], 3.0), "parties must be at least 2"),
+        (lambda: undetectable_range_general(1, []), "parties must be at least 2"),
     ],
-    ids=["ghz_amplitudes", "undetectable_range_homogeneous", "undetectable_measure_condition"],
+    ids=["ghz_amplitudes", "undetectable_range_homogeneous", "undetectable_measure_condition",
+         "undetectable_range_general"],
 )
 def test_party_counts_are_checked(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
