@@ -28,6 +28,13 @@ below 1 the restarts run on the expression times the power of two 2^e that
 puts c1 in [1, 2), exact for finite coefficients, and the values they
 return are scaled back by 2^-e.
 
+Real frame.  Local unitaries U_k can put each party's two axes in the xz
+plane; conjugating B by their product keeps its spectrum, and eigenvectors,
+effective operators and updates follow.  So seesaw_lower runs each restart
+in float64 after turning its starting pairs into that plane by rotations R_k
+(_plane_frame), fy = 0 keeping every update there, and turns a stopped run
+back (axes by R_k^T, state by the U_k^dagger); seesaw_fixed_state stays complex.
+
 Cost model.  An expression is held once as a (3,)*m coefficient tensor C
 (slot 0 for "_", 1 for "0", 2 for "1"), and each party's observables as a
 stack [I, A_0, A_1] per restart.  The R restarts of a group advance as
@@ -45,10 +52,10 @@ the best restart's 2m become QubitObservable objects, for the witness.
 Diagonal +-1 observables, such as the classical warm start, give a diagonal
 operator of strategy values, summed term by term like the classical bound.
 A group takes _GROUP_ENTRIES // max(4^m, 2^11) restarts: 256 up to five
-parties, 8 at the cap, each peaking at about two complex 2^m x 2^m matrices
-(10.97 MiB for MERMIN(7) at 21 restarts).  Starts are drawn one group at a
-time and each restart is handed back as it stops, so a call keeps only the
-best run and, per restart, a stop reason and a sweep count.
+parties, 8 at the cap, each peaking at about two 2^m x 2^m matrices (real
+ones: 5.71 MiB for MERMIN(7) at 21 restarts).  Starts are drawn one group
+at a time and each restart is handed back as it stops, so a call keeps only
+the best run and, per restart, a stop reason and a sweep count.
 """
 
 from __future__ import annotations
@@ -115,12 +122,12 @@ class QubitObservable:
         object.__setattr__(self, "eig_minus", float(self.eig_minus))
 
 
-def _entries(axis, eig_plus: float, eig_minus: float) -> list:
-    """The 2x2 entries of ((l+ + l-)/2) I + ((l+ - l-)/2) n.sigma, as Python numbers."""
+def _entries(axis, eig_plus: float, eig_minus: float, dtype=complex) -> list:
+    """The 2x2 entries of ((l+ + l-)/2) I + ((l+ - l-)/2) n.sigma; real for a float dtype."""
     nx, ny, nz = axis
-    a0 = (eig_plus + eig_minus) / 2.0
-    h = (eig_plus - eig_minus) / 2.0
-    return [[a0 + h * nz, h * (nx - 1j * ny)], [h * (nx + 1j * ny), a0 - h * nz]]
+    a0, h = (eig_plus + eig_minus) / 2.0, (eig_plus - eig_minus) / 2.0
+    off = (h * nx, h * nx) if dtype == float else (h * (nx - 1j * ny), h * (nx + 1j * ny))
+    return [[a0 + h * nz, off[0]], [off[1], a0 - h * nz]]
 
 
 @dataclass(frozen=True)
@@ -198,11 +205,10 @@ def _sum_inverse_gammas(gammas: Sequence[float]) -> float:
     return total
 
 
-def _stacks(pairs: Sequence[Sequence[tuple]]) -> np.ndarray:
+def _stacks(pairs: Sequence[Sequence[tuple]], dtype=complex) -> np.ndarray:
     """The (R, 3, 2, 2) stacks [I, A_0, A_1] of R pairs of (axis, eig_plus, eig_minus)."""
-    return np.array(
-        [[_IDENTITY, _entries(*pair[0]), _entries(*pair[1])] for pair in pairs], dtype=complex
-    )
+    return np.array([[_IDENTITY, _entries(*pair[0], dtype), _entries(*pair[1], dtype)]
+                     for pair in pairs], dtype)
 
 
 def _contract(coeffs: np.ndarray, stacks: Sequence[np.ndarray]) -> np.ndarray:
@@ -346,6 +352,36 @@ def _optimal_observable(f: list, axis: tuple) -> tuple:
     return (fx / norm, fy / norm, fz / norm), _sign(f0 + norm), _sign(f0 - norm)
 
 
+def _plane_frame(pair) -> tuple:
+    """((R, U), pair with each axis n turned to R n, y set to 0.0) for a pair of triples:
+    the rotation R (row tuples) by the quaternion (q0, q1, 0, q3) along (1 + |w_y|, s w x y)
+    turns the pair's normal w onto s y, s = sign(w_y); U (n.sigma) U^dagger = (R n).sigma."""
+    n0 = pair[0][0]
+    for e in (pair[1][0], (1.0, 0.0, 0.0) if abs(n0[0]) < 0.5 else (0.0, 0.0, 1.0)):
+        w = (n0[1] * e[2] - n0[2] * e[1], n0[2] * e[0] - n0[0] * e[2], n0[0] * e[1] - n0[1] * e[0])
+        if math.hypot(*w) >= 1e-9:  # the pair's normal; for parallel axes, one of n0's
+            break
+    s = _sign(w[1])
+    q = (math.hypot(*w) + s * w[1], -s * w[2], s * w[0])
+    q0, q1, q3 = (v / math.hypot(*q) for v in q)
+    r = ((1.0 - 2.0 * q3 * q3, -2.0 * q0 * q3, 2.0 * q1 * q3),
+         (2.0 * q0 * q3, 1.0 - 2.0 * (q1 * q1 + q3 * q3), -2.0 * q0 * q1),
+         (2.0 * q1 * q3, 2.0 * q0 * q1, 1.0 - 2.0 * q1 * q1))
+    u = [[complex(q0, -q3), complex(0.0, -q1)], [complex(0.0, -q1), complex(q0, q3)]]
+    (a0, a1, a2), _, (c0, c1, c2) = r
+    return (r, u), [((a0 * x + a1 * y + a2 * z, 0.0, c0 * x + c1 * y + c2 * z), p, m)
+                    for (x, y, z), p, m in pair]
+
+
+def _out_of_plane(frames: list, witness: list, state: np.ndarray) -> tuple[list, np.ndarray]:
+    """A real-frame run's witness, axes (x, 0, z), and state turned back by R^T and U^dagger."""
+    for k, ((a, _, c), u) in enumerate(frames):  # a new complex state from the first party on
+        witness[k] = [((x * a[0] + z * c[0], x * a[1] + z * c[1], x * a[2] + z * c[2]), p, m)
+                      for (x, _, z), p, m in witness[k]]
+        state = (np.conj(u).T @ state.reshape(2 ** k, 2, -1)).reshape(-1)
+    return witness, state
+
+
 def _stop_reason(values: list[float], c1: float) -> Optional[str]:
     """Why a restart stops after its latest sweep (see the module docstring), or None.
 
@@ -396,10 +432,10 @@ def _seesaw_runs(
 
     With fixed_state the objective is |<psi|B|psi>| for that state, which is
     also the returned state; otherwise the state is refreshed each sweep to
-    the extreme eigenvector of the current operator and the objective is the
-    spectral radius.  c1 is the classical bound that "bounded" compares
-    with; _MAX_SWEEPS and _GROUP_ENTRIES are read at call time.  A group's
-    runs come back before the next group's starts are drawn.
+    the extreme eigenvector of the current operator, in a real frame, and
+    the objective is the spectral radius.  c1 is the classical bound that
+    "bounded" compares with; _MAX_SWEEPS and _GROUP_ENTRIES are read at call
+    time.  A group's runs come back before the next group's starts are drawn.
     """
     m = expr.parties
     psi = None if fixed_state is None else np.asarray(fixed_state, dtype=complex).reshape(-1)
@@ -408,7 +444,7 @@ def _seesaw_runs(
     norm = 1.0 if psi is None else float(np.linalg.norm(psi))
     if not abs(norm - 1.0) <= _NORM_TOL:  # a NaN or infinite norm fails this too
         raise ValueError(f"state must be a finite unit vector, got norm {norm!r}")
-    coeffs = coefficient_tensor(expr, complex)
+    coeffs = coefficient_tensor(expr, complex if psi is not None else float)
     layouts = [np.ascontiguousarray(np.moveaxis(coeffs, j, -1)[..., 1:]) for j in range(m)]
     size = max(1, _GROUP_ENTRIES // max(4 ** m, 2 ** 11))
     starts = enumerate(starts)
@@ -421,7 +457,9 @@ def _advance(expr, coeffs, layouts, group, c1, psi) -> Iterator[tuple[int, _Run]
     """Sweeps of one group of (start index, observables), as stacks; yields each run as it stops."""
     m = expr.parties
     ids, obs = [i for i, _ in group], [pairs for _, pairs in group]
-    stacks = [_stacks([pairs[j] for pairs in obs]) for j in range(m)]
+    framed = [[_plane_frame(p) if psi is None else (None, p) for p in pairs] for pairs in obs]
+    frames, obs = ([[fp[k] for fp in fps] for fps in framed] for k in (0, 1))
+    stacks = [_stacks([pairs[j] for pairs in obs], coeffs.dtype) for j in range(m)]
     signed, states = _objective(expr, coeffs, stacks, psi)
     values = [[abs(s)] for s in signed]
     while obs:
@@ -430,7 +468,7 @@ def _advance(expr, coeffs, layouts, group, c1, psi) -> Iterator[tuple[int, _Run]
             f = (sign * _effective_pair(layouts[j], stacks, j, states)).tolist()
             for pairs, fr in zip(obs, f):
                 pairs[j] = [_optimal_observable(fr[x], pairs[j][x][0]) for x in (0, 1)]
-            stacks[j] = _stacks([pairs[j] for pairs in obs])
+            stacks[j] = _stacks([pairs[j] for pairs in obs], coeffs.dtype)
         signed, states = _objective(expr, coeffs, stacks, psi)
         keep = []
         for i, s in enumerate(signed):
@@ -439,11 +477,13 @@ def _advance(expr, coeffs, layouts, group, c1, psi) -> Iterator[tuple[int, _Run]
             if reason is None:
                 keep.append(i)
             else:
-                state = states[i] if psi is None else psi
-                yield ids[i], _Run(values[i][-1], obs[i], state, tuple(values[i]), reason)
+                witness, state = (obs[i], psi) if psi is not None else _out_of_plane(
+                    frames[i], obs[i], states[i])
+                yield ids[i], _Run(values[i][-1], witness, state, tuple(values[i]), reason)
         if len(keep) < len(obs):  # the stopped restarts leave the stack
             stacks, states = [s[keep] for s in stacks], states[keep]
-            ids, obs, values, signed = ([a[i] for i in keep] for a in (ids, obs, values, signed))
+            ids, obs, values, signed, frames = (
+                [a[i] for i in keep] for a in (ids, obs, values, signed, frames))
 
 
 def _random_assignment(parties: int, rng: np.random.Generator) -> list:

@@ -311,9 +311,11 @@ def observable_matrix(o):
     return mean * np.eye(2) + half * np.tensordot(np.array(o.axis), _PAULIS, axes=1)
 
 
-def stack_reference(pair):
-    """The (3, 2, 2) stack [I, A_0, A_1] of a pair of QubitObservables."""
-    return np.stack([np.eye(2, dtype=complex), *(observable_matrix(o) for o in pair)])
+def stack_reference(pair, real=False):
+    """The (3, 2, 2) stack [I, A_0, A_1] of a pair of QubitObservables; with real, the
+    real part of it, the whole stack when both axes lie in the xz plane."""
+    stack = np.stack([np.eye(2, dtype=complex), *(observable_matrix(o) for o in pair)])
+    return stack.real if real else stack
 
 
 def contract_tensordot(coeffs, stacks):
@@ -331,7 +333,7 @@ def bell_matrix_reference(expr, coeffs, stacks):
     """quantum._bell_matrix with the contraction by np.tensordot."""
     outcomes = np.array([s[1:, [0, 1], [0, 1]] for s in stacks])
     if not any(s[1:, 0, 1].any() for s in stacks) and np.all(np.abs(outcomes) == 1.0):
-        return np.diag(quantum._classical_diagonal(expr, outcomes.real)).astype(complex)
+        return np.diag(quantum._classical_diagonal(expr, outcomes.real)).astype(coeffs.dtype)
     b = contract_tensordot(coeffs, stacks)
     return (b + b.conj().T) / 2.0
 
@@ -408,7 +410,7 @@ def dominant_eig_reference(h):
     return float(w[0]), v[:, 0]
 
 
-def seesaw_run_reference(expr, initial, c1, fixed_state=None):
+def seesaw_run_reference(expr, initial, c1, fixed_state=None, frame=True):
     """One see-saw restart as the sweep first ran it, alone, from per-party
     pairs of (axis, eig_plus, eig_minus) triples.
 
@@ -417,12 +419,19 @@ def seesaw_run_reference(expr, initial, c1, fixed_state=None):
     every update; after a sweep that gains less than the tolerance the label
     follows stop_label_reference, and otherwise the restart stops as
     "bounded" once bounded_reference holds for the classical bound c1.
+    Without a fixed state it runs in the see-saw's real frame: each pair
+    turned into the xz plane by quantum._plane_frame, every matrix real,
+    and the run turned back by quantum._out_of_plane.  frame=False runs it
+    complex in the caller's frame, an oracle with no frame at all.
     Returns a quantum._Run, its witness as triples.
     """
     m = expr.parties
-    coeffs = coefficient_tensor(expr, complex)
+    real = frame and fixed_state is None
+    framed = [quantum._plane_frame(pair) if real else (None, pair) for pair in initial]
+    frames, initial = [f for f, _ in framed], [pair for _, pair in framed]
+    coeffs = coefficient_tensor(expr, float if real else complex)
     obs = [[QubitObservable(*pair[0]), QubitObservable(*pair[1])] for pair in initial]
-    stacks = [stack_reference(pair) for pair in obs]
+    stacks = [stack_reference(pair, real) for pair in obs]
     if fixed_state is not None:
         psi = np.asarray(fixed_state, dtype=complex).reshape(-1)
         signed = float(np.vdot(psi, bell_matrix_reference(expr, coeffs, stacks) @ psi).real)
@@ -438,7 +447,7 @@ def seesaw_run_reference(expr, initial, c1, fixed_state=None):
             f = sign * effective_pair_reference(coeffs, stacks, j, state)
             for setting in (0, 1):
                 obs[j][setting] = optimal_observable_reference(f[setting], obs[j][setting])
-            stacks[j] = stack_reference(obs[j])
+            stacks[j] = stack_reference(obs[j], real)
         op = bell_matrix_reference(expr, coeffs, stacks)
         if fixed_state is not None:
             signed = float(np.vdot(psi, op @ psi).real)
@@ -458,6 +467,8 @@ def seesaw_run_reference(expr, initial, c1, fixed_state=None):
             stop_reason = "bounded"
             break
     witness = [[(o.axis, o.eig_plus, o.eig_minus) for o in pair] for pair in obs]
+    if real:
+        witness, state = quantum._out_of_plane(frames, witness, state)
     return quantum._Run(value, witness, state, tuple(sweep_values), stop_reason)
 
 

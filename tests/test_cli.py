@@ -652,13 +652,19 @@ def test_nonfinite_operator_in_a_sweep_is_an_error(capsys, monkeypatch, chsh_fil
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["bounds", "FILE", "--seesaw"], ["werner", "pure", "--state", "STATE", "--expr", "FILE"]],
+    "argv, message",
+    [
+        (["bounds", "FILE", "--seesaw"], "matrix has non-finite entries"),
+        (["werner", "pure", "--state", "STATE", "--expr", "FILE"], "see-saw update is not finite"),
+    ],
     ids=["bounds seesaw", "werner pure"],
 )
-def test_overflowing_seesaw_is_one_error_line(capsys, tmp_path, argv):
+def test_overflowing_seesaw_is_one_error_line(capsys, tmp_path, argv, message):
     # the coefficient sum is finite, but the operator's symmetrisation and the
-    # observable update overflow; the see-saw names that, with no RuntimeWarning
+    # observable update overflow; the see-saw names that, with no RuntimeWarning.
+    # seesaw_lower's axes, turned into the xz plane, make a first operator's
+    # symmetrisation overflow before any update; the fixed-state see-saw keeps
+    # the caller's frame, where the update overflows first
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"parties": 2, "terms": [{"pattern": "00", "coeff": 1e308}]}))
     save_state(PureFamily(ghz_amplitudes(2, 0.0)), tmp_path / "state.json")
@@ -666,7 +672,7 @@ def test_overflowing_seesaw_is_one_error_line(capsys, tmp_path, argv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = _run(capsys, argv)
-    assert (code, out, err, caught) == (3, "", "error: see-saw update is not finite\n", [])
+    assert (code, out, err, caught) == (3, "", f"error: {message}\n", [])
 
 
 def test_seed_reproducibility_across_threads(capsys, monkeypatch):

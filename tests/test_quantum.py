@@ -26,6 +26,7 @@ from bellwerner import (
 from bellwerner import quantum
 from bellwerner.expressions import coefficient_tensor
 from bellwerner.quantum import seesaw_fixed_state
+import helpers
 from helpers import effective_pair_reference as _effective_pair
 from helpers import stack_reference as _stack
 from helpers import (
@@ -517,6 +518,104 @@ def test_seesaw_run_matches_reference(fixed, monkeypatch):
                 assert got.stop_reason == ref.stop_reason
 
 
+def test_real_frame_runs_match_the_complex_oracle(monkeypatch):
+    # the frame is a local unitary, so a run takes the complex run's values up to a
+    # tie: an operator whose dominant eigenvalue is degenerate in magnitude leaves its
+    # state free in a subspace (or its sign), and an update with |f0| = |fvec| leaves
+    # an eigenvalue's sign free; the runs may part in any sweep after the first tie
+    rng = np.random.default_rng(43)
+    solves, ties = [], []
+    dominant, update = helpers.dominant_eig_reference, helpers.optimal_observable_reference
+
+    def solving(h):
+        mags = np.sort(np.abs(np.linalg.eigvalsh(h)))
+        solves.append(None)
+        if mags[-1] - mags[-2] <= 1e-9 * mags[-1]:
+            ties.append(len(solves))  # the index of the next sweep's value
+        return dominant(h)
+
+    def updating(f, previous):
+        fvec = np.linalg.norm([f[1, 0].real, f[1, 0].imag, (f[0, 0] - f[1, 1]).real / 2.0])
+        if abs(abs(np.trace(f).real / 2.0) - fvec) <= 1e-9 * fvec:
+            ties.append(len(solves))  # the index of this sweep's value
+        return update(f, previous)
+
+    monkeypatch.setattr(helpers, "dominant_eig_reference", solving)
+    monkeypatch.setattr(helpers, "optimal_observable_reference", updating)
+    whole = 0
+    for expr in _reference_cases():
+        classical = lhv_bound(expr)
+        starts = [quantum._random_assignment(expr.parties, rng) for _ in range(3)]
+        starts.append(quantum._witness_assignment(classical))
+        runs = dict(quantum._seesaw_runs(expr, iter(starts), classical.value))
+        for i, start in enumerate(starts):
+            solves.clear()
+            ties.clear()
+            ref = seesaw_run_reference(expr, start, classical.value, frame=False)
+            got = runs[i]
+            pairs = zip(got.sweep_values, ref.sweep_values)
+            parted = [k for k, (a, b) in enumerate(pairs) if abs(a - b) > 1e-12 * abs(b)]
+            if parted:
+                assert ties and min(ties) <= parted[0]
+            else:
+                whole += 1
+                assert len(got.sweep_values) == len(ref.sweep_values)
+                assert got.stop_reason == ref.stop_reason
+    assert whole >= 60  # of the 51 random runs and 17 warm starts; 67 take every value here
+
+
+def test_plane_frame_turns_each_pair_into_the_xz_plane():
+    rng = np.random.default_rng(44)
+    n, y = (1.0 / 3.0, 2.0 / 3.0, -2.0 / 3.0), (0.0, 1.0, 0.0)
+    minus_n, minus_y = tuple(-v for v in n), (0.0, -1.0, 0.0)
+    pairs = [quantum._random_assignment(1, rng)[0] for _ in range(200)]
+    pairs += [[(a, 1.0, -1.0), (b, 0.5, -0.25)]  # parallel and antiparallel axes
+              for a, b in ((n, n), (n, minus_n), (y, y), (y, minus_y), ((1.0, 0.0, 0.0), y))]
+
+    def sigma(axis):
+        return observable_matrix(QubitObservable(tuple(axis), 1.0, -1.0))
+
+    for pair in pairs:
+        frame, turned = quantum._plane_frame(pair)
+        r, u = np.array(frame[0]), np.array(frame[1])
+        assert np.abs(r @ r.T - np.eye(3)).max() <= 1e-15
+        assert abs(np.linalg.det(r) - 1.0) <= 1e-15
+        assert np.abs(u @ u.conj().T - np.eye(2)).max() <= 1e-15
+        for (axis, p, q), (planar, tp, tq) in zip(pair, turned):
+            assert (tp, tq) == (p, q)
+            assert abs((r @ axis)[1]) <= 1e-15 and planar[1] == 0.0
+            assert np.abs(np.array(planar) - r @ axis).max() <= 1e-15
+            assert np.abs(u @ sigma(axis) @ u.conj().T - sigma(r @ axis)).max() <= 1e-15
+        state = np.array([0.6, 0.8j])
+        back, turned_back = quantum._out_of_plane([frame], [turned], u @ state)
+        assert np.abs(turned_back - state).max() <= 1e-15
+        for (axis, _, _), (returned, _, _) in zip(pair, back[0]):
+            assert np.abs(np.array(returned) - axis).max() <= 1e-15
+    # a pair in the plane gets the identity exactly and stays as it is, so the
+    # classical warm start still makes a diagonal operator
+    planar = [((0.6, 0.0, 0.8), 1.0, -1.0), ((-1.0, 0.0, 0.0), 0.5, 0.5)]
+    for pair in [planar, *quantum._witness_assignment(lhv_bound(builtin("MERMIN(3)")))]:
+        (r, u), turned = quantum._plane_frame(pair)
+        assert np.array_equal(r, np.eye(3)) and np.array_equal(u, np.eye(2))
+        assert turned == pair
+
+
+def test_seesaw_value_is_the_spectral_radius_of_its_witness():
+    # the best run, turned back to the caller's frame: its witness's operator has the
+    # value as spectral radius, and its state is an eigenvector for it
+    for k, expr in enumerate(_reference_cases()):
+        res = seesaw_lower(expr, restarts=3, seed=k)
+        op = bell_operator(expr, res.witness)
+        w = np.linalg.eigvalsh(op)
+        radius = max(-w[0], w[-1])
+        assert abs(res.value - radius) <= 1e-12 * radius
+        assert res.state.dtype == complex and abs(np.linalg.norm(res.state) - 1.0) <= 1e-12
+        applied = op @ res.state
+        signed = math.copysign(res.value, np.vdot(res.state, applied).real)
+        total = sum(abs(c) for _, c in expr.terms())
+        assert np.linalg.norm(applied - signed * res.state) <= 1e-12 * total
+
+
 def test_restarts_are_drawn_one_group_at_a_time(monkeypatch):
     expr, m = builtin("CH"), 2
     starts = [quantum._random_assignment(m, np.random.default_rng([0, r])) for r in range(5)]
@@ -590,7 +689,7 @@ def test_witness_observables_are_built_once(fixed, monkeypatch):
 
 
 def test_seesaw_does_not_follow_blas_threads():
-    # eigh of a 128 x 128 operator or larger gives other last bits on other
+    # eigh of a 128 x 128 complex operator or a 256 x 256 real one gives other last bits on other
     # OpenBLAS thread counts; the see-saw's eigensolve runs on one thread
     code = """
 import hashlib
